@@ -145,11 +145,18 @@ def _parse_spec(obj):
 
 def _parse_points(config):
     pts = _field(config, "points")
-    arr = np.asarray(pts, dtype=float)
+    try:
+        arr = np.asarray(pts, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            "points must be numbers in a vector or a list of equal-length vectors"
+        ) from exc
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ConfigError("points must be a vector or a list of vectors")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError("points must have finite entries")
     return arr
 
 def _solver_opts(config):

@@ -24,12 +24,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError, UnsupportedConjugate
-from .functions import ConvexFunction, MoreauEnvelopeFunction
+from .functions import (
+    BOUNDARY_TOL,
+    ConvexFunction,
+    MoreauEnvelopeFunction,
+    conjugate_function,
+)
 from .linalg import DenseMap, as_vector, pseudo_inverse_small
 from .moreau import (
     CONVERGED,
     DEFAULT_OPTS,
     DIVERGED,
+    INVALID,
     MAX_ITER,
     SolveReport,
     SolverOpts,
@@ -176,19 +182,66 @@ def _conjugate_values(fn, y, gamma, opts):
     return vals.reshape(np.asarray(y).shape[:-1])
 
 
+def _domain_support(g):
+    """Support function of ``dom g`` (the recession of ``g*``), or None.
+
+    None when the catalog has no conjugate for ``g``; the cores then fall
+    back to the divergence radius.  Only built for restricted domains.
+    """
+    try:
+        return conjugate_function(g).recession
+    except UnsupportedConjugate:
+        return None
+
+
+def _recession_certified(step, target, slope):
+    """Rows whose displacement ``step`` certifies an infinite value.
+
+    With ``d = step / ||step||`` the dual objective grows without bound
+    along ``d`` when ``<target, d> > slope(d)``, ``slope`` being the
+    recession function of the dual penalty (Farkas: the base point lies
+    outside the closure of the image of ``dom g``).  The margin must beat
+    the catalog's boundary slack; zero rows never certify.
+    """
+    norm = np.linalg.norm(step, axis=-1)
+    d = step / np.where(norm > 0.0, norm, 1.0)[:, None]
+    margin = np.sum(target * d, axis=-1) - np.asarray(slope(d), dtype=float)
+    return margin > BOUNDARY_TOL * (1.0 + np.linalg.norm(target, axis=-1))
+
+
+def _flat_directions(L):
+    """Orthonormal basis of ``ker(I - LL*)``, where ``Phi`` vanishes.
+
+    Left singular vectors whose singular value is within the admissibility
+    slack of 1; none when the certified norm bound stays below that.
+    """
+    if L.norm_bound < 1.0 - ADMISSIBILITY_TOL:
+        return np.zeros((L.rows, 0))
+    u, sv, _ = np.linalg.svd(L.entries, full_matrices=False)
+    return u[:, sv >= 1.0 - ADMISSIBILITY_TOL]
+
+
 def _cocomposition_core(spec, X, opts):
     """Proximal-gradient ascent on the dual of the cocomposition.
 
     ``X`` has shape (N, cols).  Returns (values, duals, status, iters,
-    residuals).  The divergence test is skipped whenever the value is
-    known finite (``||L|| < 1`` or full-domain ``g``).
+    residuals).  The value is finite unless ``g`` has a restricted
+    domain and ``L`` has a singular value within the admissibility slack
+    of 1: only then can the dual penalty ``gamma Phi`` stay flat, along
+    ``ker(I - LL*)``.  Every 50 iterations the displacement of each row,
+    projected onto that kernel, is tested as a recession certificate;
+    'diverged' rows are certified ``+inf``.  Without a catalog conjugate
+    the test falls back to ``||y|| > opts.divergence_radius``.
     """
     L, g, gamma = spec.operator, spec.fn, spec.gamma
-    always_finite = g.has_full_domain() or L.norm_bound < 1.0 - 1e-12
+    flat = None if g.has_full_domain() else _flat_directions(L)
+    always_finite = flat is None or flat.shape[1] == 0
+    sigma = None if always_finite else _domain_support(g)
     LX = L.apply(X)
     n = X.shape[0]
     t = 1.0 / gamma
     y = np.zeros((n, L.rows))
+    anchor = y
     momentum = y.copy()
     t_acc = np.ones(n)
     active = np.ones(n, dtype=bool)
@@ -220,7 +273,13 @@ def _cocomposition_core(spec, X, opts):
         iters[newly] = it
         active &= ~newly
         if not always_finite and it % 50 == 0:
-            escaped = active & (np.linalg.norm(y, axis=-1) > opts.divergence_radius)
+            if sigma is None:
+                escaped = np.linalg.norm(y, axis=-1) > opts.divergence_radius
+            else:
+                flat_step = ((y - anchor) @ flat) @ flat.T
+                escaped = _recession_certified(flat_step, LX, sigma)
+                anchor = y
+            escaped &= active
             status[escaped] = DIVERGED
             iters[escaped] = it
             active &= ~escaped
@@ -240,7 +299,13 @@ def _composition_core(spec, X, opts):
     conjugate of ``g`` (index ``1/gamma``) evaluated at ``Lz``; the value
     of the composition is the attained sup minus ``||x||^2/(2 gamma)``.
     Base points outside the closed range of the adjoint are certified
-    infeasible up front when ``g`` has full domain.
+    infeasible up front when ``g`` has full domain.  For restricted
+    ``dom g`` the displacement ``z_k - z_{k-50}`` of each row is tested
+    every 50 iterations as a recession certificate ``<d, x> >
+    sigma_{dom g}(Ld)``, which proves ``x`` outside ``L*(dom g)``; rows
+    that pass are 'diverged' with value ``+inf``.  Where no certificate
+    exists (full domain, or no catalog conjugate) the test falls back to
+    ``||z|| > opts.divergence_radius``.
     """
     L, g, gamma = spec.operator, spec.fn, spec.gamma
     n = X.shape[0]
@@ -255,8 +320,10 @@ def _composition_core(spec, X, opts):
     if g.has_full_domain():
         infeasible = range_gap > _RANGE_TOL * (1.0 + np.linalg.norm(X, axis=-1))
         status[infeasible] = DIVERGED
+        sigma = None
     else:
         infeasible = np.zeros(n, dtype=bool)
+        sigma = _domain_support(g)
 
     run = ~infeasible
     if not np.any(run):
@@ -265,6 +332,7 @@ def _composition_core(spec, X, opts):
     nb2 = max(spec.operator.norm_bound**2, 1e-12)
     step = 1.0 / (gamma * nb2)
     z = X.copy()
+    anchor = z
     momentum = z.copy()
     t_acc = np.ones(n)
     active = run.copy()
@@ -297,7 +365,14 @@ def _composition_core(spec, X, opts):
         iters[newly] = it
         active &= ~newly
         if it % 50 == 0:
-            escaped = active & (np.linalg.norm(z, axis=-1) > opts.divergence_radius)
+            if sigma is None:
+                escaped = np.linalg.norm(z, axis=-1) > opts.divergence_radius
+            else:
+                escaped = _recession_certified(
+                    z - anchor, X, lambda d: sigma(L.apply(d))
+                )
+                anchor = z
+            escaped &= active
             status[escaped] = DIVERGED
             iters[escaped] = it
             active &= ~escaped
@@ -318,6 +393,22 @@ def _composition_core(spec, X, opts):
     return values, z, status, iters, residual
 
 
+def _batch(core, spec, X, opts):
+    """Run ``core`` on the finite rows of ``X``: (values, status, iters).
+
+    Rows with a NaN or infinite entry never enter the iteration; they are
+    'invalid' with value nan and 0 iterations.
+    """
+    X = np.asarray(X, dtype=float)
+    valid = np.isfinite(X).all(axis=-1)
+    values = np.full(len(X), np.nan)
+    status = np.full(len(X), INVALID, dtype=object)
+    iters = np.zeros(len(X), dtype=int)
+    if valid.any():
+        values[valid], _, status[valid], iters[valid], _ = core(spec, X[valid], opts)
+    return values, status, iters
+
+
 def _single(core, spec, x, opts):
     x = as_vector(x, spec.operator.cols)
     values, arg, status, iters, residual = core(spec, x[None, :], opts)
@@ -332,29 +423,42 @@ def eval_cocomposition(spec, x, opts: SolverOpts = DEFAULT_OPTS):
 
     The report's argpoint is the dual maximizer ``y*``; ``L* y*`` is the
     gradient of the cocomposition at ``x`` where it is differentiable.
+    'diverged' certifies ``+inf`` by a recession certificate (possible
+    only for restricted ``dom g`` and ``||L|| = 1``); the divergence
+    radius of ``opts`` is the fallback when ``g`` has no catalog
+    conjugate.
     """
     return _single(_cocomposition_core, spec, x, opts)
 
 
 def eval_cocomposition_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS):
-    """Cocomposition values over rows of ``X``: (values, status, iters)."""
-    X = np.asarray(X, dtype=float)
-    values, _, status, iters, _ = _cocomposition_core(spec, X, opts)
-    return values, status, iters
+    """Cocomposition values over rows of ``X``: (values, status, iters).
+
+    Statuses as for ``eval_cocomposition``; rows with a non-finite entry
+    are 'invalid' with value nan and 0 iterations.
+    """
+    return _batch(_cocomposition_core, spec, X, opts)
 
 
 def eval_composition(spec, x, opts: SolverOpts = DEFAULT_OPTS):
     """Value of the composition at ``x`` (SolveReport).
 
-    'diverged' certifies ``+inf`` (base point outside the domain)."""
+    'diverged' certifies ``+inf``: the base point lies outside
+    ``L*(dom g)``, shown by the adjoint range test (full-domain ``g``) or
+    by a recession certificate on the dual iterates (restricted domain).
+    The divergence radius of ``opts`` is the fallback when no certificate
+    exists (no catalog conjugate of ``g``).
+    """
     return _single(_composition_core, spec, x, opts)
 
 
 def eval_composition_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS):
-    """Composition values over rows of ``X``: (values, status, iters)."""
-    X = np.asarray(X, dtype=float)
-    values, _, status, iters, _ = _composition_core(spec, X, opts)
-    return values, status, iters
+    """Composition values over rows of ``X``: (values, status, iters).
+
+    Statuses as for ``eval_composition``; rows with a non-finite entry
+    are 'invalid' with value nan and 0 iterations.
+    """
+    return _batch(_composition_core, spec, X, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, ShapeError
+from .errors import DimensionError, ShapeError
 
 __all__ = [
     "DenseMap",
@@ -110,15 +110,16 @@ class DenseMap:
         """Spectral norm by power iteration on ``L*L``.
 
         Deterministic all-ones seed; stops when successive Rayleigh
-        quotients agree to relative ``tol``.  The zero operator
-        short-circuits to exactly 0.  Caches ``norm_bound = sigma*(1+tol)``.
+        quotients agree to relative ``tol``.  When the top singular values
+        nearly coincide and the iteration exhausts its budget, the norm
+        comes from a singular value decomposition instead.  The zero
+        operator short-circuits to exactly 0.  Caches
+        ``norm_bound = sigma*(1+tol)``.
         """
         if tol <= 0:
             raise ValueError("tol must be positive")
         if not self.entries.any():
-            self._norm_bound = 0.0
-            self._norm_estimate = 0.0
-            return 0.0
+            return self._cache_norm(0.0, tol)
         gram = self.entries.T @ self.entries
         n = gram.shape[0]
         v = np.ones(n) / np.sqrt(n)
@@ -139,14 +140,16 @@ class DenseMap:
             v = w / nw
             new_rayleigh = float(v @ gram @ v)
             if abs(new_rayleigh - rayleigh) < tol * max(new_rayleigh, 1e-300):
-                sigma = float(np.sqrt(new_rayleigh))
-                self._norm_bound = sigma * (1.0 + tol)
-                self._norm_estimate = sigma
-                return sigma
+                return self._cache_norm(float(np.sqrt(new_rayleigh)), tol)
             rayleigh = new_rayleigh
-        raise ConvergenceError(
-            f"power iteration did not converge in {_POWER_MAX_ITER} iterations"
+        return self._cache_norm(
+            float(np.linalg.svd(self.entries, compute_uv=False)[0]), tol
         )
+
+    def _cache_norm(self, sigma, tol):
+        self._norm_bound = sigma * (1.0 + tol)
+        self._norm_estimate = sigma
+        return sigma
 
     @property
     def norm_bound(self):

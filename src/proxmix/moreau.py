@@ -35,6 +35,7 @@ __all__ = [
 CONVERGED = "converged"
 DIVERGED = "diverged"
 MAX_ITER = "max_iter"
+INVALID = "invalid"  # a batch row with a NaN or infinite entry; never iterated
 
 _MAX_GRID_STEPS = 2001
 _OBJECTIVE_WINDOW = 100  # iterations the objective must keep rising before
@@ -43,7 +44,12 @@ _OBJECTIVE_WINDOW = 100  # iterations the objective must keep rising before
 
 @dataclass(frozen=True)
 class SolverOpts:
-    """Tolerances shared by the first-order solvers."""
+    """Tolerances shared by the first-order solvers.
+
+    ``divergence_radius`` declares divergence once an iterate's norm
+    exceeds it; the composition solvers use it only where no recession
+    certificate is available.
+    """
 
     tol: float = 1e-8
     max_iter: int = 100_000
@@ -73,7 +79,11 @@ class SolveReport:
     """Outcome of an iterative evaluation.
 
     ``status == 'converged'`` guarantees ``residual <= tol`` of the opts
-    used; ``status == 'diverged'`` forces ``value == inf``.
+    used; ``status == 'diverged'`` forces ``value == inf``.  For the
+    composition solvers 'diverged' means a recession (Farkas) certificate
+    that the value is ``+inf``; ``opts.divergence_radius`` is only the
+    fallback where no such certificate exists.  The batch solvers mark
+    rows with a non-finite entry 'invalid' (value nan, 0 iterations).
     """
 
     value: float

@@ -183,6 +183,31 @@ def test_malformed_json_exit_and_diagnostics(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_nonfinite_point_exit_and_diagnostics(tmp_path, capsys):
+    # JSON has no NaN literal, but Python's reader accepts one
+    path = tmp_path / "nan.json"
+    path.write_text(
+        json.dumps({"spec": scalar_composition_spec(), "points": [[float("nan")]]})
+    )
+    assert main(["eval", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err
+    assert err.count("\n") == 1
+
+
+def test_ragged_points_exit_and_diagnostics(tmp_path, capsys):
+    spec = {
+        "L": {"rows": 2, "cols": 2, "entries": [[0.5, 0.0], [0.0, 0.5]]},
+        "g": {"atom": "l1_norm", "params": {"dim": 2}},
+        "gamma": 1.0,
+    }
+    cfg = write_config(tmp_path, {"spec": spec, "points": [[1.0, 2.0], [3.0]]})
+    assert main(["prox", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "equal-length" in err
+    assert err.count("\n") == 1
+
+
 def test_missing_field_exit(tmp_path):
     cfg = write_config(tmp_path, {"spec": scalar_composition_spec()})
     assert main(["eval", "--config", cfg]) == EXIT_CONFIG

@@ -23,10 +23,15 @@ from proxmix import (
     recession_cocomposition,
     subgradient_witness_cocomposition,
 )
-from proxmix.compositions import pushforward_infimum
+from proxmix.compositions import eval_composition_batch, pushforward_infimum
 from proxmix.errors import AdmissibilityError, ParameterError
-from proxmix.functions import Affine, BallIndicator
-from proxmix.moreau import CONVERGED, DIVERGED, grid_prox
+from proxmix.functions import (
+    Affine,
+    BallIndicator,
+    OracleFunction,
+    SubspaceIndicator,
+)
+from proxmix.moreau import CONVERGED, DIVERGED, INVALID, SolverOpts, grid_prox
 
 
 def scalar_half_spec(gamma=1.0, fn=None):
@@ -108,6 +113,134 @@ def test_composition_worked_scalar_value():
     spec = scalar_half_spec()
     rep = eval_composition(spec, [0.5])
     assert rep.value == pytest.approx(1.375, abs=1e-9)
+
+
+# -- certified divergence and invalid rows -------------------------------------
+
+SQUARE = DenseMap([[0.5, 0.1], [-0.2, 0.4]])
+
+
+@pytest.mark.parametrize("x", [[3.0, 1.0], [-1.0, 2.0], [0.0, -1.2]])
+def test_composition_ball_infeasible_certified_at_first_check(x):
+    # L*(B(0, 1)) lies in the ball of radius ||L|| < 0.6
+    spec = CompositionSpec(SQUARE, BallIndicator(np.zeros(2), 1.0), 1.0)
+    rep = eval_composition(spec, x)
+    assert (rep.status, rep.value, rep.iterations) == (DIVERGED, np.inf, 50)
+
+
+@pytest.mark.parametrize("gamma", [0.8, 1.25])
+def test_composition_subspace_infeasible_certified_at_first_check(gamma):
+    # g indicates the first axis, so L*(V) is the line through L* e1 and
+    # the point is orthogonal to it
+    basis = np.array([[1.0], [0.0]])
+    spec = CompositionSpec(SQUARE, SubspaceIndicator(basis), gamma)
+    line = SQUARE.adjoint_apply(basis[:, 0])
+    x = 1.5 * np.array([-line[1], line[0]]) / np.linalg.norm(line)
+    rep = eval_composition(spec, x)
+    assert (rep.status, rep.value, rep.iterations) == (DIVERGED, np.inf, 50)
+
+
+def test_cocomposition_escape_branch_certified():
+    # ||L|| = 1 and a restricted domain: sup_y 2y - |y| is unbounded
+    spec = CompositionSpec(DenseMap.identity(1), BallIndicator([0.0], 1.0), 1.0)
+    rep = eval_cocomposition(spec, [2.0])
+    assert rep.status == DIVERGED
+    assert rep.value == np.inf
+    assert rep.iterations <= 50
+
+
+def test_cocomposition_escape_branch_boundary_stays_finite():
+    # the kernel direction of I - LL* carries margin exactly 0 here
+    spec = CompositionSpec(DenseMap.identity(1), BallIndicator([0.0], 1.0), 1.0)
+    rep = eval_cocomposition(spec, [1.0])
+    assert rep.status == CONVERGED
+    assert rep.value == pytest.approx(0.0, abs=1e-9)
+
+
+def test_cocomposition_certificate_ignores_penalized_directions():
+    # ker(I - LL*) is the first axis, where <Lx, d> = 0.5 < sigma(d) = 1;
+    # along the second axis the slope 1.9 beats 1 but Phi penalizes it,
+    # so the value is finite: sup over y2 of a y2 - c y2^2 / 2 with
+    # a = 1.9 - sqrt(3)/2 (y1 = |y|/2 at the optimum), c = 1 - 0.95^2
+    spec = CompositionSpec(
+        DenseMap([[1.0, 0.0], [0.0, 0.95]]), BallIndicator(np.zeros(2), 1.0), 1.0
+    )
+    rep = eval_cocomposition(spec, [0.5, 2.0])
+    a, c = 1.9 - np.sqrt(0.75), 1.0 - 0.95**2
+    assert rep.status == CONVERGED
+    assert rep.iterations > 50  # the certificate was tested and did not fire
+    assert rep.value == pytest.approx(a**2 / (2.0 * c), abs=1e-6)
+
+
+@pytest.mark.parametrize("angle", [0.3, 2.0, 4.5])
+def test_composition_feasible_boundary_points_converge(angle):
+    # x = L* y with ||y|| = r: the fiber is the single point y, so the
+    # value is Phi(y) / gamma
+    radius, gamma = 1.3, 0.9
+    spec = CompositionSpec(SQUARE, BallIndicator(np.zeros(2), radius), gamma)
+    y = radius * np.array([np.cos(angle), np.sin(angle)])
+    rep = eval_composition(spec, SQUARE.adjoint_apply(y))
+    assert rep.status == CONVERGED
+    assert rep.value == pytest.approx(float(spec.defect(y)) / gamma, abs=1e-6)
+
+
+def test_composition_feasible_subspace_point_converges():
+    basis = np.array([[0.6], [0.8]])
+    spec = CompositionSpec(SQUARE, SubspaceIndicator(basis), 1.0)
+    y = 2.0 * basis[:, 0]
+    rep = eval_composition(spec, SQUARE.adjoint_apply(y))
+    assert rep.status == CONVERGED
+    assert rep.value == pytest.approx(float(spec.defect(y)), abs=1e-6)
+
+
+def test_composition_batch_mixed_rows():
+    spec = CompositionSpec(SQUARE, BallIndicator(np.zeros(2), 1.0), 1.0)
+    X = np.array(
+        [
+            SQUARE.adjoint_apply([0.3, -0.4]),
+            [3.0, 1.0],
+            SQUARE.adjoint_apply([0.6, 0.8]),
+            [np.nan, 1.0],
+            [0.0, -1.2],
+        ]
+    )
+    values, status, iters = eval_composition_batch(spec, X)
+    assert list(status) == [CONVERGED, DIVERGED, CONVERGED, INVALID, DIVERGED]
+    assert list(iters[[1, 3, 4]]) == [50, 0, 50]
+    assert np.isinf(values[[1, 4]]).all() and np.isnan(values[3])
+    for row in (0, 2):
+        single = eval_composition(spec, X[row])
+        assert single.status == CONVERGED
+        assert single.iterations == iters[row]
+        assert values[row] == pytest.approx(single.value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "solve", [eval_composition_batch, eval_cocomposition_batch]
+)
+def test_batch_nonfinite_rows_cost_no_iterations(solve):
+    spec = CompositionSpec(SQUARE, L1Norm(2), 1.0)
+    X = np.array([[np.nan, 1.0], [1.0, 2.0], [np.inf, 0.0], [0.5, -np.inf]])
+    values, status, iters = solve(spec, X)
+    assert list(status) == [INVALID, CONVERGED, INVALID, INVALID]
+    assert list(iters[[0, 2, 3]]) == [0, 0, 0]
+    assert np.isnan(values[[0, 2, 3]]).all()
+    assert values[1] == pytest.approx(solve(spec, X[1:2])[0][0], rel=1e-12)
+
+
+def test_composition_radius_fallback_without_conjugate():
+    # an oracle function has no catalog conjugate, so no certificate:
+    # the iterate has to pass the divergence radius
+    ball = BallIndicator([0.0], 1.0)
+    oracle = OracleFunction(1, ball, prox_fn=ball.prox, full_domain=False)
+    opts = SolverOpts(divergence_radius=1e4)
+    rep = eval_composition(CompositionSpec(DenseMap([[0.5]]), oracle, 1.0), [2.0], opts)
+    assert rep.status == DIVERGED
+    assert np.linalg.norm(rep.argpoint) > opts.divergence_radius
+    # the catalog ball is certified long before the radius
+    rep = eval_composition(CompositionSpec(DenseMap([[0.5]]), ball, 1.0), [2.0], opts)
+    assert (rep.status, rep.iterations) == (DIVERGED, 50)
+    assert np.linalg.norm(rep.argpoint) < opts.divergence_radius
 
 
 # -- prox formulas --------------------------------------------------------------

@@ -73,6 +73,22 @@ def test_operator_norm_zero_matrix():
     assert DenseMap(np.zeros((2, 3))).operator_norm() == 0.0
 
 
+def test_operator_norm_near_degenerate_top_pair():
+    # singular values 0.673919 and 0.673788: power iteration runs out of
+    # budget, so the norm comes from the singular value decomposition
+    L = DenseMap(
+        [
+            [-0.36426265551393977, 0.566966514362111],
+            [0.5669440696375728, 0.364133821218282],
+        ]
+    )
+    sv = np.linalg.svd(L.entries, compute_uv=False)
+    assert sv[0] - sv[1] == pytest.approx(1.31e-4, abs=1e-6)
+    assert L.operator_norm() == sv[0]
+    assert L.norm_estimate == sv[0]
+    assert L.norm_bound == pytest.approx(sv[0], rel=2e-9)
+
+
 def test_norm_certificate_random_unit_vectors():
     rng = np.random.default_rng(1)
     L = DenseMap(rng.normal(size=(4, 3)))
