@@ -45,7 +45,6 @@ from .moreau import (
     envelope,
     envelope_gradient,
     grid_conjugate,
-    grid_constrained_min,
     grid_envelope,
     grid_min,
     grid_points,

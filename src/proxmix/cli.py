@@ -160,7 +160,10 @@ def _parse_points(config):
     return arr
 
 def _solver_opts(config):
-    return SolverOpts.from_json(config.get("opts", {}))
+    opts = config.get("opts", {})
+    if not isinstance(opts, dict):
+        raise ConfigError("opts must be a JSON object")
+    return SolverOpts.from_json(opts)
 
 
 def _check_command(config, expected):

@@ -32,13 +32,13 @@ from .functions import (
 )
 from .linalg import DenseMap, as_vector, pseudo_inverse_small
 from .moreau import (
-    CONVERGED,
     DEFAULT_OPTS,
     DIVERGED,
     INVALID,
-    MAX_ITER,
     SolveReport,
     SolverOpts,
+    _fista,
+    _outside_radius,
     envelope,
     envelope_gradient,
     grid_min,
@@ -162,22 +162,21 @@ class CompositionSpec:
 def _conjugate_values(fn, y, gamma, opts):
     """Values of the conjugate at the rows of ``y``.
 
-    Falls back to a fixed-parameter proximal-point iteration when no
-    closed form is registered (the iteration only ever calls the prox at
-    parameter ``gamma``, which oracle-backed functions support).
+    Falls back to accelerated proximal-point ascent on ``<z, y> - f(z)``
+    when no closed form is registered (the iteration only ever calls the
+    prox at parameter ``gamma``, which oracle-backed functions support).
     """
     try:
         return np.asarray(fn.conjugate(y), dtype=float)
     except UnsupportedConjugate:
         pass
     y2 = np.atleast_2d(y)
-    z = np.zeros_like(y2)
-    for _ in range(opts.max_iter):
-        z_new = fn.prox(gamma, z + gamma * y2)
-        if float(np.max(np.linalg.norm(z_new - z, axis=-1))) <= opts.tol * gamma:
-            z = z_new
-            break
-        z = z_new
+
+    def step(momentum, z):
+        z_new = fn.prox(gamma, momentum + gamma * y2)
+        return z_new, np.linalg.norm(z_new - z, axis=-1) / gamma
+
+    z = _fista(step, np.zeros_like(y2), opts)[0]
     vals = np.sum(z * y2, axis=-1) - np.asarray(fn(z), dtype=float)
     return vals.reshape(np.asarray(y).shape[:-1])
 
@@ -238,53 +237,22 @@ def _cocomposition_core(spec, X, opts):
     always_finite = flat is None or flat.shape[1] == 0
     sigma = None if always_finite else _domain_support(g)
     LX = L.apply(X)
-    n = X.shape[0]
     t = 1.0 / gamma
-    y = np.zeros((n, L.rows))
-    anchor = y
-    momentum = y.copy()
-    t_acc = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    status = np.full(n, MAX_ITER, dtype=object)
-    iters = np.zeros(n, dtype=int)
-    residual = np.full(n, np.inf)
-    it = 0
-    while it < opts.max_iter and np.any(active):
-        it += 1
+
+    def step(momentum, y):
         grad = LX - gamma * (momentum - L.apply(L.adjoint_apply(momentum)))
         v = momentum + t * grad
         y_new = v - (1.0 / gamma) * g.prox(gamma, gamma * v)
-        delta = y_new - y
-        step = np.linalg.norm(delta, axis=-1)
-        res = step / t
-        # accelerated update with per-row gradient-scheme restart
-        restart = np.sum((momentum - y_new) * delta, axis=-1) > 0.0
-        t_acc = np.where(restart, 1.0, t_acc)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-        beta = np.where(restart, 0.0, (t_acc - 1.0) / t_next)
-        momentum = np.where(
-            active[:, None], y_new + beta[:, None] * delta, momentum
-        )
-        y = np.where(active[:, None], y_new, y)
-        t_acc = np.where(active, t_next, t_acc)
-        newly = active & (res <= opts.tol)
-        status[newly] = CONVERGED
-        residual[newly] = res[newly]
-        iters[newly] = it
-        active &= ~newly
-        if not always_finite and it % 50 == 0:
-            if sigma is None:
-                escaped = np.linalg.norm(y, axis=-1) > opts.divergence_radius
-            else:
-                flat_step = ((y - anchor) @ flat) @ flat.T
-                escaped = _recession_certified(flat_step, LX, sigma)
-                anchor = y
-            escaped &= active
-            status[escaped] = DIVERGED
-            iters[escaped] = it
-            active &= ~escaped
-    iters[active] = it
-    residual[active] = res[active] if it else np.inf
+        return y_new, np.linalg.norm(y_new - y, axis=-1) / t
+
+    def certified(y, anchor):
+        return _recession_certified(((y - anchor) @ flat) @ flat.T, LX, sigma)
+
+    escaped = _outside_radius(opts) if sigma is None else certified
+    y, status, iters, residual = _fista(
+        step, np.zeros((X.shape[0], L.rows)), opts,
+        escaped=None if always_finite else escaped,
+    )
     defect = spec.defect(y)
     gvals = _conjugate_values(g, y, gamma, opts)
     values = np.sum(LX * y, axis=-1) - gvals - gamma * defect
@@ -309,76 +277,37 @@ def _composition_core(spec, X, opts):
     """
     L, g, gamma = spec.operator, spec.fn, spec.gamma
     n = X.shape[0]
-    values = np.full(n, np.inf)
-    status = np.full(n, MAX_ITER, dtype=object)
-    iters = np.zeros(n, dtype=int)
-    residual = np.full(n, np.inf)
 
     # certify infeasible base points through the adjoint range
     dual_sol, *_ = np.linalg.lstsq(L.entries.T, X.T, rcond=None)
     range_gap = np.linalg.norm(L.adjoint_apply(dual_sol.T) - X, axis=-1)
     if g.has_full_domain():
         infeasible = range_gap > _RANGE_TOL * (1.0 + np.linalg.norm(X, axis=-1))
-        status[infeasible] = DIVERGED
         sigma = None
     else:
         infeasible = np.zeros(n, dtype=bool)
         sigma = _domain_support(g)
 
-    run = ~infeasible
-    if not np.any(run):
-        return values, None, status, iters, residual
-
     nb2 = max(spec.operator.norm_bound**2, 1e-12)
-    step = 1.0 / (gamma * nb2)
-    z = X.copy()
-    anchor = z
-    momentum = z.copy()
-    t_acc = np.ones(n)
-    active = run.copy()
-    it = 0
+    step_size = 1.0 / (gamma * nb2)
 
     def h_grad(zmat):
         w = L.apply(zmat)
         p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
         return w, p, gamma * L.adjoint_apply(w - p)
 
-    while it < opts.max_iter and np.any(active):
-        it += 1
-        _, _, gh = h_grad(momentum)
-        grad = X - gh
-        z_new = momentum + step * grad
-        delta = z_new - z
-        gnorm = np.linalg.norm(grad, axis=-1)
-        restart = np.sum((momentum - z_new) * delta, axis=-1) > 0.0
-        t_acc = np.where(restart, 1.0, t_acc)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-        beta = np.where(restart, 0.0, (t_acc - 1.0) / t_next)
-        momentum = np.where(
-            active[:, None], z_new + beta[:, None] * delta, momentum
-        )
-        z = np.where(active[:, None], z_new, z)
-        t_acc = np.where(active, t_next, t_acc)
-        newly = active & (gnorm <= opts.tol)
-        status[newly] = CONVERGED
-        residual[newly] = gnorm[newly]
-        iters[newly] = it
-        active &= ~newly
-        if it % 50 == 0:
-            if sigma is None:
-                escaped = np.linalg.norm(z, axis=-1) > opts.divergence_radius
-            else:
-                escaped = _recession_certified(
-                    z - anchor, X, lambda d: sigma(L.apply(d))
-                )
-                anchor = z
-            escaped &= active
-            status[escaped] = DIVERGED
-            iters[escaped] = it
-            active &= ~escaped
-    iters[active] = it
-    if it:
-        residual[active] = gnorm[active]
+    def step(momentum, z):
+        grad = X - h_grad(momentum)[2]
+        return momentum + step_size * grad, np.linalg.norm(grad, axis=-1)
+
+    def certified(z, anchor):
+        return _recession_certified(z - anchor, X, lambda d: sigma(L.apply(d)))
+
+    escaped = _outside_radius(opts) if sigma is None else certified
+    z, status, iters, residual = _fista(
+        step, X.copy(), opts, active=~infeasible, escaped=escaped
+    )
+    status[infeasible] = DIVERGED
     w, p, _ = h_grad(z)
     hvals = _conjugate_values(g, p, gamma, opts) + 0.5 * gamma * np.linalg.norm(
         w - p, axis=-1
@@ -412,9 +341,8 @@ def _batch(core, spec, X, opts):
 def _single(core, spec, x, opts):
     x = as_vector(x, spec.operator.cols)
     values, arg, status, iters, residual = core(spec, x[None, :], opts)
-    point = None if arg is None else arg[0]
     return SolveReport(
-        float(values[0]), point, int(iters[0]), str(status[0]), float(residual[0])
+        float(values[0]), arg[0], int(iters[0]), str(status[0]), float(residual[0])
     )
 
 
@@ -481,6 +409,15 @@ def prox_cocomposition(spec, x):
     return x - L.adjoint_apply(w - g.prox(gamma, w))
 
 
+def _collapse(spec):
+    """Value and gradient of the smooth collapse ``z -> env_gamma(g)(Lz)``."""
+    L, g, gamma = spec.operator, spec.fn, spec.gamma
+    return (
+        lambda z: float(envelope(g, gamma, L.apply(z))),
+        lambda z: L.adjoint_apply(envelope_gradient(g, gamma, L.apply(z))),
+    )
+
+
 def envelope_cocomposition(spec, rho, x, opts: SolverOpts = DEFAULT_OPTS):
     """Moreau envelope of the cocomposition at index ``rho``.
 
@@ -503,16 +440,14 @@ def envelope_cocomposition(spec, rho, x, opts: SolverOpts = DEFAULT_OPTS):
         return float(eval_cocomposition(shifted, x, opts).value)
     lam = rho - gamma
     lip = L.norm_bound**2 / gamma + 1.0 / lam
-
-    def value(z):
-        return float(envelope(g, gamma, L.apply(z))) + float(
-            np.linalg.norm(z - x) ** 2
-        ) / (2 * lam)
-
-    def grad(z):
-        return L.adjoint_apply(envelope_gradient(g, gamma, L.apply(z))) + (z - x) / lam
-
-    report = minimize_smooth(value, grad, x.copy(), lip, opts)
+    collapse, collapse_grad = _collapse(spec)
+    report = minimize_smooth(
+        lambda z: collapse(z) + float(np.linalg.norm(z - x) ** 2) / (2 * lam),
+        lambda z: collapse_grad(z) + (z - x) / lam,
+        x.copy(),
+        lip,
+        opts,
+    )
     return float(report.value)
 
 
@@ -720,7 +655,7 @@ def _large_gamma_target(operator, fn, x, which, halfwidth, steps):
     if which == "composition":
         return pushforward_infimum(operator, fn, x, halfwidth, steps)[0]
     if operator.norm_bound < 1.0 - 1e-9:
-        return _proximal_infimum(fn)
+        return float(np.asarray(fn(_proximal_argmin(fn))))
     gram_complement = np.eye(operator.rows) - operator.entries @ operator.entries.T
     pinv = pseudo_inverse_small(gram_complement)
     basis = pinv.range_basis
@@ -736,14 +671,14 @@ def _large_gamma_target(operator, fn, x, which, halfwidth, steps):
     return value
 
 
-def _proximal_infimum(fn, iters=300):
-    """Global infimum of a catalog function by proximal-point descent."""
+def _proximal_argmin(fn, iters=300):
+    """A minimizer of a coercive catalog function by proximal-point descent."""
     z = np.zeros(fn.dim)
     t = 1.0
     for _ in range(iters):
         z = fn.prox(t, z)
         t = min(t * 1.5, 1e10)
-    return float(np.asarray(fn(z)))
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -760,17 +695,10 @@ def argmin_cocomposition(spec, opts: SolverOpts = DEFAULT_OPTS, x0=None):
     accelerated gradient descent with the certified step.  A 'diverged'
     report signals a non-coercive objective.
     """
-    L, g, gamma = spec.operator, spec.fn, spec.gamma
-    lip = max(L.norm_bound**2, 1e-12) / gamma
+    L = spec.operator
     x0 = np.zeros(L.cols) if x0 is None else as_vector(x0, L.cols)
-
-    def value(z):
-        return float(envelope(g, gamma, L.apply(z)))
-
-    def grad(z):
-        return L.adjoint_apply(envelope_gradient(g, gamma, L.apply(z)))
-
-    return minimize_smooth(value, grad, x0, lip, opts)
+    lip = max(L.norm_bound**2, 1e-12) / spec.gamma
+    return minimize_smooth(*_collapse(spec), x0, lip, opts)
 
 
 @dataclass

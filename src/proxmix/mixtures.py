@@ -5,14 +5,16 @@ space so that the proximity operator of the combined function splits into
 the individual proxes.  Everything reduces to a single composition on a
 weighted direct sum: stacking ``sqrt(alpha_k) L_k`` and rescaling the
 block functions flattens the weighted inner product into a standard one.
-Each evaluation is also carried out a second time directly from the
-defining per-term sums, giving an independent cross-check of the
-reduction.
+An evaluation result also offers the value computed a second time,
+directly from the defining per-term sums, as an independent cross-check of
+the reduction; that second solve runs when the result's ``direct`` or
+``paths_gap`` is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,12 +29,11 @@ from .compositions import (
 from .functions import ConvexFunction, SeparableSum
 from .linalg import DenseMap, as_vector
 from .moreau import (
-    CONVERGED,
     DEFAULT_OPTS,
-    DIVERGED,
-    MAX_ITER,
     SolveReport,
     SolverOpts,
+    _fista,
+    _gradient_iteration,
     envelope,
     envelope_gradient,
     minimize_smooth,
@@ -196,16 +197,31 @@ def embed(spec: MixtureSpec) -> DirectSumEmbedding:
 
 @dataclass
 class MixtureEvalResult:
-    """Both evaluation paths of a mixture value.
+    """Value of a mixture or comixture at a point.
 
-    ``value`` is the embedding-path result; ``paths_gap`` measures the
-    agreement with the independent per-term path.
+    ``value`` comes from the embedding path, reported in ``embedding``.
+    The per-term cross-check ``direct`` and its distance ``paths_gap`` to
+    ``value`` are computed when first read; ``paths_gap`` is 0.0, without
+    solving, when ``value`` is not finite.
     """
 
     embedding: SolveReport
-    direct: SolveReport
     value: float
-    paths_gap: float
+    # not a field: the fields stay plain values that compare and print as such
+    solve_direct: InitVar[Callable[[], SolveReport]]
+
+    def __post_init__(self, solve_direct):
+        self._solve_direct = solve_direct
+
+    @cached_property
+    def direct(self) -> SolveReport:
+        return self._solve_direct()
+
+    @cached_property
+    def paths_gap(self) -> float:
+        if not np.isfinite(self.value):
+            return 0.0
+        return float(abs(self.value - self.direct.value))
 
 
 def _per_term_conjugate_prox(term, gamma, v):
@@ -232,29 +248,9 @@ def _mixture_direct(spec, x, opts):
             grad -= gamma * t.alpha * t.operator.adjoint_apply(w - p)
         return grad
 
-    z = np.zeros(spec.base_dim)
-    momentum = z.copy()
-    t_acc = 1.0
-    status, it, gnorm = MAX_ITER, 0, np.inf
-    for it in range(1, opts.max_iter + 1):
-        grad = gradient(momentum)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= opts.tol:
-            z = momentum
-            status = CONVERGED
-            break
-        z_new = momentum + step * grad
-        delta = z_new - z
-        if float(np.dot(momentum - z_new, delta)) > 0.0:
-            t_acc = 1.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-        momentum = z_new + (t_acc - 1.0) / t_next * delta
-        z, t_acc = z_new, t_next
-        if np.linalg.norm(z) > opts.divergence_radius:
-            status = DIVERGED
-            break
-    if status == DIVERGED:
-        return SolveReport(np.inf, z, it, status, gnorm)
+    z, status, it, gnorm = _gradient_iteration(
+        gradient, np.zeros(spec.base_dim), step, opts
+    )
     h = 0.0
     for t in spec.terms:
         w = t.operator.apply(z)
@@ -270,74 +266,63 @@ def _mixture_direct(spec, x, opts):
 def _comixture_direct(spec, x, opts):
     """Defining-sum evaluation of the comixture.
 
-    Proximal-gradient ascent in the weighted dual space, one block per
-    term; the block prox is the plain per-term conjugate prox because the
-    weighted metric absorbs the weights.
+    Proximal-gradient ascent in the weighted dual space, one block ``y_k``
+    per term; the block prox is the plain per-term conjugate prox because
+    the weighted metric absorbs the weights.  The iteration runs on the
+    blocks ``sqrt(alpha_k) y_k``, in which that metric is Euclidean; every
+    50 iterations it stops as 'diverged' once some unscaled block has
+    ``||y_k|| > opts.divergence_radius``.
     """
     gamma = spec.gamma
     t_step = 1.0 / gamma
+    roots = [np.sqrt(t.alpha) for t in spec.terms]
+    ends = np.cumsum([t.fn.dim for t in spec.terms])
     lx = [t.operator.apply(x) for t in spec.terms]
-    ys = [np.zeros(t.fn.dim) for t in spec.terms]
-    mom = [y.copy() for y in ys]
-    t_acc = 1.0
-    status, it, res = MAX_ITER, 0, np.inf
-    for it in range(1, opts.max_iter + 1):
-        m = sum(
-            t.alpha * t.operator.adjoint_apply(v) for t, v in zip(spec.terms, mom)
-        )
-        new = []
-        step_sq = 0.0
-        restart_dot = 0.0
-        for t, y, v, w in zip(spec.terms, ys, mom, lx):
-            grad = w - gamma * (v - t.operator.apply(m))
-            y_new = _per_term_conjugate_prox(t, gamma, v + t_step * grad)
-            step_sq += t.alpha * float(np.linalg.norm(y_new - y) ** 2)
-            restart_dot += t.alpha * float(np.dot(v - y_new, y_new - y))
-            new.append(y_new)
-        res = np.sqrt(step_sq) / t_step
-        if restart_dot > 0.0:
-            t_acc = 1.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-        beta = (t_acc - 1.0) / t_next
-        mom = [yn + beta * (yn - y) for yn, y in zip(new, ys)]
-        ys, t_acc = new, t_next
-        if res <= opts.tol:
-            status = CONVERGED
-            break
-        if max(float(np.linalg.norm(y)) for y in ys) > opts.divergence_radius:
-            status = DIVERGED
-            break
-    if status == DIVERGED:
-        return SolveReport(np.inf, None, it, status, res)
+
+    def blocks(u):
+        return [b / r for b, r in zip(np.split(u, ends[:-1]), roots)]
+
+    def step(momentum, u):
+        vs = blocks(momentum[0])
+        m = sum(t.alpha * t.operator.adjoint_apply(v) for t, v in zip(spec.terms, vs))
+        u_new = np.concatenate([
+            r * _per_term_conjugate_prox(
+                t, gamma, v + t_step * (w - gamma * (v - t.operator.apply(m)))
+            )
+            for t, r, v, w in zip(spec.terms, roots, vs, lx)
+        ])[None]
+        return u_new, np.linalg.norm(u_new - u, axis=-1) / t_step
+
+    def escaped(u, _):
+        radius = max(np.linalg.norm(b) for b in blocks(u[0]))
+        return np.array([radius > opts.divergence_radius])
+
+    u0 = np.zeros((1, ends[-1]))
+    u, status, iters, res = _fista(step, u0, opts, escaped=escaped)
+    ys = blocks(u[0])
     m = sum(t.alpha * t.operator.adjoint_apply(y) for t, y in zip(spec.terms, ys))
-    defect = 0.5 * (
-        sum(t.alpha * float(np.linalg.norm(y) ** 2) for t, y in zip(spec.terms, ys))
-        - float(np.linalg.norm(m) ** 2)
-    )
+    # the weighted defect sum_k alpha_k ||y_k||^2 - ||m||^2 is ||u||^2 - ||m||^2
+    defect = 0.5 * (float(np.dot(u[0], u[0])) - float(np.dot(m, m)))
     value = sum(
         t.alpha
         * (float(np.dot(w, y)) - float(np.asarray(t.fn.conjugate(y))))
         for t, y, w in zip(spec.terms, ys, lx)
     ) - gamma * defect
-    return SolveReport(float(value), None, it, status, res)
+    return SolveReport(float(value), None, int(iters[0]), str(status[0]), float(res[0]))
 
 
 def mixture_eval(spec, x, opts: SolverOpts = DEFAULT_OPTS):
-    """Mixture value at ``x`` along both evaluation paths."""
+    """Mixture value at ``x``; the per-term cross-check runs when first read."""
     x = as_vector(x, spec.base_dim)
     emb = eval_composition(embed(spec).composition, x, opts)
-    direct = _mixture_direct(spec, x, opts)
-    gap = abs(emb.value - direct.value) if np.isfinite(emb.value) else 0.0
-    return MixtureEvalResult(emb, direct, emb.value, float(gap))
+    return MixtureEvalResult(emb, emb.value, partial(_mixture_direct, spec, x.copy(), opts))
 
 
 def comixture_eval(spec, x, opts: SolverOpts = DEFAULT_OPTS):
-    """Comixture value at ``x`` along both evaluation paths."""
+    """Comixture value at ``x``; the per-term cross-check runs when first read."""
     x = as_vector(x, spec.base_dim)
     emb = eval_cocomposition(embed(spec).composition, x, opts)
-    direct = _comixture_direct(spec, x, opts)
-    gap = abs(emb.value - direct.value) if np.isfinite(emb.value) else 0.0
-    return MixtureEvalResult(emb, direct, emb.value, float(gap))
+    return MixtureEvalResult(emb, emb.value, partial(_comixture_direct, spec, x.copy(), opts))
 
 
 # ---------------------------------------------------------------------------
@@ -367,24 +352,23 @@ def comixture_prox(spec, x):
     return out
 
 
+def _weighted_sum(spec, x, term_value):
+    """``sum_k alpha_k term_value(term_k, L_k x)``, batched over ``x``."""
+    x = np.asarray(x, dtype=float)
+    total = sum(
+        t.alpha * np.asarray(term_value(t, t.operator.apply(x))) for t in spec.terms
+    )
+    return float(total) if np.ndim(total) == 0 else total
+
+
 def comixture_envelope(spec, x):
     """Envelope of the comixture: ``sum_k alpha_k env_gamma(g_k)(L_k x)``; exact."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for t in spec.terms:
-        total = total + t.alpha * np.asarray(
-            envelope(t.fn, spec.gamma, t.operator.apply(x))
-        )
-    return float(total) if np.ndim(total) == 0 else total
+    return _weighted_sum(spec, x, lambda t, w: envelope(t.fn, spec.gamma, w))
 
 
 def comixture_recession(spec, x):
     """Recession of the comixture: weighted per-term recession sum."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for t in spec.terms:
-        total = total + t.alpha * np.asarray(t.fn.recession(t.operator.apply(x)))
-    return float(total) if np.ndim(total) == 0 else total
+    return _weighted_sum(spec, x, lambda t, w: t.fn.recession(w))
 
 
 def comixture_argmin(spec, opts: SolverOpts = DEFAULT_OPTS, x0=None):
@@ -392,18 +376,16 @@ def comixture_argmin(spec, opts: SolverOpts = DEFAULT_OPTS, x0=None):
     lip = sum(t.alpha * t.operator.norm_bound**2 for t in spec.terms) / spec.gamma
     x0 = np.zeros(spec.base_dim) if x0 is None else as_vector(x0, spec.base_dim)
 
-    def value(z):
-        return float(comixture_envelope(spec, z))
-
     def grad(z):
-        out = np.zeros_like(z)
-        for t in spec.terms:
-            out += t.alpha * t.operator.adjoint_apply(
-                envelope_gradient(t.fn, spec.gamma, t.operator.apply(z))
-            )
-        return out
+        return _weighted_sum(
+            spec,
+            z,
+            lambda t, w: t.operator.adjoint_apply(envelope_gradient(t.fn, spec.gamma, w)),
+        )
 
-    return minimize_smooth(value, grad, x0, max(lip, 1e-12), opts)
+    return minimize_smooth(
+        partial(comixture_envelope, spec), grad, x0, max(lip, 1e-12), opts
+    )
 
 
 @dataclass
@@ -478,15 +460,14 @@ def pcm_estimate(
     oracle = None
     witness = None
     gap = None
+    finite = values[np.isfinite(values)]
     try:
         oracle, witness = pushforward_infimum(
             emb.stacked_map, emb.stacked_fn, x, oracle_halfwidth, oracle_steps
         )
-        finite = values[np.isfinite(values)]
         gap = float(finite[-1] - oracle) if finite.size else None
     except UnsupportedDimension:
         pass
-    finite = values[np.isfinite(values)]
     monotone = bool(np.all(np.diff(finite) <= slack))
     return PcmReport(gammas, values, oracle, witness, gap, monotone)
 

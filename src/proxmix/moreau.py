@@ -8,7 +8,8 @@ suites.  The numeric conjugate maximizes the concave map
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -29,7 +30,6 @@ __all__ = [
     "grid_envelope",
     "grid_prox",
     "grid_min",
-    "grid_constrained_min",
 ]
 
 CONVERGED = "converged"
@@ -46,6 +46,8 @@ _OBJECTIVE_WINDOW = 100  # iterations the objective must keep rising before
 class SolverOpts:
     """Tolerances shared by the first-order solvers.
 
+    ``tol`` and ``divergence_radius`` must be finite and positive and
+    ``max_iter`` an integer of at least 1 (``ParameterError`` otherwise).
     ``divergence_radius`` declares divergence once an iterate's norm
     exceeds it; the composition solvers use it only where no recession
     certificate is available.
@@ -55,20 +57,26 @@ class SolverOpts:
     max_iter: int = 100_000
     divergence_radius: float = 1e6
 
+    def __post_init__(self):
+        for v in (self.tol, self.divergence_radius):
+            if not (isinstance(v, Real) and 0.0 < v < np.inf):
+                raise ParameterError("solver tolerances must be finite and positive")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ParameterError("solver max_iter must be an integer >= 1")
+
     def to_json(self):
-        return {
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "divergence_radius": self.divergence_radius,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):
-        return cls(
-            tol=float(obj.get("tol", 1e-8)),
-            max_iter=int(obj.get("max_iter", 100_000)),
-            divergence_radius=float(obj.get("divergence_radius", 1e6)),
-        )
+        try:
+            tol = float(obj.get("tol", 1e-8))
+            max_iter = obj.get("max_iter", 100_000)
+            max_iter = int(max_iter) if float(max_iter).is_integer() else max_iter
+            radius = float(obj.get("divergence_radius", 1e6))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParameterError(f"unparsable solver option: {exc}") from None
+        return cls(tol=tol, max_iter=max_iter, divergence_radius=radius)
 
 
 DEFAULT_OPTS = SolverOpts()
@@ -79,11 +87,14 @@ class SolveReport:
     """Outcome of an iterative evaluation.
 
     ``status == 'converged'`` guarantees ``residual <= tol`` of the opts
-    used; ``status == 'diverged'`` forces ``value == inf``.  For the
-    composition solvers 'diverged' means a recession (Farkas) certificate
-    that the value is ``+inf``; ``opts.divergence_radius`` is only the
-    fallback where no such certificate exists.  The batch solvers mark
-    rows with a non-finite entry 'invalid' (value nan, 0 iterations).
+    used.  The residual is the dual step length per unit step for the
+    cocomposition, and the gradient norm at the momentum point for the
+    composition and ``minimize_smooth``.  ``status == 'diverged'`` forces
+    ``value == inf``.  For the composition solvers 'diverged' means a
+    recession (Farkas) certificate that the value is ``+inf``;
+    ``opts.divergence_radius`` is only the fallback where no such
+    certificate exists.  The batch solvers mark rows with a non-finite
+    entry 'invalid' (value nan, 0 iterations).
     """
 
     value: float
@@ -169,41 +180,92 @@ def conjugate_numeric(fn: ConvexFunction, xstar, opts: SolverOpts = DEFAULT_OPTS
 
 
 # ---------------------------------------------------------------------------
-# smooth minimization (shared by the argmin routines)
+# accelerated iteration (shared by every solver)
 # ---------------------------------------------------------------------------
+
+
+def _fista(step, z, opts, active=None, escaped=None):
+    """Accelerated iteration on the rows of ``z``: (z, status, iters, residual).
+
+    FISTA (Beck & Teboulle 2009) with per-row gradient-scheme restart
+    (O'Donoghue & Candes 2015).  ``step(momentum, z)`` returns the next
+    iterate and a per-row residual; a row is 'converged' once its residual
+    is ``<= opts.tol``.  Every 50 iterations ``escaped(z, anchor)``, with
+    ``anchor`` the iterate 50 iterations earlier, marks rows 'diverged'.
+    Rows outside the ``active`` mask are never updated (0 iterations,
+    residual inf); rows still active after ``opts.max_iter`` are
+    'max_iter'.  Each row's residual is the one of its last step.
+    """
+    n = len(z)
+    momentum = z.copy()
+    anchor = z
+    t_acc = np.ones(n)
+    active = np.ones(n, dtype=bool) if active is None else active.copy()
+    status = np.full(n, MAX_ITER, dtype=object)
+    iters = np.zeros(n, dtype=int)
+    residual = np.full(n, np.inf)
+    it = 0
+    while it < opts.max_iter and active.any():
+        it += 1
+        z_new, res = step(momentum, z)
+        delta = z_new - z
+        restart = np.add.reduce((momentum - z_new) * delta, axis=-1) > 0.0
+        t_acc = np.where(restart, 1.0, t_acc)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
+        beta = np.where(restart, 0.0, (t_acc - 1.0) / t_next)
+        momentum = np.where(active[:, None], z_new + beta[:, None] * delta, momentum)
+        z = np.where(active[:, None], z_new, z)
+        t_acc = np.where(active, t_next, t_acc)
+        residual = np.where(active, res, residual)
+        stopped = active & (res <= opts.tol)
+        status[stopped] = CONVERGED
+        iters[stopped] = it
+        active &= ~stopped
+        if escaped is not None and it % 50 == 0:
+            out = escaped(z, anchor) & active
+            anchor = z
+            status[out] = DIVERGED
+            iters[out] = it
+            active &= ~out
+    iters[active] = it
+    return z, status, iters, residual
+
+
+def _outside_radius(opts):
+    """Escape test for ``_fista``: rows whose norm exceeds the divergence radius."""
+    return lambda z, anchor: np.linalg.norm(z, axis=-1) > opts.divergence_radius
+
+
+def _gradient_iteration(grad_fn, x0, step, opts):
+    """``_fista`` on the single row ``x <- m + step * grad_fn(m)`` from ``x0``.
+
+    The residual is ``||grad_fn(m)||``; the escape test is the divergence
+    radius.  Returns ``(x, status, iters, residual)`` of the row.
+    """
+
+    def advance(momentum, _):
+        grad = np.reshape(grad_fn(momentum[0]), (1, -1))
+        return momentum + step * grad, np.sqrt(np.add.reduce(grad * grad, axis=-1))
+
+    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
+    x, status, iters, residual = _fista(advance, x0, opts, escaped=_outside_radius(opts))
+    return x[0], str(status[0]), int(iters[0]), float(residual[0])
 
 
 def minimize_smooth(value_fn, grad_fn, x0, lipschitz, opts: SolverOpts = DEFAULT_OPTS):
     """Accelerated gradient descent with fixed step ``1/lipschitz``.
 
-    Uses gradient-scheme restart; stops when the gradient norm falls below
-    ``opts.tol``.  Escaping iterates (norm beyond the divergence radius)
-    report 'diverged', which callers read as a non-coercive objective.
+    Uses gradient-scheme restart.  'converged' means the gradient norm at
+    the momentum point is ``<= opts.tol`` (the report's residual); the
+    argpoint is the gradient step taken from there.  An iterate whose norm
+    exceeds the divergence radius (tested every 50 iterations) reports
+    'diverged', which callers read as a non-coercive objective.
     """
     if not lipschitz > 0:
         raise ParameterError("Lipschitz constant must be positive")
-    step = 1.0 / lipschitz
-    x = np.asarray(x0, dtype=float).copy()
-    momentum = x.copy()
-    t_acc = 1.0
-    grad = np.asarray(grad_fn(x))
-    for it in range(1, opts.max_iter + 1):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= opts.tol:
-            return _as_report(value_fn(x), x, it, CONVERGED, gnorm)
-        if float(np.linalg.norm(x)) > opts.divergence_radius:
-            return _as_report(np.inf, x, it, DIVERGED, gnorm)
-        x_new = momentum - step * np.asarray(grad_fn(momentum))
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-        beta = (t_acc - 1.0) / t_new
-        delta = x_new - x
-        if float(np.dot(momentum - x_new, delta)) > 0.0:
-            # restart the momentum sequence
-            t_new, beta = 1.0, 0.0
-        momentum = x_new + beta * delta
-        x, t_acc = x_new, t_new
-        grad = np.asarray(grad_fn(x))
-    return _as_report(value_fn(x), x, opts.max_iter, MAX_ITER, float(np.linalg.norm(grad)))
+    x, status, iters, residual = _gradient_iteration(grad_fn, x0, -1.0 / lipschitz, opts)
+    value = np.inf if status == DIVERGED else value_fn(x)
+    return _as_report(value, x, iters, status, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +333,5 @@ def grid_min(fn, lo, hi, steps):
     """Brute-force unconstrained minimum: ``(value, argmin)``."""
     pts = grid_points(lo, hi, steps)
     vals = _call(fn, pts)
-    idx = int(np.argmin(vals))
-    return float(vals[idx]), pts[idx]
-
-
-def grid_constrained_min(fn, operator, target, lo, hi, steps, constraint_tol):
-    """Minimum of ``fn`` over grid points with ``||L* y - target|| <= tol``.
-
-    ``operator`` is the DenseMap ``L`` whose adjoint defines the affine
-    constraint.  Returns ``(inf, None)`` when no grid point is feasible.
-    """
-    pts = grid_points(lo, hi, steps)
-    target = np.asarray(target, dtype=float)
-    residual = np.linalg.norm(operator.adjoint_apply(pts) - target, axis=-1)
-    feasible = residual <= constraint_tol
-    if not np.any(feasible):
-        return np.inf, None
-    vals = np.where(feasible, _call(fn, pts), np.inf)
     idx = int(np.argmin(vals))
     return float(vals[idx]), pts[idx]

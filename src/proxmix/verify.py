@@ -23,6 +23,7 @@ from .errors import RegistryError, UnsupportedConjugate
 from .compositions import (
     CompositionSpec,
     _cocomposition_core,
+    _proximal_argmin,
     argmin_cocomposition,
     argmin_gamma_sequence,
     eval_cocomposition,
@@ -306,34 +307,15 @@ def _fiber_value(operator, fn, gamma, x, steps=801, halfwidth=8.0):
     ``min over {y : L* y = x} of fn(y) + defect(y)/gamma``; exact when the
     adjoint is injective, else a grid search along the fiber directions.
     """
-    adj = operator.entries.T
-    spec_defect = lambda y: 0.5 * (  # noqa: E731
-        np.linalg.norm(np.atleast_2d(y), axis=-1) ** 2
-        - np.linalg.norm(np.atleast_2d(y) @ operator.entries, axis=-1) ** 2
-    )
-    if np.linalg.matrix_rank(adj, tol=1e-10) == operator.rows:
-        y0, *_ = np.linalg.lstsq(adj, x, rcond=None)
-        if np.linalg.norm(adj @ y0 - x) > 1e-9 * (1 + np.linalg.norm(x)):
-            return np.inf
-        return float(np.asarray(fn(y0)) + spec_defect(y0)[0] / gamma)
-    # parametrize the fiber x + null(L*) and search the coefficients
-    y0, *_ = np.linalg.lstsq(adj, x, rcond=None)
-    if np.linalg.norm(adj @ y0 - x) > 1e-9 * (1 + np.linalg.norm(x)):
-        return np.inf
-    _, _, vh = np.linalg.svd(adj, full_matrices=True)
-    null = vh[np.linalg.matrix_rank(adj, tol=1e-10):].T
-    if null.shape[1] == 0:
-        return float(np.asarray(fn(y0)) + spec_defect(y0)[0] / gamma)
-    k = null.shape[1]
 
-    def along_fiber(ts):
-        ys = y0[None, :] + ts @ null.T
-        return (np.asarray(fn(ys)) + spec_defect(ys) / gamma).reshape(len(ts))
+    def objective(Y):
+        defect = 0.5 * (
+            np.linalg.norm(Y, axis=-1) ** 2
+            - np.linalg.norm(Y @ operator.entries, axis=-1) ** 2
+        )
+        return np.asarray(fn(Y)) + defect / gamma
 
-    value, _ = refined_grid_min(
-        along_fiber, -halfwidth * np.ones(k), halfwidth * np.ones(k), steps
-    )
-    return value
+    return pushforward_infimum(operator, objective, x, halfwidth, steps)[0]
 
 
 def _co_value(spec, x):
@@ -1246,16 +1228,6 @@ def suite_thm45(rng, scale, parts=("i", "ii", "iii", "iv", "vi", "vii")):
             cases.append(_le(("thm45-vii-lo", i), target - got, 1e-6))
             cases.append(_le(("thm45-vii-hi", i), got - target, bound))
     return cases
-
-
-def _proximal_argmin(fn, iters=300):
-    """A minimizer of a coercive catalog function by proximal descent."""
-    z = np.zeros(fn.dim)
-    t = 1.0
-    for _ in range(iters):
-        z = fn.prox(t, z)
-        t = min(t * 1.5, 1e10)
-    return z
 
 
 def suite_cor46(rng, scale):

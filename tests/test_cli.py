@@ -208,6 +208,22 @@ def test_ragged_points_exit_and_diagnostics(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "opts",
+    [{"tol": -1}, {"tol": float("nan")}, {"max_iter": 0}, {"tol": "abc"}, [1, 2]],
+    ids=repr,
+)
+def test_malformed_solver_opts_exit(tmp_path, capsys, opts):
+    # Python's JSON reader accepts the NaN literal
+    path = tmp_path / "opts.json"
+    path.write_text(
+        json.dumps({"spec": scalar_composition_spec(), "points": [[1.0]], "opts": opts})
+    )
+    assert main(["eval", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_missing_field_exit(tmp_path):
     cfg = write_config(tmp_path, {"spec": scalar_composition_spec()})
     assert main(["eval", "--config", cfg]) == EXIT_CONFIG

@@ -243,6 +243,19 @@ def test_composition_radius_fallback_without_conjugate():
     assert np.linalg.norm(rep.argpoint) < opts.divergence_radius
 
 
+def test_values_without_catalog_conjugate_match_catalog():
+    # g* is evaluated by proximal-point ascent on <z, y> - g(z) instead
+    fn = quadratic_kernel(1).translate([0.3])
+    oracle = OracleFunction(1, fn, prox_fn=fn.prox)
+    for gamma in (0.5, 2.0):
+        for x in ([1.0], [-2.5]):
+            for solve in (eval_cocomposition, eval_composition):
+                got = solve(CompositionSpec(DenseMap([[0.5]]), oracle, gamma), x)
+                want = solve(CompositionSpec(DenseMap([[0.5]]), fn, gamma), x)
+                assert got.status == CONVERGED
+                assert got.value == pytest.approx(want.value, abs=1e-8)
+
+
 # -- prox formulas --------------------------------------------------------------
 
 

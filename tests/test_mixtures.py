@@ -3,6 +3,7 @@ import pytest
 
 from proxmix import (
     BallDistance,
+    BallIndicator,
     DenseMap,
     EuclideanNorm,
     L1Norm,
@@ -26,8 +27,9 @@ from proxmix import (
     quadratic_kernel,
     sampled_expectation_prox,
 )
+from proxmix import mixtures
 from proxmix.errors import AdmissibilityError, ParameterError
-from proxmix.moreau import CONVERGED, grid_min, grid_prox
+from proxmix.moreau import CONVERGED, DIVERGED, MAX_ITER, SolverOpts, grid_min, grid_prox
 
 
 def average_spec(gamma=1.0):
@@ -137,6 +139,80 @@ def test_reduction_consistency_both_paths():
             assert res.paths_gap <= 2e-6
         cres = comixture_eval(spec, x)
         assert cres.paths_gap <= 2e-6
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(mixtures, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mixtures, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "evaluate, direct",
+    [(mixture_eval, "_mixture_direct"), (comixture_eval, "_comixture_direct")],
+)
+@pytest.mark.parametrize("first", ["direct", "paths_gap"])
+def test_per_term_path_runs_once_when_read(monkeypatch, evaluate, direct, first):
+    calls = count_calls(monkeypatch, direct)
+    res = evaluate(average_spec(), np.array([2.0]))
+    assert res.embedding.status == CONVERGED and calls == []
+    getattr(res, first)
+    assert len(calls) == 1
+    assert res.paths_gap <= 2e-6
+    assert res.direct.value == pytest.approx(res.value, abs=2e-6)
+    assert len(calls) == 1
+
+
+def test_paths_gap_of_infeasible_mixture_skips_per_term_path(monkeypatch):
+    calls = count_calls(monkeypatch, "_mixture_direct")
+    # x lies outside the range of the adjoint, so the mixture is +inf
+    spec = MixtureSpec(
+        [MixtureTerm(1.0, DenseMap([[1.0, 0.0], [0.0, 0.0]]), EuclideanNorm(2))], 1.0
+    )
+    res = mixture_eval(spec, np.array([3.0, 4.0]))
+    assert res.embedding.status == DIVERGED and res.value == np.inf
+    assert res.paths_gap == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("evaluate", [mixture_eval, comixture_eval])
+def test_cross_check_uses_the_point_at_evaluation(evaluate):
+    spec = average_spec()
+    x = np.array([2.0])
+    res = evaluate(spec, x)
+    x[:] = -7.0  # a caller reusing its buffer before reading the cross-check
+    assert res.paths_gap <= 2e-6
+    assert res.value == pytest.approx(evaluate(spec, np.array([2.0])).value, abs=1e-12)
+    assert abs(res.direct.value - evaluate(spec, x).value) > 1e-3
+
+
+def test_comixture_cross_check_escapes_on_unscaled_blocks(monkeypatch):
+    # block 1 has weight 0.01, so y_1 = u_1 / sqrt(0.01) = 10 u_1
+    spec = MixtureSpec(
+        [
+            MixtureTerm(0.01, DenseMap([[5.0]]), BallIndicator(np.array([0.0]), 1.0)),
+            MixtureTerm(0.5, DenseMap.identity(1), BallIndicator(np.array([0.0]), 1.0)),
+        ],
+        1.0,
+    )
+    captured = {}
+
+    def no_iteration(step, z, opts, escaped=None):
+        captured["escaped"] = escaped
+        return z, np.array([MAX_ITER], dtype=object), np.zeros(1, dtype=int), np.ones(1)
+
+    monkeypatch.setattr(mixtures, "_fista", no_iteration)
+    mixtures._comixture_direct(spec, np.array([1.0]), SolverOpts(divergence_radius=10.0))
+    escaped = captured["escaped"]
+    u = np.array([[2.0, 0.0]])  # ||u|| = 2, but ||y_1|| = 20 > 10
+    assert escaped(u, u).tolist() == [True]
+    assert escaped(u / 4.0, u).tolist() == [False]  # ||y_1|| = 5
 
 
 def test_two_term_scalar_vs_constrained_grid():

@@ -13,12 +13,13 @@ from proxmix import (
     grid_envelope,
     grid_min,
     grid_prox,
+    minimize_smooth,
     quadratic_kernel,
 )
 from proxmix import BallDistance
 from proxmix.errors import ParameterError, UnsupportedDimension
 from proxmix.functions import conjugate_function
-from proxmix.moreau import CONVERGED, DIVERGED
+from proxmix.moreau import CONVERGED, DEFAULT_OPTS, DIVERGED
 
 
 def test_envelope_at_minimizer():
@@ -179,3 +180,61 @@ def test_solver_opts_json_round_trip():
     opts = SolverOpts(tol=1e-7, max_iter=500, divergence_radius=1e4)
     assert SolverOpts.from_json(opts.to_json()) == opts
     assert SolverOpts.from_json({}) == SolverOpts()
+    assert SolverOpts.from_json({"max_iter": 500.0}).max_iter == 500
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": -1.0},
+        {"tol": 0.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": "abc"},
+        {"divergence_radius": 0.0},
+        {"divergence_radius": float("nan")},
+        {"max_iter": 0},
+        {"max_iter": 2.5},
+        {"max_iter": None},
+    ],
+    ids=repr,
+)
+def test_solver_opts_rejects_invalid_values(kwargs):
+    with pytest.raises(ParameterError):
+        SolverOpts(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"tol": "abc"}, {"tol": None}, {"max_iter": "many"}, {"max_iter": float("inf")},
+     {"max_iter": 2.5}, {"divergence_radius": [1.0]}, {"tol": -1}, {"max_iter": 0}],
+    ids=repr,
+)
+def test_solver_opts_from_json_rejects_invalid_values(obj):
+    with pytest.raises(ParameterError):
+        SolverOpts.from_json(obj)
+
+
+def test_minimize_smooth_converges_to_quadratic_minimizer():
+    a = np.array([[3.0, 1.0], [1.0, 2.0]])
+    b = np.array([1.0, -1.0])
+    rep = minimize_smooth(
+        lambda x: 0.5 * x @ a @ x - b @ x,
+        lambda x: a @ x - b,
+        np.zeros(2),
+        float(np.linalg.eigvalsh(a).max()),
+    )
+    xstar = np.linalg.solve(a, b)
+    assert rep.status == CONVERGED
+    assert rep.residual <= DEFAULT_OPTS.tol
+    assert np.allclose(rep.argpoint, xstar, atol=1e-8)
+    assert rep.value == pytest.approx(-0.5 * b @ xstar, abs=1e-12)
+
+
+def test_minimize_smooth_linear_objective_diverges_at_a_check():
+    c = np.array([1.0, -2.0])
+    opts = SolverOpts(divergence_radius=1e4)
+    rep = minimize_smooth(lambda x: c @ x, lambda x: c, np.zeros(2), 1.0, opts)
+    assert rep.status == DIVERGED and rep.value == np.inf
+    assert rep.iterations > 0 and rep.iterations % 50 == 0
+    assert np.linalg.norm(rep.argpoint) > opts.divergence_radius
