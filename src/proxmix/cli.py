@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,12 +41,13 @@ from .linalg import DenseMap
 from .mixtures import (
     MixtureSpec,
     comixture_argmin,
+    comixture_envelope,
     comixture_eval,
     comixture_prox,
     mixture_eval,
     mixture_prox,
 )
-from .moreau import DIVERGED, SolverOpts, envelope
+from .moreau import _MAX_GRID_STEPS, DIVERGED, SolverOpts, envelope
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,47 +119,66 @@ def _load_config(path):
         ) from exc
 
 
-def _field(config, name, required=True, default=None):
-    if name in config:
-        return config[name]
-    if required:
+def _field(config, name):
+    if name not in config:
         raise ConfigError(f"missing config field: {name!r}")
-    return default
+    return config[name]
+
+
+@contextmanager
+def _invalid(what):
+    """Report errors raised while building ``what`` as ConfigError."""
+    try:
+        yield
+    except ProxmixError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what} field: {exc}") from exc
 
 
 def _parse_spec(obj):
     """Dispatch the 'spec' object: composition, mixture, or bare function."""
     if not isinstance(obj, dict):
         raise ConfigError("spec must be a JSON object")
-    try:
+    with _invalid("spec"):
         if "terms" in obj:
             return "mixture", MixtureSpec.from_json(obj)
         if "L" in obj:
             return "composition", CompositionSpec.from_json(obj)
         if "atom" in obj:
             return "function", function_from_spec(obj)
-    except ProxmixError as exc:
-        raise ConfigError(f"invalid spec: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid spec field: {exc}") from exc
     raise ConfigError("spec must contain 'L', 'terms' or 'atom'")
 
 
-def _parse_points(config):
-    pts = _field(config, "points")
+_SHAPES = {
+    (0,): "a finite number",
+    (1,): "a list of finite numbers",
+    (1, 2): "finite numbers in a vector or a list of equal-length vectors",
+}
+
+
+def _numbers(value, name, ndims):
+    """``value`` as finite floats of a dimension in ``ndims`` (0: a float)."""
     try:
-        arr = np.asarray(pts, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            "points must be numbers in a vector or a list of equal-length vectors"
-        ) from exc
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
-        raise ConfigError("points must be a vector or a list of vectors")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError("points must have finite entries")
-    return arr
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim not in ndims or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be {_SHAPES[ndims]}")
+    return arr if arr.ndim else float(arr)
+
+
+def _parse_points(config):
+    return np.atleast_2d(_numbers(_field(config, "points"), "points", (1, 2)))
+
+
+def _which(config, default, composition, cocomposition):
+    """The operation of the two that the job's 'which' field names."""
+    which = config.get("which", default)
+    if which not in ("composition", "cocomposition"):
+        raise ConfigError("which must be 'composition' or 'cocomposition'")
+    return composition if which == "composition" else cocomposition
+
 
 def _solver_opts(config):
     opts = config.get("opts", {})
@@ -218,56 +239,43 @@ def cmd_eval(config, args):
     kind, spec = _parse_spec(_field(config, "spec"))
     points = _parse_points(config)
     opts = _solver_opts(config)
-    which = config.get("which", "cocomposition")
+    mixture = kind == "mixture"
+    solve = _which(
+        config, "cocomposition",
+        mixture_eval if mixture else eval_composition,
+        comixture_eval if mixture else eval_cocomposition,
+    )
     results = []
-    exit_code = EXIT_OK
     for p in points:
         if kind == "function":
             val, status = float(np.asarray(spec(p))), "exact"
-        elif kind == "mixture":
-            res = mixture_eval(spec, p, opts) if which == "composition" else (
-                comixture_eval(spec, p, opts)
-            )
-            val, status = res.value, res.embedding.status
         else:
-            rep = (
-                eval_composition(spec, p, opts)
-                if which == "composition"
-                else eval_cocomposition(spec, p, opts)
-            )
-            val, status = rep.value, rep.status
-        if status == DIVERGED:
-            exit_code = EXIT_DIVERGED
+            rep = solve(spec, p, opts)
+            val, status = rep.value, (rep.embedding if mixture else rep).status
         results.append({"point": p.tolist(), "value": val, "status": status})
+    diverged = any(r["status"] == DIVERGED for r in results)
     rows = [[*r["point"], r["value"]] for r in results]
     dim = points.shape[1]
     header = [f"x{i+1}" for i in range(dim)] + ["value"]
     _emit({"command": "eval", "results": results}, (header, rows), args)
-    return exit_code
+    return EXIT_DIVERGED if diverged else EXIT_OK
 
 
 def cmd_prox(config, args):
     _check_command(config, "prox")
     kind, spec = _parse_spec(_field(config, "spec"))
     points = _parse_points(config)
-    which = config.get("which", "composition")
+    prox = _which(
+        config, "composition",
+        mixture_prox if kind == "mixture" else prox_composition,
+        comixture_prox if kind == "mixture" else prox_cocomposition,
+    )
     results = []
     for p in points:
         if kind == "function":
-            gamma = float(_field(config, "gamma"))
-            out = spec.prox(gamma, p)
-        elif kind == "mixture":
-            out = (
-                mixture_prox(spec, p)
-                if which == "composition"
-                else comixture_prox(spec, p)
-            )
+            out = spec.prox(_numbers(_field(config, "gamma"), "gamma", (0,)), p)
         else:
-            out = (
-                prox_composition(spec, p)
-                if which == "composition"
-                else prox_cocomposition(spec, p)
-            )
+            out = prox(spec, p)
         results.append({"point": p.tolist(), "prox": np.asarray(out).tolist()})
     dim = points.shape[1]
     header = [f"x{i+1}" for i in range(dim)] + [f"p{i+1}" for i in range(dim)]
@@ -284,14 +292,12 @@ def cmd_envelope(config, args):
     results = []
     for p in points:
         if kind == "function":
-            gamma = float(_field(config, "gamma"))
+            gamma = _numbers(_field(config, "gamma"), "gamma", (0,))
             val = float(envelope(spec, gamma, p))
         elif kind == "composition":
-            rho = float(config.get("rho", spec.gamma))
+            rho = _numbers(config.get("rho", spec.gamma), "rho", (0,))
             val = envelope_cocomposition(spec, rho, p, opts)
         else:
-            from .mixtures import comixture_envelope
-
             val = float(comixture_envelope(spec, p))
         results.append({"point": p.tolist(), "value": val})
     dim = points.shape[1]
@@ -303,10 +309,11 @@ def cmd_envelope(config, args):
 
 def cmd_sweep(config, args):
     _check_command(config, "sweep")
-    operator = DenseMap.from_json(_field(config, "L"))
-    fn = function_from_spec(_field(config, "g"))
-    x = np.asarray(_field(config, "x"), dtype=float)
-    gammas = [float(g) for g in _field(config, "gammas")]
+    L, g = _field(config, "L"), _field(config, "g")
+    with _invalid("'L' or 'g'"):
+        operator, fn = DenseMap.from_json(L), function_from_spec(g)
+    x = _numbers(_field(config, "x"), "x", (1,))
+    gammas = _numbers(_field(config, "gammas"), "gammas", (1,)).tolist()
     opts = _solver_opts(config)
     rep = gamma_sweep(operator, fn, x, gammas, opts)
     payload = {
@@ -351,18 +358,25 @@ def cmd_figure(config, args):
     if preset is not None:
         operator, fn = figure_preset(preset)
     else:
-        operator = DenseMap.from_json(_field(config, "L"))
-        fn = function_from_spec(_field(config, "g"))
+        L, g = _field(config, "L"), _field(config, "g")
+        with _invalid("'L' or 'g'"):
+            operator, fn = DenseMap.from_json(L), function_from_spec(g)
     if operator.cols != 2:
         raise ConfigError("figure grids need a 2-D base space")
-    gammas = [float(g) for g in config.get("gammas", [0.5, 2.0, 8.0])]
+    gammas = _numbers(config.get("gammas", [0.5, 2.0, 8.0]), "gammas", (1,)).tolist()
     grid = config.get("grid", {})
-    lo = np.asarray(grid.get("lo", [-4.0, -4.0]), dtype=float)
-    hi = np.asarray(grid.get("hi", [4.0, 4.0]), dtype=float)
-    steps = int(grid.get("steps", 101))
+    if not isinstance(grid, dict):
+        raise ConfigError("grid must be a JSON object")
+    lo = _numbers(grid.get("lo", [-4.0, -4.0]), "grid.lo", (1,))
+    hi = _numbers(grid.get("hi", [4.0, 4.0]), "grid.hi", (1,))
+    if lo.shape != (2,) or hi.shape != (2,):
+        raise ConfigError("grid.lo and grid.hi must have two entries")
+    steps = _numbers(grid.get("steps", 101), "grid.steps", (0,))
+    if not (steps.is_integer() and 1 <= steps <= _MAX_GRID_STEPS):
+        raise ConfigError(f"grid.steps must be an integer in 1..{_MAX_GRID_STEPS}")
     opts = _solver_opts(config)
 
-    axes = [np.linspace(lo[i], hi[i], steps) for i in range(2)]
+    axes = [np.linspace(lo[i], hi[i], int(steps)) for i in range(2)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     composed = np.asarray(fn(operator.apply(points)))

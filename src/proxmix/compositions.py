@@ -11,9 +11,9 @@ the adjoint.  Values are computed by first-order ascent with certified
 fixed steps; proximity operators, envelopes, recession and perspective
 values come out in closed form.
 
-Batch variants evaluate many base points simultaneously with the same
-iteration, which the figure generator and the verification suites rely
-on.
+Batch variants evaluate many base points in one iteration; rows leave
+the iteration when they stop.  The figure generator and the verification
+suites rely on them.
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ def _conjugate_values(fn, y, gamma, opts):
         pass
     y2 = np.atleast_2d(y)
 
-    def step(momentum, z):
-        z_new = fn.prox(gamma, momentum + gamma * y2)
+    def step(momentum, z, rows):
+        z_new = fn.prox(gamma, momentum + gamma * y2[rows])
         return z_new, np.linalg.norm(z_new - z, axis=-1) / gamma
 
     z = _fista(step, np.zeros_like(y2), opts)[0]
@@ -239,14 +239,14 @@ def _cocomposition_core(spec, X, opts):
     LX = L.apply(X)
     t = 1.0 / gamma
 
-    def step(momentum, y):
-        grad = LX - gamma * (momentum - L.apply(L.adjoint_apply(momentum)))
+    def step(momentum, y, rows):
+        grad = LX[rows] - gamma * (momentum - L.apply(L.adjoint_apply(momentum)))
         v = momentum + t * grad
         y_new = v - (1.0 / gamma) * g.prox(gamma, gamma * v)
         return y_new, np.linalg.norm(y_new - y, axis=-1) / t
 
-    def certified(y, anchor):
-        return _recession_certified(((y - anchor) @ flat) @ flat.T, LX, sigma)
+    def certified(y, anchor, rows):
+        return _recession_certified(((y - anchor) @ flat) @ flat.T, LX[rows], sigma)
 
     escaped = _outside_radius(opts) if sigma is None else certified
     y, status, iters, residual = _fista(
@@ -296,12 +296,12 @@ def _composition_core(spec, X, opts):
         p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
         return w, p, gamma * L.adjoint_apply(w - p)
 
-    def step(momentum, z):
-        grad = X - h_grad(momentum)[2]
+    def step(momentum, z, rows):
+        grad = X[rows] - h_grad(momentum)[2]
         return momentum + step_size * grad, np.linalg.norm(grad, axis=-1)
 
-    def certified(z, anchor):
-        return _recession_certified(z - anchor, X, lambda d: sigma(L.apply(d)))
+    def certified(z, anchor, rows):
+        return _recession_certified(z - anchor, X[rows], lambda d: sigma(L.apply(d)))
 
     escaped = _outside_radius(opts) if sigma is None else certified
     z, status, iters, residual = _fista(

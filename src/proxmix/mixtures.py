@@ -282,7 +282,7 @@ def _comixture_direct(spec, x, opts):
     def blocks(u):
         return [b / r for b, r in zip(np.split(u, ends[:-1]), roots)]
 
-    def step(momentum, u):
+    def step(momentum, u, _rows):
         vs = blocks(momentum[0])
         m = sum(t.alpha * t.operator.adjoint_apply(v) for t, v in zip(spec.terms, vs))
         u_new = np.concatenate([
@@ -293,7 +293,7 @@ def _comixture_direct(spec, x, opts):
         ])[None]
         return u_new, np.linalg.norm(u_new - u, axis=-1) / t_step
 
-    def escaped(u, _):
+    def escaped(u, _anchor, _rows=None):
         radius = max(np.linalg.norm(b) for b in blocks(u[0]))
         return np.array([radius > opts.divergence_radius])
 

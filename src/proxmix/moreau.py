@@ -188,52 +188,53 @@ def _fista(step, z, opts, active=None, escaped=None):
     """Accelerated iteration on the rows of ``z``: (z, status, iters, residual).
 
     FISTA (Beck & Teboulle 2009) with per-row gradient-scheme restart
-    (O'Donoghue & Candes 2015).  ``step(momentum, z)`` returns the next
-    iterate and a per-row residual; a row is 'converged' once its residual
-    is ``<= opts.tol``.  Every 50 iterations ``escaped(z, anchor)``, with
-    ``anchor`` the iterate 50 iterations earlier, marks rows 'diverged'.
-    Rows outside the ``active`` mask are never updated (0 iterations,
-    residual inf); rows still active after ``opts.max_iter`` are
-    'max_iter'.  Each row's residual is the one of its last step.
+    (O'Donoghue & Candes 2015) on the working set ``rows`` of rows still
+    iterating, with which the oracles gather their per-row constants.
+    ``step(momentum, z, rows)`` returns the next iterate and a per-row
+    residual; a row is 'converged' once its residual is ``<= opts.tol``.
+    Every 50 iterations ``escaped(z, anchor, rows)``, ``anchor`` being
+    the iterate 50 iterations earlier, marks rows 'diverged'.  A row that
+    stops is written out and leaves the set; rows outside ``active`` never
+    enter it (0 iterations, residual inf), rows left at ``opts.max_iter``
+    are 'max_iter'.  Each row's residual is the one of its last step.
     """
     n = len(z)
-    momentum = z.copy()
-    anchor = z
-    t_acc = np.ones(n)
-    active = np.ones(n, dtype=bool) if active is None else active.copy()
+    rows = np.arange(n) if active is None else np.flatnonzero(active)
     status = np.full(n, MAX_ITER, dtype=object)
     iters = np.zeros(n, dtype=int)
     residual = np.full(n, np.inf)
+    z_out, z = z.copy(), z[rows]
+    momentum = anchor = z
+    t_acc, res = np.ones(len(rows)), residual[rows]
     it = 0
-    while it < opts.max_iter and active.any():
+    while it < opts.max_iter and len(rows):
         it += 1
-        z_new, res = step(momentum, z)
+        z_new, res = step(momentum, z, rows)
         delta = z_new - z
         restart = np.add.reduce((momentum - z_new) * delta, axis=-1) > 0.0
         t_acc = np.where(restart, 1.0, t_acc)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
         beta = np.where(restart, 0.0, (t_acc - 1.0) / t_next)
-        momentum = np.where(active[:, None], z_new + beta[:, None] * delta, momentum)
-        z = np.where(active[:, None], z_new, z)
-        t_acc = np.where(active, t_next, t_acc)
-        residual = np.where(active, res, residual)
-        stopped = active & (res <= opts.tol)
-        status[stopped] = CONVERGED
-        iters[stopped] = it
-        active &= ~stopped
+        momentum = z_new + beta[:, None] * delta
+        z, t_acc = z_new, t_next
+        stop = converged = res <= opts.tol
         if escaped is not None and it % 50 == 0:
-            out = escaped(z, anchor) & active
+            stop = converged | escaped(z, anchor, rows)
             anchor = z
-            status[out] = DIVERGED
-            iters[out] = it
-            active &= ~out
-    iters[active] = it
-    return z, status, iters, residual
+        if stop.any():
+            done = rows[stop]
+            status[done] = [CONVERGED if c else DIVERGED for c in converged[stop]]
+            z_out[done], iters[done], residual[done] = z[stop], it, res[stop]
+            rows, z, momentum, t_acc, anchor, res = (
+                a[~stop] for a in (rows, z, momentum, t_acc, anchor, res)
+            )
+    z_out[rows], iters[rows], residual[rows] = z, it, res
+    return z_out, status, iters, residual
 
 
 def _outside_radius(opts):
     """Escape test for ``_fista``: rows whose norm exceeds the divergence radius."""
-    return lambda z, anchor: np.linalg.norm(z, axis=-1) > opts.divergence_radius
+    return lambda z, *_: np.linalg.norm(z, axis=-1) > opts.divergence_radius
 
 
 def _gradient_iteration(grad_fn, x0, step, opts):
@@ -243,7 +244,7 @@ def _gradient_iteration(grad_fn, x0, step, opts):
     radius.  Returns ``(x, status, iters, residual)`` of the row.
     """
 
-    def advance(momentum, _):
+    def advance(momentum, *_):
         grad = np.reshape(grad_fn(momentum[0]), (1, -1))
         return momentum + step * grad, np.sqrt(np.add.reduce(grad * grad, axis=-1))
 

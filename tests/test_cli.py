@@ -254,3 +254,46 @@ def test_figure_preset_catalog():
     op2, fn2 = figure_preset("example2")
     assert (op2.rows, op2.cols, fn2.dim) == (3, 2, 3)
     assert op1.norm_bound <= 1.0 and op2.norm_bound <= 1.0
+
+
+SCALAR_L1 = {"atom": "l1_norm", "params": {"dim": 1}}
+PLANE_MAP = {"rows": 1, "cols": 2, "entries": [[0.5, 0.0]]}
+SWEEP = {"L": {"rows": 1, "cols": 1, "entries": [[0.5]]}, "g": SCALAR_L1}
+ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("prox", {"spec": SCALAR_L1, "points": [[1.0]], "gamma": "abc"}),
+        ("envelope", {"spec": SCALAR_L1, "points": [[1.0]], "gamma": "abc"}),
+        ("envelope", {**ONE_POINT, "rho": "abc"}),
+        ("sweep", {**SWEEP, "x": [1.0], "gammas": [1.0, "abc"]}),
+        ("sweep", {**SWEEP, "x": ["abc"], "gammas": [1.0]}),
+        ("sweep", {**SWEEP, "g": {"atom": "l1_norm"}, "x": [1.0], "gammas": [1.0]}),
+        ("sweep", {**SWEEP, "L": {"rows": 1}, "x": [1.0], "gammas": [1.0]}),
+        ("figure", {"L": PLANE_MAP, "g": {"atom": "l1_norm"}}),
+        ("figure", {"preset": "example1", "grid": {"steps": "abc"}}),
+        ("figure", {"preset": "example1", "grid": {"steps": 10**6}}),
+        ("figure", {"preset": "example1", "grid": {"steps": 2.5}}),
+        ("figure", {"preset": "example1", "grid": {"lo": ["abc", 0.0]}}),
+        ("figure", {"preset": "example1", "grid": {"hi": "abc"}}),
+        ("figure", {"preset": "example1", "grid": {"lo": [-4.0]}}),
+        ("figure", {"preset": "example1", "grid": [101]}),
+        ("figure", {"preset": "example1", "gammas": ["abc"]}),
+        ("eval", {**ONE_POINT, "which": "bogus"}),
+        ("prox", {**ONE_POINT, "which": "bogus"}),
+    ],
+    ids=[
+        "prox-gamma", "envelope-gamma", "envelope-rho", "sweep-gammas", "sweep-x",
+        "sweep-g-incomplete", "sweep-L-incomplete", "figure-g-incomplete",
+        "figure-steps-text", "figure-steps-huge", "figure-steps-fractional",
+        "figure-lo", "figure-hi", "figure-lo-length", "figure-grid-not-object",
+        "figure-gammas", "eval-which", "prox-which",
+    ],
+)
+def test_malformed_field_exit(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1

@@ -23,6 +23,7 @@ from proxmix import (
     recession_cocomposition,
     subgradient_witness_cocomposition,
 )
+from proxmix.cli import figure_preset
 from proxmix.compositions import eval_composition_batch, pushforward_infimum
 from proxmix.errors import AdmissibilityError, ParameterError
 from proxmix.functions import (
@@ -212,6 +213,37 @@ def test_composition_batch_mixed_rows():
         single = eval_composition(spec, X[row])
         assert single.status == CONVERGED
         assert single.iterations == iters[row]
+        assert values[row] == pytest.approx(single.value, rel=1e-12, abs=1e-12)
+
+
+def _figure_subgrid():
+    axis = np.linspace(-4.0, 4.0, 7)
+    return np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis, indexing="ij")], -1)
+
+
+@pytest.mark.parametrize(
+    "spec, X, diverged",
+    [
+        (CompositionSpec(*figure_preset(name), gamma), _figure_subgrid(), 0)
+        for name in ("example1", "example2")
+        for gamma in (0.5, 8.0)
+    ]
+    + [
+        (
+            CompositionSpec(DenseMap.identity(2), BallIndicator(np.zeros(2), 1.0), 1.0),
+            np.array([[2.0, 0.0], [0.3, 0.2], [1.5, 1.5], [0.0, -3.0], [-0.6, 0.0]]),
+            3,
+        )
+    ],
+    ids=["example1-0.5", "example1-8", "example2-0.5", "example2-8", "escape-branch"],
+)
+def test_cocomposition_batch_matches_single_calls(spec, X, diverged):
+    values, status, iters = eval_cocomposition_batch(spec, X)
+    assert list(status).count(DIVERGED) == diverged
+    assert len(set(iters)) > 1  # rows stop at different iterations
+    for row, x in enumerate(X):
+        single = eval_cocomposition(spec, x)
+        assert (single.status, single.iterations) == (status[row], iters[row])
         assert values[row] == pytest.approx(single.value, rel=1e-12, abs=1e-12)
 
 

@@ -19,7 +19,7 @@ from proxmix import (
 from proxmix import BallDistance
 from proxmix.errors import ParameterError, UnsupportedDimension
 from proxmix.functions import conjugate_function
-from proxmix.moreau import CONVERGED, DEFAULT_OPTS, DIVERGED
+from proxmix.moreau import CONVERGED, DEFAULT_OPTS, DIVERGED, MAX_ITER, _fista
 
 
 def test_envelope_at_minimizer():
@@ -238,3 +238,34 @@ def test_minimize_smooth_linear_objective_diverges_at_a_check():
     assert rep.status == DIVERGED and rep.value == np.inf
     assert rep.iterations > 0 and rep.iterations % 50 == 0
     assert np.linalg.norm(rep.argpoint) > opts.divergence_radius
+
+
+def test_fista_passes_only_iterating_rows_to_the_oracles():
+    # row i is a gradient step on rate_i * z^2 / 2 (smaller rates converge
+    # later); row 2 drifts and is flagged at the first escape test; rows 3
+    # and 6 are masked out
+    rate = np.array([0.9, 0.05, -0.1, 0.5, 1e-3, 0.3, 0.7])
+    active = np.array([True, True, True, False, True, True, False])
+    received = []
+
+    def step(momentum, z, rows):
+        received.append(rows.copy())
+        z_new = momentum - rate[rows, None] * momentum
+        return z_new, np.linalg.norm(z_new - z, axis=-1)
+
+    def escaped(z, anchor, rows):
+        return np.linalg.norm(z - anchor, axis=-1) > 10.0
+
+    z0 = np.ones((7, 2))
+    z, status, iters, residual = _fista(
+        step, z0, SolverOpts(tol=1e-10), active=active, escaped=escaped
+    )
+    assert sum(len(r) for r in received) == iters.sum()
+    assert not np.isin([3, 6], np.concatenate(received)).any()
+    ended = [CONVERGED, CONVERGED, DIVERGED, MAX_ITER, CONVERGED, CONVERGED, MAX_ITER]
+    assert list(status) == ended
+    assert iters[2] == 50 and list(iters[[3, 6]]) == [0, 0]
+    assert np.isinf(residual[[3, 6]]).all() and (residual[[0, 1, 4, 5]] <= 1e-10).all()
+    assert (z[[3, 6]] == 1.0).all() and np.abs(z[[0, 1, 4, 5]]).max() < 1e-8
+    # early- and late-converging rows leave at different iterations
+    assert iters[0] < iters[1] < iters[4] and iters[4] > 50
