@@ -80,10 +80,12 @@ from .mixtures import (
     comixture_argmin_sequence,
     comixture_envelope,
     comixture_eval,
+    comixture_eval_batch,
     comixture_prox,
     comixture_recession,
     embed,
     mixture_eval,
+    mixture_eval_batch,
     mixture_prox,
     pcm_estimate,
     proximal_average,

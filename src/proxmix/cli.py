@@ -3,6 +3,8 @@
 Evaluates functions, compositions and mixtures from JSON job configs,
 runs parameter sweeps, emits the 2-D comparison grids of the two built-in
 figure presets, minimizes cocompositions and runs verification suites.
+``eval`` and ``prox`` solve all of a job's points in one batch call; each
+``eval`` result carries the point's status and iteration count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 4 verification-suite failure.
@@ -14,6 +16,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
@@ -22,9 +25,8 @@ from .compositions import (
     CompositionSpec,
     argmin_cocomposition,
     envelope_cocomposition,
-    eval_cocomposition,
     eval_cocomposition_batch,
-    eval_composition,
+    eval_composition_batch,
     gamma_sweep,
     prox_cocomposition,
     prox_composition,
@@ -42,9 +44,9 @@ from .mixtures import (
     MixtureSpec,
     comixture_argmin,
     comixture_envelope,
-    comixture_eval,
+    comixture_eval_batch,
     comixture_prox,
-    mixture_eval,
+    mixture_eval_batch,
     mixture_prox,
 )
 from .moreau import _MAX_GRID_STEPS, DIVERGED, SolverOpts, envelope
@@ -53,11 +55,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_SUITE_FAILED = 4
-
-
-def _fmt(x):
-    """Locale-independent decimal literal with 17 significant digits."""
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +207,10 @@ def _write_json(payload, out):
 
 
 def _write_csv(header, rows, out):
+    """Locale-independent decimal literals with 17 significant digits."""
+    fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(fmt % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -242,23 +241,24 @@ def cmd_eval(config, args):
     mixture = kind == "mixture"
     solve = _which(
         config, "cocomposition",
-        mixture_eval if mixture else eval_composition,
-        comixture_eval if mixture else eval_cocomposition,
+        mixture_eval_batch if mixture else eval_composition_batch,
+        comixture_eval_batch if mixture else eval_cocomposition_batch,
     )
-    results = []
-    for p in points:
-        if kind == "function":
-            val, status = float(np.asarray(spec(p))), "exact"
-        else:
-            rep = solve(spec, p, opts)
-            val, status = rep.value, (rep.embedding if mixture else rep).status
-        results.append({"point": p.tolist(), "value": val, "status": status})
-    diverged = any(r["status"] == DIVERGED for r in results)
-    rows = [[*r["point"], r["value"]] for r in results]
+    n = len(points)
+    if kind == "function":
+        values, status = np.asarray(spec(points), dtype=float).reshape(n), ["exact"] * n
+        iters = np.zeros(n, dtype=int)
+    else:
+        values, status, iters = solve(spec, points, opts)
+    results = [
+        {"point": p, "value": v, "status": s, "iterations": k}
+        for p, v, s, k in zip(points.tolist(), values.tolist(), status, iters.tolist())
+    ]
+    rows = np.column_stack([points, values])
     dim = points.shape[1]
     header = [f"x{i+1}" for i in range(dim)] + ["value"]
     _emit({"command": "eval", "results": results}, (header, rows), args)
-    return EXIT_DIVERGED if diverged else EXIT_OK
+    return EXIT_DIVERGED if DIVERGED in status else EXIT_OK
 
 
 def cmd_prox(config, args):
@@ -270,16 +270,14 @@ def cmd_prox(config, args):
         mixture_prox if kind == "mixture" else prox_composition,
         comixture_prox if kind == "mixture" else prox_cocomposition,
     )
-    results = []
-    for p in points:
-        if kind == "function":
-            out = spec.prox(_numbers(_field(config, "gamma"), "gamma", (0,)), p)
-        else:
-            out = prox(spec, p)
-        results.append({"point": p.tolist(), "prox": np.asarray(out).tolist()})
+    if kind == "function":
+        out = spec.prox(_numbers(_field(config, "gamma"), "gamma", (0,)), points)
+    else:
+        out = prox(spec, points)
+    results = [{"point": p, "prox": q} for p, q in zip(points.tolist(), out.tolist())]
     dim = points.shape[1]
     header = [f"x{i+1}" for i in range(dim)] + [f"p{i+1}" for i in range(dim)]
-    rows = [[*r["point"], *r["prox"]] for r in results]
+    rows = np.column_stack([points, out])
     _emit({"command": "prox", "results": results}, (header, rows), args)
     return EXIT_OK
 
@@ -314,6 +312,8 @@ def cmd_sweep(config, args):
         operator, fn = DenseMap.from_json(L), function_from_spec(g)
     x = _numbers(_field(config, "x"), "x", (1,))
     gammas = _numbers(_field(config, "gammas"), "gammas", (1,)).tolist()
+    if not gammas:
+        raise ConfigError("gammas must be a non-empty list of finite numbers")
     opts = _solver_opts(config)
     rep = gamma_sweep(operator, fn, x, gammas, opts)
     payload = {
@@ -388,15 +388,10 @@ def cmd_figure(config, args):
         columns.append(vals)
         header.append(f"cocomposition_gamma_{gamma:g}")
     rows = np.stack(columns, axis=-1)
-    _emit(
-        {
-            "command": "figure",
-            "header": header,
-            "rows": rows.tolist(),
-        },
-        (header, rows),
-        args,
-    )
+    payload = None
+    if args.format != "csv":
+        payload = {"command": "figure", "header": header, "rows": rows.tolist()}
+    _emit(payload, (header, rows), args)
     return EXIT_OK
 
 
@@ -434,6 +429,7 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="proxmix",

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AdmissibilityError, ParameterError, UnsupportedConjugate
+from .errors import AdmissibilityError, DimensionError, ParameterError, UnsupportedConjugate
 from .functions import (
     BOUNDARY_TOL,
     ConvexFunction,
@@ -326,9 +326,13 @@ def _batch(core, spec, X, opts):
     """Run ``core`` on the finite rows of ``X``: (values, status, iters).
 
     Rows with a NaN or infinite entry never enter the iteration; they are
-    'invalid' with value nan and 0 iterations.
+    'invalid' with value nan and 0 iterations.  Raises DimensionError
+    unless ``X`` is 2-D with ``spec.operator.cols`` columns.
     """
     X = np.asarray(X, dtype=float)
+    cols = spec.operator.cols
+    if X.ndim != 2 or X.shape[1] != cols:
+        raise DimensionError(f"expected rows of dimension {cols}, got shape {X.shape}")
     valid = np.isfinite(X).all(axis=-1)
     values = np.full(len(X), np.nan)
     status = np.full(len(X), INVALID, dtype=object)

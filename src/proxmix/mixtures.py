@@ -5,10 +5,12 @@ space so that the proximity operator of the combined function splits into
 the individual proxes.  Everything reduces to a single composition on a
 weighted direct sum: stacking ``sqrt(alpha_k) L_k`` and rescaling the
 block functions flattens the weighted inner product into a standard one.
-An evaluation result also offers the value computed a second time,
-directly from the defining per-term sums, as an independent cross-check of
-the reduction; that second solve runs when the result's ``direct`` or
-``paths_gap`` is first read.
+A single-point evaluation result also offers the value computed a second
+time, directly from the defining per-term sums, as an independent
+cross-check of the reduction; that second solve runs when the result's
+``direct`` or ``paths_gap`` is first read.  The batch forms
+``mixture_eval_batch`` and ``comixture_eval_batch`` solve many points in
+one embedding solve and run no cross-check.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .errors import AdmissibilityError, ParameterError, UnsupportedDimension
 from .compositions import (
     CompositionSpec,
     eval_cocomposition,
+    eval_cocomposition_batch,
     eval_composition,
+    eval_composition_batch,
     pushforward_infimum,
 )
 from .functions import ConvexFunction, SeparableSum
@@ -47,6 +51,8 @@ __all__ = [
     "MixtureEvalResult",
     "mixture_eval",
     "comixture_eval",
+    "mixture_eval_batch",
+    "comixture_eval_batch",
     "mixture_prox",
     "comixture_prox",
     "comixture_envelope",
@@ -323,6 +329,16 @@ def comixture_eval(spec, x, opts: SolverOpts = DEFAULT_OPTS):
     x = as_vector(x, spec.base_dim)
     emb = eval_cocomposition(embed(spec).composition, x, opts)
     return MixtureEvalResult(emb, emb.value, partial(_comixture_direct, spec, x.copy(), opts))
+
+
+def mixture_eval_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS):
+    """Mixture values over rows of ``X``: (values, status, iters); no cross-check."""
+    return eval_composition_batch(embed(spec).composition, X, opts)
+
+
+def comixture_eval_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS):
+    """Comixture values over rows of ``X``: (values, status, iters); no cross-check."""
+    return eval_cocomposition_batch(embed(spec).composition, X, opts)
 
 
 # ---------------------------------------------------------------------------

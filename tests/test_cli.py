@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import proxmix as pm
 from proxmix.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
+    _build_parser,
     figure_preset,
     main,
 )
@@ -269,6 +271,7 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
         ("envelope", {"spec": SCALAR_L1, "points": [[1.0]], "gamma": "abc"}),
         ("envelope", {**ONE_POINT, "rho": "abc"}),
         ("sweep", {**SWEEP, "x": [1.0], "gammas": [1.0, "abc"]}),
+        ("sweep", {**SWEEP, "x": [1.0], "gammas": []}),
         ("sweep", {**SWEEP, "x": ["abc"], "gammas": [1.0]}),
         ("sweep", {**SWEEP, "g": {"atom": "l1_norm"}, "x": [1.0], "gammas": [1.0]}),
         ("sweep", {**SWEEP, "L": {"rows": 1}, "x": [1.0], "gammas": [1.0]}),
@@ -285,7 +288,8 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
         ("prox", {**ONE_POINT, "which": "bogus"}),
     ],
     ids=[
-        "prox-gamma", "envelope-gamma", "envelope-rho", "sweep-gammas", "sweep-x",
+        "prox-gamma", "envelope-gamma", "envelope-rho", "sweep-gammas",
+        "sweep-gammas-empty", "sweep-x",
         "sweep-g-incomplete", "sweep-L-incomplete", "figure-g-incomplete",
         "figure-steps-text", "figure-steps-huge", "figure-steps-fractional",
         "figure-lo", "figure-hi", "figure-lo-length", "figure-grid-not-object",
@@ -297,3 +301,115 @@ def test_malformed_field_exit(tmp_path, capsys, command, payload):
     assert main([command, "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+# -- batch jobs: one solve per job, same answers as one call per point ----------
+
+
+PLANE_L = {"rows": 3, "cols": 2, "entries": [[0.5, 0.1], [-0.2, 0.4], [0.3, -0.3]]}
+PLANE_G = {"atom": "euclidean_norm", "params": {"dim": 3},
+           "transforms": [{"kind": "translate", "w": [1.0, -0.5, 0.2]}]}
+PLANE_COMPOSITION = {"L": PLANE_L, "g": PLANE_G, "gamma": 0.7}
+PLANE_MIXTURE = {
+    "gamma": 1.3,
+    "terms": [
+        {"alpha": 0.6, "L": PLANE_L, "g": PLANE_G},
+        {"alpha": 0.5, "L": {"rows": 2, "cols": 2, "entries": [[0.6, 0.0], [0.2, 0.5]]},
+         "g": {"atom": "l1_norm", "params": {"dim": 2}}},
+    ],
+}
+PLANE_FUNCTION = {"atom": "l1_norm", "params": {"dim": 2},
+                  "transforms": [{"kind": "translate", "w": [0.5, -1.0]}]}
+# kind -> (spec, which, single-point value call, single-point prox call)
+JOB_KINDS = {
+    "composition": (PLANE_COMPOSITION, "composition",
+                    pm.eval_composition, pm.prox_composition),
+    "cocomposition": (PLANE_COMPOSITION, "cocomposition",
+                      pm.eval_cocomposition, pm.prox_cocomposition),
+    "mixture": (PLANE_MIXTURE, "composition",
+                lambda s, x: pm.mixture_eval(s, x).embedding, pm.mixture_prox),
+    "comixture": (PLANE_MIXTURE, "cocomposition",
+                  lambda s, x: pm.comixture_eval(s, x).embedding, pm.comixture_prox),
+    "function": (PLANE_FUNCTION, "cocomposition", None, lambda f, x: f.prox(0.8, x)),
+}
+
+
+def parse_spec(obj):
+    if "terms" in obj:
+        return pm.MixtureSpec.from_json(obj)
+    if "L" in obj:
+        return pm.CompositionSpec.from_json(obj)
+    return pm.function_from_spec(obj)
+
+
+@pytest.mark.parametrize("kind", list(JOB_KINDS))
+def test_eval_and_prox_jobs_match_single_calls(tmp_path, kind):
+    spec_json, which, single_eval, single_prox = JOB_KINDS[kind]
+    spec = parse_spec(spec_json)
+    points = np.random.default_rng(5).normal(size=(20, 2))
+    cfg = write_config(tmp_path, {"spec": spec_json, "which": which, "gamma": 0.8,
+                                  "points": points.tolist()})
+    out, csv_out = tmp_path / "eval.json", tmp_path / "eval.csv"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert main(["eval", "--config", cfg, "--out", str(csv_out), "--format", "csv"]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    for x, r in zip(points, results):
+        if single_eval is None:
+            expected = (float(spec(x)), "exact", 0)
+        else:
+            rep = single_eval(spec, x)
+            expected = (rep.value, rep.status, rep.iterations)
+        assert r["point"] == x.tolist()
+        assert r["value"] == pytest.approx(expected[0], rel=0, abs=1e-12)
+        assert (r["status"], r["iterations"]) == expected[1:]
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == "x1,x2,value"
+    assert [float(l.split(",")[2]) for l in lines[1:]] == [r["value"] for r in results]
+
+    out = tmp_path / "prox.json"
+    assert main(["prox", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    for x, r in zip(points, results):
+        assert r["prox"] == pytest.approx(single_prox(spec, x), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(JOB_KINDS))
+def test_eval_wrong_dimension_points_exit(tmp_path, capsys, kind):
+    spec_json, which, _, _ = JOB_KINDS[kind]
+    cfg = write_config(tmp_path, {"spec": spec_json, "which": which,
+                                  "points": [[1.0, 2.0, 3.0], [0.0, 1.0, 0.5]]})
+    assert main(["eval", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "dimension" in err and err.count("\n") == 1
+
+
+def test_eval_job_with_diverged_rows_exits_3(tmp_path):
+    spec = {
+        "L": {"rows": 2, "cols": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]},
+        "g": {"atom": "euclidean_norm", "params": {"dim": 2}},
+        "gamma": 1.0,
+    }
+    cfg = write_config(tmp_path, {"spec": spec, "which": "composition",
+                                  "points": [[1.0, 0.0], [3.0, 4.0], [-2.0, 0.0]]})
+    out = tmp_path / "o.json"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+    results = json.loads(out.read_text())["results"]
+    assert [r["status"] for r in results] == ["converged", "diverged", "converged"]
+    assert results[1]["value"] == np.inf and results[1]["iterations"] == 0
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    cfg = write_config(tmp_path, {"spec": scalar_composition_spec(), "points": [[1.0], [2.0]]})
+    out = tmp_path / "a.csv"
+    assert main(["prox", "--config", cfg, "--format", "csv", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().startswith("x1,p1\n")
+    capsys.readouterr()
+    # neither --format csv nor --out carries over: JSON goes to stdout
+    assert main(["eval", "--config", cfg]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in payload["results"]] == ["converged", "converged"]
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--config", cfg])
+    assert exc.value.code == 2
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "b.json")]) == EXIT_OK

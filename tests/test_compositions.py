@@ -25,7 +25,7 @@ from proxmix import (
 )
 from proxmix.cli import figure_preset
 from proxmix.compositions import eval_composition_batch, pushforward_infimum
-from proxmix.errors import AdmissibilityError, ParameterError
+from proxmix.errors import AdmissibilityError, DimensionError, ParameterError
 from proxmix.functions import (
     Affine,
     BallIndicator,
@@ -258,6 +258,20 @@ def test_batch_nonfinite_rows_cost_no_iterations(solve):
     assert list(iters[[0, 2, 3]]) == [0, 0, 0]
     assert np.isnan(values[[0, 2, 3]]).all()
     assert values[1] == pytest.approx(solve(spec, X[1:2])[0][0], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "solve", [eval_composition_batch, eval_cocomposition_batch]
+)
+@pytest.mark.parametrize(
+    "X", [np.ones((3, 3)), np.ones((3, 1)), np.ones(2), np.ones((1, 2, 2))],
+    ids=["long-rows", "short-rows", "1-D", "3-D"],
+)
+def test_batch_rejects_wrong_shape(solve, X):
+    # a 1-D X of length cols used to broadcast one point's value over its entries
+    spec = CompositionSpec(SQUARE, L1Norm(2), 1.0)
+    with pytest.raises(DimensionError):
+        solve(spec, X)
 
 
 def test_composition_radius_fallback_without_conjugate():

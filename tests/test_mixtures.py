@@ -13,12 +13,14 @@ from proxmix import (
     comixture_argmin_sequence,
     comixture_envelope,
     comixture_eval,
+    comixture_eval_batch,
     comixture_prox,
     comixture_recession,
     embed,
     envelope,
     eval_cocomposition_batch,
     mixture_eval,
+    mixture_eval_batch,
     mixture_prox,
     pcm_estimate,
     proximal_average,
@@ -28,7 +30,7 @@ from proxmix import (
     sampled_expectation_prox,
 )
 from proxmix import mixtures
-from proxmix.errors import AdmissibilityError, ParameterError
+from proxmix.errors import AdmissibilityError, DimensionError, ParameterError
 from proxmix.moreau import CONVERGED, DIVERGED, MAX_ITER, SolverOpts, grid_min, grid_prox
 
 
@@ -139,6 +141,48 @@ def test_reduction_consistency_both_paths():
             assert res.paths_gap <= 2e-6
         cres = comixture_eval(spec, x)
         assert cres.paths_gap <= 2e-6
+
+
+BATCH_FORMS = [(mixture_eval_batch, mixture_eval), (comixture_eval_batch, comixture_eval)]
+
+
+def assert_batch_matches_single(spec, X):
+    for batch, single in BATCH_FORMS:
+        values, status, iters = batch(spec, X)
+        for row, x in enumerate(X):
+            rep = single(spec, x).embedding
+            assert (rep.status, rep.iterations) == (status[row], iters[row])
+            assert values[row] == pytest.approx(rep.value, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_batch_forms_match_single_calls(p):
+    rng = np.random.default_rng(40 + p)
+    for _ in range(4):
+        spec = random_mixture(rng, base=2, p=p)
+        assert_batch_matches_single(spec, rng.normal(size=(6, 2)))
+
+
+def test_batch_forms_range_infeasible_row():
+    spec = MixtureSpec(
+        [
+            MixtureTerm(0.5, DenseMap([[1.0, 0.0], [0.0, 0.0]]), EuclideanNorm(2)),
+            MixtureTerm(0.5, DenseMap([[0.5, 0.0]]), L1Norm(1)),
+        ],
+        1.0,
+    )
+    X = np.array([[1.0, 0.0], [3.0, 4.0], [-2.0, 0.0]])
+    values, status, _ = mixture_eval_batch(spec, X)
+    assert list(status) == [CONVERGED, DIVERGED, CONVERGED] and values[1] == np.inf
+    assert_batch_matches_single(spec, X)
+
+
+@pytest.mark.parametrize("batch", [mixture_eval_batch, comixture_eval_batch])
+@pytest.mark.parametrize("X", [np.ones((3, 1)), np.ones(2)], ids=["short-rows", "1-D"])
+def test_batch_forms_reject_wrong_shape(batch, X):
+    spec = random_mixture(np.random.default_rng(0), base=2)
+    with pytest.raises(DimensionError):
+        batch(spec, X)
 
 
 def count_calls(monkeypatch, name):
