@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import AdmissibilityError, DimensionError, ParameterError, UnsupportedConjugate
 from .functions import (
-    BOUNDARY_TOL,
     ConvexFunction,
     MoreauEnvelopeFunction,
     conjugate_function,
@@ -37,8 +36,10 @@ from .moreau import (
     INVALID,
     SolveReport,
     SolverOpts,
+    _conjugate_ascent,
     _fista,
     _outside_radius,
+    _recession_certified,
     envelope,
     envelope_gradient,
     grid_min,
@@ -109,18 +110,6 @@ class CompositionSpec:
         self.fn = fn
         self.gamma = float(gamma)
 
-    # short aliases used throughout the numerics
-    @property
-    def L(self):
-        return self.operator
-
-    @property
-    def g(self):
-        return self.fn
-
-    def with_gamma(self, gamma):
-        return CompositionSpec(self.operator, self.fn, gamma)
-
     def defect(self, y):
         """Quadratic defect ``Phi(y) = (||y||^2 - ||L* y||^2)/2``; batched."""
         y = np.asarray(y, dtype=float)
@@ -162,23 +151,16 @@ class CompositionSpec:
 def _conjugate_values(fn, y, gamma, opts):
     """Values of the conjugate at the rows of ``y``.
 
-    Falls back to accelerated proximal-point ascent on ``<z, y> - f(z)``
-    when no closed form is registered (the iteration only ever calls the
-    prox at parameter ``gamma``, which oracle-backed functions support).
+    Falls back to ``_conjugate_ascent`` at step ``gamma`` when no closed
+    form is registered (oracle-backed functions support the prox at that
+    parameter).
     """
     try:
         return np.asarray(fn.conjugate(y), dtype=float)
     except UnsupportedConjugate:
         pass
-    y2 = np.atleast_2d(y)
-
-    def step(momentum, z, rows):
-        z_new = fn.prox(gamma, momentum + gamma * y2[rows])
-        return z_new, np.linalg.norm(z_new - z, axis=-1) / gamma
-
-    z = _fista(step, np.zeros_like(y2), opts)[0]
-    vals = np.sum(z * y2, axis=-1) - np.asarray(fn(z), dtype=float)
-    return vals.reshape(np.asarray(y).shape[:-1])
+    values = _conjugate_ascent(fn, np.atleast_2d(y), gamma, opts)[0]
+    return values.reshape(np.asarray(y).shape[:-1])
 
 
 def _domain_support(g):
@@ -191,21 +173,6 @@ def _domain_support(g):
         return conjugate_function(g).recession
     except UnsupportedConjugate:
         return None
-
-
-def _recession_certified(step, target, slope):
-    """Rows whose displacement ``step`` certifies an infinite value.
-
-    With ``d = step / ||step||`` the dual objective grows without bound
-    along ``d`` when ``<target, d> > slope(d)``, ``slope`` being the
-    recession function of the dual penalty (Farkas: the base point lies
-    outside the closure of the image of ``dom g``).  The margin must beat
-    the catalog's boundary slack; zero rows never certify.
-    """
-    norm = np.linalg.norm(step, axis=-1)
-    d = step / np.where(norm > 0.0, norm, 1.0)[:, None]
-    margin = np.sum(target * d, axis=-1) - np.asarray(slope(d), dtype=float)
-    return margin > BOUNDARY_TOL * (1.0 + np.linalg.norm(target, axis=-1))
 
 
 def _flat_directions(L):
@@ -713,6 +680,20 @@ class MinimizerSequenceReport:
     final_gap: float
 
 
+def _infima_sequence(argmin_at, gammas, reference):
+    """Infima ``argmin_at(gamma).value`` over the gammas sorted descending.
+
+    The reference defaults to the infimum at ``2**-20``.
+    """
+    gammas = np.asarray(sorted(gammas, reverse=True), dtype=float)
+    infima = np.array([argmin_at(g_).value for g_ in gammas])
+    if reference is None:
+        reference = argmin_at(2.0**-20).value
+    return MinimizerSequenceReport(
+        gammas, infima, float(reference), float(infima[-1] - reference)
+    )
+
+
 def argmin_gamma_sequence(
     operator, fn, gammas, opts: SolverOpts = DEFAULT_OPTS, reference=None
 ):
@@ -722,17 +703,8 @@ def argmin_gamma_sequence(
     ``g(Lx)``; the reference defaults to a run at parameter ``2**-20``
     (callers should supply a grid-oracle value in low dimension).
     """
-    gammas = np.asarray(sorted(gammas, reverse=True), dtype=float)
-    infima = np.array(
-        [
-            argmin_cocomposition(CompositionSpec(operator, fn, g_), opts).value
-            for g_ in gammas
-        ]
-    )
-    if reference is None:
-        reference = argmin_cocomposition(
-            CompositionSpec(operator, fn, 2.0**-20), opts
-        ).value
-    return MinimizerSequenceReport(
-        gammas, infima, float(reference), float(infima[-1] - reference)
+    return _infima_sequence(
+        lambda g_: argmin_cocomposition(CompositionSpec(operator, fn, g_), opts),
+        gammas,
+        reference,
     )

@@ -38,4 +38,6 @@ class ConfigError(ProxmixError):
 
 
 class ConvergenceError(ProxmixError):
-    """An iterative routine exhausted its iteration budget."""
+    """An iterative routine exhausted its iteration budget.
+
+    Nothing in the library raises it now; it stays exported for callers."""

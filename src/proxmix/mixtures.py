@@ -24,6 +24,7 @@ import numpy as np
 from .errors import AdmissibilityError, ParameterError, UnsupportedDimension
 from .compositions import (
     CompositionSpec,
+    _infima_sequence,
     eval_cocomposition,
     eval_cocomposition_batch,
     eval_composition,
@@ -404,14 +405,6 @@ def comixture_argmin(spec, opts: SolverOpts = DEFAULT_OPTS, x0=None):
     )
 
 
-@dataclass
-class MixtureMinimizerReport:
-    gammas: np.ndarray
-    infima: np.ndarray
-    reference: float
-    final_gap: float
-
-
 def comixture_argmin_sequence(terms, gammas, opts: SolverOpts = DEFAULT_OPTS, reference=None):
     """Comixture infima along a shrinking parameter sequence.
 
@@ -419,17 +412,8 @@ def comixture_argmin_sequence(terms, gammas, opts: SolverOpts = DEFAULT_OPTS, re
     ``sum alpha_k g_k(L_k x)``; a tiny-parameter run stands in for the
     reference when none is supplied.
     """
-    gammas = np.asarray(sorted(gammas, reverse=True), dtype=float)
-    infima = np.array(
-        [
-            comixture_argmin(MixtureSpec(terms, g_), opts).value
-            for g_ in gammas
-        ]
-    )
-    if reference is None:
-        reference = comixture_argmin(MixtureSpec(terms, 2.0**-20), opts).value
-    return MixtureMinimizerReport(
-        gammas, infima, float(reference), float(infima[-1] - reference)
+    return _infima_sequence(
+        lambda g_: comixture_argmin(MixtureSpec(terms, g_), opts), gammas, reference
     )
 
 

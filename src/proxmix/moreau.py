@@ -3,7 +3,7 @@
 The grid routines exhaustively evaluate problems in ambient dimension at
 most 2 and serve as independent ground truth in the test and verification
 suites.  The numeric conjugate maximizes the concave map
-``x -> <x, s> - f(x)`` using only the exact prox of ``f``.
+``x -> <x, s> - f(x)`` on the shared kernel using only the exact prox of ``f``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedDimension
-from .functions import ConvexFunction
+from .errors import ParameterError, UnsupportedConjugate, UnsupportedDimension
+from .functions import BOUNDARY_TOL, ConvexFunction
 
 __all__ = [
     "SolverOpts",
@@ -38,8 +38,6 @@ MAX_ITER = "max_iter"
 INVALID = "invalid"  # a batch row with a NaN or infinite entry; never iterated
 
 _MAX_GRID_STEPS = 2001
-_OBJECTIVE_WINDOW = 100  # iterations the objective must keep rising before
-                         # an escaped iterate is declared divergent
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,9 @@ class SolverOpts:
     ``tol`` and ``divergence_radius`` must be finite and positive and
     ``max_iter`` an integer of at least 1 (``ParameterError`` otherwise).
     ``divergence_radius`` declares divergence once an iterate's norm
-    exceeds it; the composition solvers use it only where no recession
-    certificate is available.
+    exceeds it: in ``minimize_smooth`` and the comixture cross-check, and
+    in the composition solvers and the numeric conjugate only where no
+    recession certificate is available.
     """
 
     tol: float = 1e-8
@@ -87,11 +86,12 @@ class SolveReport:
     """Outcome of an iterative evaluation.
 
     ``status == 'converged'`` guarantees ``residual <= tol`` of the opts
-    used.  The residual is the dual step length per unit step for the
-    cocomposition, and the gradient norm at the momentum point for the
-    composition and ``minimize_smooth``.  ``status == 'diverged'`` forces
-    ``value == inf``.  For the composition solvers 'diverged' means a
-    recession (Farkas) certificate that the value is ``+inf``;
+    used.  The residual is the step length per unit step for the
+    cocomposition and the numeric conjugate, and the gradient norm at the
+    momentum point for the composition and ``minimize_smooth``.
+    ``status == 'diverged'`` forces ``value == inf``.  For the composition
+    solvers and the numeric conjugate 'diverged' means a recession
+    (Farkas) certificate that the value is ``+inf``;
     ``opts.divergence_radius`` is only the fallback where no such
     certificate exists.  The batch solvers mark rows with a non-finite
     entry 'invalid' (value nan, 0 iterations).
@@ -146,37 +146,16 @@ def envelope_gradient(fn: ConvexFunction, gamma, x):
 
 
 def conjugate_numeric(fn: ConvexFunction, xstar, opts: SolverOpts = DEFAULT_OPTS):
-    """Numeric Legendre conjugate ``sup_x <x, s> - f(x)``.
+    """Numeric Legendre conjugate ``sup_x <x, s> - f(x)`` (SolveReport).
 
-    Proximal-point iteration ``x <- prox_{t f}(x + t s)`` with a
-    geometrically growing step (capped), which keeps the iteration
-    convergent while letting genuinely unbounded problems reach the
-    divergence radius quickly.  Divergence is declared once the iterate
-    norm exceeds ``opts.divergence_radius`` while the objective has kept
-    increasing over the trailing window, and certifies value ``+inf``.
+    One row of ``_conjugate_ascent`` at unit step: accelerated
+    proximal-point ascent through the exact prox of ``f``.  'diverged'
+    certifies value ``+inf`` by a recession certificate, or by the
+    divergence radius where ``f`` has no recession oracle.
     """
-    xstar = np.asarray(xstar, dtype=float)
-    x = np.zeros_like(xstar)
-    t = 1.0
-    history = []
-    best = -np.inf
-    for it in range(1, opts.max_iter + 1):
-        x_new = fn.prox(t, x + t * xstar)
-        step = float(np.linalg.norm(x_new - x))
-        value = float(np.dot(x_new, xstar) - np.asarray(fn(x_new)))
-        best = max(best, value)
-        history.append(value)
-        if step <= opts.tol * t:
-            return _as_report(value, x_new, it, CONVERGED, step / t)
-        if (
-            float(np.linalg.norm(x_new)) > opts.divergence_radius
-            and len(history) > _OBJECTIVE_WINDOW
-            and history[-1] > history[-1 - _OBJECTIVE_WINDOW]
-        ):
-            return _as_report(np.inf, x_new, it, DIVERGED, step / t)
-        x = x_new
-        t = min(t * 2.0, 1e12)
-    return _as_report(best, x, opts.max_iter, MAX_ITER, step / t)
+    s = np.asarray(xstar, dtype=float).reshape(1, -1)
+    values, z, status, iters, residual = _conjugate_ascent(fn, s, 1.0, opts)
+    return _as_report(values[0], z[0], iters[0], str(status[0]), residual[0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +214,49 @@ def _fista(step, z, opts, active=None, escaped=None):
 def _outside_radius(opts):
     """Escape test for ``_fista``: rows whose norm exceeds the divergence radius."""
     return lambda z, *_: np.linalg.norm(z, axis=-1) > opts.divergence_radius
+
+
+def _recession_certified(step, target, slope):
+    """Rows whose displacement ``step`` certifies an infinite value.
+
+    With ``d = step / ||step||`` the objective ``<target, .> - f`` grows
+    without bound along ``d`` when ``<target, d> > slope(d)``, ``slope``
+    being the recession function of ``f`` (Farkas: ``target`` lies outside
+    the closure of ``dom f*``).  The margin must beat the catalog's
+    boundary slack; zero rows never certify.
+    """
+    norm = np.linalg.norm(step, axis=-1)
+    d = step / np.where(norm > 0.0, norm, 1.0)[:, None]
+    margin = np.sum(target * d, axis=-1) - np.asarray(slope(d), dtype=float)
+    return margin > BOUNDARY_TOL * (1.0 + np.linalg.norm(target, axis=-1))
+
+
+def _conjugate_ascent(fn, Y, t, opts):
+    """Conjugate values at the rows of ``Y``: (values, z, status, iters, residual).
+
+    ``_fista`` on the proximal-point step ``z <- prox_{t f}(m + t y)``
+    that ascends ``<z, y> - f(z)``, from ``z = 0``; the residual is the
+    step length per unit step.  Every 50 iterations the displacement is
+    tested as the recession certificate ``<y, d> > f_inf(d)``; where ``fn``
+    has no recession oracle the test is the divergence radius.
+    'diverged' rows have value ``+inf``.
+    """
+
+    def step(momentum, z, rows):
+        z_new = fn.prox(t, momentum + t * Y[rows])
+        return z_new, np.linalg.norm(z_new - z, axis=-1) / t
+
+    radius = _outside_radius(opts)
+
+    def escaped(z, anchor, rows):
+        try:
+            return _recession_certified(z - anchor, Y[rows], fn.recession)
+        except UnsupportedConjugate:
+            return radius(z)
+
+    z, status, iters, residual = _fista(step, np.zeros_like(Y), opts, escaped=escaped)
+    values = np.sum(z * Y, axis=-1) - np.asarray(fn(z), dtype=float)
+    return np.where(status == DIVERGED, np.inf, values), z, status, iters, residual
 
 
 def _gradient_iteration(grad_fn, x0, step, opts):

@@ -286,6 +286,10 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
         ("figure", {"preset": "example1", "gammas": ["abc"]}),
         ("eval", {**ONE_POINT, "which": "bogus"}),
         ("prox", {**ONE_POINT, "which": "bogus"}),
+        ("argmin", {"spec": SCALAR_L1}),
+        ("figure", {"preset": "bogus"}),
+        ("eval", {"spec": [0.5, 1.0], "points": [[1.0]]}),
+        ("eval", {"spec": {"gamma": 1.0}, "points": [[1.0]]}),
     ],
     ids=[
         "prox-gamma", "envelope-gamma", "envelope-rho", "sweep-gammas",
@@ -293,7 +297,8 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
         "sweep-g-incomplete", "sweep-L-incomplete", "figure-g-incomplete",
         "figure-steps-text", "figure-steps-huge", "figure-steps-fractional",
         "figure-lo", "figure-hi", "figure-lo-length", "figure-grid-not-object",
-        "figure-gammas", "eval-which", "prox-which",
+        "figure-gammas", "eval-which", "prox-which", "argmin-function",
+        "figure-preset-unknown", "spec-not-object", "spec-no-kind",
     ],
 )
 def test_malformed_field_exit(tmp_path, capsys, command, payload):
@@ -413,3 +418,64 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
         main(["bogus", "--config", cfg])
     assert exc.value.code == 2
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "b.json")]) == EXIT_OK
+
+
+def test_unreadable_config_path_exit(tmp_path, capsys):
+    assert main(["eval", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+
+
+def test_argmin_refuses_csv(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"spec": scalar_composition_spec()})
+    assert main(["argmin", "--config", cfg, "--format", "csv"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "no CSV form" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rho", [None, 0.3, 1.6], ids=["rho-is-gamma", "rho-below", "rho-above"])
+def test_envelope_job_composition_spec(tmp_path, rho):
+    spec = pm.CompositionSpec.from_json(PLANE_COMPOSITION)
+    points = np.random.default_rng(6).normal(size=(3, 2))
+    job = {"spec": PLANE_COMPOSITION, "points": points.tolist()}
+    if rho is not None:
+        job["rho"] = rho
+    out = tmp_path / "env.json"
+    assert main(["envelope", "--config", write_config(tmp_path, job), "--out", str(out)]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    expected = [pm.envelope_cocomposition(spec, rho or spec.gamma, x) for x in points]
+    assert [r["value"] for r in results] == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_envelope_job_mixture_spec(tmp_path):
+    spec = pm.MixtureSpec.from_json(PLANE_MIXTURE)
+    points = np.random.default_rng(7).normal(size=(3, 2))
+    cfg = write_config(tmp_path, {"spec": PLANE_MIXTURE, "points": points.tolist()})
+    out = tmp_path / "env.json"
+    assert main(["envelope", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    expected = [pm.comixture_envelope(spec, x) for x in points]
+    assert [r["value"] for r in results] == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_argmin_job_mixture_spec(tmp_path):
+    spec = pm.MixtureSpec.from_json(PLANE_MIXTURE)
+    out = tmp_path / "argmin.json"
+    cfg = write_config(tmp_path, {"spec": PLANE_MIXTURE})
+    assert main(["argmin", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    rep = pm.comixture_argmin(spec)
+    assert payload["value"] == pytest.approx(rep.value, rel=0, abs=1e-12)
+    assert payload["argpoint"] == pytest.approx(rep.argpoint.tolist(), rel=0, abs=1e-12)
+    assert (payload["status"], payload["iterations"]) == (rep.status, rep.iterations)
+
+
+def test_figure_json_output(tmp_path):
+    cfg = write_config(tmp_path, {"preset": "example2", "gammas": [0.5], "grid": {"steps": 3}})
+    out = tmp_path / "fig.json"
+    assert main(["figure", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["header"] == ["x1", "x2", "g_of_Lx", "cocomposition_gamma_0.5"]
+    rows = np.array(payload["rows"])
+    assert rows.shape == (9, 4)
+    assert np.all(rows[:, 3] <= rows[:, 2] + 1e-6)

@@ -58,32 +58,42 @@ def two_by_two_spectral_norm(gram):
 
 
 def test_operator_norm_identity_and_diagonal():
-    assert DenseMap.identity(3).operator_norm(1e-10) == pytest.approx(1.0, abs=1e-9)
+    assert DenseMap.identity(3).operator_norm() == pytest.approx(1.0, abs=1e-9)
     d = DenseMap([[0.5, 0.0], [0.0, 0.3]])
-    assert d.operator_norm(1e-10) == pytest.approx(0.5, abs=1e-9)
+    assert d.operator_norm() == pytest.approx(0.5, abs=1e-9)
 
 
 def test_operator_norm_example1_vs_quadratic_roots():
     L = example1_operator()
     expected = two_by_two_spectral_norm(L.entries.T @ L.entries)
-    assert L.operator_norm(1e-12) == pytest.approx(expected, rel=1e-9)
+    assert L.operator_norm() == pytest.approx(expected, rel=1e-9)
 
 
 def test_operator_norm_zero_matrix():
     assert DenseMap(np.zeros((2, 3))).operator_norm() == 0.0
 
 
-def test_operator_norm_near_degenerate_top_pair():
-    # singular values 0.673919 and 0.673788: power iteration runs out of
-    # budget, so the norm comes from the singular value decomposition
-    L = DenseMap(
-        [
-            [-0.36426265551393977, 0.566966514362111],
-            [0.5669440696375728, 0.364133821218282],
-        ]
-    )
+@pytest.mark.parametrize(
+    "entries, top_gap",
+    [
+        # singular values 0.673919 and 0.673788, within 2e-4 of each other
+        (
+            [
+                [-0.36426265551393977, 0.566966514362111],
+                [0.5669440696375728, 0.364133821218282],
+            ],
+            1.31e-4,
+        ),
+        (0.7 * np.eye(2), 0.0),  # equal singular values
+        (np.outer([0.6, -0.8, 0.0], [0.3, 0.4]), 0.5),  # rank 1
+        (np.zeros((2, 3)), 0.0),
+    ],
+    ids=["near-degenerate", "scaled-identity", "rank-1", "zero"],
+)
+def test_operator_norm_is_top_singular_value(entries, top_gap):
+    L = DenseMap(entries)
     sv = np.linalg.svd(L.entries, compute_uv=False)
-    assert sv[0] - sv[1] == pytest.approx(1.31e-4, abs=1e-6)
+    assert sv[0] - sv[1] == pytest.approx(top_gap, abs=1e-6)
     assert L.operator_norm() == sv[0]
     assert L.norm_estimate == sv[0]
     assert L.norm_bound == pytest.approx(sv[0], rel=2e-9)

@@ -16,10 +16,11 @@ from proxmix import (
     minimize_smooth,
     quadratic_kernel,
 )
-from proxmix import BallDistance
+from proxmix import BallDistance, OracleFunction
 from proxmix.errors import ParameterError, UnsupportedDimension
 from proxmix.functions import conjugate_function
 from proxmix.moreau import CONVERGED, DEFAULT_OPTS, DIVERGED, MAX_ITER, _fista
+from proxmix.verify import _random_conjugable_fn
 
 
 def test_envelope_at_minimizer():
@@ -145,6 +146,37 @@ def test_conjugate_numeric_of_envelope():
     rep = conjugate_numeric(env, s, SolverOpts(tol=1e-10))
     expected = float(np.asarray(conjugate_function(fn)(s))) + 0.35 * s[0] ** 2
     assert rep.value == pytest.approx(expected, abs=1e-5)
+
+
+def test_conjugate_numeric_matches_closed_form_on_random_catalog():
+    rng = np.random.default_rng(11)
+    diverged = 0
+    for _ in range(100):
+        dim = int(rng.integers(1, 3))
+        fn = _random_conjugable_fn(rng, dim)
+        s = 1.5 * rng.normal(size=dim)
+        expected = float(np.asarray(conjugate_function(fn)(s)))
+        rep = conjugate_numeric(fn, s)
+        if np.isfinite(expected):
+            assert rep.status == CONVERGED
+            assert rep.value == pytest.approx(expected, rel=0, abs=1e-6)
+        else:
+            diverged += 1
+            assert (rep.status, rep.value) == (DIVERGED, np.inf)
+    assert 0 < diverged < 100
+
+
+def test_conjugate_numeric_without_recession_oracle_uses_radius():
+    # L1Norm's conjugate is +inf at 1.5; the catalog atom certifies that by
+    # recession, an oracle without one only once the iterate leaves the radius
+    s = np.array([1.5])
+    atom = L1Norm(1)
+    oracle = OracleFunction(1, atom, prox_fn=atom.prox)
+    certified = conjugate_numeric(atom, s)
+    rep = conjugate_numeric(oracle, s)
+    assert (rep.status, rep.value) == (DIVERGED, np.inf)
+    assert np.linalg.norm(rep.argpoint) > DEFAULT_OPTS.divergence_radius
+    assert rep.iterations > certified.iterations
 
 
 def test_grid_conjugate_quadratic():
