@@ -27,6 +27,7 @@ from .errors import AdmissibilityError, DimensionError, ParameterError, Unsuppor
 from .functions import (
     ConvexFunction,
     MoreauEnvelopeFunction,
+    _norm,
     conjugate_function,
 )
 from .linalg import DenseMap, as_vector, pseudo_inverse_small
@@ -113,10 +114,7 @@ class CompositionSpec:
     def defect(self, y):
         """Quadratic defect ``Phi(y) = (||y||^2 - ||L* y||^2)/2``; batched."""
         y = np.asarray(y, dtype=float)
-        return 0.5 * (
-            np.linalg.norm(y, axis=-1) ** 2
-            - np.linalg.norm(self.operator.adjoint_apply(y), axis=-1) ** 2
-        )
+        return 0.5 * (_norm(y) ** 2 - _norm(self.operator.adjoint_apply(y)) ** 2)
 
     def to_json(self):
         from .functions import function_to_spec
@@ -197,7 +195,10 @@ def _cocomposition_core(spec, X, opts):
     ``ker(I - LL*)``.  Every 50 iterations the displacement of each row,
     projected onto that kernel, is tested as a recession certificate;
     'diverged' rows are certified ``+inf``.  Without a catalog conjugate
-    the test falls back to ``||y|| > opts.divergence_radius``.
+    the test falls back to ``||y|| > opts.divergence_radius``.  The step
+    folds its affine part into one product: with ``G = LL*`` the ascent
+    point is ``v = m G + Lx/gamma`` and the next dual is
+    ``v - prox_{gamma g}(gamma v)/gamma``.
     """
     L, g, gamma = spec.operator, spec.fn, spec.gamma
     flat = None if g.has_full_domain() else _flat_directions(L)
@@ -205,12 +206,12 @@ def _cocomposition_core(spec, X, opts):
     sigma = None if always_finite else _domain_support(g)
     LX = L.apply(X)
     t = 1.0 / gamma
+    gram, shift = L.entries @ L.entries.T, LX / gamma
 
     def step(momentum, y, rows):
-        grad = LX[rows] - gamma * (momentum - L.apply(L.adjoint_apply(momentum)))
-        v = momentum + t * grad
-        y_new = v - (1.0 / gamma) * g.prox(gamma, gamma * v)
-        return y_new, np.linalg.norm(y_new - y, axis=-1) / t
+        v = momentum @ gram + shift[rows]
+        y_new = v - t * g.prox(gamma, gamma * v)
+        return y_new, _norm(y_new - y) / t
 
     def certified(y, anchor, rows):
         return _recession_certified(((y - anchor) @ flat) @ flat.T, LX[rows], sigma)
@@ -233,6 +234,8 @@ def _composition_core(spec, X, opts):
     Maximizes ``<z, x> - h(z)`` with ``h(z)`` the Moreau envelope of the
     conjugate of ``g`` (index ``1/gamma``) evaluated at ``Lz``; the value
     of the composition is the attained sup minus ``||x||^2/(2 gamma)``.
+    The gradient of ``h`` at ``z`` is ``L* prox_{gamma g}(gamma Lz)``, so a
+    step costs one prox between two products.
     Base points outside the closed range of the adjoint are certified
     infeasible up front when ``g`` has full domain.  For restricted
     ``dom g`` the displacement ``z_k - z_{k-50}`` of each row is tested
@@ -247,25 +250,20 @@ def _composition_core(spec, X, opts):
 
     # certify infeasible base points through the adjoint range
     dual_sol, *_ = np.linalg.lstsq(L.entries.T, X.T, rcond=None)
-    range_gap = np.linalg.norm(L.adjoint_apply(dual_sol.T) - X, axis=-1)
+    range_gap = _norm(L.adjoint_apply(dual_sol.T) - X)
     if g.has_full_domain():
-        infeasible = range_gap > _RANGE_TOL * (1.0 + np.linalg.norm(X, axis=-1))
+        infeasible = range_gap > _RANGE_TOL * (1.0 + _norm(X))
         sigma = None
     else:
         infeasible = np.zeros(n, dtype=bool)
         sigma = _domain_support(g)
 
     nb2 = max(spec.operator.norm_bound**2, 1e-12)
-    step_size = 1.0 / (gamma * nb2)
-
-    def h_grad(zmat):
-        w = L.apply(zmat)
-        p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
-        return w, p, gamma * L.adjoint_apply(w - p)
+    step_size, scaled_adjoint = 1.0 / (gamma * nb2), gamma * L.entries.T
 
     def step(momentum, z, rows):
-        grad = X[rows] - h_grad(momentum)[2]
-        return momentum + step_size * grad, np.linalg.norm(grad, axis=-1)
+        grad = X[rows] - g.prox(gamma, momentum @ scaled_adjoint) @ L.entries
+        return momentum + step_size * grad, _norm(grad)
 
     def certified(z, anchor, rows):
         return _recession_certified(z - anchor, X[rows], lambda d: sigma(L.apply(d)))
@@ -275,17 +273,11 @@ def _composition_core(spec, X, opts):
         step, X.copy(), opts, active=~infeasible, escaped=escaped
     )
     status[infeasible] = DIVERGED
-    w, p, _ = h_grad(z)
-    hvals = _conjugate_values(g, p, gamma, opts) + 0.5 * gamma * np.linalg.norm(
-        w - p, axis=-1
-    ) ** 2
-    vals = (
-        np.sum(z * X, axis=-1)
-        - hvals
-        - np.linalg.norm(X, axis=-1) ** 2 / (2.0 * gamma)
-    )
-    diverged = status == DIVERGED
-    values = np.where(diverged, np.inf, vals)
+    w = L.apply(z)
+    p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
+    hvals = _conjugate_values(g, p, gamma, opts) + 0.5 * gamma * _norm(w - p) ** 2
+    vals = np.sum(z * X, axis=-1) - hvals - _norm(X) ** 2 / (2.0 * gamma)
+    values = np.where(status == DIVERGED, np.inf, vals)
     return values, z, status, iters, residual
 
 

@@ -50,7 +50,8 @@ BOUNDARY_TOL = 1e-9
 
 
 def _norm(x):
-    return np.linalg.norm(x, axis=-1)
+    """``np.linalg.norm(x, axis=-1)`` of a real array, bit for bit and cheaper."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _dot(a, b):
@@ -378,7 +379,7 @@ class SubspaceIndicator(ConvexFunction):
         if b.ndim != 2:
             raise ShapeError("basis must be a (dim, k) array of columns")
         gram = b.T @ b
-        if float(np.abs(gram - np.eye(b.shape[1])).max()) > 1e-10:
+        if float(np.abs(gram - np.eye(b.shape[1])).max(initial=0.0)) > 1e-10:
             raise ShapeError("basis columns must be orthonormal")
         b.setflags(write=False)
         self.basis = b

@@ -31,7 +31,7 @@ from .compositions import (
     eval_composition_batch,
     pushforward_infimum,
 )
-from .functions import ConvexFunction, SeparableSum
+from .functions import ConvexFunction, SeparableSum, _norm
 from .linalg import DenseMap, as_vector
 from .moreau import (
     DEFAULT_OPTS,
@@ -298,7 +298,7 @@ def _comixture_direct(spec, x, opts):
             )
             for t, r, v, w in zip(spec.terms, roots, vs, lx)
         ])[None]
-        return u_new, np.linalg.norm(u_new - u, axis=-1) / t_step
+        return u_new, _norm(u_new - u) / t_step
 
     def escaped(u, _anchor, _rows=None):
         radius = max(np.linalg.norm(b) for b in blocks(u[0]))

@@ -8,6 +8,7 @@ suites.  The numeric conjugate maximizes the concave map
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
 from typing import Optional
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConjugate, UnsupportedDimension
-from .functions import BOUNDARY_TOL, ConvexFunction
+from .functions import BOUNDARY_TOL, ConvexFunction, _norm
 
 __all__ = [
     "SolverOpts",
@@ -163,12 +164,35 @@ def conjugate_numeric(fn: ConvexFunction, xstar, opts: SolverOpts = DEFAULT_OPTS
 # ---------------------------------------------------------------------------
 
 
+_BETAS = np.zeros(1)  # momentum weight by age; see below
+
+
+def _momentum_weights(size):
+    """The FISTA weights ``(t_k - 1)/t_{k+1}`` by age ``k``, at least ``size`` of them.
+
+    ``t_0 = 1``, ``t_{k+1} = (1 + sqrt(1 + 4 t_k^2))/2`` in the arithmetic of
+    the array recurrence (``t*t``; ``t**2`` rounds differently).  The table
+    doubles on demand and is rebuilt whole, so entries never change.
+    """
+    global _BETAS
+    if len(_BETAS) < size:
+        t, betas = 1.0, []
+        for _ in range(max(size, 2 * len(_BETAS))):
+            t, t_prev = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * (t * t))), t
+            betas.append((t_prev - 1.0) / t)
+        _BETAS = np.array(betas)
+    return _BETAS
+
+
 def _fista(step, z, opts, active=None, escaped=None):
     """Accelerated iteration on the rows of ``z``: (z, status, iters, residual).
 
     FISTA (Beck & Teboulle 2009) with per-row gradient-scheme restart
     (O'Donoghue & Candes 2015) on the working set ``rows`` of rows still
     iterating, with which the oracles gather their per-row constants.
+    A row's momentum weight is read from the ``_momentum_weights`` table
+    at its ``age``, the iterations since its last restart; no per-row
+    ``t`` is carried, and a restart sets the age to 0, whose weight is 0.
     ``step(momentum, z, rows)`` returns the next iterate and a per-row
     residual; a row is 'converged' once its residual is ``<= opts.tol``.
     Every 50 iterations ``escaped(z, anchor, rows)``, ``anchor`` being
@@ -184,28 +208,28 @@ def _fista(step, z, opts, active=None, escaped=None):
     residual = np.full(n, np.inf)
     z_out, z = z.copy(), z[rows]
     momentum = anchor = z
-    t_acc, res = np.ones(len(rows)), residual[rows]
-    it = 0
+    age, res = np.zeros(len(rows), dtype=int), residual[rows]
+    betas, tol, it = _BETAS, opts.tol, 0
     while it < opts.max_iter and len(rows):
+        if it == len(betas):
+            betas = _momentum_weights(it + 1)
         it += 1
         z_new, res = step(momentum, z, rows)
         delta = z_new - z
         restart = np.add.reduce((momentum - z_new) * delta, axis=-1) > 0.0
-        t_acc = np.where(restart, 1.0, t_acc)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-        beta = np.where(restart, 0.0, (t_acc - 1.0) / t_next)
-        momentum = z_new + beta[:, None] * delta
-        z, t_acc = z_new, t_next
-        stop = converged = res <= opts.tol
+        age[restart] = 0
+        momentum = z_new + betas[age][:, None] * delta
+        z, age = z_new, age + 1
+        stop = converged = res <= tol
         if escaped is not None and it % 50 == 0:
             stop = converged | escaped(z, anchor, rows)
             anchor = z
-        if stop.any():
+        if np.count_nonzero(stop):
             done = rows[stop]
             status[done] = [CONVERGED if c else DIVERGED for c in converged[stop]]
             z_out[done], iters[done], residual[done] = z[stop], it, res[stop]
-            rows, z, momentum, t_acc, anchor, res = (
-                a[~stop] for a in (rows, z, momentum, t_acc, anchor, res)
+            rows, z, momentum, age, anchor, res = (
+                a[~stop] for a in (rows, z, momentum, age, anchor, res)
             )
     z_out[rows], iters[rows], residual[rows] = z, it, res
     return z_out, status, iters, residual
@@ -213,7 +237,7 @@ def _fista(step, z, opts, active=None, escaped=None):
 
 def _outside_radius(opts):
     """Escape test for ``_fista``: rows whose norm exceeds the divergence radius."""
-    return lambda z, *_: np.linalg.norm(z, axis=-1) > opts.divergence_radius
+    return lambda z, *_: _norm(z) > opts.divergence_radius
 
 
 def _recession_certified(step, target, slope):
@@ -225,10 +249,10 @@ def _recession_certified(step, target, slope):
     the closure of ``dom f*``).  The margin must beat the catalog's
     boundary slack; zero rows never certify.
     """
-    norm = np.linalg.norm(step, axis=-1)
+    norm = _norm(step)
     d = step / np.where(norm > 0.0, norm, 1.0)[:, None]
     margin = np.sum(target * d, axis=-1) - np.asarray(slope(d), dtype=float)
-    return margin > BOUNDARY_TOL * (1.0 + np.linalg.norm(target, axis=-1))
+    return margin > BOUNDARY_TOL * (1.0 + _norm(target))
 
 
 def _conjugate_ascent(fn, Y, t, opts):
@@ -244,7 +268,7 @@ def _conjugate_ascent(fn, Y, t, opts):
 
     def step(momentum, z, rows):
         z_new = fn.prox(t, momentum + t * Y[rows])
-        return z_new, np.linalg.norm(z_new - z, axis=-1) / t
+        return z_new, _norm(z_new - z) / t
 
     radius = _outside_radius(opts)
 
@@ -268,7 +292,7 @@ def _gradient_iteration(grad_fn, x0, step, opts):
 
     def advance(momentum, *_):
         grad = np.reshape(grad_fn(momentum[0]), (1, -1))
-        return momentum + step * grad, np.sqrt(np.add.reduce(grad * grad, axis=-1))
+        return momentum + step * grad, _norm(grad)
 
     x0 = np.asarray(x0, dtype=float).reshape(1, -1)
     x, status, iters, residual = _fista(advance, x0, opts, escaped=_outside_radius(opts))

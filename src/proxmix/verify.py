@@ -29,6 +29,7 @@ from .compositions import (
     eval_cocomposition,
     eval_cocomposition_batch,
     eval_composition,
+    eval_composition_batch,
     gamma_sweep,
     limit_small_gamma,
     perspective_cocomposition,
@@ -329,6 +330,11 @@ def _co_values(spec, X):
 
 def _comp_value(spec, x):
     return eval_composition(spec, x, OPTS).value
+
+
+def _comp_values(spec, X):
+    vals, _, _ = eval_composition_batch(spec, np.asarray(X, dtype=float), OPTS)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +640,7 @@ def suite_prop7(rng, scale):
         cases.append(
             _le(("prop7-co-mid", i), co[2], 0.5 * (co[0] + co[1]), INEQ_SLACK)
         )
-        comp = [
-            _comp_value(spec, p) for p in (a, b, 0.5 * (a + b))
-        ]
+        comp = _comp_values(spec, pts)
         if all(np.isfinite(comp)):
             cases.append(
                 _le(
@@ -759,9 +763,9 @@ def suite_cor11(rng, scale):
                 np.shape(Z)[:-1]
             ),
             prox_fn=lambda t, Z: prox_cocomposition(inner, Z),
-            conjugate_fn=lambda Y: np.array(
-                [_comp_value(dual_inner, y) for y in np.atleast_2d(Y)]
-            ).reshape(np.shape(Y)[:-1]),
+            conjugate_fn=lambda Y: _comp_values(dual_inner, np.atleast_2d(Y)).reshape(
+                np.shape(Y)[:-1]
+            ),
             prox_gamma=gamma,
         )
         left = eval_cocomposition(CompositionSpec(S, wrapped, gamma), x, OPTS).value
@@ -1568,8 +1572,8 @@ def suite_prop75(rng, scale):
                             s, np.atleast_2d(Z)
                         ).reshape(np.shape(Z)[:-1]),
                         prox_fn=lambda t, Z, s=inner: prox_cocomposition(s, Z),
-                        conjugate_fn=lambda Y, d=dual: np.array(
-                            [_comp_value(d, y) for y in np.atleast_2d(Y)]
+                        conjugate_fn=lambda Y, d=dual: _comp_values(
+                            d, np.atleast_2d(Y)
                         ).reshape(np.shape(Y)[:-1]),
                         prox_gamma=gamma,
                     ),

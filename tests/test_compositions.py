@@ -24,7 +24,13 @@ from proxmix import (
     subgradient_witness_cocomposition,
 )
 from proxmix.cli import figure_preset
-from proxmix.compositions import eval_composition_batch, pushforward_infimum
+from proxmix import compositions
+from proxmix.compositions import (
+    _cocomposition_core,
+    _composition_core,
+    eval_composition_batch,
+    pushforward_infimum,
+)
 from proxmix.errors import AdmissibilityError, DimensionError, ParameterError
 from proxmix.functions import (
     Affine,
@@ -32,7 +38,15 @@ from proxmix.functions import (
     OracleFunction,
     SubspaceIndicator,
 )
-from proxmix.moreau import CONVERGED, DIVERGED, INVALID, SolverOpts, grid_prox
+from proxmix.moreau import (
+    CONVERGED,
+    DEFAULT_OPTS,
+    DIVERGED,
+    INVALID,
+    SolverOpts,
+    grid_prox,
+)
+from proxmix.verify import _isometry, _random_operator, _random_spec
 
 
 def scalar_half_spec(gamma=1.0, fn=None):
@@ -595,3 +609,94 @@ def test_ordering_chain_random_instances():
         assert float(envelope(fn, spec.gamma, w)) <= co + 1e-6
         assert co <= float(np.asarray(fn(w))) + 1e-6
         assert co <= comp + 1e-6
+
+
+def _unfolded_step(core, spec, X):
+    """The step of ``core`` as the dual gradient through two applies each."""
+    L, g, gamma = spec.operator, spec.fn, spec.gamma
+    LX, t = L.apply(X), 1.0 / gamma
+    step_size = 1.0 / (gamma * max(L.norm_bound**2, 1e-12))
+
+    def cocomposition(momentum, y, rows):
+        grad = LX[rows] - gamma * (momentum - L.apply(L.adjoint_apply(momentum)))
+        v = momentum + t * grad
+        y_new = v - (1.0 / gamma) * g.prox(gamma, gamma * v)
+        return y_new, np.linalg.norm(y_new - y, axis=-1) / t
+
+    def composition(momentum, z, rows):
+        w = L.apply(momentum)
+        p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
+        grad = X[rows] - gamma * L.adjoint_apply(w - p)
+        return momentum + step_size * grad, np.linalg.norm(grad, axis=-1)
+
+    return cocomposition if core is _cocomposition_core else composition
+
+
+def _folded_step_specs():
+    """Twelve random full-domain specs and twelve with a restricted ``dom g``.
+
+    Every third restricted-domain operator is an isometry, so the
+    cocomposition tests its recession certificate.  Four points per spec
+    lie in the range of the adjoint, where the composition is finite for
+    full-domain ``g``; the fifth is generic.
+    """
+    rng = np.random.default_rng(2024)
+    specs = [_random_spec(rng) for _ in range(12)]
+    for i in range(12):
+        rows = int(rng.integers(1, 4))
+        cols = min(int(rng.integers(1, 3)), rows)
+        make = _isometry if i % 3 == 0 else _random_operator
+        if i % 2:
+            fn = BallIndicator(0.3 * rng.normal(size=rows), rng.uniform(0.5, 2.0))
+        else:
+            u = rng.normal(size=(rows, 1))
+            fn = SubspaceIndicator(u / np.linalg.norm(u))
+        specs.append(CompositionSpec(make(rng, rows, cols), fn, rng.uniform(0.25, 4.0)))
+    return [
+        (spec, np.vstack([
+            rng.normal(size=(4, spec.operator.rows)) @ spec.operator.entries,
+            2.0 * rng.normal(size=(1, spec.operator.cols)),
+        ]))
+        for spec in specs
+    ]
+
+
+@pytest.mark.parametrize("core", [_cocomposition_core, _composition_core])
+def test_folded_steps_match_the_unfolded_steps(monkeypatch, core):
+    kernel = compositions._fista
+    for spec, X in _folded_step_specs():
+        reference = _unfolded_step(core, spec, X)
+        checked = []
+
+        def compared(step, *args, **kwargs):
+            def both(momentum, z, rows):
+                z_new, res = step(momentum, z, rows)
+                z_ref, res_ref = reference(momentum, z, rows)
+                np.testing.assert_allclose(z_new, z_ref, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(res, res_ref, rtol=1e-12, atol=1e-12)
+                checked.append(len(rows))
+                return z_new, res
+
+            return kernel(both, *args, **kwargs)
+
+        monkeypatch.setattr(compositions, "_fista", compared)
+        values, _, status, iters, _ = core(spec, X, DEFAULT_OPTS)
+        monkeypatch.setattr(
+            compositions, "_fista", lambda _step, *a, **k: kernel(reference, *a, **k)
+        )
+        ref_values, _, ref_status, ref_iters, _ = core(spec, X, DEFAULT_OPTS)
+        monkeypatch.undo()
+        assert sum(checked) == iters.sum() > 0
+        assert list(status) == list(ref_status)
+        assert list(iters) == list(ref_iters)
+        np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("core", [_cocomposition_core, _composition_core])
+def test_folded_batch_rows_equal_single_calls(core):
+    for spec, X in _folded_step_specs():
+        values, _, status, iters, _ = core(spec, X, DEFAULT_OPTS)
+        for row, x in enumerate(X):
+            single = core(spec, x[None, :], DEFAULT_OPTS)
+            assert (single[2][0], single[3][0]) == (status[row], iters[row])
+            assert values[row] == pytest.approx(single[0][0], rel=1e-12, abs=1e-12)

@@ -217,6 +217,14 @@ def test_domain_contains_boundary_tolerance():
     assert not sub.domain_contains(np.array([1.0, 1e-6]), tol=1e-9)
 
 
+def test_whole_space_subspace_conjugate_is_the_origin_indicator():
+    # the orthogonal complement of the whole space has an empty basis
+    conj = conjugate_function(SubspaceIndicator(np.eye(2)))
+    assert conj.basis.shape == (2, 0)
+    assert conj(np.zeros(2)) == 0.0 and conj(np.array([1.0, 0.0])) == np.inf
+    assert np.array_equal(conj.prox(1.0, np.array([3.0, -1.0])), np.zeros(2))
+
+
 # -- transform calculus -------------------------------------------------------
 
 

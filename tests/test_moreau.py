@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from proxmix import (
+    CompositionSpec,
+    DenseMap,
     EuclideanNorm,
     L1Norm,
     MoreauEnvelopeFunction,
@@ -9,6 +13,7 @@ from proxmix import (
     conjugate_numeric,
     envelope,
     envelope_gradient,
+    eval_cocomposition,
     grid_conjugate,
     grid_envelope,
     grid_min,
@@ -18,6 +23,7 @@ from proxmix import (
 )
 from proxmix import BallDistance, OracleFunction
 from proxmix.errors import ParameterError, UnsupportedDimension
+from proxmix import moreau
 from proxmix.functions import conjugate_function
 from proxmix.moreau import CONVERGED, DEFAULT_OPTS, DIVERGED, MAX_ITER, _fista
 from proxmix.verify import _random_conjugable_fn
@@ -301,3 +307,80 @@ def test_fista_passes_only_iterating_rows_to_the_oracles():
     assert (z[[3, 6]] == 1.0).all() and np.abs(z[[0, 1, 4, 5]]).max() < 1e-8
     # early- and late-converging rows leave at different iterations
     assert iters[0] < iters[1] < iters[4] and iters[4] > 50
+
+
+def test_momentum_weights_match_the_float_recurrence_across_growth(monkeypatch):
+    t, expected = np.ones(1), []
+    for _ in range(3000):
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t**2))
+        expected.append(((t - 1.0) / t_next)[0])
+        t = t_next
+    monkeypatch.setattr(moreau, "_BETAS", np.zeros(1))
+    small = moreau._momentum_weights(5)
+    grown = moreau._momentum_weights(3000)
+    assert len(small) == 5 and len(grown) == 3000 and grown[0] == 0.0
+    assert np.array_equal(small, expected[:5])
+    assert np.array_equal(grown, expected)
+    # a request the table already covers returns it unchanged
+    assert moreau._momentum_weights(10) is grown
+
+
+def _reference_fista(step, z0, tol, max_iter):
+    """Row-by-row FISTA with a float ``t`` per row and gradient-scheme restart."""
+    z_out, status, iters, restarts = z0.copy(), [], [], []
+    for i, z in enumerate(z0):
+        momentum, t, count, ended = z, 1.0, 0, MAX_ITER
+        for it in range(1, max_iter + 1):
+            z_new, res = step(i, momentum)
+            delta = z_new - z
+            restart = np.sum((momentum - z_new) * delta) > 0.0
+            t = 1.0 if restart else t
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * (t * t)))
+            beta = 0.0 if restart else (t - 1.0) / t_next
+            momentum, z, t = z_new + beta * delta, z_new, t_next
+            count += restart
+            if res <= tol:
+                ended = CONVERGED
+                break
+        z_out[i] = z
+        status.append(ended)
+        iters.append(it)
+        restarts.append(count)
+    return z_out, status, iters, restarts
+
+
+def test_fista_matches_a_float_t_reference_with_restarts(monkeypatch):
+    # gradient steps on 0.5 z'A_i z - b_i'z; the ill-conditioned rows make
+    # the momentum overshoot and restart, the last one runs out of iterations
+    curv = np.array([[1.0, 0.3], [1.0, 0.01], [1.0, 1e-4]])
+    b = np.array([[1.0, -1.0], [0.5, 2.0], [1.0, 1.0]])
+    monkeypatch.setattr(moreau, "_BETAS", np.zeros(1))  # grows mid-solve
+
+    def row_step(i, m):
+        grad = curv[i] * m - b[i]
+        return m - grad, np.sqrt(np.sum(grad * grad))
+
+    def step(momentum, z, rows):
+        grad = curv[rows] * momentum - b[rows]
+        return momentum - grad, np.sqrt(np.add.reduce(grad * grad, axis=-1))
+
+    z0 = np.zeros((3, 2))
+    opts = SolverOpts(tol=1e-10, max_iter=700)
+    z, status, iters, _ = _fista(step, z0, opts)
+    z_ref, status_ref, iters_ref, restarts = _reference_fista(row_step, z0, 1e-10, 700)
+    assert restarts[1] > 0 and restarts[2] > 0
+    assert list(status) == status_ref == [CONVERGED, CONVERGED, MAX_ITER]
+    assert list(iters) == iters_ref
+    assert np.array_equal(z, z_ref)
+
+
+def test_found_line_solves_keep_their_iteration_counts():
+    # the one-row solves timed in CHANGES.md; counts as before the
+    # age-indexed momentum table and the folded steps
+    spec = CompositionSpec(DenseMap([[0.5, 0.1], [-0.2, 0.4]]), L1Norm(2), 1.0)
+    assert eval_cocomposition(spec, [1.0, -2.0]).iterations == 16
+    a, c = np.array([1.0, 0.01]), np.ones(2)
+    rep = minimize_smooth(
+        lambda x: 0.5 * x @ (a * x) - c @ x, lambda x: a * x - c, np.zeros(2), 1.0
+    )
+    assert rep.status == CONVERGED and rep.iterations == 139
