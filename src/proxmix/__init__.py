@@ -57,6 +57,7 @@ from .compositions import (
     argmin_cocomposition,
     argmin_gamma_sequence,
     envelope_cocomposition,
+    envelope_cocomposition_batch,
     eval_cocomposition,
     eval_cocomposition_batch,
     eval_composition,

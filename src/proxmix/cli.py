@@ -3,8 +3,9 @@
 Evaluates functions, compositions and mixtures from JSON job configs,
 runs parameter sweeps, emits the 2-D comparison grids of the two built-in
 figure presets, minimizes cocompositions and runs verification suites.
-``eval`` and ``prox`` solve all of a job's points in one batch call; each
-``eval`` result carries the point's status and iteration count.
+``eval``, ``prox`` and ``envelope`` solve all of a job's points in one
+batch call, and ``sweep`` all of its parameters; each ``eval`` result
+carries the point's status and iteration count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical divergence,
 4 verification-suite failure.
@@ -24,7 +25,7 @@ from . import verify
 from .compositions import (
     CompositionSpec,
     argmin_cocomposition,
-    envelope_cocomposition,
+    envelope_cocomposition_batch,
     eval_cocomposition_batch,
     eval_composition_batch,
     gamma_sweep,
@@ -287,20 +288,21 @@ def cmd_envelope(config, args):
     kind, spec = _parse_spec(_field(config, "spec"))
     points = _parse_points(config)
     opts = _solver_opts(config)
-    results = []
-    for p in points:
-        if kind == "function":
-            gamma = _numbers(_field(config, "gamma"), "gamma", (0,))
-            val = float(envelope(spec, gamma, p))
-        elif kind == "composition":
-            rho = _numbers(config.get("rho", spec.gamma), "rho", (0,))
-            val = envelope_cocomposition(spec, rho, p, opts)
-        else:
-            val = float(comixture_envelope(spec, p))
-        results.append({"point": p.tolist(), "value": val})
+    if kind == "function":
+        gamma = _numbers(_field(config, "gamma"), "gamma", (0,))
+        values = envelope(spec, gamma, points)
+    elif kind == "composition":
+        rho = _numbers(config.get("rho", spec.gamma), "rho", (0,))
+        values = envelope_cocomposition_batch(spec, rho, points, opts)
+    else:
+        values = comixture_envelope(spec, points)
+    values = np.asarray(values, dtype=float).reshape(len(points))
+    results = [
+        {"point": p, "value": v} for p, v in zip(points.tolist(), values.tolist())
+    ]
     dim = points.shape[1]
     header = [f"x{i+1}" for i in range(dim)] + ["value"]
-    rows = [[*r["point"], r["value"]] for r in results]
+    rows = np.column_stack([points, values])
     _emit({"command": "envelope", "results": results}, (header, rows), args)
     return EXIT_OK
 

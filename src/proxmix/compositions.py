@@ -28,6 +28,7 @@ from .functions import (
     ConvexFunction,
     MoreauEnvelopeFunction,
     _norm,
+    _row_values,
     conjugate_function,
 )
 from .linalg import DenseMap, as_vector, pseudo_inverse_small
@@ -39,6 +40,7 @@ from .moreau import (
     SolverOpts,
     _conjugate_ascent,
     _fista,
+    _minimize_rows,
     _outside_radius,
     _recession_certified,
     envelope,
@@ -57,6 +59,7 @@ __all__ = [
     "prox_composition",
     "prox_cocomposition",
     "envelope_cocomposition",
+    "envelope_cocomposition_batch",
     "subgradient_witness_cocomposition",
     "recession_cocomposition",
     "perspective_cocomposition",
@@ -149,9 +152,9 @@ class CompositionSpec:
 def _conjugate_values(fn, y, gamma, opts):
     """Values of the conjugate at the rows of ``y``.
 
-    Falls back to ``_conjugate_ascent`` at step ``gamma`` when no closed
-    form is registered (oracle-backed functions support the prox at that
-    parameter).
+    Falls back to ``_conjugate_ascent`` at step ``gamma`` (a float or a
+    per-row column) when no closed form is registered (oracle-backed
+    functions support the prox at that parameter).
     """
     try:
         return np.asarray(fn.conjugate(y), dtype=float)
@@ -185,22 +188,26 @@ def _flat_directions(L):
     return u[:, sv >= 1.0 - ADMISSIBILITY_TOL]
 
 
-def _cocomposition_core(spec, X, opts):
+def _cocomposition_core(spec, X, opts, gamma=None):
     """Proximal-gradient ascent on the dual of the cocomposition.
 
-    ``X`` has shape (N, cols).  Returns (values, duals, status, iters,
-    residuals).  The value is finite unless ``g`` has a restricted
-    domain and ``L`` has a singular value within the admissibility slack
-    of 1: only then can the dual penalty ``gamma Phi`` stay flat, along
-    ``ker(I - LL*)``.  Every 50 iterations the displacement of each row,
-    projected onto that kernel, is tested as a recession certificate;
-    'diverged' rows are certified ``+inf``.  Without a catalog conjugate
+    ``X`` has shape (N, cols); ``gamma`` (default ``spec.gamma``) is a
+    float or a per-row column ``(N, 1)``, and the step ``1/gamma``, the
+    shift and the value follow it row by row.  Returns (values, duals,
+    status, iters, residuals).  The value is finite unless ``g`` has a
+    restricted domain and ``L`` has a singular value within the
+    admissibility slack of 1: only then can the dual penalty
+    ``gamma Phi`` stay flat, along ``ker(I - LL*)``.  Every 50
+    iterations the displacement of each row, projected onto that kernel,
+    is tested as a recession certificate; 'diverged' rows are certified
+    ``+inf``.  Without a catalog conjugate
     the test falls back to ``||y|| > opts.divergence_radius``.  The step
     folds its affine part into one product: with ``G = LL*`` the ascent
     point is ``v = m G + Lx/gamma`` and the next dual is
     ``v - prox_{gamma g}(gamma v)/gamma``.
     """
-    L, g, gamma = spec.operator, spec.fn, spec.gamma
+    L, g = spec.operator, spec.fn
+    gamma = spec.gamma if gamma is None else gamma
     flat = None if g.has_full_domain() else _flat_directions(L)
     always_finite = flat is None or flat.shape[1] == 0
     sigma = None if always_finite else _domain_support(g)
@@ -208,27 +215,28 @@ def _cocomposition_core(spec, X, opts):
     t = 1.0 / gamma
     gram, shift = L.entries @ L.entries.T, LX / gamma
 
-    def step(momentum, y, rows):
-        v = momentum @ gram + shift[rows]
+    def step(momentum, y, _rows, shift, gamma, t, t_row):
+        v = momentum @ gram + shift
         y_new = v - t * g.prox(gamma, gamma * v)
-        return y_new, _norm(y_new - y) / t
+        return y_new, _norm(y_new - y) / t_row
 
-    def certified(y, anchor, rows):
+    def certified(y, anchor, rows, *_):
         return _recession_certified(((y - anchor) @ flat) @ flat.T, LX[rows], sigma)
 
     escaped = _outside_radius(opts) if sigma is None else certified
     y, status, iters, residual = _fista(
         step, np.zeros((X.shape[0], L.rows)), opts,
         escaped=None if always_finite else escaped,
+        per_row=(shift, gamma, t, _row_values(t)),
     )
     defect = spec.defect(y)
     gvals = _conjugate_values(g, y, gamma, opts)
-    values = np.sum(LX * y, axis=-1) - gvals - gamma * defect
+    values = np.sum(LX * y, axis=-1) - gvals - _row_values(gamma) * defect
     values = np.where(status == DIVERGED, np.inf, values)
     return values, y, status, iters, residual
 
 
-def _composition_core(spec, X, opts):
+def _composition_core(spec, X, opts, gamma=None):
     """Gradient ascent for the composition through its smooth dual.
 
     Maximizes ``<z, x> - h(z)`` with ``h(z)`` the Moreau envelope of the
@@ -243,9 +251,12 @@ def _composition_core(spec, X, opts):
     sigma_{dom g}(Ld)``, which proves ``x`` outside ``L*(dom g)``; rows
     that pass are 'diverged' with value ``+inf``.  Where no certificate
     exists (full domain, or no catalog conjugate) the test falls back to
-    ``||z|| > opts.divergence_radius``.
+    ``||z|| > opts.divergence_radius``.  ``gamma`` is as for
+    ``_cocomposition_core``; a per-row column scales each row's product
+    with ``L*`` after it is taken.
     """
-    L, g, gamma = spec.operator, spec.fn, spec.gamma
+    L, g = spec.operator, spec.fn
+    gamma = spec.gamma if gamma is None else gamma
     n = X.shape[0]
 
     # certify infeasible base points through the adjoint range
@@ -259,45 +270,75 @@ def _composition_core(spec, X, opts):
         sigma = _domain_support(g)
 
     nb2 = max(spec.operator.norm_bound**2, 1e-12)
-    step_size, scaled_adjoint = 1.0 / (gamma * nb2), gamma * L.entries.T
+    step_size = 1.0 / (gamma * nb2)
+    if np.ndim(gamma):
+        adjoint = L.entries.T
+        lift = lambda m, gamma: (m @ adjoint) * gamma  # noqa: E731
+    else:
+        scaled_adjoint = gamma * L.entries.T
+        lift = lambda m, _gamma: m @ scaled_adjoint  # noqa: E731
 
-    def step(momentum, z, rows):
-        grad = X[rows] - g.prox(gamma, momentum @ scaled_adjoint) @ L.entries
+    def step(momentum, z, _rows, x, gamma, step_size):
+        grad = x - g.prox(gamma, lift(momentum, gamma)) @ L.entries
         return momentum + step_size * grad, _norm(grad)
 
-    def certified(z, anchor, rows):
-        return _recession_certified(z - anchor, X[rows], lambda d: sigma(L.apply(d)))
+    def certified(z, anchor, _rows, x, *_):
+        return _recession_certified(z - anchor, x, lambda d: sigma(L.apply(d)))
 
     escaped = _outside_radius(opts) if sigma is None else certified
     z, status, iters, residual = _fista(
-        step, X.copy(), opts, active=~infeasible, escaped=escaped
+        step, X.copy(), opts, active=~infeasible, escaped=escaped,
+        per_row=(X, gamma, step_size),
     )
     status[infeasible] = DIVERGED
     w = L.apply(z)
     p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
-    hvals = _conjugate_values(g, p, gamma, opts) + 0.5 * gamma * _norm(w - p) ** 2
-    vals = np.sum(z * X, axis=-1) - hvals - _norm(X) ** 2 / (2.0 * gamma)
+    gamma_row = _row_values(gamma)
+    hvals = _conjugate_values(g, p, gamma, opts) + 0.5 * gamma_row * _norm(w - p) ** 2
+    vals = np.sum(z * X, axis=-1) - hvals - _norm(X) ** 2 / (2.0 * gamma_row)
     values = np.where(status == DIVERGED, np.inf, vals)
     return values, z, status, iters, residual
 
 
-def _batch(core, spec, X, opts):
-    """Run ``core`` on the finite rows of ``X``: (values, status, iters).
-
-    Rows with a NaN or infinite entry never enter the iteration; they are
-    'invalid' with value nan and 0 iterations.  Raises DimensionError
-    unless ``X`` is 2-D with ``spec.operator.cols`` columns.
-    """
+def _base_rows(spec, X):
+    """``X`` as float rows; DimensionError unless 2-D with the operator's columns."""
     X = np.asarray(X, dtype=float)
     cols = spec.operator.cols
     if X.ndim != 2 or X.shape[1] != cols:
         raise DimensionError(f"expected rows of dimension {cols}, got shape {X.shape}")
+    return X
+
+
+def _gamma_column(gammas):
+    """Parameters as a per-row column ``(n, 1)``; ParameterError unless finite and > 0."""
+    column = np.asarray(gammas, dtype=float).reshape(-1, 1)
+    if not (np.isfinite(column).all() and (column > 0).all()):
+        raise ParameterError("all parameters must be finite and positive")
+    return column
+
+
+def _batch(core, spec, X, opts, gamma=None):
+    """Run ``core`` on the finite rows of ``X``: (values, status, iters).
+
+    Rows with a NaN or infinite entry never enter the iteration; they are
+    'invalid' with value nan and 0 iterations.  Raises DimensionError
+    unless ``X`` is 2-D with ``spec.operator.cols`` columns and ``gamma``,
+    when given, has one value per row.
+    """
+    X = _base_rows(spec, X)
+    if gamma is not None:
+        gamma = _gamma_column(gamma)
+        if len(gamma) != len(X):
+            raise DimensionError(f"expected {len(X)} parameters, got {len(gamma)}")
     valid = np.isfinite(X).all(axis=-1)
     values = np.full(len(X), np.nan)
     status = np.full(len(X), INVALID, dtype=object)
     iters = np.zeros(len(X), dtype=int)
     if valid.any():
-        values[valid], _, status[valid], iters[valid], _ = core(spec, X[valid], opts)
+        per_row = None if gamma is None else gamma[valid]
+        values[valid], _, status[valid], iters[valid], _ = core(
+            spec, X[valid], opts, per_row
+        )
     return values, status, iters
 
 
@@ -322,13 +363,15 @@ def eval_cocomposition(spec, x, opts: SolverOpts = DEFAULT_OPTS):
     return _single(_cocomposition_core, spec, x, opts)
 
 
-def eval_cocomposition_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS):
+def eval_cocomposition_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS, gamma=None):
     """Cocomposition values over rows of ``X``: (values, status, iters).
 
     Statuses as for ``eval_cocomposition``; rows with a non-finite entry
-    are 'invalid' with value nan and 0 iterations.
+    are 'invalid' with value nan and 0 iterations.  ``gamma``, one
+    parameter per row, replaces ``spec.gamma`` row by row: a parameter
+    list is one solve.
     """
-    return _batch(_cocomposition_core, spec, X, opts)
+    return _batch(_cocomposition_core, spec, X, opts, gamma)
 
 
 def eval_composition(spec, x, opts: SolverOpts = DEFAULT_OPTS):
@@ -343,13 +386,14 @@ def eval_composition(spec, x, opts: SolverOpts = DEFAULT_OPTS):
     return _single(_composition_core, spec, x, opts)
 
 
-def eval_composition_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS):
+def eval_composition_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS, gamma=None):
     """Composition values over rows of ``X``: (values, status, iters).
 
     Statuses as for ``eval_composition``; rows with a non-finite entry
-    are 'invalid' with value nan and 0 iterations.
+    are 'invalid' with value nan and 0 iterations.  ``gamma`` as for
+    ``eval_cocomposition_batch``.
     """
-    return _batch(_composition_core, spec, X, opts)
+    return _batch(_composition_core, spec, X, opts, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -373,45 +417,65 @@ def prox_cocomposition(spec, x):
 
 
 def _collapse(spec):
-    """Value and gradient of the smooth collapse ``z -> env_gamma(g)(Lz)``."""
-    L, g, gamma = spec.operator, spec.fn, spec.gamma
+    """Value and gradient of the smooth collapse ``z -> env_gamma(g)(Lz)``.
+
+    Both act on rows ``z`` (or one point) and take ``gamma``, a float or a
+    per-row column.
+    """
+    L, g = spec.operator, spec.fn
     return (
-        lambda z: float(envelope(g, gamma, L.apply(z))),
-        lambda z: L.adjoint_apply(envelope_gradient(g, gamma, L.apply(z))),
+        lambda z, gamma: envelope(g, gamma, L.apply(z)),
+        lambda z, gamma: L.adjoint_apply(envelope_gradient(g, gamma, L.apply(z))),
     )
 
 
 def envelope_cocomposition(spec, rho, x, opts: SolverOpts = DEFAULT_OPTS):
     """Moreau envelope of the cocomposition at index ``rho``.
 
-    Three regimes:
+    The one-row case of ``envelope_cocomposition_batch``.
+    """
+    x = as_vector(x, spec.operator.cols)
+    return float(envelope_cocomposition_batch(spec, rho, x[None, :], opts)[0])
+
+
+def envelope_cocomposition_batch(spec, rho, X, opts: SolverOpts = DEFAULT_OPTS):
+    """Moreau envelope of the cocomposition at index ``rho`` over rows of ``X``.
+
+    Three regimes, each one call for all rows:
     * ``rho == gamma``: collapses exactly to ``envelope(g, gamma, Lx)``;
     * ``rho < gamma``: equals the cocomposition at parameter
       ``gamma - rho`` of the envelope of ``g`` with index ``rho``;
     * ``rho > gamma``: envelope of the smooth collapse at the remaining
-      index ``rho - gamma``, computed by strongly convex minimization.
+      index ``rho - gamma``, computed by strongly convex minimization
+      (value ``+inf`` if it reports 'diverged').
+    Rows with a non-finite entry get nan.  Raises DimensionError unless
+    ``X`` is 2-D with ``spec.operator.cols`` columns.
     """
     if not rho > 0:
         raise ParameterError("envelope index must be positive")
     L, g, gamma = spec.operator, spec.fn, spec.gamma
-    x = as_vector(x, L.cols)
-    if np.isclose(rho, gamma, rtol=1e-12):
-        return float(envelope(g, gamma, L.apply(x)))
-    if rho < gamma:
-        inner = MoreauEnvelopeFunction(g, rho)
-        shifted = CompositionSpec(L, inner, gamma - rho)
-        return float(eval_cocomposition(shifted, x, opts).value)
-    lam = rho - gamma
-    lip = L.norm_bound**2 / gamma + 1.0 / lam
-    collapse, collapse_grad = _collapse(spec)
-    report = minimize_smooth(
-        lambda z: collapse(z) + float(np.linalg.norm(z - x) ** 2) / (2 * lam),
-        lambda z: collapse_grad(z) + (z - x) / lam,
-        x.copy(),
-        lip,
-        opts,
-    )
-    return float(report.value)
+    X = _base_rows(spec, X)
+    valid = np.isfinite(X).all(axis=-1)
+    X, values = X[valid], np.full(len(X), np.nan)
+    # np.isclose(rho, gamma, rtol=1e-12) without its array set-up
+    if abs(rho - gamma) <= 1e-8 + 1e-12 * gamma:
+        values[valid] = envelope(g, gamma, L.apply(X))
+    elif rho < gamma:
+        shifted = CompositionSpec(L, MoreauEnvelopeFunction(g, rho), gamma - rho)
+        values[valid] = eval_cocomposition_batch(shifted, X, opts)[0]
+    else:
+        lam = rho - gamma
+        lip = L.norm_bound**2 / gamma + 1.0 / lam
+        collapse, collapse_grad = _collapse(spec)
+        values[valid] = _minimize_rows(
+            lambda z, x: collapse(z, gamma) + _norm(z - x) ** 2 / (2 * lam),
+            lambda z, x: collapse_grad(z, gamma) + (z - x) / lam,
+            X,
+            lip,
+            opts,
+            per_row=(X,),
+        )[0]
+    return values
 
 
 def subgradient_witness_cocomposition(spec, x):
@@ -450,6 +514,16 @@ def perspective_cocomposition(spec, x, xi, opts: SolverOpts = DEFAULT_OPTS):
 # ---------------------------------------------------------------------------
 
 
+def _parameter_rows(operator, fn, x, gammas):
+    """A spec of ``(operator, fn)``, the point ``x``, and ``x`` once per parameter.
+
+    The spec's own parameter is a placeholder: the batch solves take the
+    parameters row by row.
+    """
+    x = as_vector(x, operator.cols)
+    return CompositionSpec(operator, fn, 1.0), x, np.tile(x, (len(gammas), 1))
+
+
 @dataclass
 class GammaSweepReport:
     gammas: np.ndarray
@@ -463,19 +537,16 @@ class GammaSweepReport:
 def gamma_sweep(operator, fn, x, gammas, opts: SolverOpts = DEFAULT_OPTS, slack=1e-7):
     """Evaluate both compositions over an increasing parameter list.
 
-    Flags (non-strict) monotone decrease of each value column beyond the
-    stated slack.
+    One batch solve per composition, with one row per parameter.  Flags
+    (non-strict) monotone decrease of each value column beyond the stated
+    slack.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
     if np.any(gammas <= 0):
         raise ParameterError("all sweep parameters must be positive")
-    comp, cocomp = [], []
-    for gamma in gammas:
-        spec = CompositionSpec(operator, fn, gamma)
-        comp.append(eval_composition(spec, x, opts).value)
-        cocomp.append(eval_cocomposition(spec, x, opts).value)
-    comp = np.asarray(comp)
-    cocomp = np.asarray(cocomp)
+    spec, _, X = _parameter_rows(operator, fn, x, gammas)
+    comp = eval_composition_batch(spec, X, opts, gammas)[0]
+    cocomp = eval_cocomposition_batch(spec, X, opts, gammas)[0]
 
     def monotone(vals):
         finite = vals[np.isfinite(vals)]
@@ -501,17 +572,12 @@ def limit_small_gamma(operator, fn, x, gammas, opts: SolverOpts = DEFAULT_OPTS, 
 
     Reports the per-parameter gaps to the plain composed value ``g(Lx)``
     and, when ``g`` carries a Lipschitz bound ``beta``, asserts each gap
-    against ``gamma beta^2 / 2`` plus slack.
+    against ``gamma beta^2 / 2`` plus slack.  One batch solve.
     """
     gammas = np.asarray(sorted(gammas, reverse=True), dtype=float)
-    x = as_vector(x, operator.cols)
+    spec, x, X = _parameter_rows(operator, fn, x, gammas)
     target = float(np.asarray(fn(operator.apply(x))))
-    vals = np.array(
-        [
-            eval_cocomposition(CompositionSpec(operator, fn, g_), x, opts).value
-            for g_ in gammas
-        ]
-    )
+    vals = eval_cocomposition_batch(spec, X, opts, gammas)[0]
     gaps = target - vals
     beta = fn.lipschitz_bound()
     bounds = None if beta is None else gammas * beta**2 / 2.0
@@ -542,7 +608,8 @@ def limit_large_gamma(
 ):
     """Growing-parameter tail of either composition, with its limit target.
 
-    Targets are computed independently of the solvers:
+    The tail is one batch solve.  Targets are computed independently of
+    the solvers:
 
     * composition: the infimum of ``g`` over the affine fiber
       ``{y : L* y = x}`` (unique preimage when the adjoint is injective,
@@ -554,15 +621,9 @@ def limit_large_gamma(
       a grid over the range basis coefficients.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
-    x = as_vector(x, operator.cols)
-    vals = []
-    for g_ in gammas:
-        spec = CompositionSpec(operator, fn, g_)
-        if which == "composition":
-            vals.append(eval_composition(spec, x, opts).value)
-        else:
-            vals.append(eval_cocomposition(spec, x, opts).value)
-    vals = np.asarray(vals)
+    spec, x, X = _parameter_rows(operator, fn, x, gammas)
+    solve = eval_composition_batch if which == "composition" else eval_cocomposition_batch
+    vals = solve(spec, X, opts, gammas)[0]
     if target is None:
         target = _large_gamma_target(
             operator, fn, x, which, oracle_halfwidth, oracle_steps
@@ -658,10 +719,17 @@ def argmin_cocomposition(spec, opts: SolverOpts = DEFAULT_OPTS, x0=None):
     accelerated gradient descent with the certified step.  A 'diverged'
     report signals a non-coercive objective.
     """
-    L = spec.operator
+    L, gamma = spec.operator, spec.gamma
     x0 = np.zeros(L.cols) if x0 is None else as_vector(x0, L.cols)
-    lip = max(L.norm_bound**2, 1e-12) / spec.gamma
-    return minimize_smooth(*_collapse(spec), x0, lip, opts)
+    lip = max(L.norm_bound**2, 1e-12) / gamma
+    collapse, collapse_grad = _collapse(spec)
+    return minimize_smooth(
+        lambda z: float(collapse(z, gamma)),
+        lambda z: collapse_grad(z, gamma),
+        x0,
+        lip,
+        opts,
+    )
 
 
 @dataclass
@@ -672,15 +740,18 @@ class MinimizerSequenceReport:
     final_gap: float
 
 
-def _infima_sequence(argmin_at, gammas, reference):
-    """Infima ``argmin_at(gamma).value`` over the gammas sorted descending.
+def _infima_sequence(infima_at, gammas, reference):
+    """Infima over the gammas sorted descending, from one many-row solve.
 
-    The reference defaults to the infimum at ``2**-20``.
+    ``infima_at(column)`` minimizes once per row of a per-row parameter
+    column.  Without a reference, the infimum at ``2**-20`` is solved as
+    one more row of the same solve.
     """
     gammas = np.asarray(sorted(gammas, reverse=True), dtype=float)
-    infima = np.array([argmin_at(g_).value for g_ in gammas])
+    column = _gamma_column(gammas if reference is not None else [*gammas, 2.0**-20])
+    infima = infima_at(column)
     if reference is None:
-        reference = argmin_at(2.0**-20).value
+        infima, reference = infima[:-1], infima[-1]
     return MinimizerSequenceReport(
         gammas, infima, float(reference), float(infima[-1] - reference)
     )
@@ -693,10 +764,16 @@ def argmin_gamma_sequence(
 
     The infima converge to the minimum of the plain composition
     ``g(Lx)``; the reference defaults to a run at parameter ``2**-20``
-    (callers should supply a grid-oracle value in low dimension).
+    (callers should supply a grid-oracle value in low dimension).  Every
+    parameter is one row of one ``argmin_cocomposition``-style solve.
     """
-    return _infima_sequence(
-        lambda g_: argmin_cocomposition(CompositionSpec(operator, fn, g_), opts),
-        gammas,
-        reference,
-    )
+    spec = CompositionSpec(operator, fn, 1.0)
+    collapse, collapse_grad = _collapse(spec)
+
+    def infima_at(gamma):
+        lip = max(operator.norm_bound**2, 1e-12) / gamma
+        X0 = np.zeros((len(gamma), operator.cols))
+        values, *_ = _minimize_rows(collapse, collapse_grad, X0, lip, opts, (gamma,))
+        return values
+
+    return _infima_sequence(infima_at, gammas, reference)

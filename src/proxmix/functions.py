@@ -54,6 +54,16 @@ def _norm(x):
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
+def _row_values(param):
+    """A per-row parameter column ``(n, 1)`` as its ``n`` values; a float as it is."""
+    return param[..., 0] if isinstance(param, np.ndarray) else param
+
+
+def _all_positive(param):
+    """``param > 0`` for a float, or for every row of a per-row column."""
+    return (param > 0).all() if isinstance(param, np.ndarray) else param > 0
+
+
 def _dot(a, b):
     return np.sum(a * b, axis=-1)
 
@@ -149,7 +159,9 @@ class ConvexFunction:
 
 
 def _check_gamma(gamma):
-    if not gamma > 0:
+    """Reject a non-positive prox parameter: a float, or a per-row column."""
+    # inline _all_positive: this runs once per prox call
+    if not ((gamma > 0).all() if isinstance(gamma, np.ndarray) else gamma > 0):
         raise ParameterError(f"prox parameter must be positive, got {gamma}")
 
 
@@ -442,9 +454,10 @@ class BallDistance(ConvexFunction):
         _check_gamma(gamma)
         x = self._check_point(x)
         dist, proj = self._dist_and_proj(x)
+        dist = dist[..., None]  # a per-row gamma column broadcasts against it
         far = dist > gamma
         safe = np.where(dist > 0, dist, 1.0)
-        step = np.where(far, gamma / safe, 1.0)[..., None]
+        step = np.where(far, gamma / safe, 1.0)
         return x + step * (proj - x)
 
     def conjugate(self, s):
@@ -861,7 +874,7 @@ class OracleFunction(ConvexFunction):
             raise UnsupportedConjugate("oracle function has no prox")
         if self._prox_gamma is not None and not np.isclose(
             gamma, self._prox_gamma, rtol=1e-12, atol=0.0
-        ):
+        ).all():
             raise ParameterError(
                 f"oracle prox only available at parameter {self._prox_gamma}"
             )

@@ -39,6 +39,7 @@ from .moreau import (
     SolverOpts,
     _fista,
     _gradient_iteration,
+    _minimize_rows,
     envelope,
     envelope_gradient,
     minimize_smooth,
@@ -231,6 +232,11 @@ class MixtureEvalResult:
         return float(abs(self.value - self.direct.value))
 
 
+def _norm_budget(spec):
+    """``sum_k alpha_k ||L_k||^2`` with the certified norm bounds."""
+    return sum(t.alpha * t.operator.norm_bound**2 for t in spec.terms)
+
+
 def _per_term_conjugate_prox(term, gamma, v):
     """Prox of ``(1/gamma) g_k*`` at ``v`` through the Moreau identity."""
     return v - (1.0 / gamma) * term.fn.prox(gamma, gamma * v)
@@ -244,8 +250,7 @@ def _mixture_direct(spec, x, opts):
     the quadratic correction.
     """
     gamma = spec.gamma
-    lip = gamma * sum(t.alpha * t.operator.norm_bound**2 for t in spec.terms)
-    step = 1.0 / max(lip, 1e-12)
+    step = 1.0 / max(gamma * _norm_budget(spec), 1e-12)
 
     def gradient(z):
         grad = x.copy()
@@ -256,8 +261,9 @@ def _mixture_direct(spec, x, opts):
         return grad
 
     z, status, it, gnorm = _gradient_iteration(
-        gradient, np.zeros(spec.base_dim), step, opts
+        lambda m: gradient(m[0])[None], np.zeros((1, spec.base_dim)), step, opts
     )
+    z = z[0]
     h = 0.0
     for t in spec.terms:
         w = t.operator.apply(z)
@@ -267,7 +273,7 @@ def _mixture_direct(spec, x, opts):
             + 0.5 * gamma * float(np.linalg.norm(w - p) ** 2)
         )
     value = float(np.dot(z, x)) - h - float(np.linalg.norm(x) ** 2) / (2 * gamma)
-    return SolveReport(value, z, it, status, gnorm)
+    return SolveReport(value, z, int(it[0]), str(status[0]), float(gnorm[0]))
 
 
 def _comixture_direct(spec, x, opts):
@@ -378,9 +384,23 @@ def _weighted_sum(spec, x, term_value):
     return float(total) if np.ndim(total) == 0 else total
 
 
+def _envelope_sum(spec, x, gamma):
+    """``sum_k alpha_k env_gamma(g_k)(L_k x)``; ``gamma`` a float or a per-row column."""
+    return _weighted_sum(spec, x, lambda t, w: envelope(t.fn, gamma, w))
+
+
+def _envelope_sum_gradient(spec, x, gamma):
+    """Gradient of ``_envelope_sum`` in ``x``."""
+    return _weighted_sum(
+        spec,
+        x,
+        lambda t, w: t.operator.adjoint_apply(envelope_gradient(t.fn, gamma, w)),
+    )
+
+
 def comixture_envelope(spec, x):
     """Envelope of the comixture: ``sum_k alpha_k env_gamma(g_k)(L_k x)``; exact."""
-    return _weighted_sum(spec, x, lambda t, w: envelope(t.fn, spec.gamma, w))
+    return _envelope_sum(spec, x, spec.gamma)
 
 
 def comixture_recession(spec, x):
@@ -390,18 +410,14 @@ def comixture_recession(spec, x):
 
 def comixture_argmin(spec, opts: SolverOpts = DEFAULT_OPTS, x0=None):
     """Minimize the comixture through its smooth envelope sum."""
-    lip = sum(t.alpha * t.operator.norm_bound**2 for t in spec.terms) / spec.gamma
+    lip = _norm_budget(spec) / spec.gamma
     x0 = np.zeros(spec.base_dim) if x0 is None else as_vector(x0, spec.base_dim)
-
-    def grad(z):
-        return _weighted_sum(
-            spec,
-            z,
-            lambda t, w: t.operator.adjoint_apply(envelope_gradient(t.fn, spec.gamma, w)),
-        )
-
     return minimize_smooth(
-        partial(comixture_envelope, spec), grad, x0, max(lip, 1e-12), opts
+        partial(comixture_envelope, spec),
+        partial(_envelope_sum_gradient, spec, gamma=spec.gamma),
+        x0,
+        max(lip, 1e-12),
+        opts,
     )
 
 
@@ -410,11 +426,20 @@ def comixture_argmin_sequence(terms, gammas, opts: SolverOpts = DEFAULT_OPTS, re
 
     They converge to the minimum of the averaged plain composition
     ``sum alpha_k g_k(L_k x)``; a tiny-parameter run stands in for the
-    reference when none is supplied.
+    reference when none is supplied.  Every parameter is one row of one
+    ``comixture_argmin``-style solve.
     """
-    return _infima_sequence(
-        lambda g_: comixture_argmin(MixtureSpec(terms, g_), opts), gammas, reference
-    )
+    spec = MixtureSpec(terms, 1.0)
+
+    def infima_at(gamma):
+        lip = np.maximum(_norm_budget(spec) / gamma, 1e-12)
+        X0 = np.zeros((len(gamma), spec.base_dim))
+        return _minimize_rows(
+            partial(_envelope_sum, spec), partial(_envelope_sum_gradient, spec),
+            X0, lip, opts, per_row=(gamma,),
+        )[0]
+
+    return _infima_sequence(infima_at, gammas, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +471,13 @@ def pcm_estimate(
     The limit is the constrained infimum of the weighted value sum over
     families ``(y_k)`` with ``sum alpha_k L_k* y_k = x``, computed on the
     direct-sum embedding by searching the adjoint fiber (up to two free
-    directions).
+    directions).  The tail is one batch solve on the embedding.
     """
     x = as_vector(x, spec.base_dim)
     gammas = np.asarray(sorted(gamma_tail), dtype=float)
-    values = np.array(
-        [
-            mixture_eval(spec.with_gamma(g_), x, opts).value
-            for g_ in gammas
-        ]
-    )
     emb = embed(spec)
+    X = np.tile(x, (len(gammas), 1))
+    values = eval_composition_batch(emb.composition, X, opts, gammas)[0]
     oracle = None
     witness = None
     gap = None

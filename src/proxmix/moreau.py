@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConjugate, UnsupportedDimension
-from .functions import BOUNDARY_TOL, ConvexFunction, _norm
+from .functions import BOUNDARY_TOL, ConvexFunction, _all_positive, _norm, _row_values
 
 __all__ = [
     "SolverOpts",
@@ -122,20 +122,24 @@ def envelope(fn: ConvexFunction, gamma, x):
     """Moreau envelope value ``min_y f(y) + ||x-y||^2/(2 gamma)``.
 
     Always finite; computed through the exact prox.  Batched over the
-    leading axes of ``x``.
+    leading axes of ``x``; ``gamma`` is a float or, for rows ``(n, dim)``,
+    a per-row column ``(n, 1)``.
     """
-    if not gamma > 0:
+    if not _all_positive(gamma):
         raise ParameterError("envelope index must be positive")
     x = np.asarray(x, dtype=float)
     p = fn.prox(gamma, x)
     gap = np.linalg.norm(x - p, axis=-1)
-    vals = np.asarray(fn(p)) + gap**2 / (2.0 * gamma)
+    vals = np.asarray(fn(p)) + gap**2 / (2.0 * _row_values(gamma))
     return float(vals) if vals.ndim == 0 else vals
 
 
 def envelope_gradient(fn: ConvexFunction, gamma, x):
-    """Gradient of the envelope: ``(x - prox_gamma(x)) / gamma``."""
-    if not gamma > 0:
+    """Gradient of the envelope: ``(x - prox_gamma(x)) / gamma``.
+
+    ``gamma`` as for ``envelope``.
+    """
+    if not _all_positive(gamma):
         raise ParameterError("envelope index must be positive")
     x = np.asarray(x, dtype=float)
     return (x - fn.prox(gamma, x)) / gamma
@@ -184,22 +188,30 @@ def _momentum_weights(size):
     return _BETAS
 
 
-def _fista(step, z, opts, active=None, escaped=None):
+def _gather(per_row, index):
+    """The array entries of ``per_row`` at ``index``; other entries as they are."""
+    return tuple(c[index] if isinstance(c, np.ndarray) else c for c in per_row)
+
+
+def _fista(step, z, opts, active=None, escaped=None, per_row=()):
     """Accelerated iteration on the rows of ``z``: (z, status, iters, residual).
 
     FISTA (Beck & Teboulle 2009) with per-row gradient-scheme restart
     (O'Donoghue & Candes 2015) on the working set ``rows`` of rows still
-    iterating, with which the oracles gather their per-row constants.
-    A row's momentum weight is read from the ``_momentum_weights`` table
-    at its ``age``, the iterations since its last restart; no per-row
-    ``t`` is carried, and a restart sets the age to 0, whose weight is 0.
-    ``step(momentum, z, rows)`` returns the next iterate and a per-row
-    residual; a row is 'converged' once its residual is ``<= opts.tol``.
-    Every 50 iterations ``escaped(z, anchor, rows)``, ``anchor`` being
-    the iterate 50 iterations earlier, marks rows 'diverged'.  A row that
-    stops is written out and leaves the set; rows outside ``active`` never
-    enter it (0 iterations, residual inf), rows left at ``opts.max_iter``
-    are 'max_iter'.  Each row's residual is the one of its last step.
+    iterating.  A row's momentum weight is read from the
+    ``_momentum_weights`` table at its ``age``, the iterations since its
+    last restart; no per-row ``t`` is carried, and a restart sets the age
+    to 0, whose weight is 0.  ``per_row`` holds the oracles' per-row
+    constants: an array has one entry per row of ``z`` and is gathered
+    with the working set, only when the set shrinks; any other entry (a
+    float) is passed as it is.  ``step(momentum, z, rows, *per_row)``
+    returns the next iterate and a per-row residual; a row is 'converged'
+    once its residual is ``<= opts.tol``.  Every 50 iterations
+    ``escaped(z, anchor, rows, *per_row)``, ``anchor`` being the iterate
+    50 iterations earlier, marks rows 'diverged'.  A row that stops is
+    written out and leaves the set; rows outside ``active`` never enter it
+    (0 iterations, residual inf), rows left at ``opts.max_iter`` are
+    'max_iter'.  Each row's residual is the one of its last step.
     """
     n = len(z)
     rows = np.arange(n) if active is None else np.flatnonzero(active)
@@ -207,6 +219,8 @@ def _fista(step, z, opts, active=None, escaped=None):
     iters = np.zeros(n, dtype=int)
     residual = np.full(n, np.inf)
     z_out, z = z.copy(), z[rows]
+    if active is not None:
+        per_row = _gather(per_row, rows)
     momentum = anchor = z
     age, res = np.zeros(len(rows), dtype=int), residual[rows]
     betas, tol, it = _BETAS, opts.tol, 0
@@ -214,7 +228,7 @@ def _fista(step, z, opts, active=None, escaped=None):
         if it == len(betas):
             betas = _momentum_weights(it + 1)
         it += 1
-        z_new, res = step(momentum, z, rows)
+        z_new, res = step(momentum, z, rows, *per_row)
         delta = z_new - z
         restart = np.add.reduce((momentum - z_new) * delta, axis=-1) > 0.0
         age[restart] = 0
@@ -222,15 +236,16 @@ def _fista(step, z, opts, active=None, escaped=None):
         z, age = z_new, age + 1
         stop = converged = res <= tol
         if escaped is not None and it % 50 == 0:
-            stop = converged | escaped(z, anchor, rows)
+            stop = converged | escaped(z, anchor, rows, *per_row)
             anchor = z
         if np.count_nonzero(stop):
-            done = rows[stop]
+            done, keep = rows[stop], ~stop
             status[done] = [CONVERGED if c else DIVERGED for c in converged[stop]]
             z_out[done], iters[done], residual[done] = z[stop], it, res[stop]
             rows, z, momentum, age, anchor, res = (
-                a[~stop] for a in (rows, z, momentum, age, anchor, res)
+                a[keep] for a in (rows, z, momentum, age, anchor, res)
             )
+            per_row = _gather(per_row, keep)
     z_out[rows], iters[rows], residual[rows] = z, it, res
     return z_out, status, iters, residual
 
@@ -259,44 +274,61 @@ def _conjugate_ascent(fn, Y, t, opts):
     """Conjugate values at the rows of ``Y``: (values, z, status, iters, residual).
 
     ``_fista`` on the proximal-point step ``z <- prox_{t f}(m + t y)``
-    that ascends ``<z, y> - f(z)``, from ``z = 0``; the residual is the
-    step length per unit step.  Every 50 iterations the displacement is
+    that ascends ``<z, y> - f(z)``, from ``z = 0``; the step ``t`` is a
+    float or a per-row column, and the residual is the step length per
+    unit step.  Every 50 iterations the displacement is
     tested as the recession certificate ``<y, d> > f_inf(d)``; where ``fn``
     has no recession oracle the test is the divergence radius.
     'diverged' rows have value ``+inf``.
     """
 
-    def step(momentum, z, rows):
-        z_new = fn.prox(t, momentum + t * Y[rows])
-        return z_new, _norm(z_new - z) / t
+    def step(momentum, z, _rows, y, t, t_row):
+        z_new = fn.prox(t, momentum + t * y)
+        return z_new, _norm(z_new - z) / t_row
 
     radius = _outside_radius(opts)
 
-    def escaped(z, anchor, rows):
+    def escaped(z, anchor, _rows, y, *_):
         try:
-            return _recession_certified(z - anchor, Y[rows], fn.recession)
+            return _recession_certified(z - anchor, y, fn.recession)
         except UnsupportedConjugate:
             return radius(z)
 
-    z, status, iters, residual = _fista(step, np.zeros_like(Y), opts, escaped=escaped)
+    z, status, iters, residual = _fista(
+        step, np.zeros_like(Y), opts, escaped=escaped, per_row=(Y, t, _row_values(t))
+    )
     values = np.sum(z * Y, axis=-1) - np.asarray(fn(z), dtype=float)
     return np.where(status == DIVERGED, np.inf, values), z, status, iters, residual
 
 
-def _gradient_iteration(grad_fn, x0, step, opts):
-    """``_fista`` on the single row ``x <- m + step * grad_fn(m)`` from ``x0``.
+def _gradient_iteration(grad_fn, X0, step, opts, per_row=()):
+    """``_fista`` on the rows ``x <- m + step * grad_fn(m, *per_row)`` from ``X0``.
 
-    The residual is ``||grad_fn(m)||``; the escape test is the divergence
-    radius.  Returns ``(x, status, iters, residual)`` of the row.
+    ``step`` is a float or a per-row column; ``per_row`` holds the
+    gradient's per-row constants, gathered as in ``_fista``.  The residual
+    is ``||grad_fn(m)||``; the escape test is the divergence radius.
+    Returns ``(x, status, iters, residual)``.
     """
 
-    def advance(momentum, *_):
-        grad = np.reshape(grad_fn(momentum[0]), (1, -1))
+    def advance(momentum, _z, _rows, step, *consts):
+        grad = grad_fn(momentum, *consts)
         return momentum + step * grad, _norm(grad)
 
-    x0 = np.asarray(x0, dtype=float).reshape(1, -1)
-    x, status, iters, residual = _fista(advance, x0, opts, escaped=_outside_radius(opts))
-    return x[0], str(status[0]), int(iters[0]), float(residual[0])
+    return _fista(
+        advance, X0, opts, escaped=_outside_radius(opts), per_row=(step, *per_row)
+    )
+
+
+def _minimize_rows(value_fn, grad_fn, X0, lipschitz, opts, per_row=()):
+    """``minimize_smooth`` on many rows at once: (values, x, status, iters).
+
+    ``lipschitz`` is a float or a per-row column; ``value_fn(x, *per_row)``
+    and ``grad_fn(m, *per_row)`` act on rows.  'diverged' rows have value
+    ``+inf``.
+    """
+    x, status, iters, _ = _gradient_iteration(grad_fn, X0, -1.0 / lipschitz, opts, per_row)
+    values = np.where(status == DIVERGED, np.inf, value_fn(x, *per_row))
+    return values, x, status, iters
 
 
 def minimize_smooth(value_fn, grad_fn, x0, lipschitz, opts: SolverOpts = DEFAULT_OPTS):
@@ -306,13 +338,20 @@ def minimize_smooth(value_fn, grad_fn, x0, lipschitz, opts: SolverOpts = DEFAULT
     the momentum point is ``<= opts.tol`` (the report's residual); the
     argpoint is the gradient step taken from there.  An iterate whose norm
     exceeds the divergence radius (tested every 50 iterations) reports
-    'diverged', which callers read as a non-coercive objective.
+    'diverged', which callers read as a non-coercive objective.  One row
+    of ``_gradient_iteration``.
     """
     if not lipschitz > 0:
         raise ParameterError("Lipschitz constant must be positive")
-    x, status, iters, residual = _gradient_iteration(grad_fn, x0, -1.0 / lipschitz, opts)
+    x, status, iters, residual = _gradient_iteration(
+        lambda m: np.reshape(grad_fn(m[0]), (1, -1)),
+        np.asarray(x0, dtype=float).reshape(1, -1),
+        -1.0 / lipschitz,
+        opts,
+    )
+    x, status = x[0], str(status[0])
     value = np.inf if status == DIVERGED else value_fn(x)
-    return _as_report(value, x, iters, status, residual)
+    return _as_report(value, x, iters[0], status, residual[0])
 
 
 # ---------------------------------------------------------------------------

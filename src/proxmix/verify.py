@@ -61,6 +61,7 @@ from .mixtures import (
     comixture_argmin_sequence,
     comixture_envelope,
     comixture_eval,
+    comixture_eval_batch,
     comixture_prox,
     comixture_recession,
     embed,
@@ -1380,7 +1381,7 @@ def suite_thm65(rng, scale):
         if rep.status != "converged":
             continue
         sample = rep.argpoint[None, :] + rng.normal(size=(20, spec.base_dim))
-        vals = [comixture_eval(spec, z, OPTS).value for z in sample]
+        vals = comixture_eval_batch(spec, sample, OPTS)[0]
         got = comixture_eval(spec, rep.argpoint, OPTS).value
         cases.append(_le(("thm65-ix", i), got, float(np.min(vals)), 1e-5))
     # (xi): probability weights with Lipschitz terms transfer the constant
@@ -1396,8 +1397,8 @@ def suite_thm65(rng, scale):
         )
         A = rng.normal(size=(20, 2))
         B = A + rng.normal(size=A.shape)
-        va = np.array([comixture_eval(spec, z, OPTS).value for z in A])
-        vb = np.array([comixture_eval(spec, z, OPTS).value for z in B])
+        va = comixture_eval_batch(spec, A, OPTS)[0]
+        vb = comixture_eval_batch(spec, B, OPTS)[0]
         bound = np.linalg.norm(A - B, axis=-1) + 2e-6
         cases.append(_le(("thm65-xi", i), float(np.max(np.abs(va - vb) - bound)), 0.0))
     # (iii): conjugate pairing at prox witnesses

@@ -479,3 +479,49 @@ def test_figure_json_output(tmp_path):
     rows = np.array(payload["rows"])
     assert rows.shape == (9, 4)
     assert np.all(rows[:, 3] <= rows[:, 2] + 1e-6)
+
+
+ENVELOPE_JOBS = {
+    # kind -> (spec, extra fields, the batched call, the per-point reference)
+    "function": (PLANE_FUNCTION, {"gamma": 0.7}, "envelope",
+                 lambda s, x: pm.envelope(s, 0.7, x)),
+    "composition-rho-above": (
+        PLANE_COMPOSITION, {"rho": 1.9}, "envelope_cocomposition_batch",
+        lambda s, x: pm.envelope_cocomposition(s, 1.9, x),
+    ),
+    "composition-rho-below": (
+        PLANE_COMPOSITION, {"rho": 0.3}, "envelope_cocomposition_batch",
+        lambda s, x: pm.envelope_cocomposition(s, 0.3, x),
+    ),
+    "mixture": (PLANE_MIXTURE, {}, "comixture_envelope", pm.comixture_envelope),
+}
+
+
+@pytest.mark.parametrize("kind", list(ENVELOPE_JOBS))
+def test_envelope_job_is_one_batch_call(tmp_path, monkeypatch, kind):
+    from proxmix import cli
+
+    spec_json, extra, batched, single = ENVELOPE_JOBS[kind]
+    calls = []
+    original = getattr(cli, batched)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, batched, counted)
+    spec = parse_spec(spec_json)
+    points = np.random.default_rng(8).normal(size=(12, 2))
+    cfg = write_config(tmp_path, {"spec": spec_json, "points": points.tolist(), **extra})
+    out, csv_out = tmp_path / "env.json", tmp_path / "env.csv"
+    assert main(["envelope", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 1
+    csv_args = ["--out", str(csv_out), "--format", "csv"]
+    assert main(["envelope", "--config", cfg, *csv_args]) == EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    assert [r["point"] for r in results] == points.tolist()
+    expected = [float(single(spec, x)) for x in points]
+    assert [r["value"] for r in results] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == "x1,x2,value"
+    assert [float(l.split(",")[2]) for l in lines[1:]] == [r["value"] for r in results]

@@ -35,6 +35,7 @@ from proxmix.errors import AdmissibilityError, DimensionError, ParameterError
 from proxmix.functions import (
     Affine,
     BallIndicator,
+    MoreauEnvelopeFunction,
     OracleFunction,
     SubspaceIndicator,
 )
@@ -617,13 +618,13 @@ def _unfolded_step(core, spec, X):
     LX, t = L.apply(X), 1.0 / gamma
     step_size = 1.0 / (gamma * max(L.norm_bound**2, 1e-12))
 
-    def cocomposition(momentum, y, rows):
+    def cocomposition(momentum, y, rows, *_):
         grad = LX[rows] - gamma * (momentum - L.apply(L.adjoint_apply(momentum)))
         v = momentum + t * grad
         y_new = v - (1.0 / gamma) * g.prox(gamma, gamma * v)
         return y_new, np.linalg.norm(y_new - y, axis=-1) / t
 
-    def composition(momentum, z, rows):
+    def composition(momentum, z, rows, *_):
         w = L.apply(momentum)
         p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
         grad = X[rows] - gamma * L.adjoint_apply(w - p)
@@ -669,8 +670,8 @@ def test_folded_steps_match_the_unfolded_steps(monkeypatch, core):
         checked = []
 
         def compared(step, *args, **kwargs):
-            def both(momentum, z, rows):
-                z_new, res = step(momentum, z, rows)
+            def both(momentum, z, rows, *per_row):
+                z_new, res = step(momentum, z, rows, *per_row)
                 z_ref, res_ref = reference(momentum, z, rows)
                 np.testing.assert_allclose(z_new, z_ref, rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(res, res_ref, rtol=1e-12, atol=1e-12)
@@ -700,3 +701,167 @@ def test_folded_batch_rows_equal_single_calls(core):
             single = core(spec, x[None, :], DEFAULT_OPTS)
             assert (single[2][0], single[3][0]) == (status[row], iters[row])
             assert values[row] == pytest.approx(single[0][0], rel=1e-12, abs=1e-12)
+
+
+# -- per-row gamma: one solve per parameter list -------------------------------
+
+
+def _parameter_specs(rng, n):
+    """``n`` random specs, every fourth with a ball indicator, and a point each.
+
+    Every eighth ball-indicator spec has an isometric ``L``, so the
+    cocomposition runs its recession certificate; odd points are generic,
+    even ones lie in the range of the adjoint.
+    """
+    out = []
+    for k in range(n):
+        if k % 4 == 3:
+            rows = int(rng.integers(1, 4))
+            cols = min(int(rng.integers(1, 3)), rows)
+            make = _isometry if k % 8 == 3 else _random_operator
+            fn = BallIndicator(0.3 * rng.normal(size=rows), rng.uniform(0.5, 2.0))
+            spec = CompositionSpec(make(rng, rows, cols), fn, 1.0)
+        else:
+            spec = _random_spec(rng)
+        L = spec.operator
+        x = rng.normal(size=L.cols) if k % 2 else rng.normal(size=L.rows) @ L.entries
+        out.append((spec, x))
+    return out
+
+
+def test_per_row_gamma_batches_equal_the_per_gamma_loop():
+    rng = np.random.default_rng(31)
+    rows = 0
+    for spec, x in _parameter_specs(rng, 130):
+        gammas = np.sort(rng.uniform(0.25, 4.0, size=8))
+        X = np.tile(x, (8, 1))
+        for batch, single in (
+            (eval_composition_batch, eval_composition),
+            (eval_cocomposition_batch, eval_cocomposition),
+        ):
+            values, status, iters = batch(spec, X, DEFAULT_OPTS, gammas)
+            for gamma, value, s, k in zip(gammas, values, status, iters):
+                rep = single(CompositionSpec(spec.operator, spec.fn, gamma), x)
+                assert (s, k) == (rep.status, rep.iterations)
+                assert value == pytest.approx(rep.value, rel=1e-12, abs=1e-12)
+        rows += len(gammas)
+    assert rows >= 1000
+
+
+def test_per_row_gamma_batch_rejects_bad_parameters():
+    spec = scalar_half_spec()
+    X = np.ones((3, 1))
+    with pytest.raises(DimensionError):
+        eval_composition_batch(spec, X, DEFAULT_OPTS, [1.0, 2.0])
+    for bad in ([1.0, 0.0, 2.0], [1.0, -1.0, 2.0], [1.0, np.nan, 2.0]):
+        with pytest.raises(ParameterError):
+            eval_cocomposition_batch(spec, X, DEFAULT_OPTS, bad)
+
+
+def test_sweep_and_limits_are_one_solve_per_composition(kernel_calls):
+    rng = np.random.default_rng(32)
+    for spec, x in _parameter_specs(rng, 12):
+        L, fn = spec.operator, spec.fn
+        gammas = rng.uniform(0.25, 4.0, size=6)
+        del kernel_calls[:]
+        rep = gamma_sweep(L, fn, x, gammas)
+        assert kernel_calls == [6, 6]
+        for gamma, comp, cocomp in zip(rep.gammas, rep.composition, rep.cocomposition):
+            each = CompositionSpec(L, fn, gamma)
+            assert comp == pytest.approx(eval_composition(each, x).value, rel=1e-12, abs=1e-12)
+            assert cocomp == pytest.approx(
+                eval_cocomposition(each, x).value, rel=1e-12, abs=1e-12
+            )
+        del kernel_calls[:]
+        with np.errstate(invalid="ignore"):  # inf - inf gaps off the ball
+            small = limit_small_gamma(L, fn, x, gammas)
+        large = limit_large_gamma(L, fn, x, gammas, which="composition", target=0.0)
+        assert kernel_calls == [6, 6]
+        assert list(small.values) == list(rep.cocomposition[::-1])
+        assert list(large.values) == list(rep.composition)
+
+
+def test_argmin_gamma_sequence_is_one_solve(kernel_calls):
+    op, fn = DenseMap([[0.6], [0.0]]), quadratic_kernel(2).translate([0.0, 0.8])
+    gammas = [2.0**-n for n in range(0, 13)]
+    rep = argmin_gamma_sequence(op, fn, gammas)
+    assert kernel_calls == [len(gammas) + 1]  # the 2**-20 reference is one more row
+    del kernel_calls[:]
+    infima = [argmin_cocomposition(CompositionSpec(op, fn, g)).value for g in rep.gammas]
+    reference = argmin_cocomposition(CompositionSpec(op, fn, 2.0**-20)).value
+    assert len(kernel_calls) == len(gammas) + 1
+    assert list(rep.infima) == pytest.approx(infima, rel=1e-12, abs=1e-12)
+    assert rep.reference == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+
+def _envelope_above_reference(spec, rho, x):
+    """The per-point ``rho > gamma`` envelope: ``minimize_smooth`` on one row."""
+    from proxmix import envelope, envelope_gradient, minimize_smooth
+
+    L, g, gamma = spec.operator, spec.fn, spec.gamma
+    lam = rho - gamma
+    return minimize_smooth(
+        lambda z: float(envelope(g, gamma, L.apply(z))) + float(np.linalg.norm(z - x) ** 2)
+        / (2 * lam),
+        lambda z: L.adjoint_apply(envelope_gradient(g, gamma, L.apply(z))) + (z - x) / lam,
+        x.copy(),
+        L.norm_bound**2 / gamma + 1.0 / lam,
+    )
+
+
+def test_envelope_batch_equals_the_per_point_loop(monkeypatch, kernel_calls):
+    from proxmix import envelope
+
+    minimized = []
+    rows_solver = compositions._minimize_rows
+
+    def captured(*args, **kwargs):
+        minimized.append(rows_solver(*args, **kwargs))
+        return minimized[-1]
+
+    monkeypatch.setattr(compositions, "_minimize_rows", captured)
+    rng = np.random.default_rng(33)
+    rows = 0
+    for k in range(100):
+        spec = _random_spec(rng)
+        L, g, gamma = spec.operator, spec.fn, spec.gamma
+        X = rng.normal(size=(10, L.cols))
+        above, below = gamma * rng.uniform(1.2, 4.0), gamma * rng.uniform(0.2, 0.8)
+        del kernel_calls[:]
+        values = compositions.envelope_cocomposition_batch(spec, above, X)
+        _, _, status, iters = minimized[-1]
+        assert kernel_calls == [10]
+        for x, value, s, n in zip(X, values, status, iters):
+            rep = _envelope_above_reference(spec, above, x)
+            assert (s, n) == (rep.status, rep.iterations)
+            assert value == pytest.approx(rep.value, rel=1e-12, abs=1e-12)
+        del kernel_calls[:]
+        values = compositions.envelope_cocomposition_batch(spec, below, X)
+        assert kernel_calls == [10]
+        shifted = CompositionSpec(L, MoreauEnvelopeFunction(g, below), gamma - below)
+        for x, value in zip(X, values):
+            rep = eval_cocomposition(shifted, x)
+            assert value == pytest.approx(rep.value, rel=1e-12, abs=1e-12)
+        del kernel_calls[:]
+        values = compositions.envelope_cocomposition_batch(spec, gamma, X)
+        assert kernel_calls == []
+        exact = [float(envelope(g, gamma, L.apply(x))) for x in X]
+        assert list(values) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        rows += len(X)
+    assert rows >= 1000
+
+
+def test_envelope_batch_rows_and_shapes(kernel_calls):
+    spec = scalar_half_spec(gamma=1.0)
+    X = np.array([[2.0], [np.nan], [-1.0], [np.inf]])
+    for rho in (0.4, 1.0, 2.5):
+        values = compositions.envelope_cocomposition_batch(spec, rho, X)
+        assert np.isnan(values[[1, 3]]).all()
+        for i in (0, 2):
+            assert values[i] == envelope_cocomposition(spec, rho, X[i])
+    # both solves take only the two finite rows; each single call is one row
+    assert kernel_calls == [2, 1, 1, 2, 1, 1]
+    with pytest.raises(DimensionError):
+        compositions.envelope_cocomposition_batch(spec, 2.5, np.ones(3))
+    with pytest.raises(ParameterError):
+        compositions.envelope_cocomposition_batch(spec, 0.0, np.ones((1, 1)))

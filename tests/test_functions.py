@@ -18,8 +18,8 @@ from proxmix import (
     quadratic_kernel,
 )
 from proxmix.errors import ParameterError, UnsupportedConjugate
-from proxmix.functions import OracleFunction, conjugate_function
-from proxmix.moreau import grid_prox
+from proxmix.functions import MoreauEnvelopeFunction, OracleFunction, conjugate_function
+from proxmix.moreau import envelope, envelope_gradient, grid_prox
 
 RNG = np.random.default_rng(42)
 
@@ -290,7 +290,62 @@ def test_oracle_function_prox_gamma_restriction():
         fn.prox(1.0, np.array([2.0]))
 
 
+def test_oracle_function_prox_gamma_column():
+    fn = OracleFunction(
+        1,
+        value_fn=lambda x: np.abs(x).sum(axis=-1),
+        prox_fn=lambda g, x: np.sign(x) * np.maximum(np.abs(x) - g, 0),
+        prox_gamma=0.5,
+    )
+    X = np.array([[2.0], [-3.0]])
+    assert np.allclose(fn.prox(np.full((2, 1), 0.5), X), [[1.5], [-2.5]])
+    for bad in ([[0.5], [1.0]], [[0.5], [-0.5]], [[0.5], [np.nan]]):
+        with pytest.raises(ParameterError):
+            fn.prox(np.array(bad), X)
+
+
 # -- batch semantics ----------------------------------------------------------
+
+
+def per_row_catalog():
+    """The catalog plus the wrappers whose prox rescales its parameter."""
+    return catalog() + [
+        BallDistance(np.ones(2), 0.5).add_quad(0.4),
+        BallDistance(np.zeros(2), 1.0).translate([0.5, -1.0]).scale_val(2.0),
+        MoreauEnvelopeFunction(L1Norm(2), 0.6),
+        conjugate_function(EuclideanNorm(2)).add_quad(1.5),
+    ]
+
+
+@pytest.mark.parametrize("fn", per_row_catalog(), ids=lambda f: repr(f))
+def test_prox_with_a_gamma_column_equals_the_per_gamma_loop(fn):
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(40, fn.dim)) * 3
+    gammas = rng.uniform(0.05, 5.0, size=40)
+    column = gammas[:, None]
+    prox = fn.prox(column, X)
+    assert prox.shape == X.shape
+    for x, g, p in zip(X, gammas, prox):
+        np.testing.assert_allclose(p, fn.prox(g, x), rtol=1e-12, atol=1e-12)
+    env, grad = envelope(fn, column, X), envelope_gradient(fn, column, X)
+    assert env.shape == (40,) and grad.shape == X.shape
+    for x, g, e, d in zip(X, gammas, env, grad):
+        assert e == pytest.approx(envelope(fn, g, x), rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(d, envelope_gradient(fn, g, x), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_gamma_column_with_a_bad_row_raises(bad):
+    column = np.array([[0.5], [bad]])
+    X = np.ones((2, 2))
+    for fn in (BallDistance(np.zeros(2), 1.0), L1Norm(2).add_quad(0.3)):
+        with pytest.raises(ParameterError):
+            fn.prox(column, X)
+        with pytest.raises(ParameterError):
+            envelope(fn, column, X)
+        with pytest.raises(ParameterError):
+            envelope_gradient(fn, column, X)
+
 
 
 @pytest.mark.parametrize("fn", catalog(), ids=lambda f: repr(f))

@@ -466,3 +466,32 @@ def test_sampled_expectation_matches_enumeration():
 def test_sampled_expectation_needs_two_samples():
     with pytest.raises(ParameterError):
         sampled_expectation_prox(lambda rng: L1Norm(1), 0, 1, 1.0, np.zeros(1))
+
+
+# -- parameter lists as one solve ---------------------------------------------------
+
+
+def test_comixture_argmin_sequence_is_one_solve(kernel_calls):
+    rng = np.random.default_rng(34)
+    gammas = [2.0**-n for n in range(0, 9)]
+    for base in (1, 2, 1, 2):
+        spec = random_mixture(rng, base=base, p=int(rng.integers(1, 4)))
+        del kernel_calls[:]
+        rep = comixture_argmin_sequence(spec.terms, gammas, reference=0.0)
+        assert kernel_calls == [len(gammas)]
+        expected = [comixture_argmin(MixtureSpec(spec.terms, g)).value for g in rep.gammas]
+        assert list(rep.infima) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_pcm_estimate_tail_is_one_solve(kernel_calls):
+    rng = np.random.default_rng(35)
+    tail = [2.0**k for k in range(0, 11)]
+    for _ in range(4):
+        spec = random_mixture(rng, base=1, p=2)
+        x = rng.normal(size=1)
+        del kernel_calls[:]
+        rep = pcm_estimate(spec, x, tail, oracle_steps=51)
+        assert kernel_calls == [len(tail)]
+        for gamma, value in zip(rep.gammas, rep.values):
+            single = mixture_eval(spec.with_gamma(gamma), x).value
+            assert value == pytest.approx(single, rel=1e-12, abs=1e-12)
