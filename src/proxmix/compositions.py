@@ -27,6 +27,7 @@ from .errors import AdmissibilityError, DimensionError, ParameterError, Unsuppor
 from .functions import (
     ConvexFunction,
     MoreauEnvelopeFunction,
+    _dot,
     _norm,
     _row_values,
     conjugate_function,
@@ -231,7 +232,7 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     )
     defect = spec.defect(y)
     gvals = _conjugate_values(g, y, gamma, opts)
-    values = np.sum(LX * y, axis=-1) - gvals - _row_values(gamma) * defect
+    values = _dot(LX, y) - gvals - _row_values(gamma) * defect
     values = np.where(status == DIVERGED, np.inf, values)
     return values, y, status, iters, residual
 
@@ -295,7 +296,7 @@ def _composition_core(spec, X, opts, gamma=None):
     p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
     gamma_row = _row_values(gamma)
     hvals = _conjugate_values(g, p, gamma, opts) + 0.5 * gamma_row * _norm(w - p) ** 2
-    vals = np.sum(z * X, axis=-1) - hvals - _norm(X) ** 2 / (2.0 * gamma_row)
+    vals = _dot(z, X) - hvals - _norm(X) ** 2 / (2.0 * gamma_row)
     values = np.where(status == DIVERGED, np.inf, vals)
     return values, z, status, iters, residual
 
@@ -330,14 +331,15 @@ def _batch(core, spec, X, opts, gamma=None):
         gamma = _gamma_column(gamma)
         if len(gamma) != len(X):
             raise DimensionError(f"expected {len(X)} parameters, got {len(gamma)}")
-    valid = np.isfinite(X).all(axis=-1)
+    valid = np.flatnonzero(np.isfinite(X).all(axis=-1))
     values = np.full(len(X), np.nan)
-    status = np.full(len(X), INVALID, dtype=object)
+    status = np.empty(len(X), dtype=object)
+    status.fill(INVALID)  # the shared object; np.full would copy the str per row
     iters = np.zeros(len(X), dtype=int)
-    if valid.any():
-        per_row = None if gamma is None else gamma[valid]
+    if len(valid):
+        per_row = None if gamma is None else gamma.take(valid, axis=0)
         values[valid], _, status[valid], iters[valid], _ = core(
-            spec, X[valid], opts, per_row
+            spec, X.take(valid, axis=0), opts, per_row
         )
     return values, status, iters
 
@@ -455,8 +457,8 @@ def envelope_cocomposition_batch(spec, rho, X, opts: SolverOpts = DEFAULT_OPTS):
         raise ParameterError("envelope index must be positive")
     L, g, gamma = spec.operator, spec.fn, spec.gamma
     X = _base_rows(spec, X)
-    valid = np.isfinite(X).all(axis=-1)
-    X, values = X[valid], np.full(len(X), np.nan)
+    valid = np.flatnonzero(np.isfinite(X).all(axis=-1))
+    X, values = X.take(valid, axis=0), np.full(len(X), np.nan)
     # np.isclose(rho, gamma, rtol=1e-12) without its array set-up
     if abs(rho - gamma) <= 1e-8 + 1e-12 * gamma:
         values[valid] = envelope(g, gamma, L.apply(X))
@@ -561,7 +563,7 @@ def gamma_sweep(operator, fn, x, gammas, opts: SolverOpts = DEFAULT_OPTS, slack=
 class SmallGammaReport:
     gammas: np.ndarray
     values: np.ndarray
-    gaps: np.ndarray          # g(Lx) - cocomposition value, per gamma
+    gaps: np.ndarray          # g(Lx) - cocomposition value, per gamma (0 where equal)
     bounds: Optional[np.ndarray]  # gamma * beta^2 / 2 when g is Lipschitz
     within_bounds: bool
     slack: float
@@ -578,7 +580,8 @@ def limit_small_gamma(operator, fn, x, gammas, opts: SolverOpts = DEFAULT_OPTS, 
     spec, x, X = _parameter_rows(operator, fn, x, gammas)
     target = float(np.asarray(fn(operator.apply(x))))
     vals = eval_cocomposition_batch(spec, X, opts, gammas)[0]
-    gaps = target - vals
+    # equal values (both +inf off dom g) have gap 0, not inf - inf = nan
+    gaps = np.subtract(target, vals, out=np.zeros_like(vals), where=vals != target)
     beta = fn.lipschitz_bound()
     bounds = None if beta is None else gammas * beta**2 / 2.0
     ok = bool(np.all(gaps >= -slack))

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConjugate, UnsupportedDimension
-from .functions import BOUNDARY_TOL, ConvexFunction, _all_positive, _norm, _row_values
+from .functions import BOUNDARY_TOL, ConvexFunction, _all_positive, _dot, _norm, _row_values
 
 __all__ = [
     "SolverOpts",
@@ -37,6 +37,8 @@ CONVERGED = "converged"
 DIVERGED = "diverged"
 MAX_ITER = "max_iter"
 INVALID = "invalid"  # a batch row with a NaN or infinite entry; never iterated
+# the kernel's int8 status codes 0, 1, 2 name these shared objects
+_STATUS_BY_CODE = np.array([MAX_ITER, CONVERGED, DIVERGED], dtype=object)
 
 _MAX_GRID_STEPS = 2001
 
@@ -129,7 +131,7 @@ def envelope(fn: ConvexFunction, gamma, x):
         raise ParameterError("envelope index must be positive")
     x = np.asarray(x, dtype=float)
     p = fn.prox(gamma, x)
-    gap = np.linalg.norm(x - p, axis=-1)
+    gap = _norm(x - p)
     vals = np.asarray(fn(p)) + gap**2 / (2.0 * _row_values(gamma))
     return float(vals) if vals.ndim == 0 else vals
 
@@ -189,8 +191,8 @@ def _momentum_weights(size):
 
 
 def _gather(per_row, index):
-    """The array entries of ``per_row`` at ``index``; other entries as they are."""
-    return tuple(c[index] if isinstance(c, np.ndarray) else c for c in per_row)
+    """The array entries of ``per_row`` at the rows ``index``; other entries as they are."""
+    return tuple(c.take(index, axis=0) if isinstance(c, np.ndarray) else c for c in per_row)
 
 
 def _fista(step, z, opts, active=None, escaped=None, per_row=()):
@@ -212,13 +214,15 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
     written out and leaves the set; rows outside ``active`` never enter it
     (0 iterations, residual inf), rows left at ``opts.max_iter`` are
     'max_iter'.  Each row's residual is the one of its last step.
+    Statuses are int8 codes until exit, where they become the shared
+    status objects.
     """
     n = len(z)
     rows = np.arange(n) if active is None else np.flatnonzero(active)
-    status = np.full(n, MAX_ITER, dtype=object)
+    codes = np.zeros(n, dtype=np.int8)
     iters = np.zeros(n, dtype=int)
     residual = np.full(n, np.inf)
-    z_out, z = z.copy(), z[rows]
+    z_out, z = z.copy(), z.take(rows, axis=0)
     if active is not None:
         per_row = _gather(per_row, rows)
     momentum = anchor = z
@@ -230,7 +234,7 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
         it += 1
         z_new, res = step(momentum, z, rows, *per_row)
         delta = z_new - z
-        restart = np.add.reduce((momentum - z_new) * delta, axis=-1) > 0.0
+        restart = _dot(momentum - z_new, delta) > 0.0
         age[restart] = 0
         momentum = z_new + betas[age][:, None] * delta
         z, age = z_new, age + 1
@@ -239,15 +243,16 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
             stop = converged | escaped(z, anchor, rows, *per_row)
             anchor = z
         if np.count_nonzero(stop):
-            done, keep = rows[stop], ~stop
-            status[done] = [CONVERGED if c else DIVERGED for c in converged[stop]]
-            z_out[done], iters[done], residual[done] = z[stop], it, res[stop]
+            done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
+            out = rows[done]
+            codes[out] = 2 - converged[done]  # 1 converged, 2 diverged
+            z_out[out], iters[out], residual[out] = z.take(done, axis=0), it, res[done]
             rows, z, momentum, age, anchor, res = (
-                a[keep] for a in (rows, z, momentum, age, anchor, res)
+                a.take(keep, axis=0) for a in (rows, z, momentum, age, anchor, res)
             )
             per_row = _gather(per_row, keep)
     z_out[rows], iters[rows], residual[rows] = z, it, res
-    return z_out, status, iters, residual
+    return z_out, _STATUS_BY_CODE.take(codes), iters, residual
 
 
 def _outside_radius(opts):
@@ -266,7 +271,7 @@ def _recession_certified(step, target, slope):
     """
     norm = _norm(step)
     d = step / np.where(norm > 0.0, norm, 1.0)[:, None]
-    margin = np.sum(target * d, axis=-1) - np.asarray(slope(d), dtype=float)
+    margin = _dot(target, d) - np.asarray(slope(d), dtype=float)
     return margin > BOUNDARY_TOL * (1.0 + _norm(target))
 
 
@@ -297,7 +302,7 @@ def _conjugate_ascent(fn, Y, t, opts):
     z, status, iters, residual = _fista(
         step, np.zeros_like(Y), opts, escaped=escaped, per_row=(Y, t, _row_values(t))
     )
-    values = np.sum(z * Y, axis=-1) - np.asarray(fn(z), dtype=float)
+    values = _dot(z, Y) - np.asarray(fn(z), dtype=float)
     return np.where(status == DIVERGED, np.inf, values), z, status, iters, residual
 
 

@@ -505,6 +505,22 @@ def test_limit_small_gamma_projection_zero_gap():
     assert np.allclose(rep.gaps, 0.0, atol=1e-8)
 
 
+def test_limit_small_gamma_infinite_values_off_the_ball():
+    """``g(Lx)`` and the cocomposition both +inf: gap 0, no warning, no violation."""
+    ball = BallIndicator([0.0], 1.0)
+    with np.errstate(all="raise"):
+        # L = I: Phi vanishes, so the cocomposition is g itself and +inf at 3
+        off = limit_small_gamma(DenseMap.identity(1), ball, [3.0], [4.0, 1.0, 0.25])
+        # ||L|| < 1: the cocomposition stays finite while g(Lx) is +inf
+        finite = limit_small_gamma(DenseMap([[0.5]]), ball, [3.0], [4.0, 1.0, 0.25])
+    assert list(off.values) == [np.inf] * 3
+    assert list(off.gaps) == [0.0] * 3
+    assert off.within_bounds
+    assert np.isfinite(finite.values).all()
+    assert list(finite.gaps) == [np.inf] * 3
+    assert finite.within_bounds
+
+
 def test_limit_large_gamma_cocomposition_to_infimum():
     rep = limit_large_gamma(
         DenseMap([[0.5]]), L1Norm(1), [1.0], [2.0**k for k in range(0, 11)],
@@ -773,8 +789,7 @@ def test_sweep_and_limits_are_one_solve_per_composition(kernel_calls):
                 eval_cocomposition(each, x).value, rel=1e-12, abs=1e-12
             )
         del kernel_calls[:]
-        with np.errstate(invalid="ignore"):  # inf - inf gaps off the ball
-            small = limit_small_gamma(L, fn, x, gammas)
+        small = limit_small_gamma(L, fn, x, gammas)
         large = limit_large_gamma(L, fn, x, gammas, which="composition", target=0.0)
         assert kernel_calls == [6, 6]
         assert list(small.values) == list(rep.cocomposition[::-1])

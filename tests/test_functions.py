@@ -18,7 +18,14 @@ from proxmix import (
     quadratic_kernel,
 )
 from proxmix.errors import ParameterError, UnsupportedConjugate
-from proxmix.functions import MoreauEnvelopeFunction, OracleFunction, conjugate_function
+from proxmix.functions import (
+    MoreauEnvelopeFunction,
+    OracleFunction,
+    _norm,
+    _ones,
+    _row_sum,
+    conjugate_function,
+)
 from proxmix.moreau import envelope, envelope_gradient, grid_prox
 
 RNG = np.random.default_rng(42)
@@ -373,6 +380,38 @@ def test_function_spec_round_trip(fn):
         a, b = np.asarray(fn(x)), np.asarray(again(x))
         assert (np.isinf(a) and np.isinf(b)) or abs(a - b) <= 1e-14
         assert np.allclose(fn.prox(0.9, x), again.prox(0.9, x))
+
+
+# -- row sums ------------------------------------------------------------------
+
+
+def _row_inputs(rng, n, dim):
+    """A 1-D vector, contiguous rows and strided rows of ``dim`` columns."""
+    wide = rng.normal(size=(2 * n, 2 * dim)) * 10.0 ** rng.integers(-3, 4, size=(2 * n, 1))
+    return [rng.normal(size=dim), wide[:n, :dim].copy(), wide[::2, ::2]]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("n", [0, 1, 7, 10_201])
+def test_row_sum_and_norm_match_the_reductions(n, dim):
+    rng = np.random.default_rng([n, dim])
+    eps = np.finfo(float).eps
+    for x in _row_inputs(rng, n, dim):
+        total, ref = _row_sum(x), np.add.reduce(x, axis=-1)
+        norm, ref_norm = _norm(x), np.linalg.norm(x, axis=-1)
+        assert np.shape(total) == np.shape(ref) == np.shape(norm) == np.shape(ref_norm)
+        # the BLAS decides the order of a wider sum: a few ulps of the
+        # absolute sum, not bit for bit
+        assert np.all(np.abs(total - ref) <= 4 * eps * np.add.reduce(np.abs(x), axis=-1))
+        assert np.all(np.abs(norm - ref_norm) <= 4 * eps * ref_norm)
+        if dim <= 2:  # one addition rounds the same in any order
+            assert np.array_equal(total, ref) and np.array_equal(norm, ref_norm)
+
+
+def test_ones_are_shared_and_read_only():
+    assert _ones(3) is _ones(3) and list(_ones(3)) == [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError):
+        _ones(3)[0] = 2.0
 
 
 # -- a hypothesis property ----------------------------------------------------

@@ -14,6 +14,8 @@ from proxmix import (
     envelope,
     envelope_gradient,
     eval_cocomposition,
+    eval_cocomposition_batch,
+    eval_composition_batch,
     grid_conjugate,
     grid_envelope,
     grid_min,
@@ -25,7 +27,8 @@ from proxmix import BallDistance, OracleFunction
 from proxmix.errors import ParameterError, UnsupportedDimension
 from proxmix import moreau
 from proxmix.functions import conjugate_function
-from proxmix.moreau import CONVERGED, DEFAULT_OPTS, DIVERGED, MAX_ITER, _fista
+from proxmix.functions import _norm
+from proxmix.moreau import CONVERGED, DEFAULT_OPTS, DIVERGED, INVALID, MAX_ITER, _fista
 from proxmix.verify import _random_conjugable_fn
 
 
@@ -307,6 +310,74 @@ def test_fista_passes_only_iterating_rows_to_the_oracles():
     assert (z[[3, 6]] == 1.0).all() and np.abs(z[[0, 1, 4, 5]]).max() < 1e-8
     # early- and late-converging rows leave at different iterations
     assert iters[0] < iters[1] < iters[4] and iters[4] > 50
+
+
+def _scaled_gradient_rows(rng, n):
+    """``n`` rows of gradient steps on ``0.5 z'diag(c)z - b'z`` with a per-row step.
+
+    Curvatures span four decades, so rows converge hundreds of iterations
+    apart, restart, or run out of iterations; a negative curvature drifts
+    and is flagged by the escape test.
+    """
+    curv = 10.0 ** rng.uniform(-4.0, 0.0, size=(n, 2))
+    curv[::9, 1] = -0.05
+    b = rng.normal(size=(n, 2))
+    scale = rng.uniform(0.5, 1.0, size=(n, 1))  # the per-row column
+
+    def step(momentum, z, _rows, curv, b, scale):
+        grad = curv * momentum - b
+        return momentum - scale * grad, _norm(grad)
+
+    def escaped(z, _anchor, _rows, *_):
+        return _norm(z) > 1e8
+
+    return step, escaped, (curv, b, scale)
+
+
+def test_many_row_fista_equals_one_row_solves():
+    rng = np.random.default_rng(9)
+    n = 120
+    step, escaped, per_row = _scaled_gradient_rows(rng, n)
+    z0 = rng.normal(size=(n, 2))
+    active = np.arange(n) % 7 != 3
+    opts = SolverOpts(tol=1e-9, max_iter=1500)
+    z, status, iters, residual = _fista(
+        step, z0, opts, active=active, escaped=escaped, per_row=per_row
+    )
+    assert {CONVERGED, DIVERGED, MAX_ITER} <= set(status)
+    assert len(set(iters[status == CONVERGED])) > 50  # rows leave at many iterations
+    for i in range(n):
+        if not active[i]:
+            assert (status[i], iters[i], residual[i]) == (MAX_ITER, 0, np.inf)
+            assert np.array_equal(z[i], z0[i])
+            continue
+        one = _fista(
+            step, z0[i : i + 1], opts, escaped=escaped,
+            per_row=tuple(c[i : i + 1] for c in per_row),
+        )
+        assert (status[i], iters[i], residual[i]) == (one[1][0], one[2][0], one[3][0])
+        assert np.array_equal(z[i], one[0][0])
+
+
+def test_statuses_are_the_shared_module_constants():
+    rng = np.random.default_rng(10)
+    step, escaped, per_row = _scaled_gradient_rows(rng, 40)
+    shared = (CONVERGED, DIVERGED, MAX_ITER, INVALID)
+    _, status, _, _ = _fista(
+        step, np.zeros((40, 2)), SolverOpts(max_iter=300), escaped=escaped,
+        per_row=per_row,
+    )
+    assert {CONVERGED, DIVERGED, MAX_ITER} <= set(status)
+    assert all(any(s is c for c in shared) for s in status)
+    # a feasible, an infeasible (off the range of L*) and a NaN row
+    spec = CompositionSpec(DenseMap([[0.6, 0.0]]), L1Norm(1), 1.0)
+    X = np.array([[1.0, 0.0], [1.0, 1.0], [np.nan, 0.0]])
+    for solve in (eval_composition_batch, eval_cocomposition_batch):
+        for opts in (DEFAULT_OPTS, SolverOpts(max_iter=1)):
+            status = solve(spec, X, opts)[1]
+            assert status[2] == INVALID
+            assert all(any(s is c for c in shared) for s in status)
+    assert list(eval_composition_batch(spec, X)[1]) == [CONVERGED, DIVERGED, INVALID]
 
 
 def test_momentum_weights_match_the_float_recurrence_across_growth(monkeypatch):
