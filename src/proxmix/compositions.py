@@ -79,17 +79,19 @@ __all__ = [
 
 ADMISSIBILITY_TOL = 1e-9
 _RANGE_TOL = 1e-9
+_SMALL_GAMMA_SLACK = 1e-6  # limit_small_gamma's slack on each gap bound
+_LARGE_GAMMA_HALFWIDTH = 10.0  # grid window of limit_large_gamma's target search
 
 
-def admissible(operator: DenseMap, tol=ADMISSIBILITY_TOL):
-    """True iff ``0 < ||L|| <= 1 + tol``.
+def admissible(operator: DenseMap):
+    """True iff ``0 < ||L|| <= 1 + ADMISSIBILITY_TOL``.
 
     Gates on the tight spectral estimate; the certified bound would add
     its own inflation on top of the acceptance tolerance and reject exact
     isometries.
     """
     sigma = operator.norm_estimate
-    return 0.0 < sigma <= 1.0 + tol
+    return 0.0 < sigma <= 1.0 + ADMISSIBILITY_TOL
 
 
 class CompositionSpec:
@@ -105,8 +107,8 @@ class CompositionSpec:
             raise ParameterError(
                 f"function dimension {fn.dim} does not match operator rows {operator.rows}"
             )
-        if not gamma > 0:
-            raise ParameterError("gamma must be positive")
+        if not 0 < gamma < np.inf:
+            raise ParameterError("gamma must be finite and positive")
         if not admissible(operator):
             raise AdmissibilityError(
                 f"operator norm bound {operator.norm_bound:.6g} violates 0 < ||L|| <= 1"
@@ -504,6 +506,8 @@ def perspective_cocomposition(spec, x, xi, opts: SolverOpts = DEFAULT_OPTS):
     to the recession function along ``Lx``; negative ``xi`` is infeasible.
     """
     x = as_vector(x, spec.operator.cols)
+    if not np.isfinite(xi):
+        raise ParameterError(f"perspective scale xi must be finite, got {xi}")
     if xi < 0:
         return np.inf
     if xi == 0:
@@ -569,12 +573,12 @@ class SmallGammaReport:
     slack: float
 
 
-def limit_small_gamma(operator, fn, x, gammas, opts: SolverOpts = DEFAULT_OPTS, slack=1e-6):
+def limit_small_gamma(operator, fn, x, gammas, opts: SolverOpts = DEFAULT_OPTS):
     """Shrinking-parameter behavior of the cocomposition.
 
     Reports the per-parameter gaps to the plain composed value ``g(Lx)``
     and, when ``g`` carries a Lipschitz bound ``beta``, asserts each gap
-    against ``gamma beta^2 / 2`` plus slack.  One batch solve.
+    against ``gamma beta^2 / 2`` plus a slack of 1e-6.  One batch solve.
     """
     gammas = np.asarray(sorted(gammas, reverse=True), dtype=float)
     spec, x, X = _parameter_rows(operator, fn, x, gammas)
@@ -584,10 +588,10 @@ def limit_small_gamma(operator, fn, x, gammas, opts: SolverOpts = DEFAULT_OPTS, 
     gaps = np.subtract(target, vals, out=np.zeros_like(vals), where=vals != target)
     beta = fn.lipschitz_bound()
     bounds = None if beta is None else gammas * beta**2 / 2.0
-    ok = bool(np.all(gaps >= -slack))
+    ok = bool(np.all(gaps >= -_SMALL_GAMMA_SLACK))
     if bounds is not None:
-        ok = ok and bool(np.all(gaps <= bounds + slack))
-    return SmallGammaReport(gammas, vals, gaps, bounds, ok, slack)
+        ok = ok and bool(np.all(gaps <= bounds + _SMALL_GAMMA_SLACK))
+    return SmallGammaReport(gammas, vals, gaps, bounds, ok, _SMALL_GAMMA_SLACK)
 
 
 @dataclass
@@ -606,13 +610,12 @@ def limit_large_gamma(
     which="cocomposition",
     opts: SolverOpts = DEFAULT_OPTS,
     target=None,
-    oracle_halfwidth=10.0,
-    oracle_steps=801,
 ):
     """Growing-parameter tail of either composition, with its limit target.
 
-    The tail is one batch solve.  Targets are computed independently of
-    the solvers:
+    ``which`` is ``"composition"`` or ``"cocomposition"``.  The tail is one
+    batch solve.  Targets are computed independently of the solvers, with
+    grid searches on ``[-10, 10]`` per free direction:
 
     * composition: the infimum of ``g`` over the affine fiber
       ``{y : L* y = x}`` (unique preimage when the adjoint is injective,
@@ -623,14 +626,14 @@ def limit_large_gamma(
       ``Lx - V`` with ``V`` the range of the gram complement, searched on
       a grid over the range basis coefficients.
     """
+    if which not in ("composition", "cocomposition"):
+        raise ParameterError(f"which must be 'composition' or 'cocomposition': {which!r}")
     gammas = np.asarray(sorted(gammas), dtype=float)
     spec, x, X = _parameter_rows(operator, fn, x, gammas)
     solve = eval_composition_batch if which == "composition" else eval_cocomposition_batch
     vals = solve(spec, X, opts, gammas)[0]
     if target is None:
-        target = _large_gamma_target(
-            operator, fn, x, which, oracle_halfwidth, oracle_steps
-        )
+        target = _large_gamma_target(operator, fn, x, which)
     return LargeGammaReport(gammas, vals, float(target), float(vals[-1] - target))
 
 
@@ -678,9 +681,9 @@ def pushforward_infimum(operator, fn, x, halfwidth=10.0, steps=801):
     return value, y0 + null @ t
 
 
-def _large_gamma_target(operator, fn, x, which, halfwidth, steps):
+def _large_gamma_target(operator, fn, x, which):
     if which == "composition":
-        return pushforward_infimum(operator, fn, x, halfwidth, steps)[0]
+        return pushforward_infimum(operator, fn, x, _LARGE_GAMMA_HALFWIDTH)[0]
     if operator.norm_bound < 1.0 - 1e-9:
         return float(np.asarray(fn(_proximal_argmin(fn))))
     gram_complement = np.eye(operator.rows) - operator.entries @ operator.entries.T
@@ -691,9 +694,8 @@ def _large_gamma_target(operator, fn, x, which, halfwidth, steps):
         return float(np.asarray(fn(w)))
     value, _ = refined_grid_min(
         lambda T: np.asarray(fn(w - T @ basis.T)).reshape(len(T)),
-        -halfwidth * np.ones(basis.shape[1]),
-        halfwidth * np.ones(basis.shape[1]),
-        steps,
+        -_LARGE_GAMMA_HALFWIDTH * np.ones(basis.shape[1]),
+        _LARGE_GAMMA_HALFWIDTH * np.ones(basis.shape[1]),
     )
     return value
 

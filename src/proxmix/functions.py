@@ -27,6 +27,7 @@ from .errors import (
     ShapeError,
     UnsupportedConjugate,
 )
+from .linalg import _psd_eigh
 
 __all__ = [
     "ConvexFunction",
@@ -102,8 +103,7 @@ class ConvexFunction:
     """Base class: a function in the catalog, possibly transformed.
 
     Subclasses implement ``__call__``, ``prox``, ``conjugate``,
-    ``recession``, ``lipschitz_bound``, ``domain_contains`` and
-    ``has_full_domain``.
+    ``recession``, ``lipschitz_bound`` and ``has_full_domain``.
     """
 
     dim = None  # type: int
@@ -127,11 +127,6 @@ class ConvexFunction:
     def lipschitz_bound(self):
         """A global Lipschitz constant, or None when there is none."""
         return None
-
-    def domain_contains(self, x, tol=BOUNDARY_TOL):
-        """Whether ``x`` lies in the domain, with slack for indicators."""
-        vals = np.asarray(self(x))
-        return _scalarize(np.isfinite(vals)) if vals.ndim else bool(np.isfinite(vals))
 
     def has_full_domain(self):
         """True when the function is finite everywhere."""
@@ -271,25 +266,14 @@ class Quadratic(ConvexFunction):
     kernel.
     """
 
-    def __init__(self, matrix, psd_tol=1e-10):
+    def __init__(self, matrix):
         a = np.array(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError("quadratic form needs a square matrix")
-        scale = float(np.abs(a).max()) or 1.0
-        if float(np.abs(a - a.T).max()) > 1e-8 * scale:
-            raise ShapeError("quadratic form matrix must be symmetric")
-        a = 0.5 * (a + a.T)
-        eigvals, eigvecs = np.linalg.eigh(a)
-        top = float(eigvals.max(initial=0.0))
-        if eigvals.min(initial=0.0) < -100 * psd_tol * max(top, 1.0):
-            raise ShapeError("quadratic form matrix must be PSD")
-        eigvals = np.maximum(eigvals, 0.0)
+        a, self._eigvals, self._eigvecs, self._range_mask = _psd_eigh(a)
         a.setflags(write=False)
         self.dim = a.shape[0]
         self.matrix = a
-        self._eigvals = eigvals
-        self._eigvecs = eigvecs
-        self._range_mask = eigvals > psd_tol * max(top, 1e-300)
 
     def __call__(self, x):
         x = self._check_point(x)
@@ -363,8 +347,8 @@ class Affine(ConvexFunction):
         return True
 
 
-class BallIndicator(ConvexFunction):
-    """Indicator of the closed ball ``B(center, radius)``."""
+class _Ball(ConvexFunction):
+    """Base of the ball atoms: functions defined by the ball ``B(center, radius)``."""
 
     def __init__(self, center, radius):
         if radius < 0:
@@ -375,10 +359,15 @@ class BallIndicator(ConvexFunction):
         self.dim = self.center.shape[0]
 
     def _project(self, x):
+        """``(||x - center||, projection of x onto the ball)``; batched."""
         d = x - self.center
-        nd = _norm(d)[..., None]
+        nd = _norm(d)
         factor = np.where(nd > self.radius, self.radius / np.where(nd > 0, nd, 1.0), 1.0)
-        return self.center + factor * d
+        return nd, self.center + factor[..., None] * d
+
+
+class BallIndicator(_Ball):
+    """Indicator of the closed ball ``B(center, radius)``."""
 
     def __call__(self, x):
         x = self._check_point(x)
@@ -388,7 +377,7 @@ class BallIndicator(ConvexFunction):
 
     def prox(self, gamma, x):
         _check_gamma(gamma)
-        return self._project(self._check_point(x))
+        return self._project(self._check_point(x))[1]
 
     def conjugate(self, s):
         s = self._check_point(s)
@@ -398,10 +387,6 @@ class BallIndicator(ConvexFunction):
         x = self._check_point(x)
         at_zero = _norm(x) <= BOUNDARY_TOL
         return _scalarize(np.where(at_zero, 0.0, np.inf))
-
-    def domain_contains(self, x, tol=BOUNDARY_TOL):
-        x = self._check_point(x)
-        return _scalarize(_norm(x - self.center) <= self.radius + tol)
 
     def has_full_domain(self):
         return False
@@ -442,43 +427,24 @@ class SubspaceIndicator(ConvexFunction):
     def recession(self, x):
         return self(x)
 
-    def domain_contains(self, x, tol=BOUNDARY_TOL):
-        x = self._check_point(x)
-        return _scalarize(_norm(x - self._project(x)) <= tol)
-
     def has_full_domain(self):
         return False
 
 
-class BallDistance(ConvexFunction):
+class BallDistance(_Ball):
     """``x -> dist(x, B(center, radius))``; 1-Lipschitz with full domain."""
-
-    def __init__(self, center, radius):
-        if radius < 0:
-            raise ParameterError("ball radius must be nonnegative")
-        self.center = np.array(center, dtype=float)
-        self.center.setflags(write=False)
-        self.radius = float(radius)
-        self.dim = self.center.shape[0]
-
-    def _dist_and_proj(self, x):
-        d = x - self.center
-        nd = _norm(d)
-        dist = np.maximum(nd - self.radius, 0.0)
-        factor = np.where(nd > self.radius, self.radius / np.where(nd > 0, nd, 1.0), 1.0)
-        proj = self.center + factor[..., None] * d
-        return dist, proj
 
     def __call__(self, x):
         x = self._check_point(x)
-        return _scalarize(self._dist_and_proj(x)[0])
+        return _scalarize(np.maximum(_norm(x - self.center) - self.radius, 0.0))
 
     def prox(self, gamma, x):
         # Shrink toward the projection; land on it once within gamma.
         _check_gamma(gamma)
         x = self._check_point(x)
-        dist, proj = self._dist_and_proj(x)
-        dist = dist[..., None]  # a per-row gamma column broadcasts against it
+        nd, proj = self._project(x)
+        # a per-row gamma column broadcasts against the distance column
+        dist = np.maximum(nd - self.radius, 0.0)[..., None]
         far = dist > gamma
         safe = np.where(dist > 0, dist, 1.0)
         step = np.where(far, gamma / safe, 1.0)
@@ -503,16 +469,8 @@ class BallDistance(ConvexFunction):
         return True
 
 
-class BallSupport(ConvexFunction):
+class BallSupport(_Ball):
     """Support function of ``B(center, radius)``: ``x -> <x,c> + r ||x||``."""
-
-    def __init__(self, center, radius):
-        if radius < 0:
-            raise ParameterError("ball radius must be nonnegative")
-        self.center = np.array(center, dtype=float)
-        self.center.setflags(write=False)
-        self.radius = float(radius)
-        self.dim = self.center.shape[0]
 
     def __call__(self, x):
         x = self._check_point(x)
@@ -605,13 +563,6 @@ class SeparableSum(ConvexFunction):
             parts.append((w * beta) ** 2)
         return float(np.sqrt(sum(parts)))
 
-    def domain_contains(self, x, tol=BOUNDARY_TOL):
-        x = self._check_point(x)
-        ok = True
-        for _, fn, sl in self.blocks:
-            ok = np.logical_and(ok, fn.domain_contains(x[..., sl], tol))
-        return _scalarize(ok) if np.ndim(ok) else bool(ok)
-
     def has_full_domain(self):
         return all(fn.has_full_domain() for _, fn, _ in self.blocks)
 
@@ -621,16 +572,26 @@ class SeparableSum(ConvexFunction):
 # ---------------------------------------------------------------------------
 
 
-class TranslatedFunction(ConvexFunction):
+class _Transform(ConvexFunction):
+    """A function built from ``inner`` on the same space, by default on its domain."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def has_full_domain(self):
+        return self.inner.has_full_domain()
+
+
+class TranslatedFunction(_Transform):
     """``x -> f(x - w)``."""
 
     def __init__(self, inner, w):
-        self.inner = inner
+        super().__init__(inner)
         self.w = np.array(w, dtype=float)
         self.w.setflags(write=False)
         if self.w.shape[0] != inner.dim:
             raise DimensionError("translation vector dimension mismatch")
-        self.dim = inner.dim
 
     def __call__(self, x):
         return self.inner(self._check_point(x) - self.w)
@@ -649,21 +610,14 @@ class TranslatedFunction(ConvexFunction):
     def lipschitz_bound(self):
         return self.inner.lipschitz_bound()
 
-    def domain_contains(self, x, tol=BOUNDARY_TOL):
-        return self.inner.domain_contains(self._check_point(x) - self.w, tol)
 
-    def has_full_domain(self):
-        return self.inner.has_full_domain()
-
-
-class ArgScaledFunction(ConvexFunction):
+class ArgScaledFunction(_Transform):
     """``x -> f(rho x)`` with rho > 0."""
 
     def __init__(self, inner, rho):
         _check_rho(rho)
-        self.inner = inner
+        super().__init__(inner)
         self.rho = float(rho)
-        self.dim = inner.dim
 
     def __call__(self, x):
         return self.inner(self.rho * self._check_point(x))
@@ -682,21 +636,14 @@ class ArgScaledFunction(ConvexFunction):
         beta = self.inner.lipschitz_bound()
         return None if beta is None else beta * self.rho
 
-    def domain_contains(self, x, tol=BOUNDARY_TOL):
-        return self.inner.domain_contains(self.rho * self._check_point(x), tol)
 
-    def has_full_domain(self):
-        return self.inner.has_full_domain()
-
-
-class ValueScaledFunction(ConvexFunction):
+class ValueScaledFunction(_Transform):
     """``x -> rho f(x)`` with rho > 0."""
 
     def __init__(self, inner, rho):
         _check_rho(rho)
-        self.inner = inner
+        super().__init__(inner)
         self.rho = float(rho)
-        self.dim = inner.dim
 
     def __call__(self, x):
         return _scalarize(self.rho * np.asarray(self.inner(x)))
@@ -715,24 +662,17 @@ class ValueScaledFunction(ConvexFunction):
         beta = self.inner.lipschitz_bound()
         return None if beta is None else beta * self.rho
 
-    def domain_contains(self, x, tol=BOUNDARY_TOL):
-        return self.inner.domain_contains(x, tol)
 
-    def has_full_domain(self):
-        return self.inner.has_full_domain()
-
-
-class AffineAddedFunction(ConvexFunction):
+class AffineAddedFunction(_Transform):
     """``x -> f(x) + <x, u> + alpha``."""
 
     def __init__(self, inner, u, alpha=0.0):
-        self.inner = inner
+        super().__init__(inner)
         self.u = np.array(u, dtype=float)
         self.u.setflags(write=False)
         if self.u.shape[0] != inner.dim:
             raise DimensionError("affine term dimension mismatch")
         self.alpha = float(alpha)
-        self.dim = inner.dim
 
     def __call__(self, x):
         x = self._check_point(x)
@@ -755,22 +695,15 @@ class AffineAddedFunction(ConvexFunction):
         beta = self.inner.lipschitz_bound()
         return None if beta is None else beta + float(np.linalg.norm(self.u))
 
-    def domain_contains(self, x, tol=BOUNDARY_TOL):
-        return self.inner.domain_contains(x, tol)
 
-    def has_full_domain(self):
-        return self.inner.has_full_domain()
-
-
-class QuadAddedFunction(ConvexFunction):
+class QuadAddedFunction(_Transform):
     """``x -> f(x) + rho ||x||^2 / 2`` with rho >= 0."""
 
     def __init__(self, inner, rho):
         if rho < 0:
             raise ParameterError("quadratic perturbation weight must be >= 0")
-        self.inner = inner
+        super().__init__(inner)
         self.rho = float(rho)
-        self.dim = inner.dim
 
     def __call__(self, x):
         x = self._check_point(x)
@@ -806,19 +739,13 @@ class QuadAddedFunction(ConvexFunction):
     def lipschitz_bound(self):
         return self.inner.lipschitz_bound() if self.rho == 0.0 else None
 
-    def domain_contains(self, x, tol=BOUNDARY_TOL):
-        return self.inner.domain_contains(x, tol)
-
-    def has_full_domain(self):
-        return self.inner.has_full_domain()
-
 
 # ---------------------------------------------------------------------------
 # derived function objects
 # ---------------------------------------------------------------------------
 
 
-class MoreauEnvelopeFunction(ConvexFunction):
+class MoreauEnvelopeFunction(_Transform):
     """The Moreau envelope of a catalog function, as a smooth function.
 
     Exact prox via ``prox_{g env_r f}(x) = x + g/(g+r) (prox_{(g+r)f}(x) - x)``
@@ -827,9 +754,8 @@ class MoreauEnvelopeFunction(ConvexFunction):
 
     def __init__(self, inner, index):
         _check_rho(index)
-        self.inner = inner
+        super().__init__(inner)
         self.index = float(index)
-        self.dim = inner.dim
 
     def __call__(self, x):
         x = self._check_point(x)
@@ -997,86 +923,79 @@ def conjugate_function(fn):
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
 
-_ATOM_NAMES = {
-    L1Norm: "l1_norm",
-    EuclideanNorm: "euclidean_norm",
-    Quadratic: "quadratic",
-    Affine: "affine",
-    BallIndicator: "ball_indicator",
-    SubspaceIndicator: "subspace_indicator",
-    BallDistance: "ball_distance",
-    BallSupport: "ball_support",
-    SeparableSum: "separable_sum",
+# class -> (JSON name, constructor fields, after ``inner`` for a transform); every
+# field is an attribute of the same name, and only ``alpha`` may be left out (0)
+_ATOM_SPECS = {
+    L1Norm: ("l1_norm", ("dim",)),
+    EuclideanNorm: ("euclidean_norm", ("dim",)),
+    Quadratic: ("quadratic", ("matrix",)),
+    Affine: ("affine", ("u", "alpha")),
+    BallIndicator: ("ball_indicator", ("center", "radius")),
+    SubspaceIndicator: ("subspace_indicator", ("basis",)),
+    BallDistance: ("ball_distance", ("center", "radius")),
+    BallSupport: ("ball_support", ("center", "radius")),
 }
+_TRANSFORM_SPECS = {
+    TranslatedFunction: ("translate", ("w",)),
+    ArgScaledFunction: ("scale_arg", ("rho",)),
+    ValueScaledFunction: ("scale_val", ("rho",)),
+    AffineAddedFunction: ("add_affine", ("u", "alpha")),
+    QuadAddedFunction: ("add_quad", ("rho",)),
+}
+_ATOMS_BY_NAME = {name: (c, f) for c, (name, f) in _ATOM_SPECS.items()}
+_TRANSFORMS_BY_NAME = {name: (c, f) for c, (name, f) in _TRANSFORM_SPECS.items()}
 
-_TRANSFORM_NAMES = {
-    TranslatedFunction: "translate",
-    ArgScaledFunction: "scale_arg",
-    ValueScaledFunction: "scale_val",
-    AffineAddedFunction: "add_affine",
-    QuadAddedFunction: "add_quad",
-}
+
+def _spec_fields(fn, fields):
+    """The JSON form of ``fn``'s constructor fields."""
+    return {name: np.asarray(getattr(fn, name)).tolist() for name in fields}
+
+
+def _field_args(obj, fields):
+    """Constructor arguments read from a spec object; ``alpha`` defaults to 0."""
+    return [obj.get(name, 0.0) if name == "alpha" else obj[name] for name in fields]
+
+
+def _spec_entry(table, name, what):
+    """The ``(class, fields)`` entry of a JSON name; ShapeError when unknown."""
+    try:
+        return table[name]
+    except (KeyError, TypeError):  # TypeError: a name that is not hashable
+        raise ShapeError(f"unknown {what}: {name!r}") from None
 
 
 def function_to_spec(fn):
     """Serialize a catalog function to the JSON spec dictionary."""
     transforms = []
-    while type(fn) in _TRANSFORM_NAMES:
-        kind = _TRANSFORM_NAMES[type(fn)]
-        if kind == "translate":
-            transforms.append({"kind": kind, "w": fn.w.tolist()})
-        elif kind in ("scale_arg", "scale_val"):
-            transforms.append({"kind": kind, "rho": fn.rho})
-        elif kind == "add_affine":
-            transforms.append({"kind": kind, "u": fn.u.tolist(), "alpha": fn.alpha})
-        else:
-            transforms.append({"kind": kind, "rho": fn.rho})
+    while type(fn) in _TRANSFORM_SPECS:
+        kind, fields = _TRANSFORM_SPECS[type(fn)]
+        transforms.append({"kind": kind, **_spec_fields(fn, fields)})
         fn = fn.inner
     transforms.reverse()  # stored innermost-first, applied in order
-    atom = _ATOM_NAMES.get(type(fn))
-    if atom is None:
-        raise ShapeError(f"{type(fn).__name__} has no JSON spec form")
-    if atom == "l1_norm" or atom == "euclidean_norm":
-        params = {"dim": fn.dim}
-    elif atom == "quadratic":
-        params = {"matrix": fn.matrix.tolist()}
-    elif atom == "affine":
-        params = {"u": fn.u.tolist(), "alpha": fn.alpha}
-    elif atom in ("ball_indicator", "ball_distance", "ball_support"):
-        params = {"center": fn.center.tolist(), "radius": fn.radius}
-    elif atom == "subspace_indicator":
-        params = {"basis": fn.basis.tolist()}
-    else:
+    if type(fn) is SeparableSum:
+        atom = "separable_sum"
         params = {
             "blocks": [
                 {"weight": w, "fn": function_to_spec(sub), "start": sl.start}
                 for w, sub, sl in fn.blocks
             ]
         }
+    elif type(fn) in _ATOM_SPECS:
+        atom, fields = _ATOM_SPECS[type(fn)]
+        params = _spec_fields(fn, fields)
+    else:
+        raise ShapeError(f"{type(fn).__name__} has no JSON spec form")
     return {"atom": atom, "params": params, "transforms": transforms}
 
 
 def function_from_spec(obj):
-    """Build a catalog function from its JSON spec dictionary."""
+    """Build a catalog function from its JSON spec dictionary.
+
+    A missing field raises KeyError, an unknown atom or transform ShapeError.
+    """
     atom = obj.get("atom")
     params = obj.get("params", {})
-    if atom == "l1_norm":
-        fn = L1Norm(params["dim"])
-    elif atom == "euclidean_norm":
-        fn = EuclideanNorm(params["dim"])
-    elif atom == "quadratic":
-        fn = Quadratic(params["matrix"])
-    elif atom == "affine":
-        fn = Affine(params["u"], params.get("alpha", 0.0))
-    elif atom == "ball_indicator":
-        fn = BallIndicator(params["center"], params["radius"])
-    elif atom == "subspace_indicator":
-        fn = SubspaceIndicator(params["basis"])
-    elif atom == "ball_distance":
-        fn = BallDistance(params["center"], params["radius"])
-    elif atom == "ball_support":
-        fn = BallSupport(params["center"], params["radius"])
-    elif atom == "separable_sum":
+    if atom == "separable_sum":
         fn = SeparableSum(
             [
                 (b["weight"], function_from_spec(b["fn"]), b["start"])
@@ -1084,19 +1003,9 @@ def function_from_spec(obj):
             ]
         )
     else:
-        raise ShapeError(f"unknown atom name: {atom!r}")
+        cls, fields = _spec_entry(_ATOMS_BY_NAME, atom, "atom name")
+        fn = cls(*_field_args(params, fields))
     for t in obj.get("transforms", []):
-        kind = t.get("kind")
-        if kind == "translate":
-            fn = fn.translate(t["w"])
-        elif kind == "scale_arg":
-            fn = fn.scale_arg(t["rho"])
-        elif kind == "scale_val":
-            fn = fn.scale_val(t["rho"])
-        elif kind == "add_affine":
-            fn = fn.add_affine(t["u"], t.get("alpha", 0.0))
-        elif kind == "add_quad":
-            fn = fn.add_quad(t["rho"])
-        else:
-            raise ShapeError(f"unknown transform kind: {kind!r}")
+        cls, fields = _spec_entry(_TRANSFORMS_BY_NAME, t.get("kind"), "transform kind")
+        fn = cls(fn, *_field_args(t, fields))
     return fn

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 _NORM_INFLATION = 1e-9  # norm_bound's relative margin over the SVD's sigma
+_PSD_TOL = 1e-10  # relative eigenvalue tolerance of the PSD test and the rank
 
 
 def as_vector(x, dim=None):
@@ -160,11 +161,30 @@ class PseudoInverse(NamedTuple):
     rank: int
 
 
-def pseudo_inverse_small(a, rank_tol=1e-10):
+def _psd_eigh(m):
+    """``(sym, eigvals, eigvecs, in_range)`` of a square matrix that is PSD.
+
+    ``sym`` is its symmetric part, ``eigvals`` are clipped at 0, and
+    ``in_range`` marks those above ``_PSD_TOL`` relative to the largest.
+    ShapeError unless ``m`` is symmetric and PSD within that tolerance.
+    """
+    scale = float(np.abs(m).max()) or 1.0
+    if float(np.abs(m - m.T).max()) > 100 * _PSD_TOL * scale:
+        raise ShapeError("matrix is not symmetric within tolerance")
+    sym = 0.5 * (m + m.T)
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    top = float(eigvals.max(initial=0.0))
+    if eigvals.min(initial=0.0) < -100 * _PSD_TOL * max(top, 1.0):
+        raise ShapeError("matrix is not positive semidefinite within tolerance")
+    eigvals = np.maximum(eigvals, 0.0)
+    return sym, eigvals, eigvecs, eigvals > _PSD_TOL * max(top, 1e-300)
+
+
+def pseudo_inverse_small(a):
     """Moore-Penrose inverse of a small symmetric PSD matrix.
 
     ``a`` may be a DenseMap or an array; it must be square with at most
-    32 rows, self-adjoint and monotone (PSD) within ``rank_tol`` relative
+    32 rows, self-adjoint and monotone (PSD) within ``_PSD_TOL`` relative
     to its largest eigenvalue.  Returns the inverse together with an
     orthonormal basis of the range.
     """
@@ -173,16 +193,7 @@ def pseudo_inverse_small(a, rank_tol=1e-10):
         raise ShapeError("pseudo-inverse requires a square matrix")
     if m.shape[0] > 32:
         raise ShapeError("pseudo_inverse_small only handles sizes up to 32")
-    scale = float(np.abs(m).max()) or 1.0
-    if float(np.abs(m - m.T).max()) > 100 * rank_tol * scale:
-        raise ShapeError("matrix is not symmetric within tolerance")
-    sym = 0.5 * (m + m.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    top = float(eigvals.max(initial=0.0))
-    if eigvals.min(initial=0.0) < -100 * rank_tol * max(top, 1.0):
-        raise ShapeError("matrix is not positive semidefinite within tolerance")
-    threshold = rank_tol * max(top, 1e-300)
-    keep = eigvals > threshold
+    _, eigvals, eigvecs, keep = _psd_eigh(m)
     inv_vals = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
     pinv = (eigvecs * inv_vals) @ eigvecs.T
     basis = eigvecs[:, keep]

@@ -69,6 +69,8 @@ __all__ = [
 ]
 
 WEIGHT_BUDGET_TOL = 1e-9
+_PCM_HALFWIDTH = 8.0  # grid window of pcm_estimate's constrained-infimum search
+_PCM_SLACK = 1e-6  # pcm_estimate's slack on the monotone decrease of the tail
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ class MixtureSpec:
         )
         if not terms:
             raise ParameterError("a mixture needs at least one term")
-        if not gamma > 0:
-            raise ParameterError("gamma must be positive")
+        if not 0 < gamma < np.inf:
+            raise ParameterError("gamma must be finite and positive")
         base = terms[0].operator.cols
         if any(t.operator.cols != base for t in terms):
             raise ParameterError("all operators must share the base dimension")
@@ -462,16 +464,16 @@ def pcm_estimate(
     x,
     gamma_tail,
     opts: SolverOpts = DEFAULT_OPTS,
-    oracle_halfwidth=8.0,
     oracle_steps=801,
-    slack=1e-6,
 ):
     """Growing-parameter tail of the mixture with its constrained-inf limit.
 
     The limit is the constrained infimum of the weighted value sum over
     families ``(y_k)`` with ``sum alpha_k L_k* y_k = x``, computed on the
     direct-sum embedding by searching the adjoint fiber (up to two free
-    directions).  The tail is one batch solve on the embedding.
+    directions, each gridded on ``[-8, 8]`` with ``oracle_steps`` points).
+    The tail is one batch solve on the embedding; ``monotone`` allows rises
+    of up to 1e-6.
     """
     x = as_vector(x, spec.base_dim)
     gammas = np.asarray(sorted(gamma_tail), dtype=float)
@@ -484,12 +486,12 @@ def pcm_estimate(
     finite = values[np.isfinite(values)]
     try:
         oracle, witness = pushforward_infimum(
-            emb.stacked_map, emb.stacked_fn, x, oracle_halfwidth, oracle_steps
+            emb.stacked_map, emb.stacked_fn, x, _PCM_HALFWIDTH, oracle_steps
         )
         gap = float(finite[-1] - oracle) if finite.size else None
     except UnsupportedDimension:
         pass
-    monotone = bool(np.all(np.diff(finite) <= slack))
+    monotone = bool(np.all(np.diff(finite) <= _PCM_SLACK))
     return PcmReport(gammas, values, oracle, witness, gap, monotone)
 
 

@@ -72,10 +72,10 @@ class SolverOpts:
     @classmethod
     def from_json(cls, obj):
         try:
-            tol = float(obj.get("tol", 1e-8))
-            max_iter = obj.get("max_iter", 100_000)
+            tol = float(obj.get("tol", cls.tol))
+            max_iter = obj.get("max_iter", cls.max_iter)
             max_iter = int(max_iter) if float(max_iter).is_integer() else max_iter
-            radius = float(obj.get("divergence_radius", 1e6))
+            radius = float(obj.get("divergence_radius", cls.divergence_radius))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"unparsable solver option: {exc}") from None
         return cls(tol=tol, max_iter=max_iter, divergence_radius=radius)

@@ -290,6 +290,11 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
         ("figure", {"preset": "bogus"}),
         ("eval", {"spec": [0.5, 1.0], "points": [[1.0]]}),
         ("eval", {"spec": {"gamma": 1.0}, "points": [[1.0]]}),
+        ("eval", {**ONE_POINT, "spec": {**ONE_POINT["spec"], "gamma": float("inf")}}),
+        ("eval", {**ONE_POINT, "spec": {**ONE_POINT["spec"],
+                                        "g": {"atom": "l2_norm", "params": {"dim": 1}}}}),
+        ("eval", {**ONE_POINT, "spec": {**ONE_POINT["spec"], "g": {
+            "atom": "l1_norm", "params": {"dim": 1}, "transforms": [{"kind": "shift"}]}}}),
     ],
     ids=[
         "prox-gamma", "envelope-gamma", "envelope-rho", "sweep-gammas",
@@ -299,6 +304,7 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
         "figure-lo", "figure-hi", "figure-lo-length", "figure-grid-not-object",
         "figure-gammas", "eval-which", "prox-which", "argmin-function",
         "figure-preset-unknown", "spec-not-object", "spec-no-kind",
+        "eval-gamma-infinite", "eval-atom-unknown", "eval-transform-unknown",
     ],
 )
 def test_malformed_field_exit(tmp_path, capsys, command, payload):

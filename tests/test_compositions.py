@@ -83,6 +83,12 @@ def test_spec_construction_guards():
         CompositionSpec(DenseMap.identity(2), L1Norm(1), 1.0)
 
 
+@pytest.mark.parametrize("gamma", [np.inf, np.nan])
+def test_spec_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ParameterError, match="finite and positive"):
+        CompositionSpec(DenseMap.identity(1), L1Norm(1), gamma)
+
+
 # -- cocomposition values ------------------------------------------------------
 
 
@@ -455,6 +461,12 @@ def test_perspective_values():
     assert perspective_cocomposition(spec, [2.0], -1.0) == np.inf
 
 
+@pytest.mark.parametrize("xi", [np.inf, -np.inf, np.nan])
+def test_perspective_rejects_non_finite_xi(xi):
+    with pytest.raises(ParameterError, match="xi must be finite"):
+        perspective_cocomposition(scalar_half_spec(), [2.0], xi)
+
+
 # -- sweeps and limits -----------------------------------------------------------
 
 
@@ -549,6 +561,12 @@ def test_limit_large_gamma_projection_family():
     # infimum over the vertical fiber through (0.5, 0) of ||y - (0,1)||
     assert rep.target == pytest.approx(0.5, abs=1e-4)
     assert abs(rep.final_gap) <= 2e-3
+
+
+@pytest.mark.parametrize("which", ["compositon", "Composition", None])
+def test_limit_large_gamma_rejects_unknown_which(which):
+    with pytest.raises(ParameterError, match="which must be"):
+        limit_large_gamma(DenseMap.identity(1), L1Norm(1), [1.0], [1.0, 2.0], which=which)
 
 
 def test_pushforward_infimum_unique_and_search():

@@ -17,7 +17,7 @@ from proxmix import (
     function_to_spec,
     quadratic_kernel,
 )
-from proxmix.errors import ParameterError, UnsupportedConjugate
+from proxmix.errors import ParameterError, ShapeError, UnsupportedConjugate
 from proxmix.functions import (
     MoreauEnvelopeFunction,
     OracleFunction,
@@ -216,14 +216,6 @@ def test_lipschitz_bounds():
     assert BallIndicator(np.zeros(2), 1.0).lipschitz_bound() is None
 
 
-def test_domain_contains_boundary_tolerance():
-    ball = BallIndicator(np.zeros(2), 2.0)
-    assert ball.domain_contains(np.array([2.0 + 1e-12, 0.0]), tol=1e-9)
-    assert L1Norm(2).domain_contains(np.array([5.0, -3.0]))
-    sub = SubspaceIndicator(np.eye(2)[:, :1])
-    assert not sub.domain_contains(np.array([1.0, 1e-6]), tol=1e-9)
-
-
 def test_whole_space_subspace_conjugate_is_the_origin_indicator():
     # the orthogonal complement of the whole space has an empty basis
     conj = conjugate_function(SubspaceIndicator(np.eye(2)))
@@ -380,6 +372,34 @@ def test_function_spec_round_trip(fn):
         a, b = np.asarray(fn(x)), np.asarray(again(x))
         assert (np.isinf(a) and np.isinf(b)) or abs(a - b) <= 1e-14
         assert np.allclose(fn.prox(0.9, x), again.prox(0.9, x))
+
+
+def test_function_to_spec_rejects_functions_without_a_spec_form():
+    with pytest.raises(ShapeError, match="no JSON spec form"):
+        function_to_spec(MoreauEnvelopeFunction(L1Norm(2), 0.5))
+    # a transform over such a function fails the same way
+    with pytest.raises(ShapeError, match="no JSON spec form"):
+        function_to_spec(MoreauEnvelopeFunction(L1Norm(2), 0.5).translate([1.0, 0.0]))
+
+
+def test_function_from_spec_rejects_unknown_names():
+    with pytest.raises(ShapeError, match="unknown atom name"):
+        function_from_spec({"atom": "l2_norm", "params": {"dim": 2}})
+    with pytest.raises(ShapeError, match="unknown atom name"):
+        function_from_spec({"atom": ["l1_norm"], "params": {"dim": 2}})
+    with pytest.raises(ShapeError, match="unknown transform kind"):
+        function_from_spec(
+            {"atom": "l1_norm", "params": {"dim": 2}, "transforms": [{"kind": "shift"}]}
+        )
+
+
+def test_function_from_spec_alpha_defaults_to_zero():
+    fn = function_from_spec(
+        {"atom": "affine", "params": {"u": [1.0, 2.0]},
+         "transforms": [{"kind": "add_affine", "u": [0.5, 0.0]}]}
+    )
+    assert fn.alpha == 0.0 and fn.inner.alpha == 0.0
+    assert fn(np.array([1.0, 1.0])) == 3.5
 
 
 # -- row sums ------------------------------------------------------------------

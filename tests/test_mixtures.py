@@ -73,6 +73,12 @@ def test_probability_weights_with_isometries_accepted():
     assert spec.gamma == 1.0
 
 
+@pytest.mark.parametrize("gamma", [np.inf, np.nan])
+def test_mixture_spec_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ParameterError, match="finite and positive"):
+        MixtureSpec([MixtureTerm(0.5, DenseMap.identity(1), L1Norm(1))], gamma)
+
+
 def test_terms_must_share_base_dimension():
     with pytest.raises(ParameterError):
         MixtureSpec(
