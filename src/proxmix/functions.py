@@ -7,10 +7,15 @@ quadratic perturbation); transforms stack with the outermost one applied
 last and every oracle peels them off exactly.
 
 All operations broadcast over batches shaped ``(..., dim)`` and act along
-the last axis.  Extended values are plain floats, with ``inf`` standing
-for the point being outside the domain; NaN never appears.  Indicator
-membership uses an absolute boundary tolerance of 1e-9 so that projection
-outputs always evaluate as feasible despite roundoff.
+the last axis.  Each public oracle validates once, at the root of the
+function tree it is called on: the point's width, and a prox parameter
+that must be positive and finite.  The private hooks beneath it work on
+validated float arrays and call each other directly.
+
+Extended values are plain floats, with ``inf`` standing for the point
+being outside the domain; NaN never appears.  Indicator membership uses
+an absolute boundary tolerance of 1e-9 so that projection outputs always
+evaluate as feasible despite roundoff.
 
 Function objects are immutable and all methods are pure.
 """
@@ -50,6 +55,9 @@ __all__ = [
 
 #: absolute slack for indicator-set membership
 BOUNDARY_TOL = 1e-9
+
+#: the smallest normal float, a divisor floor that keeps 0 / 0 out of a prox
+_TINY = np.finfo(float).tiny
 
 
 @lru_cache(maxsize=None)
@@ -102,27 +110,35 @@ def _scalarize(values):
 class ConvexFunction:
     """Base class: a function in the catalog, possibly transformed.
 
-    Subclasses implement ``__call__``, ``prox``, ``conjugate``,
-    ``recession``, ``lipschitz_bound`` and ``has_full_domain``.
+    The public oracles (``__call__``, ``prox``, ``conjugate``,
+    ``recession``, ``prox_conjugate``) validate their arguments once and
+    turn 0-d results into floats once.  Subclasses implement the private
+    hooks ``_value``, ``_prox``, ``_conjugate`` and ``_recession`` on
+    already-validated input: a float array of shape ``(..., dim)`` and a
+    positive finite ``gamma`` (a float or a per-row column ``(n, 1)``).  A
+    hook calls the hooks of the functions it is built from directly, so a
+    transform stack is validated at its root only.  Subclasses also
+    implement ``lipschitz_bound`` and ``has_full_domain``.
     """
 
     dim = None  # type: int
 
     # -- contract -----------------------------------------------------
     def __call__(self, x):
-        raise NotImplementedError
+        return _scalarize(self._value(self._check_point(x)))
 
     def prox(self, gamma, x):
         """Unique minimizer of ``f(y) + ||x - y||^2 / (2 gamma)``."""
-        raise NotImplementedError
+        _check_gamma(gamma)
+        return self._prox(gamma, self._check_point(x))
 
     def conjugate(self, s):
         """Closed-form value of the Legendre conjugate at ``s``."""
-        raise NotImplementedError
+        return _scalarize(self._conjugate(self._check_point(s)))
 
     def recession(self, x):
         """Asymptotic slope function evaluated at ``x``."""
-        raise NotImplementedError
+        return _scalarize(self._recession(self._check_point(x)))
 
     def lipschitz_bound(self):
         """A global Lipschitz constant, or None when there is none."""
@@ -140,8 +156,10 @@ class ConvexFunction:
         where ``prox_{f/g}`` is the prox of ``f`` with parameter ``1/g``.
         """
         _check_gamma(gamma)
-        x = np.asarray(x, dtype=float)
-        return x - gamma * self.prox(1.0 / gamma, x / gamma)
+        return self._prox_conjugate(gamma, self._check_point(x))
+
+    def _prox_conjugate(self, gamma, x):
+        return x - gamma * self._prox(1.0 / gamma, x / gamma)
 
     # -- transform builders --------------------------------------------
     def translate(self, w):
@@ -178,10 +196,16 @@ class ConvexFunction:
 
 
 def _check_gamma(gamma):
-    """Reject a non-positive prox parameter: a float, or a per-row column."""
-    # inline _all_positive: this runs once per prox call
-    if not ((gamma > 0).all() if isinstance(gamma, np.ndarray) else gamma > 0):
-        raise ParameterError(f"prox parameter must be positive, got {gamma}")
+    """Reject a prox parameter that is not positive and finite.
+
+    ``gamma`` is a float, or a per-row column; this runs once per prox call.
+    """
+    if isinstance(gamma, np.ndarray):
+        ok = ((gamma > 0) & (gamma < np.inf)).all()
+    else:
+        ok = 0 < gamma < np.inf
+    if not ok:
+        raise ParameterError(f"prox parameter must be positive and finite, got {gamma}")
 
 
 def _check_rho(rho):
@@ -200,23 +224,20 @@ class L1Norm(ConvexFunction):
     def __init__(self, dim):
         self.dim = int(dim)
 
-    def __call__(self, x):
-        x = self._check_point(x)
-        return _scalarize(np.sum(np.abs(x), axis=-1))
+    def _value(self, x):
+        return np.sum(np.abs(x), axis=-1)
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        x = self._check_point(x)
-        return np.sign(x) * np.maximum(np.abs(x) - gamma, 0.0)
+    # a sublinear function is its own recession function
+    _recession = _value
 
-    def conjugate(self, s):
-        s = self._check_point(s)
+    def _prox(self, gamma, x):
+        # x minus its clamp to [-gamma, gamma]; np.clip costs more on one row
+        return x - np.minimum(np.maximum(x, -gamma), gamma)
+
+    def _conjugate(self, s):
         slack = BOUNDARY_TOL * (1.0 + _norm(s))
         inside = np.max(np.abs(s), axis=-1) <= 1.0 + slack
-        return _scalarize(np.where(inside, 0.0, np.inf))
-
-    def recession(self, x):
-        return self(x)
+        return np.where(inside, 0.0, np.inf)
 
     def lipschitz_bound(self):
         # Euclidean-norm constant of the l1 norm.
@@ -232,24 +253,20 @@ class EuclideanNorm(ConvexFunction):
     def __init__(self, dim):
         self.dim = int(dim)
 
-    def __call__(self, x):
-        x = self._check_point(x)
-        return _scalarize(_norm(x))
+    def _value(self, x):
+        return _norm(x)
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        x = self._check_point(x)
-        nx = _norm(x)[..., None]
-        factor = np.where(nx > gamma, 1.0 - gamma / np.where(nx > 0, nx, 1.0), 0.0)
-        return factor * x
+    _recession = _value
 
-    def conjugate(self, s):
-        s = self._check_point(s)
+    def _prox(self, gamma, x):
+        # The factor is exactly 0 once ||x|| <= gamma.  The floor keeps 0 / 0
+        # out where a wrapper's rescaled gamma underflows to 0, and adds
+        # nothing to a gamma above 1e-292.
+        return x * (1.0 - gamma / np.maximum(_norm(x)[..., None], gamma + _TINY))
+
+    def _conjugate(self, s):
         inside = _norm(s) <= 1.0 + BOUNDARY_TOL * (1.0 + _norm(s))
-        return _scalarize(np.where(inside, 0.0, np.inf))
-
-    def recession(self, x):
-        return self(x)
+        return np.where(inside, 0.0, np.inf)
 
     def lipschitz_bound(self):
         return 1.0
@@ -275,19 +292,15 @@ class Quadratic(ConvexFunction):
         self.dim = a.shape[0]
         self.matrix = a
 
-    def __call__(self, x):
-        x = self._check_point(x)
-        return _scalarize(0.5 * _dot(x, x @ self.matrix))
+    def _value(self, x):
+        return 0.5 * _dot(x, x @ self.matrix)
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        x = self._check_point(x)
+    def _prox(self, gamma, x):
         coef = x @ self._eigvecs
         coef = coef / (1.0 + gamma * self._eigvals)
         return coef @ self._eigvecs.T
 
-    def conjugate(self, s):
-        s = self._check_point(s)
+    def _conjugate(self, s):
         coef = s @ self._eigvecs
         null = coef[..., ~self._range_mask]
         scale = 1.0 + _norm(s)
@@ -296,13 +309,12 @@ class Quadratic(ConvexFunction):
         )
         pos = coef[..., self._range_mask]
         vals = 0.5 * np.sum(pos * pos / self._eigvals[self._range_mask], axis=-1)
-        return _scalarize(np.where(in_range, vals, np.inf))
+        return np.where(in_range, vals, np.inf)
 
-    def recession(self, x):
-        x = self._check_point(x)
+    def _recession(self, x):
         ax = x @ self.matrix
         in_kernel = _norm(ax) <= BOUNDARY_TOL * (1.0 + _norm(x))
-        return _scalarize(np.where(in_kernel, 0.0, np.inf))
+        return np.where(in_kernel, 0.0, np.inf)
 
     def has_full_domain(self):
         return True
@@ -322,23 +334,18 @@ class Affine(ConvexFunction):
         self.alpha = float(alpha)
         self.dim = self.u.shape[0]
 
-    def __call__(self, x):
-        x = self._check_point(x)
-        return _scalarize(_dot(x, self.u) + self.alpha)
+    def _value(self, x):
+        return _dot(x, self.u) + self.alpha
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        x = self._check_point(x)
+    def _prox(self, gamma, x):
         return x - gamma * self.u
 
-    def conjugate(self, s):
-        s = self._check_point(s)
+    def _conjugate(self, s):
         hit = _norm(s - self.u) <= BOUNDARY_TOL * (1.0 + _norm(self.u) + _norm(s))
-        return _scalarize(np.where(hit, -self.alpha, np.inf))
+        return np.where(hit, -self.alpha, np.inf)
 
-    def recession(self, x):
-        x = self._check_point(x)
-        return _scalarize(_dot(x, self.u))
+    def _recession(self, x):
+        return _dot(x, self.u)
 
     def lipschitz_bound(self):
         return float(np.linalg.norm(self.u))
@@ -358,35 +365,29 @@ class _Ball(ConvexFunction):
         self.radius = float(radius)
         self.dim = self.center.shape[0]
 
-    def _project(self, x):
-        """``(||x - center||, projection of x onto the ball)``; batched."""
-        d = x - self.center
-        nd = _norm(d)
-        factor = np.where(nd > self.radius, self.radius / np.where(nd > 0, nd, 1.0), 1.0)
-        return nd, self.center + factor[..., None] * d
-
 
 class BallIndicator(_Ball):
     """Indicator of the closed ball ``B(center, radius)``."""
 
-    def __call__(self, x):
-        x = self._check_point(x)
+    def _value(self, x):
         gap = _norm(x - self.center)
         inside = gap <= self.radius + BOUNDARY_TOL * (1.0 + _norm(x))
-        return _scalarize(np.where(inside, 0.0, np.inf))
+        return np.where(inside, 0.0, np.inf)
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        return self._project(self._check_point(x))[1]
+    def _prox(self, gamma, x):
+        # the projection; the factor is exactly 1 inside the ball
+        d = x - self.center
+        if self.radius == 0.0:
+            return self.center + 0.0 * d
+        nd = _norm(d)[..., None]
+        return self.center + self.radius / np.maximum(nd, self.radius) * d
 
-    def conjugate(self, s):
-        s = self._check_point(s)
-        return _scalarize(_dot(s, self.center) + self.radius * _norm(s))
+    def _conjugate(self, s):
+        return _dot(s, self.center) + self.radius * _norm(s)
 
-    def recession(self, x):
-        x = self._check_point(x)
+    def _recession(self, x):
         at_zero = _norm(x) <= BOUNDARY_TOL
-        return _scalarize(np.where(at_zero, 0.0, np.inf))
+        return np.where(at_zero, 0.0, np.inf)
 
     def has_full_domain(self):
         return False
@@ -409,23 +410,19 @@ class SubspaceIndicator(ConvexFunction):
     def _project(self, x):
         return (x @ self.basis) @ self.basis.T
 
-    def __call__(self, x):
-        x = self._check_point(x)
+    def _value(self, x):
         dist = _norm(x - self._project(x))
         inside = dist <= BOUNDARY_TOL * (1.0 + _norm(x))
-        return _scalarize(np.where(inside, 0.0, np.inf))
+        return np.where(inside, 0.0, np.inf)
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        return self._project(self._check_point(x))
+    _recession = _value
 
-    def conjugate(self, s):
-        s = self._check_point(s)
+    def _prox(self, gamma, x):
+        return self._project(x)
+
+    def _conjugate(self, s):
         tangential = _norm(self._project(s))
-        return _scalarize(np.where(tangential <= BOUNDARY_TOL * (1 + _norm(s)), 0.0, np.inf))
-
-    def recession(self, x):
-        return self(x)
+        return np.where(tangential <= BOUNDARY_TOL * (1 + _norm(s)), 0.0, np.inf)
 
     def has_full_domain(self):
         return False
@@ -434,33 +431,27 @@ class SubspaceIndicator(ConvexFunction):
 class BallDistance(_Ball):
     """``x -> dist(x, B(center, radius))``; 1-Lipschitz with full domain."""
 
-    def __call__(self, x):
-        x = self._check_point(x)
-        return _scalarize(np.maximum(_norm(x - self.center) - self.radius, 0.0))
+    def _value(self, x):
+        return np.maximum(_norm(x - self.center) - self.radius, 0.0)
 
-    def prox(self, gamma, x):
-        # Shrink toward the projection; land on it once within gamma.
-        _check_gamma(gamma)
-        x = self._check_point(x)
-        nd, proj = self._project(x)
-        # a per-row gamma column broadcasts against the distance column
-        dist = np.maximum(nd - self.radius, 0.0)[..., None]
-        far = dist > gamma
-        safe = np.where(dist > 0, dist, 1.0)
-        step = np.where(far, gamma / safe, 1.0)
-        return x + step * (proj - x)
+    def _prox(self, gamma, x):
+        # Move toward the center by the distance to the ball, at most gamma.
+        # The move is 0 wherever ||d|| <= radius, so flooring the divisor at
+        # the smallest normal float only keeps the center itself finite.
+        d = x - self.center
+        nd = _norm(d)[..., None]
+        move = np.minimum(np.maximum(nd - self.radius, 0.0), gamma)
+        return x - move / np.maximum(nd, _TINY) * d
 
-    def conjugate(self, s):
+    def _conjugate(self, s):
         # Distance = norm infimal-convolved with the indicator, so the
         # conjugate is the ball support plus the unit-ball indicator.
-        s = self._check_point(s)
         inside = _norm(s) <= 1.0 + BOUNDARY_TOL * (1.0 + _norm(s))
         support = _dot(s, self.center) + self.radius * _norm(s)
-        return _scalarize(np.where(inside, support, np.inf))
+        return np.where(inside, support, np.inf)
 
-    def recession(self, x):
-        x = self._check_point(x)
-        return _scalarize(_norm(x))
+    def _recession(self, x):
+        return _norm(x)
 
     def lipschitz_bound(self):
         return 1.0
@@ -472,28 +463,24 @@ class BallDistance(_Ball):
 class BallSupport(_Ball):
     """Support function of ``B(center, radius)``: ``x -> <x,c> + r ||x||``."""
 
-    def __call__(self, x):
-        x = self._check_point(x)
-        return _scalarize(_dot(x, self.center) + self.radius * _norm(x))
+    def _value(self, x):
+        return _dot(x, self.center) + self.radius * _norm(x)
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        x = self._check_point(x)
+    _recession = _value
+
+    def _prox(self, gamma, x):
+        # the Euclidean-norm prox at index gamma * radius, on the shifted
+        # point; that index is 0 at radius 0, which the floor covers
         shifted = x - gamma * self.center
-        nx = _norm(shifted)[..., None]
         thresh = gamma * self.radius
-        factor = np.where(nx > thresh, 1.0 - thresh / np.where(nx > 0, nx, 1.0), 0.0)
-        return factor * shifted
+        ns = _norm(shifted)[..., None]
+        return shifted * (1.0 - thresh / np.maximum(ns, thresh + _TINY))
 
-    def conjugate(self, s):
-        s = self._check_point(s)
+    def _conjugate(self, s):
         inside = _norm(s - self.center) <= self.radius + BOUNDARY_TOL * (
             1.0 + _norm(s)
         )
-        return _scalarize(np.where(inside, 0.0, np.inf))
-
-    def recession(self, x):
-        return self(x)
+        return np.where(inside, 0.0, np.inf)
 
     def lipschitz_bound(self):
         return float(np.linalg.norm(self.center)) + self.radius
@@ -525,34 +512,29 @@ class SeparableSum(ConvexFunction):
         self.blocks = tuple(items)
         self.dim = offset
 
-    def __call__(self, x):
-        x = self._check_point(x)
+    def _value(self, x):
         total = 0.0
         for w, fn, sl in self.blocks:
-            total = total + w * np.asarray(fn(x[..., sl]))
-        return _scalarize(total)
+            total = total + w * fn._value(x[..., sl])
+        return total
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        x = self._check_point(x)
+    def _prox(self, gamma, x):
         out = np.empty_like(x)
         for w, fn, sl in self.blocks:
-            out[..., sl] = fn.prox(gamma * w, x[..., sl])
+            out[..., sl] = fn._prox(gamma * w, x[..., sl])
         return out
 
-    def conjugate(self, s):
-        s = self._check_point(s)
+    def _conjugate(self, s):
         total = 0.0
         for w, fn, sl in self.blocks:
-            total = total + w * np.asarray(fn.conjugate(s[..., sl] / w))
-        return _scalarize(total)
+            total = total + w * fn._conjugate(s[..., sl] / w)
+        return total
 
-    def recession(self, x):
-        x = self._check_point(x)
+    def _recession(self, x):
         total = 0.0
         for w, fn, sl in self.blocks:
-            total = total + w * np.asarray(fn.recession(x[..., sl]))
-        return _scalarize(total)
+            total = total + w * fn._recession(x[..., sl])
+        return total
 
     def lipschitz_bound(self):
         parts = []
@@ -593,19 +575,17 @@ class TranslatedFunction(_Transform):
         if self.w.shape[0] != inner.dim:
             raise DimensionError("translation vector dimension mismatch")
 
-    def __call__(self, x):
-        return self.inner(self._check_point(x) - self.w)
+    def _value(self, x):
+        return self.inner._value(x - self.w)
 
-    def prox(self, gamma, x):
-        x = self._check_point(x)
-        return self.w + self.inner.prox(gamma, x - self.w)
+    def _prox(self, gamma, x):
+        return self.w + self.inner._prox(gamma, x - self.w)
 
-    def conjugate(self, s):
-        s = self._check_point(s)
-        return _scalarize(np.asarray(self.inner.conjugate(s)) + _dot(s, self.w))
+    def _conjugate(self, s):
+        return self.inner._conjugate(s) + _dot(s, self.w)
 
-    def recession(self, x):
-        return self.inner.recession(x)
+    def _recession(self, x):
+        return self.inner._recession(x)
 
     def lipschitz_bound(self):
         return self.inner.lipschitz_bound()
@@ -619,18 +599,17 @@ class ArgScaledFunction(_Transform):
         super().__init__(inner)
         self.rho = float(rho)
 
-    def __call__(self, x):
-        return self.inner(self.rho * self._check_point(x))
+    def _value(self, x):
+        return self.inner._value(self.rho * x)
 
-    def prox(self, gamma, x):
-        x = self._check_point(x)
-        return self.inner.prox(gamma * self.rho**2, self.rho * x) / self.rho
+    def _prox(self, gamma, x):
+        return self.inner._prox(gamma * self.rho**2, self.rho * x) / self.rho
 
-    def conjugate(self, s):
-        return self.inner.conjugate(self._check_point(s) / self.rho)
+    def _conjugate(self, s):
+        return self.inner._conjugate(s / self.rho)
 
-    def recession(self, x):
-        return self.inner.recession(self.rho * self._check_point(x))
+    def _recession(self, x):
+        return self.inner._recession(self.rho * x)
 
     def lipschitz_bound(self):
         beta = self.inner.lipschitz_bound()
@@ -645,18 +624,17 @@ class ValueScaledFunction(_Transform):
         super().__init__(inner)
         self.rho = float(rho)
 
-    def __call__(self, x):
-        return _scalarize(self.rho * np.asarray(self.inner(x)))
+    def _value(self, x):
+        return self.rho * self.inner._value(x)
 
-    def prox(self, gamma, x):
-        return self.inner.prox(gamma * self.rho, x)
+    def _prox(self, gamma, x):
+        return self.inner._prox(gamma * self.rho, x)
 
-    def conjugate(self, s):
-        s = self._check_point(s)
-        return _scalarize(self.rho * np.asarray(self.inner.conjugate(s / self.rho)))
+    def _conjugate(self, s):
+        return self.rho * self.inner._conjugate(s / self.rho)
 
-    def recession(self, x):
-        return _scalarize(self.rho * np.asarray(self.inner.recession(x)))
+    def _recession(self, x):
+        return self.rho * self.inner._recession(x)
 
     def lipschitz_bound(self):
         beta = self.inner.lipschitz_bound()
@@ -674,22 +652,17 @@ class AffineAddedFunction(_Transform):
             raise DimensionError("affine term dimension mismatch")
         self.alpha = float(alpha)
 
-    def __call__(self, x):
-        x = self._check_point(x)
-        return _scalarize(np.asarray(self.inner(x)) + _dot(x, self.u) + self.alpha)
+    def _value(self, x):
+        return self.inner._value(x) + _dot(x, self.u) + self.alpha
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        x = self._check_point(x)
-        return self.inner.prox(gamma, x - gamma * self.u)
+    def _prox(self, gamma, x):
+        return self.inner._prox(gamma, x - gamma * self.u)
 
-    def conjugate(self, s):
-        s = self._check_point(s)
-        return _scalarize(np.asarray(self.inner.conjugate(s - self.u)) - self.alpha)
+    def _conjugate(self, s):
+        return self.inner._conjugate(s - self.u) - self.alpha
 
-    def recession(self, x):
-        x = self._check_point(x)
-        return _scalarize(np.asarray(self.inner.recession(x)) + _dot(x, self.u))
+    def _recession(self, x):
+        return self.inner._recession(x) + _dot(x, self.u)
 
     def lipschitz_bound(self):
         beta = self.inner.lipschitz_bound()
@@ -705,36 +678,28 @@ class QuadAddedFunction(_Transform):
         super().__init__(inner)
         self.rho = float(rho)
 
-    def __call__(self, x):
-        x = self._check_point(x)
-        return _scalarize(
-            np.asarray(self.inner(x)) + 0.5 * self.rho * _norm(x) ** 2
-        )
+    def _value(self, x):
+        return self.inner._value(x) + 0.5 * self.rho * _norm(x) ** 2
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        x = self._check_point(x)
+    def _prox(self, gamma, x):
         if self.rho == 0.0:
-            return self.inner.prox(gamma, x)
+            return self.inner._prox(gamma, x)
         shrink = 1.0 + gamma * self.rho
-        return self.inner.prox(gamma / shrink, x / shrink)
+        return self.inner._prox(gamma / shrink, x / shrink)
 
-    def conjugate(self, s):
+    def _conjugate(self, s):
         # (f + rho Q)* is the Moreau envelope of f* with index rho.
-        s = self._check_point(s)
         if self.rho == 0.0:
-            return self.inner.conjugate(s)
-        p = self.inner.prox_conjugate(self.rho, s)
-        inner_val = np.asarray(self.inner.conjugate(p))
-        return _scalarize(inner_val + 0.5 / self.rho * _norm(s - p) ** 2)
+            return self.inner._conjugate(s)
+        p = self.inner._prox_conjugate(self.rho, s)
+        return self.inner._conjugate(p) + 0.5 / self.rho * _norm(s - p) ** 2
 
-    def recession(self, x):
-        x = self._check_point(x)
+    def _recession(self, x):
         if self.rho == 0.0:
-            return self.inner.recession(x)
-        base = np.asarray(self.inner.recession(np.zeros_like(x)))
+            return self.inner._recession(x)
+        base = self.inner._recession(np.zeros_like(x))
         at_zero = _norm(x) <= BOUNDARY_TOL
-        return _scalarize(np.where(at_zero, base * 0.0, np.inf))
+        return np.where(at_zero, base * 0.0, np.inf)
 
     def lipschitz_bound(self):
         return self.inner.lipschitz_bound() if self.rho == 0.0 else None
@@ -757,27 +722,19 @@ class MoreauEnvelopeFunction(_Transform):
         super().__init__(inner)
         self.index = float(index)
 
-    def __call__(self, x):
-        x = self._check_point(x)
-        p = self.inner.prox(self.index, x)
-        return _scalarize(
-            np.asarray(self.inner(p)) + 0.5 / self.index * _norm(x - p) ** 2
-        )
+    def _value(self, x):
+        p = self.inner._prox(self.index, x)
+        return self.inner._value(p) + 0.5 / self.index * _norm(x - p) ** 2
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
-        x = self._check_point(x)
-        p = self.inner.prox(gamma + self.index, x)
+    def _prox(self, gamma, x):
+        p = self.inner._prox(gamma + self.index, x)
         return x + gamma / (gamma + self.index) * (p - x)
 
-    def conjugate(self, s):
-        s = self._check_point(s)
-        return _scalarize(
-            np.asarray(self.inner.conjugate(s)) + 0.5 * self.index * _norm(s) ** 2
-        )
+    def _conjugate(self, s):
+        return self.inner._conjugate(s) + 0.5 * self.index * _norm(s) ** 2
 
-    def recession(self, x):
-        return self.inner.recession(x)
+    def _recession(self, x):
+        return self.inner._recession(x)
 
     def lipschitz_bound(self):
         return self.inner.lipschitz_bound()
@@ -815,11 +772,11 @@ class OracleFunction(ConvexFunction):
         self._prox_gamma = prox_gamma
         self._full_domain = bool(full_domain)
 
-    def __call__(self, x):
-        return _scalarize(self._value_fn(self._check_point(x)))
+    # the callables may return lists; a wrapper's hook does arithmetic on them
+    def _value(self, x):
+        return np.asarray(self._value_fn(x), dtype=float)
 
-    def prox(self, gamma, x):
-        _check_gamma(gamma)
+    def _prox(self, gamma, x):
         if self._prox_fn is None:
             raise UnsupportedConjugate("oracle function has no prox")
         if self._prox_gamma is not None and not np.isclose(
@@ -828,17 +785,17 @@ class OracleFunction(ConvexFunction):
             raise ParameterError(
                 f"oracle prox only available at parameter {self._prox_gamma}"
             )
-        return self._prox_fn(gamma, self._check_point(x))
+        return self._prox_fn(gamma, x)
 
-    def conjugate(self, s):
+    def _conjugate(self, s):
         if self._conjugate_fn is None:
             raise UnsupportedConjugate("oracle function has no closed conjugate")
-        return _scalarize(self._conjugate_fn(self._check_point(s)))
+        return np.asarray(self._conjugate_fn(s), dtype=float)
 
-    def recession(self, x):
+    def _recession(self, x):
         if self._recession_fn is None:
             raise UnsupportedConjugate("oracle function has no recession oracle")
-        return _scalarize(self._recession_fn(self._check_point(x)))
+        return np.asarray(self._recession_fn(x), dtype=float)
 
     def lipschitz_bound(self):
         return self._lipschitz

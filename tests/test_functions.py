@@ -17,7 +17,12 @@ from proxmix import (
     function_to_spec,
     quadratic_kernel,
 )
-from proxmix.errors import ParameterError, ShapeError, UnsupportedConjugate
+from proxmix.errors import (
+    DimensionError,
+    ParameterError,
+    ShapeError,
+    UnsupportedConjugate,
+)
 from proxmix.functions import (
     MoreauEnvelopeFunction,
     OracleFunction,
@@ -92,6 +97,18 @@ def test_prox_dist_ball_against_grid():
 def test_prox_requires_positive_gamma():
     with pytest.raises(ParameterError):
         L1Norm(1).prox(0.0, [1.0])
+
+
+@pytest.mark.parametrize("fn", [
+    MoreauEnvelopeFunction(L1Norm(1), 1.0),
+    L1Norm(1).add_quad(1.0),
+    Affine([1.0]),
+], ids=repr)
+def test_prox_rejects_an_infinite_gamma(fn):
+    # each once answered nan, raised a message about nan or returned -inf
+    for oracle in (fn.prox, fn.prox_conjugate):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            oracle(np.inf, [1.0])
 
 
 @pytest.mark.parametrize("fn", catalog(), ids=lambda f: repr(f))
@@ -333,7 +350,7 @@ def test_prox_with_a_gamma_column_equals_the_per_gamma_loop(fn):
         np.testing.assert_allclose(d, envelope_gradient(fn, g, x), rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_gamma_column_with_a_bad_row_raises(bad):
     column = np.array([[0.5], [bad]])
     X = np.ones((2, 2))
@@ -432,6 +449,184 @@ def test_ones_are_shared_and_read_only():
     assert _ones(3) is _ones(3) and list(_ones(3)) == [1.0, 1.0, 1.0]
     with pytest.raises(ValueError):
         _ones(3)[0] = 2.0
+
+
+# -- validation at the root of an oracle tree -----------------------------------
+
+
+def nested_trees():
+    """Transform stacks inside a separable sum, and a Moreau envelope of one."""
+    stack = L1Norm(2).translate([0.5, -1.0]).add_quad(0.4).scale_arg(2.0)
+    return [
+        SeparableSum([
+            (2.0, stack, 0),
+            (0.5, BallDistance(np.zeros(1), 1.0).scale_val(3.0), 2),
+        ]),
+        MoreauEnvelopeFunction(stack.add_affine([1.0, 2.0], 0.5), 0.7),
+    ]
+
+
+@pytest.mark.parametrize("fn", nested_trees(), ids=repr)
+def test_nested_trees_reject_a_wrong_width_point(fn):
+    for bad in (np.ones(fn.dim + 1), np.ones((4, fn.dim - 1))):
+        for oracle in (fn, fn.conjugate, fn.recession):
+            with pytest.raises(DimensionError):
+                oracle(bad)
+        for oracle in (fn.prox, fn.prox_conjugate):
+            with pytest.raises(DimensionError):
+                oracle(1.0, bad)
+
+
+@pytest.mark.parametrize("fn", nested_trees(), ids=repr)
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+def test_nested_trees_reject_a_bad_gamma(fn, gamma):
+    X = np.ones((2, fn.dim))
+    for bad in (gamma, np.array([[0.5], [gamma]])):
+        for oracle in (fn.prox, fn.prox_conjugate):
+            with pytest.raises(ParameterError):
+                oracle(bad, X)
+
+
+def test_oracle_prox_gamma_is_checked_inside_a_transform():
+    # scale_arg(2) calls the inner prox at gamma * 4, so only 0.125 is allowed
+    fn = OracleFunction(
+        1,
+        value_fn=lambda x: np.abs(x).sum(axis=-1),
+        prox_fn=lambda g, x: np.sign(x) * np.maximum(np.abs(x) - g, 0),
+        prox_gamma=0.5,
+    ).scale_arg(2.0)
+    assert np.allclose(fn.prox(0.125, [2.0]), [1.75])  # (4 - 0.5) / 2
+    for bad in (0.5, np.array([[0.125], [0.5]])):
+        with pytest.raises(ParameterError, match="only available"):
+            fn.prox(bad, np.ones((2, 1)))
+
+
+# -- atom proxes against their previous closed forms ---------------------------
+# The references below are the formulas the atoms used before their proxes were
+# rewritten in fewer numpy calls.
+
+
+def _ref_l1(gamma, x):
+    return np.sign(x) * np.maximum(np.abs(x) - gamma, 0.0)
+
+
+def _ref_euclidean(gamma, x):
+    nx = _norm(x)[..., None]
+    factor = np.where(nx > gamma, 1.0 - gamma / np.where(nx > 0, nx, 1.0), 0.0)
+    return factor * x
+
+
+def _ref_projection(center, radius, x):
+    d = x - center
+    nd = _norm(d)
+    factor = np.where(nd > radius, radius / np.where(nd > 0, nd, 1.0), 1.0)
+    return nd, center + factor[..., None] * d
+
+
+def _ref_ball_support(center, radius, gamma, x):
+    shifted = x - gamma * center
+    nx = _norm(shifted)[..., None]
+    thresh = gamma * radius
+    factor = np.where(nx > thresh, 1.0 - thresh / np.where(nx > 0, nx, 1.0), 0.0)
+    return factor * shifted
+
+
+def _ref_ball_distance(center, radius, gamma, x):
+    nd, proj = _ref_projection(center, radius, x)
+    dist = np.maximum(nd - radius, 0.0)[..., None]
+    safe = np.where(dist > 0, dist, 1.0)
+    step = np.where(dist > gamma, gamma / safe, 1.0)
+    return x + step * (proj - x)
+
+
+def _assert_same_bits(got, ref):
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(ref).view(np.int64)
+    )
+
+
+# dyadic centers, radii and gammas, so the edge points below are exact
+_GAMMAS = np.array([0.25, 0.5, 1.0, 3.0])
+_BALLS = [(np.array([0.5, -0.25]), 0.75), (np.array([-1.0, 2.0]), 0.0), (np.zeros(2), 1.5)]
+
+
+def _edge_rows(center, radius, gamma):
+    """The center, then points at distance radius and radius + gamma from it."""
+    offsets = [np.zeros(2)]
+    for dist in (radius, radius + gamma):
+        offsets += [np.array([dist, 0.0]), np.array([0.0, -dist])]
+    return center + np.array(offsets)
+
+
+def _batches(rng, rows_for):
+    """(gamma, X) pairs: random rows with a float and with a per-row gamma,
+    and edge rows with their own gamma as a per-row column."""
+    X = rng.normal(size=(50, 2)) * 10.0 ** rng.integers(-2, 3, size=(50, 1))
+    out = [(0.7, X), (rng.uniform(0.05, 5.0, size=(50, 1)), X)]
+    edges = [rows_for(g) for g in _GAMMAS]
+    column = np.repeat(_GAMMAS, [len(e) for e in edges])[:, None]
+    out.append((column, np.concatenate(edges)))
+    out += [(float(g), e) for g, e in zip(_GAMMAS, edges)]
+    return out
+
+
+def test_l1_prox_equals_the_sign_formula():
+    # equal up to the sign of a zero (== treats 0.0 and -0.0 alike)
+    rng = np.random.default_rng(21)
+    fn = L1Norm(2)
+
+    def rows(g):
+        return np.array([[0.0, -0.0], [g, -g], [2 * g, -0.5 * g], [-3 * g, g]])
+
+    for gamma, X in _batches(rng, rows):
+        np.testing.assert_array_equal(fn.prox(gamma, X), _ref_l1(gamma, X))
+
+
+def test_euclidean_norm_prox_is_bit_for_bit_the_previous_formula():
+    rng = np.random.default_rng(22)
+    fn = EuclideanNorm(2)
+    for gamma, X in _batches(rng, lambda g: _edge_rows(np.zeros(2), 0.0, g)):
+        _assert_same_bits(fn.prox(gamma, X), _ref_euclidean(gamma, X))
+        if np.ndim(gamma) == 0:
+            _assert_same_bits(fn.prox(gamma, X[0]), _ref_euclidean(gamma, X[0]))
+    # the inner gamma 1e-600 underflows to 0, which leaves the point in place
+    points = np.array([[1.0, 0.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(fn.scale_arg(1e-200).prox(1e-200, points), points)
+
+
+@pytest.mark.parametrize("center,radius", _BALLS)
+def test_ball_support_prox_is_bit_for_bit_the_previous_formula(center, radius):
+    # the edge rows of the shifted point x - gamma * center
+    rng = np.random.default_rng(23)
+    fn = BallSupport(center, radius)
+    for gamma, X in _batches(rng, lambda g: _edge_rows(g * center, g * radius, g)):
+        _assert_same_bits(fn.prox(gamma, X), _ref_ball_support(center, radius, gamma, X))
+    # gamma * radius underflows to 0 here; the prox of the origin stays 0
+    tiny = BallSupport(center, 1e-200)
+    np.testing.assert_array_equal(tiny.prox(1e-200, 1e-200 * center), np.zeros(2))
+
+
+@pytest.mark.parametrize("center,radius", _BALLS)
+def test_ball_indicator_prox_is_bit_for_bit_the_previous_projection(center, radius):
+    rng = np.random.default_rng(24)
+    fn = BallIndicator(center, radius)
+    for gamma, X in _batches(rng, lambda g: _edge_rows(center, radius, g)):
+        _assert_same_bits(fn.prox(gamma, X), _ref_projection(center, radius, X)[1])
+
+
+@pytest.mark.parametrize("center,radius", _BALLS)
+def test_ball_distance_prox_is_the_previous_formula_to_a_few_ulps(center, radius):
+    rng = np.random.default_rng(25)
+    fn = BallDistance(center, radius)
+    eps = np.finfo(float).eps
+    for gamma, X in _batches(rng, lambda g: _edge_rows(center, radius, g)):
+        got, ref = fn.prox(gamma, X), _ref_ball_distance(center, radius, gamma, X)
+        scale = np.maximum(np.abs(X).max(axis=-1), np.abs(center).max() + radius)
+        assert np.all(np.abs(got - ref) <= 4 * eps * scale[:, None])
+    # the center itself and the points within the ball do not move
+    inside = _edge_rows(center, radius, 1.0)[:3]
+    np.testing.assert_array_equal(fn.prox(1.0, inside), inside)
 
 
 # -- a hypothesis property ----------------------------------------------------
