@@ -187,7 +187,7 @@ def _flat_directions(L):
     """
     if L.norm_bound < 1.0 - ADMISSIBILITY_TOL:
         return np.zeros((L.rows, 0))
-    u, sv, _ = np.linalg.svd(L.entries, full_matrices=False)
+    u, sv, _ = L.thin_svd
     return u[:, sv >= 1.0 - ADMISSIBILITY_TOL]
 
 
@@ -220,7 +220,7 @@ def _cocomposition_core(spec, X, opts, gamma=None):
 
     def step(momentum, y, _rows, shift, gamma, t, t_row):
         v = momentum @ gram + shift
-        y_new = v - t * g.prox(gamma, gamma * v)
+        y_new = v - t * g._prox(gamma, gamma * v)
         return y_new, _norm(y_new - y) / t_row
 
     def certified(y, anchor, rows, *_):
@@ -262,10 +262,10 @@ def _composition_core(spec, X, opts, gamma=None):
     gamma = spec.gamma if gamma is None else gamma
     n = X.shape[0]
 
-    # certify infeasible base points through the adjoint range
-    dual_sol, *_ = np.linalg.lstsq(L.entries.T, X.T, rcond=None)
-    range_gap = _norm(L.adjoint_apply(dual_sol.T) - X)
     if g.has_full_domain():
+        # certify infeasible base points through the adjoint range
+        dual_sol, *_ = np.linalg.lstsq(L.entries.T, X.T, rcond=None)
+        range_gap = _norm(L.adjoint_apply(dual_sol.T) - X)
         infeasible = range_gap > _RANGE_TOL * (1.0 + _norm(X))
         sigma = None
     else:
@@ -275,14 +275,14 @@ def _composition_core(spec, X, opts, gamma=None):
     nb2 = max(spec.operator.norm_bound**2, 1e-12)
     step_size = 1.0 / (gamma * nb2)
     if np.ndim(gamma):
-        adjoint = L.entries.T
+        adjoint = L.adjoint_entries
         lift = lambda m, gamma: (m @ adjoint) * gamma  # noqa: E731
     else:
-        scaled_adjoint = gamma * L.entries.T
+        scaled_adjoint = gamma * L.adjoint_entries
         lift = lambda m, _gamma: m @ scaled_adjoint  # noqa: E731
 
     def step(momentum, z, _rows, x, gamma, step_size):
-        grad = x - g.prox(gamma, lift(momentum, gamma)) @ L.entries
+        grad = x - g._prox(gamma, lift(momentum, gamma)) @ L.entries
         return momentum + step_size * grad, _norm(grad)
 
     def certified(z, anchor, _rows, x, *_):

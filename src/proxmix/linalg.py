@@ -9,6 +9,7 @@ pure, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -49,10 +50,17 @@ class DenseMap:
     """Dense linear operator between Euclidean spaces.
 
     Maps points of dimension ``cols`` to points of dimension ``rows``.
-    Carries a lazily computed spectral norm from one singular value
-    decomposition; ``norm_bound`` inflates it by relative 1e-9, which
-    certifies ``||Lx|| <= norm_bound`` for all unit vectors ``x`` up to the
-    rounding of ``Lx`` itself.
+    Everything derived from ``entries`` is computed once and kept:
+
+    * the spectral norm, on first use, from one singular value
+      decomposition; ``norm_bound`` inflates it by relative 1e-9, which
+      certifies ``||Lx|| <= norm_bound`` for all unit vectors ``x`` up to
+      the rounding of ``Lx`` itself;
+    * ``adjoint_entries``, the transpose of ``entries`` in C order, at
+      construction: a product with the transposed view is F-ordered and
+      costs up to 4x more on many rows (its bits are the same on two rows
+      or more; one-row products can differ in the last bit);
+    * the thin SVD ``thin_svd``, on first use.
     """
 
     def __init__(self, entries):
@@ -63,6 +71,8 @@ class DenseMap:
             raise ValueError("matrix entries must be finite")
         a.setflags(write=False)
         self.entries = a
+        self.adjoint_entries = np.ascontiguousarray(a.T)
+        self.adjoint_entries.setflags(write=False)
         self._norm_bound = None
         self._norm_estimate = None
 
@@ -85,7 +95,7 @@ class DenseMap:
             raise DimensionError(
                 f"operator expects dimension {self.cols}, got {x.shape[-1]}"
             )
-        return x @ self.entries.T
+        return x @ self.adjoint_entries
 
     def adjoint_apply(self, y):
         """Adjoint product ``L*y = transpose(L) y``; batched."""
@@ -118,6 +128,14 @@ class DenseMap:
         self._norm_bound = sigma * (1.0 + _NORM_INFLATION)
         self._norm_estimate = sigma
         return sigma
+
+    @cached_property
+    def thin_svd(self):
+        """``np.linalg.svd(entries, full_matrices=False)`` as read-only arrays."""
+        u, sv, vh = np.linalg.svd(self.entries, full_matrices=False)
+        for a in (u, sv, vh):
+            a.setflags(write=False)
+        return u, sv, vh
 
     @property
     def norm_bound(self):

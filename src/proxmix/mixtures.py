@@ -92,7 +92,9 @@ class MixtureSpec:
     """Weighted family ``(alpha_k, L_k, g_k)`` with parameter ``gamma``.
 
     Validates the norm budget ``0 < sum alpha_k ||L_k||^2 <= 1`` and that
-    every operator shares the same base space.
+    every operator shares the same base space.  A spec is immutable
+    (``with_gamma`` builds a new one), so its direct-sum embedding is
+    built once, on the first ``embed``, and shared by every later call.
     """
 
     def __init__(self, terms: Sequence[MixtureTerm], gamma: float):
@@ -119,6 +121,22 @@ class MixtureSpec:
 
     def with_gamma(self, gamma):
         return MixtureSpec(self.terms, gamma)
+
+    @cached_property
+    def _embedding(self):
+        """The direct-sum embedding that ``embed`` returns."""
+        rows = []
+        blocks = []
+        offset = 0
+        for t in self.terms:
+            root = np.sqrt(t.alpha)
+            rows.append(root * t.operator.entries)
+            blocks.append((t.alpha, t.fn.scale_arg(1.0 / root), offset))
+            offset += t.fn.dim
+        stacked_map = DenseMap(np.vstack(rows))
+        stacked_fn = SeparableSum(blocks)
+        comp = CompositionSpec(stacked_map, stacked_fn, self.gamma)
+        return DirectSumEmbedding(stacked_map, stacked_fn, comp)
 
     def to_json(self):
         from .functions import function_to_spec
@@ -169,7 +187,7 @@ def proximal_average(fns, weights, gamma):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirectSumEmbedding:
     """Single-composition realization of a mixture.
 
@@ -185,19 +203,13 @@ class DirectSumEmbedding:
 
 
 def embed(spec: MixtureSpec) -> DirectSumEmbedding:
-    """Build the weighted direct-sum composition of a mixture."""
-    rows = []
-    blocks = []
-    offset = 0
-    for t in spec.terms:
-        root = np.sqrt(t.alpha)
-        rows.append(root * t.operator.entries)
-        blocks.append((t.alpha, t.fn.scale_arg(1.0 / root), offset))
-        offset += t.fn.dim
-    stacked_map = DenseMap(np.vstack(rows))
-    stacked_fn = SeparableSum(blocks)
-    comp = CompositionSpec(stacked_map, stacked_fn, spec.gamma)
-    return DirectSumEmbedding(stacked_map, stacked_fn, comp)
+    """The weighted direct-sum composition of a mixture.
+
+    Built on the first call for ``spec`` (the stacked map, the separable
+    sum and the admissibility check of the composition); the spec is
+    immutable, so every later call returns that same object.
+    """
+    return spec._embedding
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from proxmix.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
     _build_parser,
+    _write_csv,
     figure_preset,
     main,
 )
@@ -175,6 +176,27 @@ def test_csv_format_is_locale_independent(tmp_path):
     value_cell = raw.splitlines()[1].split(",")[0]
     assert value_cell == format(1.0 / 3.0, ".17g")
     assert "," not in value_cell and "." in value_cell
+
+
+def test_csv_bytes_of_special_values(tmp_path, capsys):
+    rows = np.array([
+        [np.inf, -np.inf, np.nan],
+        [-0.0, 5e-324, 1.0 / 3.0],
+        [-1e300, 0.0, 2.0],
+    ])
+    expected = (
+        "a,b,c\n"
+        "inf,-inf,nan\n"
+        "-0,4.9406564584124654e-324,0.33333333333333331\n"
+        "-1.0000000000000001e+300,0,2\n"
+    )
+    out = tmp_path / "special.csv"
+    _write_csv(["a", "b", "c"], rows, str(out))
+    assert out.read_bytes() == expected.encode()
+    _write_csv(["a", "b", "c"], rows, None)
+    assert capsys.readouterr().out == expected
+    _write_csv(["a", "b"], np.empty((0, 2)), str(out))
+    assert out.read_bytes() == b"a,b\n"
 
 
 def test_malformed_json_exit_and_diagnostics(tmp_path, capsys):

@@ -35,6 +35,7 @@ from proxmix.errors import AdmissibilityError, DimensionError, ParameterError
 from proxmix.functions import (
     Affine,
     BallIndicator,
+    ConvexFunction,
     MoreauEnvelopeFunction,
     OracleFunction,
     SubspaceIndicator,
@@ -725,6 +726,22 @@ def test_folded_steps_match_the_unfolded_steps(monkeypatch, core):
         assert list(status) == list(ref_status)
         assert list(iters) == list(ref_iters)
         np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=1e-12)
+
+
+def test_steps_skip_the_public_prox(monkeypatch):
+    # the spec fixes gamma and the dimensions, so iterations call the hook
+    public = []
+    prox = ConvexFunction.prox
+
+    def counted(self, gamma, x):
+        public.append(gamma)
+        return prox(self, gamma, x)
+
+    monkeypatch.setattr(ConvexFunction, "prox", counted)
+    spec = CompositionSpec(DenseMap([[0.5, 0.1], [-0.2, 0.4]]), L1Norm(2), 1.0)
+    reports = [solve(spec, [1.0, -2.0]) for solve in (eval_cocomposition, eval_composition)]
+    assert min(r.iterations for r in reports) > 10
+    assert len(public) == 1  # the composition's value, after the iteration
 
 
 @pytest.mark.parametrize("core", [_cocomposition_core, _composition_core])

@@ -423,9 +423,10 @@ def test_function_from_spec_alpha_defaults_to_zero():
 
 
 def _row_inputs(rng, n, dim):
-    """A 1-D vector, contiguous rows and strided rows of ``dim`` columns."""
+    """A 1-D vector, contiguous, F-ordered and strided rows of ``dim`` columns."""
     wide = rng.normal(size=(2 * n, 2 * dim)) * 10.0 ** rng.integers(-3, 4, size=(2 * n, 1))
-    return [rng.normal(size=dim), wide[:n, :dim].copy(), wide[::2, ::2]]
+    rows = wide[:n, :dim]
+    return [rng.normal(size=dim), rows.copy(), np.asfortranarray(rows), wide[::2, ::2]]
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
@@ -436,6 +437,10 @@ def test_row_sum_and_norm_match_the_reductions(n, dim):
     for x in _row_inputs(rng, n, dim):
         total, ref = _row_sum(x), np.add.reduce(x, axis=-1)
         norm, ref_norm = _norm(x), np.linalg.norm(x, axis=-1)
+        # the ``dot`` method runs the BLAS product that ``@`` runs, except on
+        # strided rows wider than three, where its own loop sums in another order
+        if x.data.contiguous or dim <= 3:
+            assert np.array_equal(total, x @ _ones(dim))
         assert np.shape(total) == np.shape(ref) == np.shape(norm) == np.shape(ref_norm)
         # the BLAS decides the order of a wider sum: a few ulps of the
         # absolute sum, not bit for bit

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proxmix import DenseMap, as_vector, pseudo_inverse_small
+from proxmix import DenseMap, Quadratic, SubspaceIndicator, as_vector, pseudo_inverse_small
 from proxmix.errors import DimensionError, ShapeError
 
 
@@ -97,6 +97,47 @@ def test_operator_norm_is_top_singular_value(entries, top_gap):
     assert L.operator_norm() == sv[0]
     assert L.norm_estimate == sv[0]
     assert L.norm_bound == pytest.approx(sv[0], rel=2e-9)
+
+
+def _c_ordered_constants(rng):
+    """``(stored constant, the transposed view it replaces)`` per product site."""
+    L = DenseMap(rng.normal(size=(5, 3)))
+    q = Quadratic(np.cov(rng.normal(size=(3, 6))))
+    s = SubspaceIndicator(np.linalg.qr(rng.normal(size=(3, 2)))[0])
+    return {
+        "DenseMap.apply": (L.adjoint_entries, L.entries.T),
+        "composition lift": (0.7 * L.adjoint_entries, 0.7 * L.entries.T),
+        "Quadratic._prox": (q._eigvecs_t, q._eigvecs.T),
+        "SubspaceIndicator._project": (s._basis_t, s.basis.T),
+    }
+
+
+@pytest.mark.parametrize(
+    "site", ["DenseMap.apply", "composition lift", "Quadratic._prox", "SubspaceIndicator._project"]
+)
+def test_constant_matrices_are_c_ordered_with_the_same_products(site):
+    rng = np.random.default_rng(21)
+    stored, view = _c_ordered_constants(rng)[site]
+    assert stored.flags.c_contiguous and not view.flags.c_contiguous
+    assert np.array_equal(stored, view)
+    eps = np.finfo(float).eps
+    for n in (1, 2, 7, 10_201):
+        x = rng.normal(size=(n, view.shape[0]))
+        got, ref = x @ stored, x @ view
+        if n == 1:  # a matrix-vector product may sum in another order
+            assert np.all(np.abs(got - ref) <= 4 * eps * (np.abs(x) @ np.abs(view)))
+        else:
+            assert np.array_equal(got, ref)
+
+
+def test_thin_svd_is_computed_once_and_read_only():
+    L = example1_operator()
+    u, sv, vh = L.thin_svd
+    assert L.thin_svd is L.thin_svd
+    ref = np.linalg.svd(L.entries, full_matrices=False)
+    for got, want in zip((u, sv, vh), ref):
+        assert np.array_equal(got, want) and not got.flags.writeable
+    assert not L.adjoint_entries.flags.writeable
 
 
 def test_norm_certificate_random_unit_vectors():

@@ -117,6 +117,24 @@ def test_embed_two_terms_stacks_scaled_rows():
     assert np.allclose(emb.stacked_map.entries, [[np.sqrt(0.5)], [np.sqrt(0.5)]])
 
 
+def test_embed_is_built_once_per_spec():
+    rng = np.random.default_rng(4)
+    spec = random_mixture(rng, base=2, p=3)
+    emb = embed(spec)
+    assert embed(spec) is emb
+    fresh = embed(MixtureSpec(spec.terms, spec.gamma))
+    assert fresh is not emb
+    assert np.array_equal(emb.stacked_map.entries, fresh.stacked_map.entries)
+    Y = rng.normal(size=(5, emb.stacked_fn.dim))
+    assert np.array_equal(emb.stacked_fn(Y), fresh.stacked_fn(Y))
+    assert np.array_equal(emb.stacked_fn.prox(0.8, Y), fresh.stacked_fn.prox(0.8, Y))
+    assert emb.composition.gamma == fresh.composition.gamma == spec.gamma
+    x = rng.normal(size=2)
+    assert mixture_eval(spec, x).value == mixture_eval(MixtureSpec(spec.terms, spec.gamma), x).value
+    # a new parameter is a new spec with its own embedding
+    assert embed(spec.with_gamma(2.0)).composition.gamma == 2.0
+
+
 def test_embed_norm_inequality():
     rng = np.random.default_rng(1)
     for _ in range(20):
