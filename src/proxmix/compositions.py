@@ -187,7 +187,7 @@ def _flat_directions(L):
     """
     if L.norm_bound < 1.0 - ADMISSIBILITY_TOL:
         return np.zeros((L.rows, 0))
-    u, sv, _ = L.thin_svd
+    u, sv, _ = np.linalg.svd(L.entries, full_matrices=False)
     return u[:, sv >= 1.0 - ADMISSIBILITY_TOL]
 
 

@@ -56,11 +56,10 @@ class DenseMap:
       decomposition; ``norm_bound`` inflates it by relative 1e-9, which
       certifies ``||Lx|| <= norm_bound`` for all unit vectors ``x`` up to
       the rounding of ``Lx`` itself;
-    * ``adjoint_entries``, the transpose of ``entries`` in C order, at
-      construction: a product with the transposed view is F-ordered and
+    * ``adjoint_entries``, the transpose of ``entries`` in C order, on
+      first use: a product with the transposed view is F-ordered and
       costs up to 4x more on many rows (its bits are the same on two rows
-      or more; one-row products can differ in the last bit);
-    * the thin SVD ``thin_svd``, on first use.
+      or more; one-row products can differ in the last bit).
     """
 
     def __init__(self, entries):
@@ -71,8 +70,6 @@ class DenseMap:
             raise ValueError("matrix entries must be finite")
         a.setflags(write=False)
         self.entries = a
-        self.adjoint_entries = np.ascontiguousarray(a.T)
-        self.adjoint_entries.setflags(write=False)
         self._norm_bound = None
         self._norm_estimate = None
 
@@ -130,12 +127,11 @@ class DenseMap:
         return sigma
 
     @cached_property
-    def thin_svd(self):
-        """``np.linalg.svd(entries, full_matrices=False)`` as read-only arrays."""
-        u, sv, vh = np.linalg.svd(self.entries, full_matrices=False)
-        for a in (u, sv, vh):
-            a.setflags(write=False)
-        return u, sv, vh
+    def adjoint_entries(self):
+        """The transpose of ``entries`` as a read-only C-ordered array."""
+        a = np.ascontiguousarray(self.entries.T)
+        a.setflags(write=False)
+        return a
 
     @property
     def norm_bound(self):

@@ -92,9 +92,10 @@ class MixtureSpec:
     """Weighted family ``(alpha_k, L_k, g_k)`` with parameter ``gamma``.
 
     Validates the norm budget ``0 < sum alpha_k ||L_k||^2 <= 1`` and that
-    every operator shares the same base space.  A spec is immutable
-    (``with_gamma`` builds a new one), so its direct-sum embedding is
-    built once, on the first ``embed``, and shared by every later call.
+    every operator shares the same base space.  A spec is immutable:
+    assigning an attribute raises AttributeError, and ``with_gamma``
+    builds a new spec.  So its direct-sum embedding is built once, on the
+    first ``embed``, and shared by every later call.
     """
 
     def __init__(self, terms: Sequence[MixtureTerm], gamma: float):
@@ -115,9 +116,12 @@ class MixtureSpec:
             raise AdmissibilityError(
                 f"weight budget sum alpha ||L||^2 = {budget:.6g} outside (0, 1]"
             )
-        self.terms = terms
-        self.gamma = float(gamma)
-        self.base_dim = base
+        self.__dict__.update(terms=terms, gamma=float(gamma), base_dim=base)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"MixtureSpec is immutable, cannot set {name!r}; use with_gamma for a new parameter"
+        )
 
     def with_gamma(self, gamma):
         return MixtureSpec(self.terms, gamma)

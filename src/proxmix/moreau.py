@@ -210,12 +210,12 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
     returns the next iterate and a per-row residual; a row is 'converged'
     once its residual is ``<= opts.tol``.  Every 50 iterations
     ``escaped(z, anchor, rows, *per_row)``, ``anchor`` being the iterate
-    50 iterations earlier, marks rows 'diverged'; without an escape test
-    no anchor is kept.  A row that stops is written out and leaves the
-    set; rows outside ``active`` never enter it (0 iterations, residual
-    inf), rows left at ``opts.max_iter`` are 'max_iter'.  Each row's
-    residual is the one of its last step.  Statuses are int8 codes until
-    exit, where they become the shared status objects.
+    50 iterations earlier, marks rows 'diverged'.  A row that stops is
+    written out and leaves the set; rows outside ``active`` never enter it
+    (0 iterations, residual inf), rows left at ``opts.max_iter`` are
+    'max_iter'.  Each row's residual is the one of its last step.
+    Statuses are int8 codes until exit, where they become the shared
+    status objects.
     """
     n = len(z)
     rows = np.arange(n) if active is None else np.flatnonzero(active)
@@ -225,8 +225,7 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
     z_out, z = z.copy(), z.take(rows, axis=0)
     if active is not None:
         per_row = _gather(per_row, rows)
-    momentum = z
-    anchor = None if escaped is None else z
+    momentum = anchor = z
     age, res = np.zeros(len(rows), dtype=int), residual[rows]
     betas, tol, it = _BETAS, opts.tol, 0
     while it < opts.max_iter and len(rows):
@@ -248,9 +247,8 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
             out = rows[done]
             codes[out] = 2 - converged[done]  # 1 converged, 2 diverged
             z_out[out], iters[out], residual[out] = z.take(done, axis=0), it, res[done]
-            # ``anchor`` is None without an escape test and passes as it is
-            rows, z, momentum, age, anchor, res = _gather(
-                (rows, z, momentum, age, anchor, res), keep
+            rows, z, momentum, age, anchor, res = (
+                a.take(keep, axis=0) for a in (rows, z, momentum, age, anchor, res)
             )
             per_row = _gather(per_row, keep)
     z_out[rows], iters[rows], residual[rows] = z, it, res

@@ -744,6 +744,23 @@ def test_steps_skip_the_public_prox(monkeypatch):
     assert len(public) == 1  # the composition's value, after the iteration
 
 
+@pytest.mark.parametrize("gamma", [0.7, np.array([[0.7], [1.3], [2.0]])])
+def test_composition_lift_reads_the_c_ordered_adjoint(gamma):
+    # the first step lifts the start rows X through L.adjoint_entries, the
+    # C-ordered transpose (a product with the transposed view costs up to
+    # 4x more); a marked copy shows which matrix the core reads
+    L, g = DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.3, 0.0]]), L1Norm(3)
+    X = np.array([[1.0, -2.0], [0.3, 0.5], [-1.0, 0.2]])
+    marked = np.ascontiguousarray(2.0 * L.entries.T)
+    L.adjoint_entries = marked
+    lifted = []
+    g._prox = lambda gamma, y: lifted.append(y) or L1Norm._prox(g, gamma, y)
+    _composition_core(CompositionSpec(L, g, 1.0), X, SolverOpts(max_iter=1), gamma)
+    assert marked.flags.c_contiguous
+    expected = (X @ marked) * gamma if np.ndim(gamma) else X @ (gamma * marked)
+    assert np.array_equal(lifted[0], expected)
+
+
 @pytest.mark.parametrize("core", [_cocomposition_core, _composition_core])
 def test_folded_batch_rows_equal_single_calls(core):
     for spec, X in _folded_step_specs():

@@ -106,14 +106,13 @@ def _c_ordered_constants(rng):
     s = SubspaceIndicator(np.linalg.qr(rng.normal(size=(3, 2)))[0])
     return {
         "DenseMap.apply": (L.adjoint_entries, L.entries.T),
-        "composition lift": (0.7 * L.adjoint_entries, 0.7 * L.entries.T),
         "Quadratic._prox": (q._eigvecs_t, q._eigvecs.T),
         "SubspaceIndicator._project": (s._basis_t, s.basis.T),
     }
 
 
 @pytest.mark.parametrize(
-    "site", ["DenseMap.apply", "composition lift", "Quadratic._prox", "SubspaceIndicator._project"]
+    "site", ["DenseMap.apply", "Quadratic._prox", "SubspaceIndicator._project"]
 )
 def test_constant_matrices_are_c_ordered_with_the_same_products(site):
     rng = np.random.default_rng(21)
@@ -130,13 +129,9 @@ def test_constant_matrices_are_c_ordered_with_the_same_products(site):
             assert np.array_equal(got, ref)
 
 
-def test_thin_svd_is_computed_once_and_read_only():
+def test_adjoint_entries_are_built_once_and_read_only():
     L = example1_operator()
-    u, sv, vh = L.thin_svd
-    assert L.thin_svd is L.thin_svd
-    ref = np.linalg.svd(L.entries, full_matrices=False)
-    for got, want in zip((u, sv, vh), ref):
-        assert np.array_equal(got, want) and not got.flags.writeable
+    assert L.adjoint_entries is L.adjoint_entries
     assert not L.adjoint_entries.flags.writeable
 
 

@@ -135,6 +135,17 @@ def test_embed_is_built_once_per_spec():
     assert embed(spec.with_gamma(2.0)).composition.gamma == 2.0
 
 
+def test_spec_attributes_cannot_be_assigned():
+    # the embedding is cached on the spec, so a changed gamma or term list
+    # would be silently ignored by later calls
+    spec = average_spec()
+    emb = embed(spec)
+    for name, value in (("gamma", 2.0), ("terms", ()), ("base_dim", 3), ("extra", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(spec, name, value)
+    assert spec.gamma == emb.composition.gamma and embed(spec) is emb
+
+
 def test_embed_norm_inequality():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -359,35 +359,6 @@ def test_many_row_fista_equals_one_row_solves():
         assert np.array_equal(z[i], one[0][0])
 
 
-def test_fista_without_an_escape_test_equals_one_that_never_fires():
-    rng = np.random.default_rng(11)
-    step, _, per_row = _scaled_gradient_rows(rng, 60)
-    z0 = rng.normal(size=(60, 2))
-    active = np.arange(60) % 5 != 2
-    opts = SolverOpts(tol=1e-9, max_iter=400)
-
-    def run(escaped):
-        seen = []
-
-        def recorded(momentum, z, rows, *consts):
-            seen.append((momentum.copy(), rows.copy()))
-            return step(momentum, z, rows, *consts)
-
-        out = _fista(recorded, z0, opts, active=active, escaped=escaped, per_row=per_row)
-        return out, seen
-
-    (z, status, iters, res), seen = run(None)
-    (z_ref, status_ref, iters_ref, res_ref), seen_ref = run(
-        lambda z, anchor, rows, *_: np.zeros(len(rows), dtype=bool)
-    )
-    assert {CONVERGED, MAX_ITER} <= set(status)
-    assert list(status) == list(status_ref) and np.array_equal(iters, iters_ref)
-    assert np.array_equal(z, z_ref) and np.array_equal(res, res_ref)
-    assert len(seen) == len(seen_ref)
-    for (m, rows), (m_ref, rows_ref) in zip(seen, seen_ref):
-        assert np.array_equal(rows, rows_ref) and np.array_equal(m, m_ref)
-
-
 def test_statuses_are_the_shared_module_constants():
     rng = np.random.default_rng(10)
     step, escaped, per_row = _scaled_gradient_rows(rng, 40)
