@@ -8,8 +8,10 @@ a parameter ``gamma > 0`` this module evaluates the two compositions
 
 where ``Phi(y) = (||y||^2 - ||L* y||^2) / 2`` is the quadratic defect of
 the adjoint.  Values are computed by first-order ascent with certified
-fixed steps; proximity operators, envelopes, recession and perspective
-values come out in closed form.
+fixed steps, except the composition where ``L*`` is injective: its fiber
+is one point or empty, so the value is exact, with no iteration.
+Proximity operators, envelopes, recession and perspective values come
+out in closed form.
 
 Batch variants evaluate many base points in one iteration; rows leave
 the iteration when they stop.  The figure generator and the verification
@@ -32,13 +34,14 @@ from .functions import (
     _row_values,
     conjugate_function,
 )
-from .linalg import DenseMap, as_vector, pseudo_inverse_small
+from .linalg import DenseMap, _RANGE_TOL, as_vector, pseudo_inverse_small
 from .moreau import (
     DEFAULT_OPTS,
     DIVERGED,
     INVALID,
     SolveReport,
     SolverOpts,
+    _STATUS_BY_CODE,
     _conjugate_ascent,
     _fista,
     _minimize_rows,
@@ -78,7 +81,6 @@ __all__ = [
 ]
 
 ADMISSIBILITY_TOL = 1e-9
-_RANGE_TOL = 1e-9
 _SMALL_GAMMA_SLACK = 1e-6  # limit_small_gamma's slack on each gap bound
 _LARGE_GAMMA_HALFWIDTH = 10.0  # grid window of limit_large_gamma's target search
 
@@ -239,17 +241,48 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     return values, y, status, iters, residual
 
 
-def _composition_core(spec, X, opts, gamma=None):
-    """Gradient ascent for the composition through its smooth dual.
+def _fiber_composition(spec, X, gamma):
+    """The composition where ``L*`` is injective, exactly and without iterating.
 
-    Maximizes ``<z, x> - h(z)`` with ``h(z)`` the Moreau envelope of the
+    The fiber ``{y : L* y = x}`` is then the single point ``y = x F``,
+    ``F`` being ``spec.operator.fiber_map``, or it is empty; so the value
+    is ``g(y) + (||y||^2 - ||x||^2)/(2 gamma)``.  A row is 'diverged' with
+    value ``+inf`` when ``||L* y - x|| > _RANGE_TOL (1 + ||x||)`` (``x``
+    off the range of ``L*``, the iterative path's range test) or when
+    ``g(y) = +inf``; with no other point in the fiber, both certify.
+    Every other row is 'converged' with residual 0.  All rows take 0
+    iterations, and no dual iterate exists: the second entry of the
+    returned (values, None, status, iters, residuals) is None.
+    """
+    L = spec.operator
+    Y = X @ L.fiber_map
+    xx = _dot(X, X)
+    off_range = _norm(Y @ L.entries - X) > _RANGE_TOL * (1.0 + np.sqrt(xx))
+    values = spec.fn._value(Y) + (_dot(Y, Y) - xx) / (2.0 * _row_values(gamma))
+    diverged = off_range | (values == np.inf)
+    return (
+        np.where(diverged, np.inf, values),
+        None,
+        _STATUS_BY_CODE.take(1 + diverged),  # 1 converged, 2 diverged
+        np.zeros(len(X), dtype=int),
+        np.where(diverged, np.inf, 0.0),
+    )
+
+
+def _composition_core(spec, X, opts, gamma=None):
+    """The composition at the rows of ``X``: (values, duals, status, iters, residuals).
+
+    Where ``L*`` is injective (``spec.operator.fiber_map`` is not None)
+    the value is exact, from the one fiber point, and ``duals`` is None:
+    see ``_fiber_composition``.  Otherwise gradient ascent maximizes the
+    smooth dual ``<z, x> - h(z)``, with ``h(z)`` the Moreau envelope of the
     conjugate of ``g`` (index ``1/gamma``) evaluated at ``Lz``; the value
     of the composition is the attained sup minus ``||x||^2/(2 gamma)``.
     The gradient of ``h`` at ``z`` is ``L* prox_{gamma g}(gamma Lz)``, so a
     step costs one prox between two products.
     Base points outside the closed range of the adjoint are certified
-    infeasible up front when ``g`` has full domain.  For restricted
-    ``dom g`` the displacement ``z_k - z_{k-50}`` of each row is tested
+    infeasible up front, by an ``lstsq`` range test, when ``g`` has full
+    domain.  For restricted ``dom g`` the displacement ``z_k - z_{k-50}`` of each row is tested
     every 50 iterations as a recession certificate ``<d, x> >
     sigma_{dom g}(Ld)``, which proves ``x`` outside ``L*(dom g)``; rows
     that pass are 'diverged' with value ``+inf``.  Where no certificate
@@ -260,6 +293,8 @@ def _composition_core(spec, X, opts, gamma=None):
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
+    if L.fiber_map is not None:
+        return _fiber_composition(spec, X, gamma)
     n = X.shape[0]
 
     if g.has_full_domain():
@@ -350,7 +385,8 @@ def _single(core, spec, x, opts):
     x = as_vector(x, spec.operator.cols)
     values, arg, status, iters, residual = core(spec, x[None, :], opts)
     return SolveReport(
-        float(values[0]), arg[0], int(iters[0]), str(status[0]), float(residual[0])
+        float(values[0]), None if arg is None else arg[0], int(iters[0]),
+        str(status[0]), float(residual[0]),
     )
 
 
@@ -381,11 +417,15 @@ def eval_cocomposition_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS, gamma=Non
 def eval_composition(spec, x, opts: SolverOpts = DEFAULT_OPTS):
     """Value of the composition at ``x`` (SolveReport).
 
-    'diverged' certifies ``+inf``: the base point lies outside
-    ``L*(dom g)``, shown by the adjoint range test (full-domain ``g``) or
-    by a recession certificate on the dual iterates (restricted domain).
-    The divergence radius of ``opts`` is the fallback when no certificate
-    exists (no catalog conjugate of ``g``).
+    Where ``L*`` is injective the value is exact, from the one point of
+    the fiber ``{y : L* y = x}``: 0 iterations, residual 0.0 and
+    ``argpoint`` None; 'diverged' then means the fiber is empty or ``g``
+    is ``+inf`` at its point.  Otherwise the argpoint is the dual
+    iterate, and 'diverged' certifies ``+inf``: the base point lies
+    outside ``L*(dom g)``, shown by the adjoint range test (full-domain
+    ``g``) or by a recession certificate on the dual iterates (restricted
+    domain).  The divergence radius of ``opts`` is the fallback when no
+    certificate exists (no catalog conjugate of ``g``).
     """
     return _single(_composition_core, spec, x, opts)
 
@@ -453,10 +493,11 @@ def envelope_cocomposition_batch(spec, rho, X, opts: SolverOpts = DEFAULT_OPTS):
       index ``rho - gamma``, computed by strongly convex minimization
       (value ``+inf`` if it reports 'diverged').
     Rows with a non-finite entry get nan.  Raises DimensionError unless
-    ``X`` is 2-D with ``spec.operator.cols`` columns.
+    ``X`` is 2-D with ``spec.operator.cols`` columns, and ParameterError
+    unless ``rho`` is finite and positive.
     """
-    if not rho > 0:
-        raise ParameterError("envelope index must be positive")
+    if not 0 < rho < np.inf:
+        raise ParameterError("envelope index must be finite and positive")
     L, g, gamma = spec.operator, spec.fn, spec.gamma
     X = _base_rows(spec, X)
     valid = np.flatnonzero(np.isfinite(X).all(axis=-1))
@@ -660,7 +701,10 @@ def pushforward_infimum(operator, fn, x, halfwidth=10.0, steps=801):
     by a null-space basis (at most two directions) and runs a refined
     grid search over the coefficients.  Returns ``(value, witness)`` with
     the witness point attaining (approximately) the infimum, or
-    ``(inf, None)`` when the fiber is empty.
+    ``(inf, None)`` when the fiber is empty.  It finds the fiber point
+    with its own ``lstsq`` and rank test, not through
+    ``DenseMap.fiber_map``, so that it stays an independent oracle for
+    the exact composition.
     """
     adj = operator.entries.T  # maps dual (rows) points to base (cols)
     y0, *_ = np.linalg.lstsq(adj, x, rcond=None)

@@ -25,6 +25,11 @@ __all__ = [
 
 _NORM_INFLATION = 1e-9  # norm_bound's relative margin over the SVD's sigma
 _PSD_TOL = 1e-10  # relative eigenvalue tolerance of the PSD test and the rank
+_RANGE_TOL = 1e-9  # relative residual of a point counted in the range of L*
+# fiber_map's rank cutoff on the least singular value over the largest: the
+# rounding of ||(X F) L - X|| is at most about eps cond(L) ||X||, which
+# stays under _RANGE_TOL ||X|| while cond(L) < 1e6
+_FIBER_RCOND = 1e-6
 
 
 def as_vector(x, dim=None):
@@ -59,7 +64,10 @@ class DenseMap:
     * ``adjoint_entries``, the transpose of ``entries`` in C order, on
       first use: a product with the transposed view is F-ordered and
       costs up to 4x more on many rows (its bits are the same on two rows
-      or more; one-row products can differ in the last bit).
+      or more; one-row products can differ in the last bit);
+    * ``fiber_map``, on first use: the ``cols x rows`` matrix ``F`` with
+      ``X @ F = (LL*)^-1 L X`` row by row when ``L*`` is injective, else
+      None.
     """
 
     def __init__(self, entries):
@@ -132,6 +140,26 @@ class DenseMap:
         a = np.ascontiguousarray(self.entries.T)
         a.setflags(write=False)
         return a
+
+    @cached_property
+    def fiber_map(self):
+        """``F = V S^-1 U^T`` from the thin SVD ``L = U S V^T``, or None.
+
+        Where ``L*`` is injective (full row rank) the adjoint fiber
+        ``{y : L* y = x}`` is the single point ``y = x F`` when ``x`` lies
+        in the range of ``L*``, and empty otherwise.  None for tall maps
+        (``rows > cols``, decided before any SVD) and for maps whose least
+        singular value is at most ``_FIBER_RCOND`` times the largest.
+        Read-only and C-ordered.
+        """
+        if self.rows > self.cols:
+            return None
+        u, sv, vh = np.linalg.svd(self.entries, full_matrices=False)
+        if not sv[-1] > _FIBER_RCOND * sv[0]:
+            return None
+        f = np.ascontiguousarray((vh.T / sv) @ u.T)
+        f.setflags(write=False)
+        return f
 
     @property
     def norm_bound(self):

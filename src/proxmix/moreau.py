@@ -91,10 +91,14 @@ class SolveReport:
     ``status == 'converged'`` guarantees ``residual <= tol`` of the opts
     used.  The residual is the step length per unit step for the
     cocomposition and the numeric conjugate, and the gradient norm at the
-    momentum point for the composition and ``minimize_smooth``.
+    momentum point for the composition and ``minimize_smooth``.  A
+    composition whose adjoint ``L*`` is injective is exact instead: 0
+    iterations, residual 0.0 when 'converged', and ``argpoint`` None,
+    since no dual iterate exists.
     ``status == 'diverged'`` forces ``value == inf``.  For the composition
-    solvers and the numeric conjugate 'diverged' means a recession
-    (Farkas) certificate that the value is ``+inf``;
+    solvers and the numeric conjugate 'diverged' means a certificate that
+    the value is ``+inf``: a recession (Farkas) certificate, or for an
+    exact composition an empty fiber or ``g = +inf`` at its one point;
     ``opts.divergence_radius`` is only the fallback where no such
     certificate exists.  The batch solvers mark rows with a non-finite
     entry 'invalid' (value nan, 0 iterations).

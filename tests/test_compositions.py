@@ -38,6 +38,7 @@ from proxmix.functions import (
     ConvexFunction,
     MoreauEnvelopeFunction,
     OracleFunction,
+    SeparableSum,
     SubspaceIndicator,
 )
 from proxmix.moreau import (
@@ -140,27 +141,53 @@ def test_composition_worked_scalar_value():
 
 # -- certified divergence and invalid rows -------------------------------------
 
+# L* is injective for SQUARE, so its compositions are exact (0 iterations);
+# TALL has a three-row L*, whose fibers are lines, so its compositions
+# run the dual iteration and its certificates
 SQUARE = DenseMap([[0.5, 0.1], [-0.2, 0.4]])
+TALL = DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.1, -0.3]])
+BALL_POINTS = [[3.0, 1.0], [-1.0, 2.0], [0.0, -1.2]]
 
 
-@pytest.mark.parametrize("x", [[3.0, 1.0], [-1.0, 2.0], [0.0, -1.2]])
+@pytest.mark.parametrize("x", BALL_POINTS)
 def test_composition_ball_infeasible_certified_at_first_check(x):
     # L*(B(0, 1)) lies in the ball of radius ||L|| < 0.6
-    spec = CompositionSpec(SQUARE, BallIndicator(np.zeros(2), 1.0), 1.0)
+    spec = CompositionSpec(TALL, BallIndicator(np.zeros(3), 1.0), 1.0)
     rep = eval_composition(spec, x)
     assert (rep.status, rep.value, rep.iterations) == (DIVERGED, np.inf, 50)
+
+
+@pytest.mark.parametrize("x", BALL_POINTS)
+def test_composition_ball_infeasible_certified_at_0_iterations(x):
+    # the one fiber point lies outside the ball
+    spec = CompositionSpec(SQUARE, BallIndicator(np.zeros(2), 1.0), 1.0)
+    rep = eval_composition(spec, x)
+    assert (rep.status, rep.value, rep.iterations) == (DIVERGED, np.inf, 0)
+    assert rep.argpoint is None
+
+
+def _orthogonal_to_first_row(L):
+    """A point orthogonal to ``L* e1``, at distance 1.5 from the origin."""
+    line = L.adjoint_apply(np.eye(L.rows)[0])
+    return 1.5 * np.array([-line[1], line[0]]) / np.linalg.norm(line)
 
 
 @pytest.mark.parametrize("gamma", [0.8, 1.25])
 def test_composition_subspace_infeasible_certified_at_first_check(gamma):
     # g indicates the first axis, so L*(V) is the line through L* e1 and
     # the point is orthogonal to it
+    basis = np.array([[1.0], [0.0], [0.0]])
+    spec = CompositionSpec(TALL, SubspaceIndicator(basis), gamma)
+    rep = eval_composition(spec, _orthogonal_to_first_row(TALL))
+    assert (rep.status, rep.value, rep.iterations) == (DIVERGED, np.inf, 50)
+
+
+@pytest.mark.parametrize("gamma", [0.8, 1.25])
+def test_composition_subspace_infeasible_certified_at_0_iterations(gamma):
     basis = np.array([[1.0], [0.0]])
     spec = CompositionSpec(SQUARE, SubspaceIndicator(basis), gamma)
-    line = SQUARE.adjoint_apply(basis[:, 0])
-    x = 1.5 * np.array([-line[1], line[0]]) / np.linalg.norm(line)
-    rep = eval_composition(spec, x)
-    assert (rep.status, rep.value, rep.iterations) == (DIVERGED, np.inf, 50)
+    rep = eval_composition(spec, _orthogonal_to_first_row(SQUARE))
+    assert (rep.status, rep.value, rep.iterations) == (DIVERGED, np.inf, 0)
 
 
 def test_cocomposition_escape_branch_certified():
@@ -216,17 +243,22 @@ def test_composition_feasible_subspace_point_converges():
     assert rep.value == pytest.approx(float(spec.defect(y)), abs=1e-6)
 
 
-def test_composition_batch_mixed_rows():
-    spec = CompositionSpec(SQUARE, BallIndicator(np.zeros(2), 1.0), 1.0)
-    X = np.array(
+def _mixed_rows(L, inside, boundary):
+    """Two points of ``L*(B(0, 1))``, two outside it and a NaN row."""
+    return np.array(
         [
-            SQUARE.adjoint_apply([0.3, -0.4]),
+            L.adjoint_apply(inside),
             [3.0, 1.0],
-            SQUARE.adjoint_apply([0.6, 0.8]),
+            L.adjoint_apply(boundary),
             [np.nan, 1.0],
             [0.0, -1.2],
         ]
     )
+
+
+def test_composition_batch_mixed_rows():
+    spec = CompositionSpec(TALL, BallIndicator(np.zeros(3), 1.0), 1.0)
+    X = _mixed_rows(TALL, [0.3, -0.4, 0.0], [0.6, 0.8, 0.0])
     values, status, iters = eval_composition_batch(spec, X)
     assert list(status) == [CONVERGED, DIVERGED, CONVERGED, INVALID, DIVERGED]
     assert list(iters[[1, 3, 4]]) == [50, 0, 50]
@@ -236,6 +268,22 @@ def test_composition_batch_mixed_rows():
         assert single.status == CONVERGED
         assert single.iterations == iters[row]
         assert values[row] == pytest.approx(single.value, rel=1e-12, abs=1e-12)
+
+
+def test_composition_batch_mixed_rows_exact():
+    # the fiber of x = L* y is {y}, so the value is Phi(y) / gamma
+    spec = CompositionSpec(SQUARE, BallIndicator(np.zeros(2), 1.0), 1.0)
+    ys = np.array([[0.3, -0.4], [0.6, 0.8]])
+    X = _mixed_rows(SQUARE, *ys)
+    values, status, iters = eval_composition_batch(spec, X)
+    assert list(status) == [CONVERGED, DIVERGED, CONVERGED, INVALID, DIVERGED]
+    assert list(iters) == [0, 0, 0, 0, 0]
+    assert np.isinf(values[[1, 4]]).all() and np.isnan(values[3])
+    np.testing.assert_allclose(values[[0, 2]], spec.defect(ys), rtol=1e-13)
+    for row in (0, 2):
+        single = eval_composition(spec, X[row])
+        assert (single.status, single.iterations, single.residual) == (CONVERGED, 0, 0.0)
+        assert single.value == pytest.approx(values[row], rel=1e-12, abs=1e-12)
 
 
 def _figure_subgrid():
@@ -299,16 +347,28 @@ def test_batch_rejects_wrong_shape(solve, X):
 def test_composition_radius_fallback_without_conjugate():
     # an oracle function has no catalog conjugate, so no certificate:
     # the iterate has to pass the divergence radius
-    ball = BallIndicator([0.0], 1.0)
-    oracle = OracleFunction(1, ball, prox_fn=ball.prox, full_domain=False)
+    L = DenseMap([[0.5], [0.0]])
+    ball = BallIndicator([0.0, 0.0], 1.0)
+    oracle = OracleFunction(2, ball, prox_fn=ball.prox, full_domain=False)
     opts = SolverOpts(divergence_radius=1e4)
-    rep = eval_composition(CompositionSpec(DenseMap([[0.5]]), oracle, 1.0), [2.0], opts)
+    rep = eval_composition(CompositionSpec(L, oracle, 1.0), [2.0], opts)
     assert rep.status == DIVERGED
     assert np.linalg.norm(rep.argpoint) > opts.divergence_radius
     # the catalog ball is certified long before the radius
-    rep = eval_composition(CompositionSpec(DenseMap([[0.5]]), ball, 1.0), [2.0], opts)
+    rep = eval_composition(CompositionSpec(L, ball, 1.0), [2.0], opts)
     assert (rep.status, rep.iterations) == (DIVERGED, 50)
     assert np.linalg.norm(rep.argpoint) < opts.divergence_radius
+
+
+def test_exact_composition_needs_no_conjugate_or_radius():
+    # with an injective L* the fiber point 4 lies outside the ball: the
+    # oracle's value certifies +inf without a conjugate or an iterate
+    ball = BallIndicator([0.0], 1.0)
+    oracle = OracleFunction(1, ball, prox_fn=ball.prox, full_domain=False)
+    for fn in (oracle, ball):
+        rep = eval_composition(CompositionSpec(DenseMap([[0.5]]), fn, 1.0), [2.0])
+        assert (rep.status, rep.value, rep.iterations) == (DIVERGED, np.inf, 0)
+        assert rep.argpoint is None
 
 
 def test_values_without_catalog_conjugate_match_catalog():
@@ -668,6 +728,22 @@ def _unfolded_step(core, spec, X):
     return cocomposition if core is _cocomposition_core else composition
 
 
+def _padded(spec):
+    """``spec`` with a zero row under ``L`` and a zero block ``Affine([0.0])`` after ``g``.
+
+    The padded adjoint is never injective, so the composition iterates.
+    Its fiber is the original one times a free last entry, which only the
+    quadratic term weighs, so the optimum sets it to 0: both compositions
+    keep their values.
+    """
+    L, g = spec.operator, spec.fn
+    return CompositionSpec(
+        DenseMap(np.vstack([L.entries, np.zeros(L.cols)])),
+        SeparableSum([(1.0, g, 0), (1.0, Affine([0.0]), g.dim)]),
+        spec.gamma,
+    )
+
+
 def _folded_step_specs():
     """Twelve random full-domain specs and twelve with a restricted ``dom g``.
 
@@ -701,6 +777,8 @@ def _folded_step_specs():
 def test_folded_steps_match_the_unfolded_steps(monkeypatch, core):
     kernel = compositions._fista
     for spec, X in _folded_step_specs():
+        if core is _composition_core:
+            spec = _padded(spec)  # an injective L* would skip the iteration
         reference = _unfolded_step(core, spec, X)
         checked = []
 
@@ -738,7 +816,7 @@ def test_steps_skip_the_public_prox(monkeypatch):
         return prox(self, gamma, x)
 
     monkeypatch.setattr(ConvexFunction, "prox", counted)
-    spec = CompositionSpec(DenseMap([[0.5, 0.1], [-0.2, 0.4]]), L1Norm(2), 1.0)
+    spec = CompositionSpec(TALL, L1Norm(3), 1.0)
     reports = [solve(spec, [1.0, -2.0]) for solve in (eval_cocomposition, eval_composition)]
     assert min(r.iterations for r in reports) > 10
     assert len(public) == 1  # the composition's value, after the iteration
@@ -769,6 +847,114 @@ def test_folded_batch_rows_equal_single_calls(core):
             single = core(spec, x[None, :], DEFAULT_OPTS)
             assert (single[2][0], single[3][0]) == (status[row], iters[row])
             assert values[row] == pytest.approx(single[0][0], rel=1e-12, abs=1e-12)
+
+
+# -- exact compositions where L* is injective -----------------------------------
+
+
+def _injective_specs(rng, n):
+    """``n`` random specs with an injective ``L*`` (rows <= cols).
+
+    Every third has a full-domain ``g``, the others a ball or a subspace
+    indicator; every sixth operator is a coisometry (``LL* = I``).
+    """
+    for k in range(n):
+        rows = int(rng.integers(1, 4))
+        cols = int(rng.integers(rows, 4))
+        if k % 3 == 0:
+            yield _random_spec(rng, rows=rows, cols=cols)
+            continue
+        if k % 6 == 1:
+            L = DenseMap(_isometry(rng, cols, rows).entries.T)
+        else:
+            L = _random_operator(rng, rows, cols)
+        if k % 3 == 1:
+            fn = BallIndicator(0.3 * rng.normal(size=rows), rng.uniform(0.5, 2.0))
+        else:
+            u = rng.normal(size=(rows, 1))
+            fn = SubspaceIndicator(u / np.linalg.norm(u))
+        yield CompositionSpec(L, fn, 1.0)
+
+
+def test_exact_composition_matches_the_iteration():
+    # the padded spec has the same value but a non-injective adjoint, so
+    # the same problem runs through the dual iteration
+    rng = np.random.default_rng(41)
+    statuses = []
+    for spec in _injective_specs(rng, 500):
+        L = spec.operator
+        assert L.fiber_map is not None
+        X = np.vstack([
+            rng.normal(size=(2, L.rows)) @ L.entries,  # in the range of L*
+            rng.normal(size=(2, L.cols)),
+        ])
+        gamma = rng.uniform(0.25, 4.0, size=(4, 1))
+        values, duals, status, iters, residual = _composition_core(spec, X, DEFAULT_OPTS, gamma)
+        ref_values, _, ref_status, ref_iters, _ = _composition_core(
+            _padded(spec), X, DEFAULT_OPTS, gamma
+        )
+        assert duals is None and list(iters) == [0, 0, 0, 0]
+        assert list(status) == list(ref_status)
+        np.testing.assert_allclose(values, ref_values, rtol=1e-10, atol=1e-10)
+        assert list(residual) == [0.0 if s == CONVERGED else np.inf for s in status]
+        assert ref_iters.sum() > 0
+        statuses.extend(status)
+    assert statuses.count(CONVERGED) > 500 and statuses.count(DIVERGED) > 500
+
+
+def test_exact_composition_certifies_empty_fibers_at_0_iterations():
+    rng = np.random.default_rng(42)
+    L = _random_operator(rng, 2, 3)
+    ys = np.array([[0.3, -0.2], [2.0, 1.0], [-0.1, 0.4]])
+    on_range = ys @ L.entries
+    off_range = on_range + 0.5 * np.cross(L.entries[0], L.entries[1])
+    for fn, finite in (
+        (L1Norm(2), [True, True, True]),
+        (BallIndicator(np.zeros(2), 1.0), [True, False, True]),  # ||y|| > 1
+        (SubspaceIndicator(np.array([[1.0], [0.0]])), [False, False, False]),
+    ):
+        spec = CompositionSpec(L, fn, 0.7)
+        X = np.vstack([on_range, off_range])
+        values, status, iters = eval_composition_batch(spec, X)
+        assert list(iters) == [0] * 6
+        assert list(status) == [CONVERGED if f else DIVERGED for f in finite] + [DIVERGED] * 3
+        assert np.isinf(values[3:]).all()
+        expected = np.asarray(fn(ys)) + spec.defect(ys) / spec.gamma
+        np.testing.assert_allclose(values[:3], expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("L", [
+    TALL,
+    DenseMap([[0.3, 0.1, 0.2], [0.6, 0.2, 0.4]]),  # wide, rank 1
+], ids=["tall", "wide-rank-1"])
+def test_maps_without_an_injective_adjoint_stay_iterative(kernel_calls, L):
+    spec = CompositionSpec(L, L1Norm(L.rows), 1.0)
+    X = np.random.default_rng(43).normal(size=(3, L.rows)) @ L.entries
+    assert L.fiber_map is None
+    values, status, iters = eval_composition_batch(spec, X)
+    assert kernel_calls == [3] and iters.min() > 0
+    assert list(status) == [CONVERGED] * 3
+
+
+@pytest.mark.parametrize("ratio, exact", [(2e-6, True), (5e-7, False)])
+def test_near_cutoff_maps(kernel_calls, ratio, exact):
+    # singular values 0.8 and 0.8 ratio, on each side of the rank cutoff
+    # 1e-6: above it the fiber point still passes the range test
+    rng = np.random.default_rng(44)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 2)))
+    L = DenseMap((u * (0.8 * np.array([1.0, ratio]))) @ v.T)
+    spec = CompositionSpec(L, L1Norm(2), 1.0)
+    ys = rng.normal(size=(3, 2))
+    values, status, iters = eval_composition_batch(spec, ys @ L.entries, SolverOpts(max_iter=20))
+    assert (L.fiber_map is not None) == exact
+    if exact:
+        assert kernel_calls == [] and list(iters) == [0, 0, 0]
+        assert list(status) == [CONVERGED] * 3
+        expected = np.asarray(spec.fn(ys)) + spec.defect(ys)
+        np.testing.assert_allclose(values, expected, rtol=1e-8)
+    else:
+        assert kernel_calls == [3] and list(iters) == [20, 20, 20]
 
 
 # -- per-row gamma: one solve per parameter list -------------------------------
@@ -829,6 +1015,8 @@ def test_per_row_gamma_batch_rejects_bad_parameters():
 def test_sweep_and_limits_are_one_solve_per_composition(kernel_calls):
     rng = np.random.default_rng(32)
     for spec, x in _parameter_specs(rng, 12):
+        if spec.operator.fiber_map is not None:
+            spec = _padded(spec)  # an injective L* would skip the iteration
         L, fn = spec.operator, spec.fn
         gammas = rng.uniform(0.25, 4.0, size=6)
         del kernel_calls[:]
@@ -846,6 +1034,28 @@ def test_sweep_and_limits_are_one_solve_per_composition(kernel_calls):
         assert kernel_calls == [6, 6]
         assert list(small.values) == list(rep.cocomposition[::-1])
         assert list(large.values) == list(rep.composition)
+
+
+def test_sweep_and_limits_on_an_injective_adjoint_iterate_once(kernel_calls):
+    # the compositions are exact, so the cocompositions make the only solve
+    rng = np.random.default_rng(32)
+    exact = 0
+    for spec, x in _parameter_specs(rng, 12):
+        L, fn = spec.operator, spec.fn
+        if L.fiber_map is None:
+            continue
+        gammas = rng.uniform(0.25, 4.0, size=6)
+        del kernel_calls[:]
+        rep = gamma_sweep(L, fn, x, gammas)
+        large = limit_large_gamma(L, fn, x, gammas, which="composition", target=0.0)
+        assert kernel_calls == [6]
+        assert list(large.values) == list(rep.composition)
+        for gamma, comp in zip(rep.gammas, rep.composition):
+            each = eval_composition(CompositionSpec(L, fn, gamma), x)
+            assert each.iterations == 0
+            assert comp == pytest.approx(each.value, rel=1e-12, abs=1e-12)
+        exact += 1
+    assert exact >= 4
 
 
 def test_argmin_gamma_sequence_is_one_solve(kernel_calls):
@@ -932,3 +1142,13 @@ def test_envelope_batch_rows_and_shapes(kernel_calls):
         compositions.envelope_cocomposition_batch(spec, 2.5, np.ones(3))
     with pytest.raises(ParameterError):
         compositions.envelope_cocomposition_batch(spec, 0.0, np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("rho", [np.inf, np.nan, -np.inf])
+def test_envelope_rejects_a_non_finite_index(rho):
+    # rho = inf used to return the infimum of the cocomposition (9.2e-19 here)
+    spec = CompositionSpec(SQUARE, L1Norm(2), 1.0)
+    with pytest.raises(ParameterError, match="finite and positive"):
+        envelope_cocomposition(spec, rho, [1.0, -2.0])
+    with pytest.raises(ParameterError, match="finite and positive"):
+        compositions.envelope_cocomposition_batch(spec, rho, np.array([[1.0, -2.0]]))

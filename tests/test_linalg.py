@@ -135,6 +135,39 @@ def test_adjoint_entries_are_built_once_and_read_only():
     assert not L.adjoint_entries.flags.writeable
 
 
+@pytest.mark.parametrize("entries", [
+    [[0.5, 0.1], [-0.2, 0.4]],
+    [[0.6, 0.0]],
+    [[0.3, -0.1, 0.2], [0.0, 0.5, 0.1]],
+], ids=["square", "one-row", "wide"])
+def test_fiber_map_solves_for_the_fiber_point(entries):
+    # x = L* y has the single fiber point y = x F
+    L = DenseMap(entries)
+    F = L.fiber_map
+    assert F is L.fiber_map and F.shape == (L.cols, L.rows)
+    assert F.flags.c_contiguous and not F.flags.writeable
+    Y = np.random.default_rng(8).normal(size=(5, L.rows))
+    np.testing.assert_allclose(L.adjoint_apply(Y) @ F, Y, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("entries", [
+    example1_operator().entries,  # tall
+    [[0.5], [0.0]],  # tall
+    [[0.3, 0.1, 0.2], [0.6, 0.2, 0.4]],  # wide, rank 1
+    [[0.0, 0.0, 0.0], [0.0, 0.4, 0.1]],  # wide, a zero row
+], ids=["example1", "tall-column", "wide-rank-1", "zero-row"])
+def test_fiber_map_is_none_without_an_injective_adjoint(entries):
+    assert DenseMap(entries).fiber_map is None
+
+
+def test_tall_maps_decide_the_fiber_map_before_any_svd(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    assert DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.1, -0.3]]).fiber_map is None
+
+
 def test_norm_certificate_random_unit_vectors():
     rng = np.random.default_rng(1)
     L = DenseMap(rng.normal(size=(4, 3)))

@@ -178,6 +178,25 @@ def test_reduction_consistency_both_paths():
         assert cres.paths_gap <= 2e-6
 
 
+def test_mixture_with_an_injective_stacked_adjoint_is_exact():
+    # two one-row terms on a three-dimensional base: the stacked map has
+    # full row rank, so the embedding's composition runs no iteration
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(10):
+        spec = random_mixture(rng, base=3)
+        if embed(spec).composition.operator.fiber_map is None:
+            continue
+        ys = rng.normal(size=(4, embed(spec).composition.operator.rows))
+        for x in ys @ embed(spec).composition.operator.entries:
+            res = mixture_eval(spec, x)
+            assert (res.embedding.status, res.embedding.iterations) == (CONVERGED, 0)
+            assert res.direct.status == CONVERGED
+            assert res.paths_gap <= 1e-9
+            checked += 1
+    assert checked >= 12
+
+
 BATCH_FORMS = [(mixture_eval_batch, mixture_eval), (comixture_eval_batch, comixture_eval)]
 
 
