@@ -282,9 +282,9 @@ def _composition_core(spec, X, opts, gamma=None):
     step costs one prox between two products.
     Base points outside the closed range of the adjoint are certified
     infeasible up front, by an ``lstsq`` range test, when ``g`` has full
-    domain.  For restricted ``dom g`` the displacement ``z_k - z_{k-50}`` of each row is tested
-    every 50 iterations as a recession certificate ``<d, x> >
-    sigma_{dom g}(Ld)``, which proves ``x`` outside ``L*(dom g)``; rows
+    domain.  For restricted ``dom g`` the displacement ``z_k - z_{k-50}``
+    of each row is tested every 50 iterations as a recession certificate
+    ``<d, x> > sigma_{dom g}(Ld)``, which proves ``x`` outside ``L*(dom g)``; rows
     that pass are 'diverged' with value ``+inf``.  Where no certificate
     exists (full domain, or no catalog conjugate) the test falls back to
     ``||z|| > opts.divergence_radius``.  ``gamma`` is as for
