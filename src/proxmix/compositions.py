@@ -9,9 +9,12 @@ a parameter ``gamma > 0`` this module evaluates the two compositions
 where ``Phi(y) = (||y||^2 - ||L* y||^2) / 2`` is the quadratic defect of
 the adjoint.  Values are computed by first-order ascent with certified
 fixed steps, except the composition where ``L*`` is injective: its fiber
-is one point or empty, so the value is exact, with no iteration.
-Proximity operators, envelopes, recession and perspective values come
-out in closed form.
+is one point or empty, so the value is exact, with no iteration.  Neither
+ascent pays for the conditioning of ``L``: a composition with a tall
+``L`` of full column rank ascends on its isometric factor, and the
+cocomposition's step follows ``||I - LL*||``, both from one cached SVD
+of ``L``.  Proximity operators, envelopes, recession and perspective
+values come out in closed form.
 
 Batch variants evaluate many base points in one iteration; rows leave
 the iteration when they stop.  The figure generator and the verification
@@ -184,12 +187,13 @@ def _domain_support(g):
 def _flat_directions(L):
     """Orthonormal basis of ``ker(I - LL*)``, where ``Phi`` vanishes.
 
-    Left singular vectors whose singular value is within the admissibility
-    slack of 1; none when the certified norm bound stays below that.
+    Left singular vectors (of ``L.thin_svd``) whose singular value is
+    within the admissibility slack of 1; none when the certified norm
+    bound stays below that.
     """
     if L.norm_bound < 1.0 - ADMISSIBILITY_TOL:
         return np.zeros((L.rows, 0))
-    u, sv, _ = np.linalg.svd(L.entries, full_matrices=False)
+    u, sv, _ = L.thin_svd
     return u[:, sv >= 1.0 - ADMISSIBILITY_TOL]
 
 
@@ -206,10 +210,21 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     iterations the displacement of each row, projected onto that kernel,
     is tested as a recession certificate; 'diverged' rows are certified
     ``+inf``.  Without a catalog conjugate
-    the test falls back to ``||y|| > opts.divergence_radius``.  The step
-    folds its affine part into one product: with ``G = LL*`` the ascent
-    point is ``v = m G + Lx/gamma`` and the next dual is
-    ``v - prox_{gamma g}(gamma v)/gamma``.
+    the test falls back to ``||y|| > opts.divergence_radius``.
+
+    The gradient of the penalty ``gamma Phi`` has Lipschitz constant
+    ``gamma ||I - LL*||``, which is ``gamma (1 - s_min^2)`` when ``L`` has
+    no more rows than columns.  So the step is ``1/(gamma lam)``, with
+    ``lam`` from ``L.dual_step`` (``lam = 1`` for tall maps and for a ``g``
+    with a fixed prox parameter), and the prox runs at index
+    ``gamma lam``; the value keeps ``gamma``.  The step folds its affine
+    part into one product: with ``G = I - (I - LL*)/lam`` the ascent
+    point is ``v = m G + Lx/(gamma lam)`` and the next dual is
+    ``v - prox_{gamma lam g}(gamma lam v)/(gamma lam)``.  The residual is
+    the step length from the momentum point ``m`` per unit step, the norm
+    of the gradient mapping at ``m``; the step is nonexpansive, so a row
+    whose residual is at most ``opts.tol`` returns a dual whose own
+    gradient mapping is at most ``opts.tol`` too.
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
@@ -217,13 +232,14 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     always_finite = flat is None or flat.shape[1] == 0
     sigma = None if always_finite else _domain_support(g)
     LX = L.apply(X)
-    t = 1.0 / gamma
-    gram, shift = L.entries @ L.entries.T, LX / gamma
+    lam, gram = (1.0, L.gram) if g.has_fixed_prox_parameter() else L.dual_step
+    index = gamma * lam
+    t, shift = 1.0 / index, LX / index
 
-    def step(momentum, y, _rows, shift, gamma, t, t_row):
+    def step(momentum, y, _rows, shift, index, t, t_row):
         v = momentum @ gram + shift
-        y_new = v - t * g._prox(gamma, gamma * v)
-        return y_new, _norm(y_new - y) / t_row
+        y_new = v - t * g._prox(index, index * v)
+        return y_new, _norm(y_new - momentum) / t_row
 
     def certified(y, anchor, rows, *_):
         return _recession_certified(((y - anchor) @ flat) @ flat.T, LX[rows], sigma)
@@ -232,7 +248,7 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     y, status, iters, residual = _fista(
         step, np.zeros((X.shape[0], L.rows)), opts,
         escaped=None if always_finite else escaped,
-        per_row=(shift, gamma, t, _row_values(t)),
+        per_row=(shift, index, t, _row_values(t)),
     )
     defect = spec.defect(y)
     gvals = _conjugate_values(g, y, gamma, opts)
@@ -290,6 +306,16 @@ def _composition_core(spec, X, opts, gamma=None):
     ``||z|| > opts.divergence_radius``.  ``gamma`` is as for
     ``_cocomposition_core``; a per-row column scales each row's product
     with ``L*`` after it is taken.
+
+    For full-domain ``g`` and a tall ``L`` of full column rank the ascent
+    runs on the isometric factor ``Q = L R`` of ``L.isometric_factor``,
+    from ``x R``: the fiber of ``L`` over ``x`` is that of ``Q`` over
+    ``x R``, and ``Q`` has all singular values 1, so the step no longer
+    pays for the spread of those of ``L``.  The returned dual is mapped
+    back, ``z = w R^T``; the value ``<w, x R> - h(Qw) - ||x||^2/(2 gamma)``
+    is the same sup.  The residual is then the gradient norm in ``Q``
+    coordinates, an upper bound on the gradient norm of the ``L``
+    coordinates since ``||L|| <= 1``.
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
@@ -297,27 +323,33 @@ def _composition_core(spec, X, opts, gamma=None):
         return _fiber_composition(spec, X, gamma)
     n = X.shape[0]
 
+    Q, R, XQ = L, None, X
     if g.has_full_domain():
-        # certify infeasible base points through the adjoint range
+        # certify infeasible base points through the adjoint range; this
+        # lstsq workspace also keeps later batch iterations free of page
+        # faults (see CHANGES.md), so it stays where L* is onto
         dual_sol, *_ = np.linalg.lstsq(L.entries.T, X.T, rcond=None)
         range_gap = _norm(L.adjoint_apply(dual_sol.T) - X)
         infeasible = range_gap > _RANGE_TOL * (1.0 + _norm(X))
         sigma = None
+        if L.isometric_factor is not None:
+            Q, R = L.isometric_factor
+            XQ = X @ R
     else:
         infeasible = np.zeros(n, dtype=bool)
         sigma = _domain_support(g)
 
-    nb2 = max(spec.operator.norm_bound**2, 1e-12)
+    nb2 = max(Q.norm_bound**2, 1e-12)
     step_size = 1.0 / (gamma * nb2)
     if np.ndim(gamma):
-        adjoint = L.adjoint_entries
+        adjoint = Q.adjoint_entries
         lift = lambda m, gamma: (m @ adjoint) * gamma  # noqa: E731
     else:
-        scaled_adjoint = gamma * L.adjoint_entries
+        scaled_adjoint = gamma * Q.adjoint_entries
         lift = lambda m, _gamma: m @ scaled_adjoint  # noqa: E731
 
     def step(momentum, z, _rows, x, gamma, step_size):
-        grad = x - g._prox(gamma, lift(momentum, gamma)) @ L.entries
+        grad = x - g._prox(gamma, lift(momentum, gamma)) @ Q.entries
         return momentum + step_size * grad, _norm(grad)
 
     def certified(z, anchor, _rows, x, *_):
@@ -325,17 +357,17 @@ def _composition_core(spec, X, opts, gamma=None):
 
     escaped = _outside_radius(opts) if sigma is None else certified
     z, status, iters, residual = _fista(
-        step, X.copy(), opts, active=~infeasible, escaped=escaped,
-        per_row=(X, gamma, step_size),
+        step, XQ.copy(), opts, active=~infeasible, escaped=escaped,
+        per_row=(XQ, gamma, step_size),
     )
     status[infeasible] = DIVERGED
-    w = L.apply(z)
+    w = Q.apply(z)
     p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
     gamma_row = _row_values(gamma)
     hvals = _conjugate_values(g, p, gamma, opts) + 0.5 * gamma_row * _norm(w - p) ** 2
-    vals = _dot(z, X) - hvals - _norm(X) ** 2 / (2.0 * gamma_row)
+    vals = _dot(z, XQ) - hvals - _norm(X) ** 2 / (2.0 * gamma_row)
     values = np.where(status == DIVERGED, np.inf, vals)
-    return values, z, status, iters, residual
+    return values, z if R is None else z @ R.T, status, iters, residual
 
 
 def _base_rows(spec, X):

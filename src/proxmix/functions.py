@@ -151,6 +151,15 @@ class ConvexFunction:
         """True when the function is finite everywhere."""
         raise NotImplementedError
 
+    def has_fixed_prox_parameter(self):
+        """True when the prox is available at one parameter only.
+
+        An ``OracleFunction`` given ``prox_gamma`` anywhere in the
+        function's tree; a solver must then call the prox at the parameter
+        it was given, not at one of its own.
+        """
+        return False
+
     # -- derived operations -------------------------------------------
     def prox_conjugate(self, gamma, x):
         """Prox of ``gamma * f*`` without building the conjugate.
@@ -553,6 +562,9 @@ class SeparableSum(ConvexFunction):
     def has_full_domain(self):
         return all(fn.has_full_domain() for _, fn, _ in self.blocks)
 
+    def has_fixed_prox_parameter(self):
+        return any(fn.has_fixed_prox_parameter() for _, fn, _ in self.blocks)
+
 
 # ---------------------------------------------------------------------------
 # transform wrappers (peeled outermost-first by every oracle)
@@ -568,6 +580,9 @@ class _Transform(ConvexFunction):
 
     def has_full_domain(self):
         return self.inner.has_full_domain()
+
+    def has_fixed_prox_parameter(self):
+        return self.inner.has_fixed_prox_parameter()
 
 
 class TranslatedFunction(_Transform):
@@ -807,6 +822,9 @@ class OracleFunction(ConvexFunction):
 
     def has_full_domain(self):
         return self._full_domain
+
+    def has_fixed_prox_parameter(self):
+        return self._prox_gamma is not None
 
 
 # ---------------------------------------------------------------------------

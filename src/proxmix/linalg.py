@@ -65,9 +65,15 @@ class DenseMap:
       first use: a product with the transposed view is F-ordered and
       costs up to 4x more on many rows (its bits are the same on two rows
       or more; one-row products can differ in the last bit);
-    * ``fiber_map``, on first use: the ``cols x rows`` matrix ``F`` with
+    * ``thin_svd``, on first use: one thin singular value decomposition,
+      which ``fiber_map``, ``isometric_factor`` and ``dual_step`` read;
+    * ``fiber_map``: the ``cols x rows`` matrix ``F`` with
       ``X @ F = (LL*)^-1 L X`` row by row when ``L*`` is injective, else
-      None.
+      None;
+    * ``isometric_factor``: for a tall map of full column rank, the pair
+      ``(Q, R)`` with ``Q`` an isometry and ``L R = Q``, else None;
+    * ``gram`` (``LL*``) and ``dual_step``, the step constants of the
+      cocomposition's dual ascent.
     """
 
     def __init__(self, entries):
@@ -142,6 +148,24 @@ class DenseMap:
         return a
 
     @cached_property
+    def thin_svd(self):
+        """``(U, s, Vt)`` with ``entries = U diag(s) Vt``, read-only.
+
+        ``s`` is in decreasing order with ``min(rows, cols)`` entries.
+        ``operator_norm`` runs its own, values-only SVD, whose top value
+        may differ from ``s[0]`` in the last bit.
+        """
+        parts = np.linalg.svd(self.entries, full_matrices=False)
+        for a in parts:
+            a.setflags(write=False)
+        return parts
+
+    def _full_rank(self):
+        """Least singular value above ``_FIBER_RCOND`` times the largest."""
+        sv = self.thin_svd[1]
+        return bool(sv[-1] > _FIBER_RCOND * sv[0])
+
+    @cached_property
     def fiber_map(self):
         """``F = V S^-1 U^T`` from the thin SVD ``L = U S V^T``, or None.
 
@@ -152,14 +176,56 @@ class DenseMap:
         singular value is at most ``_FIBER_RCOND`` times the largest.
         Read-only and C-ordered.
         """
-        if self.rows > self.cols:
+        if self.rows > self.cols or not self._full_rank():
             return None
-        u, sv, vh = np.linalg.svd(self.entries, full_matrices=False)
-        if not sv[-1] > _FIBER_RCOND * sv[0]:
-            return None
+        u, sv, vh = self.thin_svd
         f = np.ascontiguousarray((vh.T / sv) @ u.T)
         f.setflags(write=False)
         return f
+
+    @cached_property
+    def isometric_factor(self):
+        """``(Q, R)`` with ``Q = U`` and ``R = V S^-1`` from ``L = U S V^T``, or None.
+
+        Only for tall maps (``rows > cols``) of full column rank, by the
+        cutoff of ``fiber_map``.  ``Q`` is a DenseMap with orthonormal
+        columns and ``L R = Q``, so ``L* y = x`` exactly when
+        ``Q* y = x R``: the adjoint fibers of ``L`` are those of ``Q``,
+        reparametrized.  ``R`` is ``cols x cols``, read-only and C-ordered.
+        """
+        if self.rows <= self.cols or not self._full_rank():
+            return None
+        u, sv, vh = self.thin_svd
+        r = np.ascontiguousarray(vh.T / sv)
+        r.setflags(write=False)
+        return DenseMap(u), r
+
+    @cached_property
+    def gram(self):
+        """``LL*`` (``rows x rows``), read-only and C-ordered."""
+        g = self.entries @ self.entries.T
+        g.setflags(write=False)
+        return g
+
+    @cached_property
+    def dual_step(self):
+        """``(lam, I - (I - LL*)/lam)``, ``lam`` bounding ``||I - LL*||`` from above.
+
+        ``lam = min(1, max(1 - s_min^2, 1e-2) + 1e-9)`` when ``rows <= cols``,
+        with ``s_min`` the least singular value, and ``lam = 1`` for tall
+        maps (``LL*`` is singular there; decided before any SVD).  For an
+        operator of norm at most one, ``||I - LL*|| = 1 - s_min^2``.  At
+        ``lam = 1`` the matrix is ``gram`` itself.
+        """
+        lam = 1.0
+        if self.rows <= self.cols:
+            s_min = self.thin_svd[1][-1]
+            lam = min(1.0, max(1.0 - s_min * s_min, 1e-2) + 1e-9)
+        if lam == 1.0:
+            return lam, self.gram
+        g = np.eye(self.rows) - (np.eye(self.rows) - self.gram) / lam
+        g.setflags(write=False)
+        return lam, g
 
     @property
     def norm_bound(self):

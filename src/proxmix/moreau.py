@@ -89,12 +89,16 @@ class SolveReport:
     """Outcome of an iterative evaluation.
 
     ``status == 'converged'`` guarantees ``residual <= tol`` of the opts
-    used.  The residual is the step length per unit step for the
-    cocomposition and the numeric conjugate, and the gradient norm at the
-    momentum point for the composition and ``minimize_smooth``.  A
-    composition whose adjoint ``L*`` is injective is exact instead: 0
-    iterations, residual 0.0 when 'converged', and ``argpoint`` None,
-    since no dual iterate exists.
+    used.  The residual is, for the cocomposition, the step length from
+    the momentum point per unit step (the gradient mapping there, which
+    bounds that of the returned dual); for the numeric conjugate, the
+    step length from the previous iterate per unit step; for the
+    composition and ``minimize_smooth``, the gradient norm at the momentum
+    point.  A composition that ascends on the isometric factor of a tall
+    ``L`` reports the gradient norm in that factor's coordinates, an upper
+    bound on the one in ``L``'s.  A composition whose adjoint ``L*`` is
+    injective is exact instead: 0 iterations, residual 0.0 when
+    'converged', and ``argpoint`` None, since no dual iterate exists.
     ``status == 'diverged'`` forces ``value == inf``.  For the composition
     solvers and the numeric conjugate 'diverged' means a certificate that
     the value is ``+inf``: a recession (Farkas) certificate, or for an

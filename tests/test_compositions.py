@@ -49,7 +49,7 @@ from proxmix.moreau import (
     SolverOpts,
     grid_prox,
 )
-from proxmix.verify import _isometry, _random_operator, _random_spec
+from proxmix.verify import _isometry, _random_conjugable_fn, _random_operator, _random_spec
 
 
 def scalar_half_spec(gamma=1.0, fn=None):
@@ -211,14 +211,31 @@ def test_cocomposition_certificate_ignores_penalized_directions():
     # ker(I - LL*) is the first axis, where <Lx, d> = 0.5 < sigma(d) = 1;
     # along the second axis the slope 1.9 beats 1 but Phi penalizes it,
     # so the value is finite: sup over y2 of a y2 - c y2^2 / 2 with
-    # a = 1.9 - sqrt(3)/2 (y1 = |y|/2 at the optimum), c = 1 - 0.95^2
+    # a = 1.9 - sqrt(3)/2 (y1 = |y|/2 at the optimum), c = 1 - 0.95^2;
+    # the third axis carries no slope and y3 = 0.  LL* is singular, so
+    # the step is 1/gamma
     spec = CompositionSpec(
-        DenseMap([[1.0, 0.0], [0.0, 0.95]]), BallIndicator(np.zeros(2), 1.0), 1.0
+        DenseMap([[1.0, 0.0], [0.0, 0.95], [0.0, 0.0]]),
+        BallIndicator(np.zeros(3), 1.0),
+        1.0,
     )
     rep = eval_cocomposition(spec, [0.5, 2.0])
     a, c = 1.9 - np.sqrt(0.75), 1.0 - 0.95**2
     assert rep.status == CONVERGED
     assert rep.iterations > 50  # the certificate was tested and did not fire
+    assert rep.value == pytest.approx(a**2 / (2.0 * c), abs=1e-6)
+
+
+def test_cocomposition_tight_step_on_penalized_directions():
+    # the square map of the same problem: ||I - LL*|| = 1 - 0.95^2, so the
+    # step is about 10x longer and the iteration stops before the first
+    # certificate test
+    L = DenseMap([[1.0, 0.0], [0.0, 0.95]])
+    spec = CompositionSpec(L, BallIndicator(np.zeros(2), 1.0), 1.0)
+    rep = eval_cocomposition(spec, [0.5, 2.0])
+    a, c = 1.9 - np.sqrt(0.75), 1.0 - 0.95**2
+    assert L.dual_step[0] == pytest.approx(c + 1e-9, rel=1e-12)
+    assert (rep.status, rep.iterations) == (CONVERGED, 25)
     assert rep.value == pytest.approx(a**2 / (2.0 * c), abs=1e-6)
 
 
@@ -708,21 +725,30 @@ def test_ordering_chain_random_instances():
 
 
 def _unfolded_step(core, spec, X):
-    """The step of ``core`` as the dual gradient through two applies each."""
+    """The step of ``core`` as the dual gradient through two applies each.
+
+    The cocomposition steps at ``1/(gamma lam)`` with ``lam`` from
+    ``L.dual_step``; the composition of a full-domain ``g`` ascends in the
+    coordinates of ``L.isometric_factor`` where there is one.
+    """
     L, g, gamma = spec.operator, spec.fn, spec.gamma
-    LX, t = L.apply(X), 1.0 / gamma
-    step_size = 1.0 / (gamma * max(L.norm_bound**2, 1e-12))
+    LX, t = L.apply(X), 1.0 / (gamma * L.dual_step[0])
+    Q, XQ = L, X
+    if g.has_full_domain() and L.isometric_factor is not None:
+        Q, R = L.isometric_factor
+        XQ = X @ R
+    step_size = 1.0 / (gamma * max(Q.norm_bound**2, 1e-12))
 
     def cocomposition(momentum, y, rows, *_):
         grad = LX[rows] - gamma * (momentum - L.apply(L.adjoint_apply(momentum)))
         v = momentum + t * grad
-        y_new = v - (1.0 / gamma) * g.prox(gamma, gamma * v)
-        return y_new, np.linalg.norm(y_new - y, axis=-1) / t
+        y_new = v - t * g.prox(1.0 / t, v / t)
+        return y_new, np.linalg.norm(y_new - momentum, axis=-1) / t
 
     def composition(momentum, z, rows, *_):
-        w = L.apply(momentum)
+        w = Q.apply(momentum)
         p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
-        grad = X[rows] - gamma * L.adjoint_apply(w - p)
+        grad = XQ[rows] - gamma * Q.adjoint_apply(w - p)
         return momentum + step_size * grad, np.linalg.norm(grad, axis=-1)
 
     return cocomposition if core is _cocomposition_core else composition
@@ -742,6 +768,30 @@ def _padded(spec):
         SeparableSum([(1.0, g, 0), (1.0, Affine([0.0]), g.dim)]),
         spec.gamma,
     )
+
+
+def _zero_column(spec, X):
+    """``spec`` with a zero last column of ``L``, and ``X`` with a zero last entry.
+
+    The fiber of ``(x, 0)`` is that of ``x`` and the defect is unchanged,
+    so the composition keeps its value; the padded map has a rank below
+    its column count, so it is not a map with an isometric factor.
+    """
+    L = DenseMap(np.pad(spec.operator.entries, ((0, 0), (0, 1))))
+    return CompositionSpec(L, spec.fn, spec.gamma), np.pad(X, ((0, 0), (0, 1)))
+
+
+def _direct(spec, X):
+    """``_padded`` and ``_zero_column`` together.
+
+    The padded map has neither full row nor full column rank, so the
+    composition iterates on ``L`` itself and the cocomposition steps at
+    ``1/gamma``; both values stay those of ``(spec, X)``.
+    """
+    spec, X = _zero_column(_padded(spec), X)
+    L = spec.operator
+    assert L.fiber_map is L.isometric_factor is None and L.dual_step[0] == 1.0
+    return spec, X
 
 
 def _folded_step_specs():
@@ -773,41 +823,67 @@ def _folded_step_specs():
     ]
 
 
+def _compare_folded_steps(monkeypatch, core, spec, X, scaled=False):
+    """Run ``core`` with its own step checked against ``_unfolded_step`` at every iteration.
+
+    ``scaled`` widens the residuals' absolute tolerance in proportion to
+    the momentum's largest entry: a tight step divides ``I - LL*`` by
+    ``lam`` (down to 1e-2), and the residual is a difference of iterates,
+    so their rounding shows in it.
+    """
+    kernel = compositions._fista
+    reference = _unfolded_step(core, spec, X)
+    checked = []
+
+    def compared(step, *args, **kwargs):
+        def both(momentum, z, rows, *per_row):
+            z_new, res = step(momentum, z, rows, *per_row)
+            z_ref, res_ref = reference(momentum, z, rows)
+            res_atol = 1e-12 * (1.0 + np.abs(momentum).max()) if scaled else 1e-12
+            np.testing.assert_allclose(z_new, z_ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(res, res_ref, rtol=1e-12, atol=res_atol)
+            checked.append(len(rows))
+            return z_new, res
+
+        return kernel(both, *args, **kwargs)
+
+    monkeypatch.setattr(compositions, "_fista", compared)
+    values, _, status, iters, _ = core(spec, X, DEFAULT_OPTS)
+    monkeypatch.setattr(
+        compositions, "_fista", lambda _step, *a, **k: kernel(reference, *a, **k)
+    )
+    ref_values, _, ref_status, ref_iters, _ = core(spec, X, DEFAULT_OPTS)
+    monkeypatch.undo()
+    assert sum(checked) == iters.sum() > 0
+    assert list(status) == list(ref_status)
+    assert list(iters) == list(ref_iters)
+    np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("core", [_cocomposition_core, _composition_core])
 def test_folded_steps_match_the_unfolded_steps(monkeypatch, core):
-    kernel = compositions._fista
+    # padded so that neither core changes its step or its coordinates
     for spec, X in _folded_step_specs():
-        if core is _composition_core:
-            spec = _padded(spec)  # an injective L* would skip the iteration
-        reference = _unfolded_step(core, spec, X)
-        checked = []
-
-        def compared(step, *args, **kwargs):
-            def both(momentum, z, rows, *per_row):
-                z_new, res = step(momentum, z, rows, *per_row)
-                z_ref, res_ref = reference(momentum, z, rows)
-                np.testing.assert_allclose(z_new, z_ref, rtol=1e-12, atol=1e-12)
-                np.testing.assert_allclose(res, res_ref, rtol=1e-12, atol=1e-12)
-                checked.append(len(rows))
-                return z_new, res
-
-            return kernel(both, *args, **kwargs)
-
-        monkeypatch.setattr(compositions, "_fista", compared)
-        values, _, status, iters, _ = core(spec, X, DEFAULT_OPTS)
-        monkeypatch.setattr(
-            compositions, "_fista", lambda _step, *a, **k: kernel(reference, *a, **k)
-        )
-        ref_values, _, ref_status, ref_iters, _ = core(spec, X, DEFAULT_OPTS)
-        monkeypatch.undo()
-        assert sum(checked) == iters.sum() > 0
-        assert list(status) == list(ref_status)
-        assert list(iters) == list(ref_iters)
-        np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=1e-12)
+        _compare_folded_steps(monkeypatch, core, *_direct(spec, X))
 
 
-def test_steps_skip_the_public_prox(monkeypatch):
-    # the spec fixes gamma and the dimensions, so iterations call the hook
+@pytest.mark.parametrize("core", [_cocomposition_core, _composition_core])
+def test_tight_and_isometric_steps_match_the_unfolded_steps(monkeypatch, core):
+    changed = 0
+    for spec, X in _folded_step_specs():
+        L = spec.operator
+        if core is _cocomposition_core:
+            changed += L.dual_step[0] < 1.0
+        elif spec.fn.has_full_domain() and L.isometric_factor is not None:
+            changed += 1
+        elif L.fiber_map is not None:
+            continue  # exact: no step to compare
+        _compare_folded_steps(monkeypatch, core, spec, X, scaled=True)
+    assert changed >= 4
+
+
+def _public_prox_calls(monkeypatch):
+    """The parameter of every public ``ConvexFunction.prox`` call from now on."""
     public = []
     prox = ConvexFunction.prox
 
@@ -816,19 +892,35 @@ def test_steps_skip_the_public_prox(monkeypatch):
         return prox(self, gamma, x)
 
     monkeypatch.setattr(ConvexFunction, "prox", counted)
-    spec = CompositionSpec(TALL, L1Norm(3), 1.0)
-    reports = [solve(spec, [1.0, -2.0]) for solve in (eval_cocomposition, eval_composition)]
+    return public
+
+
+def test_steps_skip_the_public_prox(monkeypatch):
+    # the spec fixes gamma and the dimensions, so iterations call the hook;
+    # TALL with a zero column keeps L's own coordinates and the 1/gamma step
+    public = _public_prox_calls(monkeypatch)
+    spec, X = _zero_column(CompositionSpec(TALL, L1Norm(3), 1.0), np.array([[1.0, -2.0]]))
+    reports = [solve(spec, X[0]) for solve in (eval_cocomposition, eval_composition)]
     assert min(r.iterations for r in reports) > 10
     assert len(public) == 1  # the composition's value, after the iteration
+
+
+def test_isometric_steps_skip_the_public_prox(monkeypatch):
+    public = _public_prox_calls(monkeypatch)
+    spec = CompositionSpec(TALL, L1Norm(3), 1.0)
+    reports = [solve(spec, [1.0, -2.0]) for solve in (eval_cocomposition, eval_composition)]
+    assert [r.iterations for r in reports] == [11, 6]  # 11 and 15 on L's coordinates
+    assert len(public) == 1
 
 
 @pytest.mark.parametrize("gamma", [0.7, np.array([[0.7], [1.3], [2.0]])])
 def test_composition_lift_reads_the_c_ordered_adjoint(gamma):
     # the first step lifts the start rows X through L.adjoint_entries, the
     # C-ordered transpose (a product with the transposed view costs up to
-    # 4x more); a marked copy shows which matrix the core reads
-    L, g = DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.3, 0.0]]), L1Norm(3)
-    X = np.array([[1.0, -2.0], [0.3, 0.5], [-1.0, 0.2]])
+    # 4x more); a marked copy shows which matrix the core reads.  The zero
+    # column keeps the iteration in L's own coordinates
+    L, g = DenseMap([[0.5, 0.1, 0.0], [-0.2, 0.4, 0.0], [0.3, 0.0, 0.0]]), L1Norm(3)
+    X = np.array([[1.0, -2.0, 0.0], [0.3, 0.5, 0.0], [-1.0, 0.2, 0.0]])
     marked = np.ascontiguousarray(2.0 * L.entries.T)
     L.adjoint_entries = marked
     lifted = []
@@ -836,6 +928,24 @@ def test_composition_lift_reads_the_c_ordered_adjoint(gamma):
     _composition_core(CompositionSpec(L, g, 1.0), X, SolverOpts(max_iter=1), gamma)
     assert marked.flags.c_contiguous
     expected = (X @ marked) * gamma if np.ndim(gamma) else X @ (gamma * marked)
+    assert np.array_equal(lifted[0], expected)
+
+
+@pytest.mark.parametrize("gamma", [0.7, np.array([[0.7], [1.3], [2.0]])])
+def test_isometric_lift_reads_the_c_ordered_factor(gamma):
+    # a tall map of full column rank: the start rows are X R, lifted
+    # through the C-ordered transpose of the isometric factor Q
+    L, g = DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.3, 0.0]]), L1Norm(3)
+    X = np.array([[1.0, -2.0], [0.3, 0.5], [-1.0, 0.2]])
+    Q, R = L.isometric_factor
+    assert R.flags.c_contiguous and not R.flags.writeable
+    marked = np.ascontiguousarray(2.0 * Q.entries.T)
+    Q.adjoint_entries = marked
+    lifted = []
+    g._prox = lambda gamma, y: lifted.append(y) or L1Norm._prox(g, gamma, y)
+    _composition_core(CompositionSpec(L, g, 1.0), X, SolverOpts(max_iter=1), gamma)
+    XR = X @ R
+    expected = (XR @ marked) * gamma if np.ndim(gamma) else XR @ (gamma * marked)
     assert np.array_equal(lifted[0], expected)
 
 
@@ -1152,3 +1262,144 @@ def test_envelope_rejects_a_non_finite_index(rho):
         envelope_cocomposition(spec, rho, [1.0, -2.0])
     with pytest.raises(ParameterError, match="finite and positive"):
         compositions.envelope_cocomposition_batch(spec, rho, np.array([[1.0, -2.0]]))
+
+
+# -- conditioning-free dual steps -------------------------------------------------
+
+
+def test_isometric_composition_matches_the_direct_iteration():
+    rng = np.random.default_rng(51)
+    iters_iso = iters_direct = 0
+    for _ in range(500):
+        rows = int(rng.integers(2, 5))
+        spec = _random_spec(rng, rows=rows, cols=int(rng.integers(1, rows)))
+        L = spec.operator
+        X = rng.normal(size=(3, L.cols))
+        gamma = rng.uniform(0.25, 4.0, size=(3, 1))
+        padded, XP = _zero_column(spec, X)
+        assert L.isometric_factor is not None and padded.operator.isometric_factor is None
+        values, z, status, iters, residual = _composition_core(spec, X, DEFAULT_OPTS, gamma)
+        ref_values, _, ref_status, ref_iters, _ = _composition_core(padded, XP, DEFAULT_OPTS, gamma)
+        assert list(status) == list(ref_status) == [CONVERGED] * 3
+        np.testing.assert_allclose(values, ref_values, rtol=1e-10, atol=1e-10)
+        assert z.shape == X.shape and (residual <= DEFAULT_OPTS.tol).all()
+        iters_iso += iters.sum()
+        iters_direct += ref_iters.sum()
+    assert iters_iso < iters_direct
+
+
+def test_isometric_composition_dual_is_a_dual_of_l():
+    # the mapped-back dual z of L attains the sup: <z, x> - h(Lz) is the
+    # value plus ||x||^2 / (2 gamma)
+    spec = CompositionSpec(TALL, L1Norm(3).translate([0.2, -0.1, 0.3]), 0.8)
+    rep = eval_composition(spec, [1.0, -2.0])
+    z, g, gamma = rep.argpoint, spec.fn, spec.gamma
+    w = TALL.apply(z)
+    p = w - g.prox(gamma, gamma * w) / gamma
+    h = g.conjugate(p) + 0.5 * gamma * np.sum((w - p) ** 2)
+    assert rep.status == CONVERGED
+    assert z @ [1.0, -2.0] - h - 5.0 / (2.0 * gamma) == pytest.approx(rep.value, abs=1e-12)
+
+
+def test_tight_cocomposition_matches_the_unit_step():
+    # a zero row under L makes LL* singular, so the padded spec (same value)
+    # steps at 1/gamma
+    rng = np.random.default_rng(52)
+    iters_tight = iters_unit = 0
+    statuses = []
+    for k in range(300):
+        rows = int(rng.integers(1, 4))
+        cols = int(rng.integers(rows, 4))
+        if k % 3 == 0:
+            fn = BallIndicator(0.3 * rng.normal(size=rows), rng.uniform(0.5, 2.0))
+        else:
+            fn = _random_conjugable_fn(rng, rows)
+        spec = CompositionSpec(_random_operator(rng, rows, cols), fn, 1.0)
+        assert spec.operator.dual_step[0] < 1.0
+        X = 2.0 * rng.normal(size=(4, cols))
+        gamma = rng.uniform(0.25, 4.0, size=(4, 1))
+        values, _, status, iters, _ = _cocomposition_core(spec, X, DEFAULT_OPTS, gamma)
+        ref_values, _, ref_status, ref_iters, _ = _cocomposition_core(
+            _padded(spec), X, DEFAULT_OPTS, gamma
+        )
+        assert list(status) == list(ref_status)
+        np.testing.assert_allclose(values, ref_values, rtol=1e-7, atol=1e-7)
+        iters_tight += iters.sum()
+        iters_unit += ref_iters.sum()
+        statuses.extend(status)
+    assert statuses.count(CONVERGED) == len(statuses)
+    assert iters_tight < 0.8 * iters_unit
+
+
+def test_cocomposition_converges_only_at_a_fixed_point():
+    # the residual was measured against the previous iterate: a prox that
+    # clamped T(m) back onto y read 0, and the solve stopped at iteration 5
+    # with 0.6889031483052791 'converged'
+    L = DenseMap([[-0.4128, 0.734, 0.0659], [-0.4215, 0.2303, -0.2766]])
+    spec = CompositionSpec(L, L1Norm(2).scale_val(0.7704), 1.9951)
+    x, opts = [-1.4543, -0.0339, 0.1569], SolverOpts(tol=1e-13)
+    for each, iterations in ((spec, 14), (_padded(spec), 26)):  # tight, unit step
+        rep = eval_cocomposition(each, x, opts)
+        assert (rep.status, rep.iterations) == (CONVERGED, iterations)
+        assert rep.value == pytest.approx(0.6889084266611689, rel=1e-14)
+
+
+def test_converged_cocomposition_rows_are_fixed_points():
+    # the step T is nonexpansive and the returned y is T(m), so
+    # ||T(y) - y|| <= ||y - m||: the residual bounds the fixed-point residual
+    rng = np.random.default_rng(53)
+    opts = SolverOpts(tol=1e-10)
+    rows_checked = 0
+    for k in range(280):
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        fn = _random_conjugable_fn(rng, rows)
+        if k % 2:
+            fn = L1Norm(rows).scale_val(rng.uniform(0.5, 1.5))
+        spec = CompositionSpec(_random_operator(rng, rows, cols), fn, 1.0)
+        L = spec.operator
+        X = 2.0 * rng.normal(size=(8, cols))
+        gamma = rng.uniform(0.25, 4.0, size=(8, 1))
+        _, Y, status, _, _ = _cocomposition_core(spec, X, opts, gamma)
+        t = 1.0 / (gamma * L.dual_step[0])
+        v = Y + t * (L.apply(X) - gamma * L.gram_complement_apply(Y))
+        fixed = np.linalg.norm(fn.prox_conjugate(t, v) - Y, axis=-1) / t[:, 0]
+        converged = status == CONVERGED
+        assert (fixed[converged] <= 1.5 * opts.tol).all()
+        rows_checked += converged.sum()
+    assert rows_checked >= 2000
+
+
+def test_fixed_prox_parameter_keeps_the_unit_step():
+    # the oracle's prox exists only at gamma, and L is wide with full row
+    # rank (a tight step would call it at gamma lam)
+    L = DenseMap([[0.5, 0.1, 0.0], [-0.2, 0.4, 0.3]])
+    fn = L1Norm(2).translate([0.3, -0.2])
+    gamma = 1.3
+    oracle = OracleFunction(2, fn, prox_fn=fn.prox, prox_gamma=gamma)
+    assert L.dual_step[0] < 1.0 and oracle.has_fixed_prox_parameter()
+    x = [1.0, -2.0, 0.5]
+    got = eval_cocomposition(CompositionSpec(L, oracle, gamma), x)
+    want = eval_cocomposition(_padded(CompositionSpec(L, fn, gamma)), x)
+    assert got.status == CONVERGED
+    assert got.iterations == want.iterations
+    assert got.value == pytest.approx(want.value, abs=1e-8)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_coisometry_cocomposition_is_the_composed_function(rows):
+    # LL* = I: Phi vanishes and the cocomposition is g(Lx)
+    rng = np.random.default_rng(54 + rows)
+    L = DenseMap(_isometry(rng, 4, rows).entries.T)
+    X = rng.normal(size=(6, 4))
+    for fn in (
+        L1Norm(rows).translate(rng.normal(size=rows)),
+        EuclideanNorm(rows).scale_val(0.7),
+        BallIndicator(np.zeros(rows), 1.0),
+    ):
+        values, status, iters = eval_cocomposition_batch(CompositionSpec(L, fn, 0.9), X)
+        expected = np.asarray(fn(L.apply(X)))
+        finite = np.isfinite(expected)
+        assert list(status) == [CONVERGED if f else DIVERGED for f in finite]
+        np.testing.assert_allclose(values[finite], expected[finite], rtol=1e-9, atol=1e-9)
+        assert np.isinf(values[~finite]).all()
+        assert iters[finite].max() <= 3

@@ -506,6 +506,19 @@ def test_oracle_prox_gamma_is_checked_inside_a_transform():
             fn.prox(bad, np.ones((2, 1)))
 
 
+def test_a_fixed_prox_parameter_is_seen_through_transforms_and_sums():
+    oracle = OracleFunction(
+        1, value_fn=lambda x: np.abs(x).sum(axis=-1), prox_fn=lambda g, x: x, prox_gamma=0.5
+    )
+    free = OracleFunction(1, value_fn=lambda x: np.abs(x).sum(axis=-1), prox_fn=lambda g, x: x)
+    assert oracle.has_fixed_prox_parameter()
+    assert not free.has_fixed_prox_parameter() and not L1Norm(1).has_fixed_prox_parameter()
+    wrapped = MoreauEnvelopeFunction(oracle.scale_arg(2.0).translate([1.0]).add_quad(0.5), 1.0)
+    assert wrapped.has_fixed_prox_parameter()
+    assert SeparableSum([(1.0, L1Norm(1), 0), (2.0, wrapped, 1)]).has_fixed_prox_parameter()
+    assert not SeparableSum([(1.0, L1Norm(1), 0), (2.0, free, 1)]).has_fixed_prox_parameter()
+
+
 # -- atom proxes against their previous closed forms ---------------------------
 # The references below are the formulas the atoms used before their proxes were
 # rewritten in fewer numpy calls.

@@ -168,6 +168,58 @@ def test_tall_maps_decide_the_fiber_map_before_any_svd(monkeypatch):
     assert DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.1, -0.3]]).fiber_map is None
 
 
+def test_one_thin_svd_serves_every_factor(monkeypatch):
+    from proxmix.compositions import _flat_directions
+
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    wide = DenseMap([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])  # a coisometry
+    tall = DenseMap(wide.entries.T)
+    for L in (wide, tall):
+        for _ in range(2):
+            _ = L.fiber_map, L.isometric_factor, L.dual_step, _flat_directions(L)
+    # one values-only SVD per map for the norm bound, one thin SVD each
+    assert calls == [True, False, True, False]
+    assert wide.isometric_factor is None and tall.fiber_map is None
+    assert _flat_directions(wide).shape == (2, 2)
+
+
+def test_isometric_factor_reparametrizes_the_fiber():
+    L = example1_operator()  # tall, full column rank
+    Q, R = L.isometric_factor
+    assert L.isometric_factor[0] is Q and R.shape == (L.cols, L.cols)
+    assert R.flags.c_contiguous and not R.flags.writeable
+    np.testing.assert_allclose(Q.entries.T @ Q.entries, np.eye(L.cols), atol=1e-14)
+    np.testing.assert_allclose(L.entries @ R, Q.entries, atol=1e-14)
+    # x = L* y exactly when x R = Q* y
+    Y = np.random.default_rng(9).normal(size=(5, L.rows))
+    np.testing.assert_allclose(L.adjoint_apply(Y) @ R, Q.adjoint_apply(Y), atol=1e-13)
+
+
+@pytest.mark.parametrize("entries", [
+    [[0.5, 0.1], [-0.2, 0.4], [0.1, -0.3]],  # tall
+    [[0.3, 0.1, 0.2], [0.6, 0.2, 0.4]],  # wide, rank 1
+    [[0.6, 0.0, 0.8]],  # one row, LL* = I: the floor 1e-2
+    [[0.5, 0.1], [-0.2, 0.4]],
+], ids=["tall", "wide-rank-1", "coisometry", "square"])
+def test_dual_step_bounds_the_gram_complement(entries):
+    L = DenseMap(entries)
+    lam, G = L.dual_step
+    complement = np.eye(L.rows) - L.gram
+    assert np.linalg.norm(complement, 2) <= lam <= 1.0
+    assert not G.flags.writeable and L.dual_step[1] is G
+    if lam == 1.0:
+        assert G is L.gram
+    else:
+        np.testing.assert_allclose(G, np.eye(L.rows) - complement / lam, atol=1e-15)
+        assert lam == pytest.approx(max(np.linalg.norm(complement, 2), 1e-2) + 1e-9, rel=1e-12)
+
+
 def test_norm_certificate_random_unit_vectors():
     rng = np.random.default_rng(1)
     L = DenseMap(rng.normal(size=(4, 3)))

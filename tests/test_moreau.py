@@ -447,11 +447,21 @@ def test_fista_matches_a_float_t_reference_with_restarts(monkeypatch):
 
 def test_found_line_solves_keep_their_iteration_counts():
     # the one-row solves timed in CHANGES.md; counts as before the
-    # age-indexed momentum table and the folded steps
-    spec = CompositionSpec(DenseMap([[0.5, 0.1], [-0.2, 0.4]]), L1Norm(2), 1.0)
-    assert eval_cocomposition(spec, [1.0, -2.0]).iterations == 16
+    # age-indexed momentum table and the folded steps.  The zero row keeps
+    # the 2x2 cocomposition's 1/gamma step; it took 16 iterations while
+    # the residual was measured from the previous iterate, 15 from the
+    # momentum point
+    L = DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.0, 0.0]])
+    spec = CompositionSpec(L, L1Norm(3), 1.0)
+    assert eval_cocomposition(spec, [1.0, -2.0]).iterations == 15
     a, c = np.array([1.0, 0.01]), np.ones(2)
     rep = minimize_smooth(
         lambda x: 0.5 * x @ (a * x) - c @ x, lambda x: a * x - c, np.zeros(2), 1.0
     )
     assert rep.status == CONVERGED and rep.iterations == 139
+
+
+def test_found_line_cocomposition_at_the_tight_step():
+    # the 2x2 case itself: ||I - LL*|| = 1 - s_min^2 sets the step
+    spec = CompositionSpec(DenseMap([[0.5, 0.1], [-0.2, 0.4]]), L1Norm(2), 1.0)
+    assert eval_cocomposition(spec, [1.0, -2.0]).iterations == 10
