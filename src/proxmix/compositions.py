@@ -13,8 +13,10 @@ is one point or empty, so the value is exact, with no iteration.  Neither
 ascent pays for the conditioning of ``L``: a composition with a tall
 ``L`` of full column rank ascends on its isometric factor, and the
 cocomposition's step follows ``||I - LL*||``, both from one cached SVD
-of ``L``.  Proximity operators, envelopes, recession and perspective
-values come out in closed form.
+of ``L``.  Both values come from the prox and the value of ``g`` at a
+prox point, where Fenchel-Young holds with equality; no solver
+evaluates ``g*``.  Proximity operators, envelopes, recession and
+perspective values come out in closed form.
 
 Batch variants evaluate many base points in one iteration; rows leave
 the iteration when they stop.  The figure generator and the verification
@@ -45,7 +47,6 @@ from .moreau import (
     SolveReport,
     SolverOpts,
     _STATUS_BY_CODE,
-    _conjugate_ascent,
     _fista,
     _minimize_rows,
     _outside_radius,
@@ -157,21 +158,6 @@ class CompositionSpec:
 # ---------------------------------------------------------------------------
 
 
-def _conjugate_values(fn, y, gamma, opts):
-    """Values of the conjugate at the rows of ``y``.
-
-    Falls back to ``_conjugate_ascent`` at step ``gamma`` (a float or a
-    per-row column) when no closed form is registered (oracle-backed
-    functions support the prox at that parameter).
-    """
-    try:
-        return np.asarray(fn.conjugate(y), dtype=float)
-    except UnsupportedConjugate:
-        pass
-    values = _conjugate_ascent(fn, np.atleast_2d(y), gamma, opts)[0]
-    return values.reshape(np.asarray(y).shape[:-1])
-
-
 def _domain_support(g):
     """Support function of ``dom g`` (the recession of ``g*``), or None.
 
@@ -225,6 +211,13 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     of the gradient mapping at ``m``; the step is nonexpansive, so a row
     whose residual is at most ``opts.tol`` returns a dual whose own
     gradient mapping is at most ``opts.tol`` too.
+
+    The value is taken one step past the final dual ``y``: the next dual
+    ``y'`` is a subgradient of ``g`` at its prox point ``p``, so
+    ``g*(y') = <p, y'> - g(p)`` (Fenchel-Young) and the value is
+    ``<Lx - p, y'> + g(p) - gamma Phi(y')``.  The step never lowers the
+    dual objective and ``p`` lies in ``dom g``, so no term is ``+inf``;
+    ``y'`` is the returned dual.
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
@@ -250,9 +243,10 @@ def _cocomposition_core(spec, X, opts, gamma=None):
         escaped=None if always_finite else escaped,
         per_row=(shift, index, t, _row_values(t)),
     )
-    defect = spec.defect(y)
-    gvals = _conjugate_values(g, y, gamma, opts)
-    values = _dot(LX, y) - gvals - _row_values(gamma) * defect
+    v = y @ gram + shift
+    p = g._prox(index, index * v)
+    y = v - t * p
+    values = _dot(LX - p, y) + g._value(p) - _row_values(gamma) * spec.defect(y)
     values = np.where(status == DIVERGED, np.inf, values)
     return values, y, status, iters, residual
 
@@ -260,9 +254,10 @@ def _cocomposition_core(spec, X, opts, gamma=None):
 def _fiber_composition(spec, X, gamma):
     """The composition where ``L*`` is injective, exactly and without iterating.
 
-    The fiber ``{y : L* y = x}`` is then the single point ``y = x F``,
-    ``F`` being ``spec.operator.fiber_map``, or it is empty; so the value
-    is ``g(y) + (||y||^2 - ||x||^2)/(2 gamma)``.  A row is 'diverged' with
+    With ``(Q, R)`` the isometric factor of a map with ``rows <= cols``,
+    ``Q`` is unitary, so the fiber ``{y : L* y = x}`` is the single point
+    ``y = (x R) Q*``, or it is empty; so the value is
+    ``g(y) + (||y||^2 - ||x||^2)/(2 gamma)``.  A row is 'diverged' with
     value ``+inf`` when ``||L* y - x|| > _RANGE_TOL (1 + ||x||)`` (``x``
     off the range of ``L*``, the iterative path's range test) or when
     ``g(y) = +inf``; with no other point in the fiber, both certify.
@@ -271,7 +266,8 @@ def _fiber_composition(spec, X, gamma):
     returned (values, None, status, iters, residuals) is None.
     """
     L = spec.operator
-    Y = X @ L.fiber_map
+    Q, R = L.isometric_factor
+    Y = Q.apply(X @ R)
     xx = _dot(X, X)
     off_range = _norm(Y @ L.entries - X) > _RANGE_TOL * (1.0 + np.sqrt(xx))
     values = spec.fn._value(Y) + (_dot(Y, Y) - xx) / (2.0 * _row_values(gamma))
@@ -288,14 +284,17 @@ def _fiber_composition(spec, X, gamma):
 def _composition_core(spec, X, opts, gamma=None):
     """The composition at the rows of ``X``: (values, duals, status, iters, residuals).
 
-    Where ``L*`` is injective (``spec.operator.fiber_map`` is not None)
-    the value is exact, from the one fiber point, and ``duals`` is None:
-    see ``_fiber_composition``.  Otherwise gradient ascent maximizes the
-    smooth dual ``<z, x> - h(z)``, with ``h(z)`` the Moreau envelope of the
-    conjugate of ``g`` (index ``1/gamma``) evaluated at ``Lz``; the value
-    of the composition is the attained sup minus ``||x||^2/(2 gamma)``.
-    The gradient of ``h`` at ``z`` is ``L* prox_{gamma g}(gamma Lz)``, so a
-    step costs one prox between two products.
+    Where ``L*`` is injective (``rows <= cols`` and ``L.isometric_factor``
+    is not None) the value is exact, from the one fiber point, and
+    ``duals`` is None: see ``_fiber_composition``.  Otherwise gradient
+    ascent maximizes the smooth dual ``<z, x> - h(z)``, with ``h(z)`` the
+    Moreau envelope of the conjugate of ``g`` (index ``1/gamma``)
+    evaluated at ``w = Lz``; the value of the composition is the attained
+    sup minus ``||x||^2/(2 gamma)``.  The gradient of ``h`` at ``z`` is
+    ``L* q`` with ``q = prox_{gamma g}(gamma w)``, so a step costs one
+    prox between two products.  At ``q``, Fenchel-Young holds with
+    equality, so ``h(z) = <q, w> - g(q) - ||q||^2/(2 gamma)``: the value
+    needs the prox and the value of ``g``, not its conjugate.
     Base points outside the closed range of the adjoint are certified
     infeasible up front, by an ``lstsq`` range test, when ``g`` has full
     domain.  For restricted ``dom g`` the displacement ``z_k - z_{k-50}``
@@ -319,7 +318,8 @@ def _composition_core(spec, X, opts, gamma=None):
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
-    if L.fiber_map is not None:
+    factor = L.isometric_factor
+    if factor is not None and L.rows <= L.cols:
         return _fiber_composition(spec, X, gamma)
     n = X.shape[0]
 
@@ -332,8 +332,8 @@ def _composition_core(spec, X, opts, gamma=None):
         range_gap = _norm(L.adjoint_apply(dual_sol.T) - X)
         infeasible = range_gap > _RANGE_TOL * (1.0 + _norm(X))
         sigma = None
-        if L.isometric_factor is not None:
-            Q, R = L.isometric_factor
+        if factor is not None:
+            Q, R = factor
             XQ = X @ R
     else:
         infeasible = np.zeros(n, dtype=bool)
@@ -362,10 +362,11 @@ def _composition_core(spec, X, opts, gamma=None):
     )
     status[infeasible] = DIVERGED
     w = Q.apply(z)
-    p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
-    gamma_row = _row_values(gamma)
-    hvals = _conjugate_values(g, p, gamma, opts) + 0.5 * gamma_row * _norm(w - p) ** 2
-    vals = _dot(z, XQ) - hvals - _norm(X) ** 2 / (2.0 * gamma_row)
+    q = g.prox(gamma, gamma * w)
+    vals = (
+        _dot(z, XQ) - _dot(q, w) + g._value(q)
+        + (_dot(q, q) - _dot(X, X)) / (2.0 * _row_values(gamma))
+    )
     values = np.where(status == DIVERGED, np.inf, vals)
     return values, z if R is None else z @ R.T, status, iters, residual
 
@@ -735,8 +736,8 @@ def pushforward_infimum(operator, fn, x, halfwidth=10.0, steps=801):
     the witness point attaining (approximately) the infimum, or
     ``(inf, None)`` when the fiber is empty.  It finds the fiber point
     with its own ``lstsq`` and rank test, not through
-    ``DenseMap.fiber_map``, so that it stays an independent oracle for
-    the exact composition.
+    ``DenseMap.isometric_factor``, so that it stays an independent oracle
+    for the exact composition.
     """
     adj = operator.entries.T  # maps dual (rows) points to base (cols)
     y0, *_ = np.linalg.lstsq(adj, x, rcond=None)

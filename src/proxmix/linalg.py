@@ -26,9 +26,9 @@ __all__ = [
 _NORM_INFLATION = 1e-9  # norm_bound's relative margin over the SVD's sigma
 _PSD_TOL = 1e-10  # relative eigenvalue tolerance of the PSD test and the rank
 _RANGE_TOL = 1e-9  # relative residual of a point counted in the range of L*
-# fiber_map's rank cutoff on the least singular value over the largest: the
-# rounding of ||(X F) L - X|| is at most about eps cond(L) ||X||, which
-# stays under _RANGE_TOL ||X|| while cond(L) < 1e6
+# isometric_factor's rank cutoff on the least singular value over the
+# largest: the exact composition's range residual rounds to about
+# eps cond(L) ||X||, under _RANGE_TOL ||X|| while cond(L) < 1e6
 _FIBER_RCOND = 1e-6
 
 
@@ -55,23 +55,20 @@ class DenseMap:
     """Dense linear operator between Euclidean spaces.
 
     Maps points of dimension ``cols`` to points of dimension ``rows``.
-    Everything derived from ``entries`` is computed once and kept:
+    Everything derived from ``entries`` is computed once and kept, and
+    every spectral quantity comes from one thin singular value
+    decomposition ``L = U S V^T``, ``thin_svd``, taken on first use:
 
-    * the spectral norm, on first use, from one singular value
-      decomposition; ``norm_bound`` inflates it by relative 1e-9, which
-      certifies ``||Lx|| <= norm_bound`` for all unit vectors ``x`` up to
-      the rounding of ``Lx`` itself;
-    * ``adjoint_entries``, the transpose of ``entries`` in C order, on
-      first use: a product with the transposed view is F-ordered and
-      costs up to 4x more on many rows (its bits are the same on two rows
-      or more; one-row products can differ in the last bit);
-    * ``thin_svd``, on first use: one thin singular value decomposition,
-      which ``fiber_map``, ``isometric_factor`` and ``dual_step`` read;
-    * ``fiber_map``: the ``cols x rows`` matrix ``F`` with
-      ``X @ F = (LL*)^-1 L X`` row by row when ``L*`` is injective, else
-      None;
-    * ``isometric_factor``: for a tall map of full column rank, the pair
-      ``(Q, R)`` with ``Q`` an isometry and ``L R = Q``, else None;
+    * ``norm_estimate``, the spectral norm ``s[0]``, and ``norm_bound``,
+      which inflates it by relative 1e-9 and so certifies
+      ``||Lx|| <= norm_bound`` for all unit vectors ``x`` up to the
+      rounding of ``Lx`` itself;
+    * ``adjoint_entries``, the transpose of ``entries`` in C order: a
+      product with the transposed view is F-ordered and costs up to 4x
+      more on many rows (its bits are the same on two rows or more;
+      one-row products can differ in the last bit);
+    * ``isometric_factor``: for a map of full rank, the pair ``(Q, R)``
+      with ``Q`` an isometry or a unitary and ``L R = Q``, else None;
     * ``gram`` (``LL*``) and ``dual_step``, the step constants of the
       cocomposition's dual ascent.
     """
@@ -84,8 +81,6 @@ class DenseMap:
             raise ValueError("matrix entries must be finite")
         a.setflags(write=False)
         self.entries = a
-        self._norm_bound = None
-        self._norm_estimate = None
 
     @property
     def rows(self):
@@ -130,15 +125,8 @@ class DenseMap:
         return DenseMap(self.entries @ inner.entries)
 
     def operator_norm(self):
-        """Spectral norm: the largest singular value of ``entries``.
-
-        Caches it as ``norm_estimate`` and, inflated by relative
-        ``_NORM_INFLATION``, as the certified bound ``norm_bound``.
-        """
-        sigma = float(np.linalg.svd(self.entries, compute_uv=False)[0])
-        self._norm_bound = sigma * (1.0 + _NORM_INFLATION)
-        self._norm_estimate = sigma
-        return sigma
+        """Spectral norm: the largest singular value of ``entries``."""
+        return float(self.thin_svd[1][0])
 
     @cached_property
     def adjoint_entries(self):
@@ -152,50 +140,25 @@ class DenseMap:
         """``(U, s, Vt)`` with ``entries = U diag(s) Vt``, read-only.
 
         ``s`` is in decreasing order with ``min(rows, cols)`` entries.
-        ``operator_norm`` runs its own, values-only SVD, whose top value
-        may differ from ``s[0]`` in the last bit.
         """
         parts = np.linalg.svd(self.entries, full_matrices=False)
         for a in parts:
             a.setflags(write=False)
         return parts
 
-    def _full_rank(self):
-        """Least singular value above ``_FIBER_RCOND`` times the largest."""
-        sv = self.thin_svd[1]
-        return bool(sv[-1] > _FIBER_RCOND * sv[0])
-
-    @cached_property
-    def fiber_map(self):
-        """``F = V S^-1 U^T`` from the thin SVD ``L = U S V^T``, or None.
-
-        Where ``L*`` is injective (full row rank) the adjoint fiber
-        ``{y : L* y = x}`` is the single point ``y = x F`` when ``x`` lies
-        in the range of ``L*``, and empty otherwise.  None for tall maps
-        (``rows > cols``, decided before any SVD) and for maps whose least
-        singular value is at most ``_FIBER_RCOND`` times the largest.
-        Read-only and C-ordered.
-        """
-        if self.rows > self.cols or not self._full_rank():
-            return None
-        u, sv, vh = self.thin_svd
-        f = np.ascontiguousarray((vh.T / sv) @ u.T)
-        f.setflags(write=False)
-        return f
-
     @cached_property
     def isometric_factor(self):
         """``(Q, R)`` with ``Q = U`` and ``R = V S^-1`` from ``L = U S V^T``, or None.
 
-        Only for tall maps (``rows > cols``) of full column rank, by the
-        cutoff of ``fiber_map``.  ``Q`` is a DenseMap with orthonormal
-        columns and ``L R = Q``, so ``L* y = x`` exactly when
-        ``Q* y = x R``: the adjoint fibers of ``L`` are those of ``Q``,
-        reparametrized.  ``R`` is ``cols x cols``, read-only and C-ordered.
+        None unless the least singular value is above ``_FIBER_RCOND``
+        times the largest.  ``Q`` is a DenseMap with orthonormal columns
+        and ``L R = Q``, so ``L* y = x`` exactly when ``Q* y = x R``.  When
+        ``rows <= cols``, ``Q`` is unitary and that fiber is the point
+        ``(x R) Q*`` or empty.  ``R`` is read-only and C-ordered.
         """
-        if self.rows <= self.cols or not self._full_rank():
-            return None
         u, sv, vh = self.thin_svd
+        if not sv[-1] > _FIBER_RCOND * sv[0]:
+            return None
         r = np.ascontiguousarray(vh.T / sv)
         r.setflags(write=False)
         return DenseMap(u), r
@@ -227,19 +190,15 @@ class DenseMap:
         g.setflags(write=False)
         return lam, g
 
-    @property
-    def norm_bound(self):
-        """Certified upper bound on the operator norm (computed on demand)."""
-        if self._norm_bound is None:
-            self.operator_norm()
-        return self._norm_bound
-
-    @property
+    @cached_property
     def norm_estimate(self):
         """Tight spectral-norm estimate (no certificate inflation)."""
-        if self._norm_estimate is None:
-            self.operator_norm()
-        return self._norm_estimate
+        return self.operator_norm()
+
+    @cached_property
+    def norm_bound(self):
+        """Certified upper bound on the operator norm."""
+        return self.norm_estimate * (1.0 + _NORM_INFLATION)
 
     def to_json(self):
         return {

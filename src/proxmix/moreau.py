@@ -91,14 +91,14 @@ class SolveReport:
     ``status == 'converged'`` guarantees ``residual <= tol`` of the opts
     used.  The residual is, for the cocomposition, the step length from
     the momentum point per unit step (the gradient mapping there, which
-    bounds that of the returned dual); for the numeric conjugate, the
-    step length from the previous iterate per unit step; for the
+    bounds that of the returned dual, one step further); for the numeric
+    conjugate, the step length from the previous iterate; for the
     composition and ``minimize_smooth``, the gradient norm at the momentum
-    point.  A composition that ascends on the isometric factor of a tall
-    ``L`` reports the gradient norm in that factor's coordinates, an upper
-    bound on the one in ``L``'s.  A composition whose adjoint ``L*`` is
-    injective is exact instead: 0 iterations, residual 0.0 when
-    'converged', and ``argpoint`` None, since no dual iterate exists.
+    point, in the coordinates of the isometric factor for a tall ``L``
+    (an upper bound on the one in ``L``'s).  Composition values come from
+    the prox and the value of ``g`` at a prox point, never from ``g*``.
+    A composition whose adjoint ``L*`` is injective is exact: 0
+    iterations, residual 0.0 when 'converged', and ``argpoint`` None.
     ``status == 'diverged'`` forces ``value == inf``.  For the composition
     solvers and the numeric conjugate 'diverged' means a certificate that
     the value is ``+inf``: a recession (Farkas) certificate, or for an
@@ -163,14 +163,28 @@ def envelope_gradient(fn: ConvexFunction, gamma, x):
 def conjugate_numeric(fn: ConvexFunction, xstar, opts: SolverOpts = DEFAULT_OPTS):
     """Numeric Legendre conjugate ``sup_x <x, s> - f(x)`` (SolveReport).
 
-    One row of ``_conjugate_ascent`` at unit step: accelerated
-    proximal-point ascent through the exact prox of ``f``.  'diverged'
-    certifies value ``+inf`` by a recession certificate, or by the
-    divergence radius where ``f`` has no recession oracle.
+    Accelerated proximal-point ascent ``z <- prox_f(m + s)`` from ``z = 0``
+    through the exact prox of ``f``; the residual is the step length.
+    'diverged' certifies value ``+inf`` by a recession certificate, or by
+    the divergence radius where ``f`` has no recession oracle.
     """
     s = np.asarray(xstar, dtype=float).reshape(1, -1)
-    values, z, status, iters, residual = _conjugate_ascent(fn, s, 1.0, opts)
-    return _as_report(values[0], z[0], iters[0], str(status[0]), residual[0])
+
+    def step(momentum, z, _rows):
+        z_new = fn.prox(1.0, momentum + s)
+        return z_new, _norm(z_new - z)
+
+    radius = _outside_radius(opts)
+
+    def escaped(z, anchor, _rows):
+        try:
+            return _recession_certified(z - anchor, s, fn.recession)
+        except UnsupportedConjugate:
+            return radius(z)
+
+    z, status, iters, residual = _fista(step, np.zeros_like(s), opts, escaped=escaped)
+    value = _dot(z, s) - np.asarray(fn(z), dtype=float)
+    return _as_report(value[0], z[0], iters[0], str(status[0]), residual[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,37 +295,6 @@ def _recession_certified(step, target, slope):
     d = step / np.where(norm > 0.0, norm, 1.0)[:, None]
     margin = _dot(target, d) - np.asarray(slope(d), dtype=float)
     return margin > BOUNDARY_TOL * (1.0 + _norm(target))
-
-
-def _conjugate_ascent(fn, Y, t, opts):
-    """Conjugate values at the rows of ``Y``: (values, z, status, iters, residual).
-
-    ``_fista`` on the proximal-point step ``z <- prox_{t f}(m + t y)``
-    that ascends ``<z, y> - f(z)``, from ``z = 0``; the step ``t`` is a
-    float or a per-row column, and the residual is the step length per
-    unit step.  Every 50 iterations the displacement is
-    tested as the recession certificate ``<y, d> > f_inf(d)``; where ``fn``
-    has no recession oracle the test is the divergence radius.
-    'diverged' rows have value ``+inf``.
-    """
-
-    def step(momentum, z, _rows, y, t, t_row):
-        z_new = fn.prox(t, momentum + t * y)
-        return z_new, _norm(z_new - z) / t_row
-
-    radius = _outside_radius(opts)
-
-    def escaped(z, anchor, _rows, y, *_):
-        try:
-            return _recession_certified(z - anchor, y, fn.recession)
-        except UnsupportedConjugate:
-            return radius(z)
-
-    z, status, iters, residual = _fista(
-        step, np.zeros_like(Y), opts, escaped=escaped, per_row=(Y, t, _row_values(t))
-    )
-    values = _dot(z, Y) - np.asarray(fn(z), dtype=float)
-    return np.where(status == DIVERGED, np.inf, values), z, status, iters, residual
 
 
 def _gradient_iteration(grad_fn, X0, step, opts, per_row=()):

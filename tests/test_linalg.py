@@ -92,7 +92,7 @@ def test_operator_norm_zero_matrix():
 )
 def test_operator_norm_is_top_singular_value(entries, top_gap):
     L = DenseMap(entries)
-    sv = np.linalg.svd(L.entries, compute_uv=False)
+    sv = np.linalg.svd(L.entries, full_matrices=False)[1]  # as thin_svd takes it
     assert sv[0] - sv[1] == pytest.approx(top_gap, abs=1e-6)
     assert L.operator_norm() == sv[0]
     assert L.norm_estimate == sv[0]
@@ -141,13 +141,14 @@ def test_adjoint_entries_are_built_once_and_read_only():
     [[0.3, -0.1, 0.2], [0.0, 0.5, 0.1]],
 ], ids=["square", "one-row", "wide"])
 def test_fiber_map_solves_for_the_fiber_point(entries):
-    # x = L* y has the single fiber point y = x F
+    # x = L* y has the single fiber point y = (x R) Q*, from the isometric factor
     L = DenseMap(entries)
-    F = L.fiber_map
-    assert F is L.fiber_map and F.shape == (L.cols, L.rows)
-    assert F.flags.c_contiguous and not F.flags.writeable
+    Q, R = L.isometric_factor
+    assert L.isometric_factor[0] is Q and R.shape == (L.cols, L.rows)
+    assert Q.entries.shape == (L.rows, L.rows)
+    assert R.flags.c_contiguous and not R.flags.writeable
     Y = np.random.default_rng(8).normal(size=(5, L.rows))
-    np.testing.assert_allclose(L.adjoint_apply(Y) @ F, Y, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(Q.apply(L.adjoint_apply(Y) @ R), Y, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("entries", [
@@ -157,15 +158,9 @@ def test_fiber_map_solves_for_the_fiber_point(entries):
     [[0.0, 0.0, 0.0], [0.0, 0.4, 0.1]],  # wide, a zero row
 ], ids=["example1", "tall-column", "wide-rank-1", "zero-row"])
 def test_fiber_map_is_none_without_an_injective_adjoint(entries):
-    assert DenseMap(entries).fiber_map is None
-
-
-def test_tall_maps_decide_the_fiber_map_before_any_svd(monkeypatch):
-    def refused(*args, **kwargs):
-        raise AssertionError("svd called")
-
-    monkeypatch.setattr(np.linalg, "svd", refused)
-    assert DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.1, -0.3]]).fiber_map is None
+    # the fiber map x -> (x R) Q* needs rows <= cols and a full-rank factor
+    L = DenseMap(entries)
+    assert L.rows > L.cols or L.isometric_factor is None
 
 
 def test_one_thin_svd_serves_every_factor(monkeypatch):
@@ -182,10 +177,12 @@ def test_one_thin_svd_serves_every_factor(monkeypatch):
     tall = DenseMap(wide.entries.T)
     for L in (wide, tall):
         for _ in range(2):
-            _ = L.fiber_map, L.isometric_factor, L.dual_step, _flat_directions(L)
-    # one values-only SVD per map for the norm bound, one thin SVD each
-    assert calls == [True, False, True, False]
-    assert wide.isometric_factor is None and tall.fiber_map is None
+            _ = (L.operator_norm(), L.norm_bound, L.norm_estimate, L.isometric_factor,
+                 L.dual_step, _flat_directions(L))
+    # the norm, its bound, both factors and the step constants share one SVD
+    assert calls == [True, True]
+    assert wide.isometric_factor[0].entries.shape == (2, 2)
+    assert tall.isometric_factor[0].entries.shape == (3, 2)
     assert _flat_directions(wide).shape == (2, 2)
 
 
