@@ -130,7 +130,7 @@ def _invalid(what):
         yield
     except ProxmixError as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {what} field: {exc}") from exc
 
 

@@ -3,8 +3,9 @@
 Each catalog atom knows its value, proximity operator, Legendre conjugate
 and recession function in closed form.  The catalog is closed under a
 small transform calculus (translation, argument/value scaling, affine and
-quadratic perturbation); transforms stack with the outermost one applied
-last and every oracle peels them off exactly.
+quadratic perturbation); a stack of them, outermost last, folds into one
+``TransformedFunction`` whose oracles are closed forms.  A parameter that
+is not finite raises ParameterError where the function is built.
 
 All operations broadcast over batches shaped ``(..., dim)`` and act along
 the last axis.  Each public oracle validates once, at the root of the
@@ -22,6 +23,7 @@ Function objects are immutable and all methods are pure.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -173,26 +175,43 @@ class ConvexFunction:
     def _prox_conjugate(self, gamma, x):
         return x - gamma * self._prox(1.0 / gamma, x / gamma)
 
-    # -- transform builders --------------------------------------------
+    # -- transform builders (folded into one TransformedFunction) --------
     def translate(self, w):
         """``y -> f(y - w)``."""
-        return TranslatedFunction(self, w)
+        t, w = _folded(self), _vector(w, self.dim, "translation vector")
+        shift = w if t.b == 1.0 else t.b * w
+        u, alpha = t.u, t.alpha
+        if u is not None:
+            alpha -= float(_dot(u, w))
+        if t.rho:
+            alpha += 0.5 * t.rho * float(_dot(w, w))
+            u = -t.rho * w if u is None else u - t.rho * w
+        return t._then("translate", (w,), c=shift if t.c is None else t.c + shift, u=u, alpha=alpha)
 
     def scale_arg(self, rho):
-        """``y -> f(rho y)``."""
-        return ArgScaledFunction(self, rho)
+        """``y -> f(rho y)`` with rho > 0."""
+        t, rho = _folded(self), _check_rho(rho)
+        u = None if t.u is None else t.u * rho
+        return t._then("scale_arg", (rho,), b=t.b * rho, u=u, rho=t.rho * rho * rho)
 
     def scale_val(self, rho):
-        """``y -> rho f(y)``."""
-        return ValueScaledFunction(self, rho)
+        """``y -> rho f(y)`` with rho > 0."""
+        t, rho = _folded(self), _check_rho(rho)
+        u = None if t.u is None else t.u * rho
+        return t._then("scale_val", (rho,), a=t.a * rho, u=u, alpha=t.alpha * rho, rho=t.rho * rho)
 
     def add_affine(self, u, alpha=0.0):
         """``y -> f(y) + <y, u> + alpha``."""
-        return AffineAddedFunction(self, u, alpha)
+        t, u, alpha = _folded(self), _vector(u, self.dim, "affine term"), float(alpha)
+        total = u if t.u is None else t.u + u
+        return t._then("add_affine", (u, alpha), u=total, alpha=t.alpha + alpha)
 
     def add_quad(self, rho):
         """``y -> f(y) + rho ||y||^2 / 2`` with rho >= 0."""
-        return QuadAddedFunction(self, rho)
+        if not 0 <= rho < np.inf:
+            raise ParameterError(f"quadratic weight must be finite and >= 0, got {rho}")
+        t, rho = _folded(self), float(rho)
+        return t._then("add_quad", (rho,), rho=t.rho + rho)
 
     # -- helpers --------------------------------------------------------
     def _check_point(self, x):
@@ -221,8 +240,27 @@ def _check_gamma(gamma):
 
 
 def _check_rho(rho):
-    if not rho > 0:
-        raise ParameterError(f"scaling factor must be positive, got {rho}")
+    """``rho`` as a float; ParameterError unless it is positive and finite."""
+    if not 0 < rho < np.inf:
+        raise ParameterError(f"scaling factor must be positive and finite, got {rho}")
+    return float(rho)
+
+
+def _finite(value, what):
+    """``value`` as a float array; ParameterError when an entry is not finite."""
+    arr = np.array(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"{what} must be finite")
+    return arr
+
+
+def _vector(value, dim, what):
+    """A read-only vector of length ``dim``."""
+    arr = np.array(value, dtype=float)
+    if arr.shape != (dim,):
+        raise DimensionError(f"{what} dimension mismatch")
+    arr.setflags(write=False)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +334,7 @@ class Quadratic(ConvexFunction):
     """
 
     def __init__(self, matrix):
-        a = np.array(matrix, dtype=float)
+        a = _finite(matrix, "quadratic matrix")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError("quadratic form needs a square matrix")
         a, self._eigvals, self._eigvecs, self._range_mask = _psd_eigh(a)
@@ -342,9 +380,9 @@ class Affine(ConvexFunction):
     """``x -> <x, u> + alpha``."""
 
     def __init__(self, u, alpha=0.0):
-        self.u = np.array(u, dtype=float)
+        self.u = _finite(u, "affine vector")
         self.u.setflags(write=False)
-        self.alpha = float(alpha)
+        self.alpha = float(_finite(alpha, "affine offset"))
         self.dim = self.u.shape[0]
 
     def _value(self, x):
@@ -371,9 +409,9 @@ class _Ball(ConvexFunction):
     """Base of the ball atoms: functions defined by the ball ``B(center, radius)``."""
 
     def __init__(self, center, radius):
-        if radius < 0:
-            raise ParameterError("ball radius must be nonnegative")
-        self.center = np.array(center, dtype=float)
+        if not 0 <= radius < np.inf:
+            raise ParameterError("ball radius must be nonnegative and finite")
+        self.center = _finite(center, "ball center")
         self.center.setflags(write=False)
         self.radius = float(radius)
         self.dim = self.center.shape[0]
@@ -410,7 +448,7 @@ class SubspaceIndicator(ConvexFunction):
     """Indicator of the span of orthonormal basis columns."""
 
     def __init__(self, basis):
-        b = np.array(basis, dtype=float)
+        b = _finite(basis, "subspace basis")
         if b.ndim != 2:
             raise ShapeError("basis must be a (dim, k) array of columns")
         gram = b.T @ b
@@ -519,8 +557,8 @@ class SeparableSum(ConvexFunction):
         for weight, fn, start in sorted(blocks, key=lambda b: b[2]):
             if start != offset:
                 raise ShapeError("separable blocks must tile the space contiguously")
-            if not weight > 0:
-                raise ParameterError("separable block weights must be positive")
+            if not 0 < weight < np.inf:
+                raise ParameterError("separable block weights must be positive and finite")
             items.append((float(weight), fn, slice(start, start + fn.dim)))
             offset += fn.dim
         self.blocks = tuple(items)
@@ -567,7 +605,7 @@ class SeparableSum(ConvexFunction):
 
 
 # ---------------------------------------------------------------------------
-# transform wrappers (peeled outermost-first by every oracle)
+# the transform fold
 # ---------------------------------------------------------------------------
 
 
@@ -585,144 +623,107 @@ class _Transform(ConvexFunction):
         return self.inner.has_fixed_prox_parameter()
 
 
-class TranslatedFunction(_Transform):
-    """``x -> f(x - w)``."""
+class TransformedFunction(_Transform):
+    """``x -> a h(b x - c) + <x, u> + alpha + rho ||x||^2 / 2`` with a, b > 0, rho >= 0.
 
-    def __init__(self, inner, w):
+    The builders fold into one of these, so ``inner`` (``h``) is never one.
+    A parameter at its neutral value (``c``, ``u`` None until set, ``a``,
+    ``b`` 1, ``alpha``, ``rho`` 0) costs no numpy op, so one transform does
+    the arithmetic of its own closed form.  ``transforms`` holds the builder
+    calls as ``(kind, args)``, innermost first, for the JSON form.
+    """
+
+    def __init__(self, inner, a=1.0, b=1.0, c=None, u=None, alpha=0.0, rho=0.0, transforms=()):
         super().__init__(inner)
-        self.w = np.array(w, dtype=float)
-        self.w.setflags(write=False)
-        if self.w.shape[0] != inner.dim:
-            raise DimensionError("translation vector dimension mismatch")
+        self.a, self.b, self.c, self.u = a, b, c, u
+        self.alpha, self.rho, self.transforms = alpha, rho, transforms
+
+    def _then(self, kind, args, **fields):
+        """A copy with ``fields`` replaced and ``kind(*args)`` recorded last;
+        ParameterError unless a, b > 0 and a b^2 and every changed parameter are finite."""
+        # built through __init__: attribute reads on a copy made by updating
+        # its ``vars()`` cost about twice as much, and the hooks make many
+        params = dict(a=self.a, b=self.b, c=self.c, u=self.u, alpha=self.alpha, rho=self.rho)
+        params.update(fields, transforms=self.transforms + ((kind, args),))
+        out = TransformedFunction(self.inner, **params)
+        scalars = (out.a * out.b * out.b, out.rho, out.alpha)
+        arrays = (np.isfinite(v).all() for v in fields.values() if isinstance(v, np.ndarray))
+        if not (out.a > 0 and out.b > 0 and all(map(math.isfinite, scalars)) and all(arrays)):
+            raise ParameterError(f"{kind} makes a folded transform parameter 0 or not finite")
+        return out
 
     def _value(self, x):
-        return self.inner._value(x - self.w)
+        y = x if self.b == 1.0 else self.b * x
+        out = self.inner._value(y if self.c is None else y - self.c)
+        if self.a != 1.0:
+            out = self.a * out
+        if self.u is not None:
+            out = out + _dot(x, self.u)
+        if self.alpha:
+            out = out + self.alpha
+        if self.rho:
+            out = out + 0.5 * self.rho * _norm(x) ** 2
+        return out
 
     def _prox(self, gamma, x):
-        return self.w + self.inner._prox(gamma, x - self.w)
+        # prox_{gamma f}(x) = (c + prox_{a b^2 g h}(b x' - c)) / b at
+        # g = gamma / (1 + gamma rho), x' = (x - gamma u) / (1 + gamma rho)
+        if self.rho:
+            shrink = 1.0 + gamma * self.rho
+            gamma, x = gamma / shrink, x / shrink
+        if self.u is not None:
+            x = x - gamma * self.u
+        if self.b != 1.0:
+            x = self.b * x
+        if self.c is not None:
+            x = x - self.c
+        scale = self.a * self.b**2
+        p = self.inner._prox(gamma if scale == 1.0 else gamma * scale, x)
+        if self.c is not None:
+            p = self.c + p
+        return p if self.b == 1.0 else p / self.b
 
     def _conjugate(self, s):
-        return self.inner._conjugate(s) + _dot(s, self.w)
+        if self.rho:
+            # (f0 + rho Q)* is the Moreau envelope of f0* with index rho
+            f0 = TransformedFunction(self.inner, self.a, self.b, self.c, self.u, self.alpha)
+            p = f0._prox_conjugate(self.rho, s)
+            return f0._conjugate(p) + 0.5 / self.rho * _norm(s - p) ** 2
+        # a h*((s - u) / (ab)) + <s - u, c> / b - alpha
+        t = s if self.u is None else s - self.u
+        ab = self.a * self.b
+        out = self.inner._conjugate(t if ab == 1.0 else t / ab)
+        if self.a != 1.0:
+            out = self.a * out
+        if self.c is not None:
+            tc = _dot(t, self.c)
+            out = out + (tc if self.b == 1.0 else tc / self.b)
+        return out - self.alpha if self.alpha else out
 
     def _recession(self, x):
-        return self.inner._recession(x)
-
-    def lipschitz_bound(self):
-        return self.inner.lipschitz_bound()
-
-
-class ArgScaledFunction(_Transform):
-    """``x -> f(rho x)`` with rho > 0."""
-
-    def __init__(self, inner, rho):
-        _check_rho(rho)
-        super().__init__(inner)
-        self.rho = float(rho)
-
-    def _value(self, x):
-        return self.inner._value(self.rho * x)
-
-    def _prox(self, gamma, x):
-        return self.inner._prox(gamma * self.rho**2, self.rho * x) / self.rho
-
-    def _conjugate(self, s):
-        return self.inner._conjugate(s / self.rho)
-
-    def _recession(self, x):
-        return self.inner._recession(self.rho * x)
-
-    def lipschitz_bound(self):
-        beta = self.inner.lipschitz_bound()
-        return None if beta is None else beta * self.rho
-
-
-class ValueScaledFunction(_Transform):
-    """``x -> rho f(x)`` with rho > 0."""
-
-    def __init__(self, inner, rho):
-        _check_rho(rho)
-        super().__init__(inner)
-        self.rho = float(rho)
-
-    def _value(self, x):
-        return self.rho * self.inner._value(x)
-
-    def _prox(self, gamma, x):
-        return self.inner._prox(gamma * self.rho, x)
-
-    def _conjugate(self, s):
-        return self.rho * self.inner._conjugate(s / self.rho)
-
-    def _recession(self, x):
-        return self.rho * self.inner._recession(x)
-
-    def lipschitz_bound(self):
-        beta = self.inner.lipschitz_bound()
-        return None if beta is None else beta * self.rho
-
-
-class AffineAddedFunction(_Transform):
-    """``x -> f(x) + <x, u> + alpha``."""
-
-    def __init__(self, inner, u, alpha=0.0):
-        super().__init__(inner)
-        self.u = np.array(u, dtype=float)
-        self.u.setflags(write=False)
-        if self.u.shape[0] != inner.dim:
-            raise DimensionError("affine term dimension mismatch")
-        self.alpha = float(alpha)
-
-    def _value(self, x):
-        return self.inner._value(x) + _dot(x, self.u) + self.alpha
-
-    def _prox(self, gamma, x):
-        return self.inner._prox(gamma, x - gamma * self.u)
-
-    def _conjugate(self, s):
-        return self.inner._conjugate(s - self.u) - self.alpha
-
-    def _recession(self, x):
-        return self.inner._recession(x) + _dot(x, self.u)
+        if self.rho:
+            # ``iota_{0}``; the inner call keeps an oracle without a recession raising
+            base = self.inner._recession(np.zeros_like(x))
+            return np.where(_norm(x) <= BOUNDARY_TOL, base * 0.0, np.inf)
+        out = self.inner._recession(x if self.b == 1.0 else self.b * x)
+        if self.a != 1.0:
+            out = self.a * out
+        return out if self.u is None else out + _dot(x, self.u)
 
     def lipschitz_bound(self):
         beta = self.inner.lipschitz_bound()
-        return None if beta is None else beta + float(np.linalg.norm(self.u))
+        if beta is None or self.rho:
+            return None
+        beta = self.a * self.b * beta
+        return beta if self.u is None else beta + float(np.linalg.norm(self.u))
+
+    def __repr__(self):
+        return f"{_TRANSFORMS[self.transforms[-1][0]][0]}(dim={self.dim})"
 
 
-class QuadAddedFunction(_Transform):
-    """``x -> f(x) + rho ||x||^2 / 2`` with rho >= 0."""
-
-    def __init__(self, inner, rho):
-        if rho < 0:
-            raise ParameterError("quadratic perturbation weight must be >= 0")
-        super().__init__(inner)
-        self.rho = float(rho)
-
-    def _value(self, x):
-        return self.inner._value(x) + 0.5 * self.rho * _norm(x) ** 2
-
-    def _prox(self, gamma, x):
-        if self.rho == 0.0:
-            return self.inner._prox(gamma, x)
-        shrink = 1.0 + gamma * self.rho
-        return self.inner._prox(gamma / shrink, x / shrink)
-
-    def _conjugate(self, s):
-        # (f + rho Q)* is the Moreau envelope of f* with index rho.
-        if self.rho == 0.0:
-            return self.inner._conjugate(s)
-        p = self.inner._prox_conjugate(self.rho, s)
-        return self.inner._conjugate(p) + 0.5 / self.rho * _norm(s - p) ** 2
-
-    def _recession(self, x):
-        if self.rho == 0.0:
-            return self.inner._recession(x)
-        base = self.inner._recession(np.zeros_like(x))
-        at_zero = _norm(x) <= BOUNDARY_TOL
-        return np.where(at_zero, base * 0.0, np.inf)
-
-    def lipschitz_bound(self):
-        return self.inner.lipschitz_bound() if self.rho == 0.0 else None
+def _folded(fn):
+    """``fn`` as a TransformedFunction: itself, or the identity transform of it."""
+    return fn if isinstance(fn, TransformedFunction) else TransformedFunction(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -836,9 +837,10 @@ def conjugate_function(fn):
     """Build the Legendre conjugate of ``fn`` as a catalog function.
 
     Supported for every atom except the ball distance (whose conjugate is
-    a sum of two atoms) and for singular quadratic forms; transforms map
-    through the standard conjugate calculus.  Raises UnsupportedConjugate
-    otherwise.
+    a sum of two atoms) and for singular quadratic forms.  A transformed
+    function maps through the conjugate calculus of its folded form in one
+    step, with a Moreau envelope for a quadratic term.  Raises
+    UnsupportedConjugate otherwise.
     """
     if isinstance(fn, L1Norm):
         ball = lambda: BallIndicator(np.zeros(1), 1.0)  # noqa: E731
@@ -874,24 +876,18 @@ def conjugate_function(fn):
                 conj = conj.scale_arg(1.0 / w).scale_val(w)
             blocks.append((1.0, conj, sl.start))
         return SeparableSum(blocks)
-    if isinstance(fn, TranslatedFunction):
-        return conjugate_function(fn.inner).add_affine(fn.w)
-    if isinstance(fn, ArgScaledFunction):
-        return conjugate_function(fn.inner).scale_arg(1.0 / fn.rho)
-    if isinstance(fn, ValueScaledFunction):
-        return (
-            conjugate_function(fn.inner)
-            .scale_arg(1.0 / fn.rho)
-            .scale_val(fn.rho)
-        )
-    if isinstance(fn, AffineAddedFunction):
-        out = conjugate_function(fn.inner).translate(fn.u)
-        if fn.alpha != 0:
-            out = out.add_affine(np.zeros(fn.dim), -fn.alpha)
-        return out
-    if isinstance(fn, QuadAddedFunction):
-        inner = conjugate_function(fn.inner)
-        return inner if fn.rho == 0 else MoreauEnvelopeFunction(inner, fn.rho)
+    if isinstance(fn, TransformedFunction):
+        # with rho = 0, f* = a h*((s - u)/(ab)) + <s - u, c>/b - alpha; rho Q
+        # turns it into its Moreau envelope with index rho
+        out, ab = conjugate_function(fn.inner), fn.a * fn.b
+        out = out if ab == 1.0 else out.scale_arg(1.0 / ab)
+        out = out if fn.a == 1.0 else out.scale_val(fn.a)
+        out = out if fn.u is None else out.translate(fn.u)
+        if fn.c is not None or fn.alpha:
+            shift = np.zeros(fn.dim) if fn.c is None else fn.c / fn.b
+            uc = 0.0 if fn.c is None or fn.u is None else float(_dot(fn.u, fn.c)) / fn.b
+            out = out.add_affine(shift, 0.0 - fn.alpha - uc)  # a zero offset stays +0.0
+        return MoreauEnvelopeFunction(out, fn.rho) if fn.rho else out
     if isinstance(fn, MoreauEnvelopeFunction):
         return conjugate_function(fn.inner).add_quad(fn.index)
     raise UnsupportedConjugate(
@@ -903,8 +899,8 @@ def conjugate_function(fn):
 # JSON (de)serialization
 # ---------------------------------------------------------------------------
 
-# class -> (JSON name, constructor fields, after ``inner`` for a transform); every
-# field is an attribute of the same name, and only ``alpha`` may be left out (0)
+# class -> (JSON name, constructor fields); every field is an attribute of the
+# same name, and only ``alpha`` may be left out (0)
 _ATOM_SPECS = {
     L1Norm: ("l1_norm", ("dim",)),
     EuclideanNorm: ("euclidean_norm", ("dim",)),
@@ -915,20 +911,20 @@ _ATOM_SPECS = {
     BallDistance: ("ball_distance", ("center", "radius")),
     BallSupport: ("ball_support", ("center", "radius")),
 }
-_TRANSFORM_SPECS = {
-    TranslatedFunction: ("translate", ("w",)),
-    ArgScaledFunction: ("scale_arg", ("rho",)),
-    ValueScaledFunction: ("scale_val", ("rho",)),
-    AffineAddedFunction: ("add_affine", ("u", "alpha")),
-    QuadAddedFunction: ("add_quad", ("rho",)),
-}
 _ATOMS_BY_NAME = {name: (c, f) for c, (name, f) in _ATOM_SPECS.items()}
-_TRANSFORMS_BY_NAME = {name: (c, f) for c, (name, f) in _TRANSFORM_SPECS.items()}
+# transform kind, the builder's name -> (the name ``repr`` shows, its arguments)
+_TRANSFORMS = {
+    "translate": ("TranslatedFunction", ("w",)),
+    "scale_arg": ("ArgScaledFunction", ("rho",)),
+    "scale_val": ("ValueScaledFunction", ("rho",)),
+    "add_affine": ("AffineAddedFunction", ("u", "alpha")),
+    "add_quad": ("QuadAddedFunction", ("rho",)),
+}
 
 
-def _spec_fields(fn, fields):
-    """The JSON form of ``fn``'s constructor fields."""
-    return {name: np.asarray(getattr(fn, name)).tolist() for name in fields}
+def _spec_fields(fields, values):
+    """The JSON form of named constructor or builder arguments."""
+    return {name: np.asarray(v).tolist() for name, v in zip(fields, values)}
 
 
 def _field_args(obj, fields):
@@ -937,7 +933,7 @@ def _field_args(obj, fields):
 
 
 def _spec_entry(table, name, what):
-    """The ``(class, fields)`` entry of a JSON name; ShapeError when unknown."""
+    """The table entry of a JSON name; ShapeError when unknown."""
     try:
         return table[name]
     except (KeyError, TypeError):  # TypeError: a name that is not hashable
@@ -947,11 +943,12 @@ def _spec_entry(table, name, what):
 def function_to_spec(fn):
     """Serialize a catalog function to the JSON spec dictionary."""
     transforms = []
-    while type(fn) in _TRANSFORM_SPECS:
-        kind, fields = _TRANSFORM_SPECS[type(fn)]
-        transforms.append({"kind": kind, **_spec_fields(fn, fields)})
+    if type(fn) is TransformedFunction:
+        transforms = [
+            {"kind": kind, **_spec_fields(_TRANSFORMS[kind][1], args)}
+            for kind, args in fn.transforms
+        ]
         fn = fn.inner
-    transforms.reverse()  # stored innermost-first, applied in order
     if type(fn) is SeparableSum:
         atom = "separable_sum"
         params = {
@@ -962,7 +959,7 @@ def function_to_spec(fn):
         }
     elif type(fn) in _ATOM_SPECS:
         atom, fields = _ATOM_SPECS[type(fn)]
-        params = _spec_fields(fn, fields)
+        params = _spec_fields(fields, (getattr(fn, name) for name in fields))
     else:
         raise ShapeError(f"{type(fn).__name__} has no JSON spec form")
     return {"atom": atom, "params": params, "transforms": transforms}
@@ -972,6 +969,7 @@ def function_from_spec(obj):
     """Build a catalog function from its JSON spec dictionary.
 
     A missing field raises KeyError, an unknown atom or transform ShapeError.
+    The transforms replay through the builders, innermost first.
     """
     atom = obj.get("atom")
     params = obj.get("params", {})
@@ -986,6 +984,7 @@ def function_from_spec(obj):
         cls, fields = _spec_entry(_ATOMS_BY_NAME, atom, "atom name")
         fn = cls(*_field_args(params, fields))
     for t in obj.get("transforms", []):
-        cls, fields = _spec_entry(_TRANSFORMS_BY_NAME, t.get("kind"), "transform kind")
-        fn = cls(fn, *_field_args(t, fields))
+        kind = t.get("kind")
+        _, fields = _spec_entry(_TRANSFORMS, kind, "transform kind")
+        fn = getattr(fn, kind)(*_field_args(t, fields))
     return fn

@@ -317,6 +317,8 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
                                         "g": {"atom": "l2_norm", "params": {"dim": 1}}}}),
         ("eval", {**ONE_POINT, "spec": {**ONE_POINT["spec"], "g": {
             "atom": "l1_norm", "params": {"dim": 1}, "transforms": [{"kind": "shift"}]}}}),
+        ("eval", {**ONE_POINT, "spec": {**ONE_POINT["spec"], "g": {
+            "atom": "l1_norm", "params": {"dim": float("inf")}}}}),
     ],
     ids=[
         "prox-gamma", "envelope-gamma", "envelope-rho", "sweep-gammas",
@@ -327,6 +329,7 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
         "figure-gammas", "eval-which", "prox-which", "argmin-function",
         "figure-preset-unknown", "spec-not-object", "spec-no-kind",
         "eval-gamma-infinite", "eval-atom-unknown", "eval-transform-unknown",
+        "eval-dim-infinite",
     ],
 )
 def test_malformed_field_exit(tmp_path, capsys, command, payload):
@@ -334,6 +337,37 @@ def test_malformed_field_exit(tmp_path, capsys, command, payload):
     assert main([command, "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        {**SCALAR_L1, "transforms": [{"kind": "add_quad", "rho": INF}]},
+        {**SCALAR_L1, "transforms": [{"kind": "scale_arg", "rho": INF}]},
+        {**SCALAR_L1, "transforms": [{"kind": "translate", "w": [INF]}]},
+        {**SCALAR_L1, "transforms": [{"kind": "add_affine", "u": [NAN]}]},
+        {**SCALAR_L1, "transforms": [{"kind": "add_quad", "rho": NAN}]},
+        {"atom": "affine", "params": {"u": [NAN]}},
+        {"atom": "ball_indicator", "params": {"center": [INF], "radius": 1.0}},
+        {"atom": "quadratic", "params": {"matrix": [[NAN]]}},
+        {"atom": "separable_sum",
+         "params": {"blocks": [{"weight": INF, "fn": SCALAR_L1, "start": 0}]}},
+    ],
+    ids=["add_quad-inf", "scale_arg-inf", "translate-inf", "add_affine-nan",
+         "add_quad-nan", "affine-nan", "ball_indicator-inf", "quadratic-nan",
+         "separable_sum-weight-inf"],
+)
+def test_non_finite_function_parameter_exits_2(tmp_path, capsys, g):
+    # Python's JSON reader takes 1e999 as inf and the NaN literal as nan;
+    # each of these once ran 100,000 iterations or returned NaN with exit 0
+    cfg = write_config(tmp_path, {**ONE_POINT, "spec": {**ONE_POINT["spec"], "g": g}})
+    assert main(["eval", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 # -- batch jobs: one solve per job, same answers as one call per point ----------
