@@ -13,10 +13,11 @@ is one point or empty, so the value is exact, with no iteration.  Neither
 ascent pays for the conditioning of ``L``: a composition with a tall
 ``L`` of full column rank ascends on its isometric factor, and the
 cocomposition's step follows ``||I - LL*||``, both from one cached SVD
-of ``L``.  Both values come from the prox and the value of ``g`` at a
-prox point, where Fenchel-Young holds with equality; no solver
-evaluates ``g*``.  Proximity operators, envelopes, recession and
-perspective values come out in closed form.
+of ``L``; the cocomposition's starts at the gradient of the envelope it
+equals when ``I - LL*`` is a multiple of ``I``.  Both values come from
+the prox and the value of ``g`` at a prox point, where Fenchel-Young
+holds with equality; no solver evaluates ``g*``.  Proximity operators,
+envelopes, recession and perspective values come out in closed form.
 
 Batch variants evaluate many base points in one iteration; rows leave
 the iteration when they stop.  The figure generator and the verification
@@ -183,41 +184,48 @@ def _flat_directions(L):
     return u[:, sv >= 1.0 - ADMISSIBILITY_TOL]
 
 
+def _dual_start(L, g, LX, gamma):
+    """``(Lx - prox_{gamma mu g}(Lx))/(gamma mu)`` with ``mu = max(1 - ||L||^2, 1e-2)``."""
+    index = gamma * max(1.0 - L.thin_svd[1][0] ** 2, 1e-2)
+    return (LX - g._prox(index, LX)) / index
+
+
 def _cocomposition_core(spec, X, opts, gamma=None):
     """Proximal-gradient ascent on the dual of the cocomposition.
 
     ``X`` has shape (N, cols); ``gamma`` (default ``spec.gamma``) is a
-    float or a per-row column ``(N, 1)``, and the step ``1/gamma``, the
-    shift and the value follow it row by row.  Returns (values, duals,
-    status, iters, residuals).  The value is finite unless ``g`` has a
-    restricted domain and ``L`` has a singular value within the
-    admissibility slack of 1: only then can the dual penalty
-    ``gamma Phi`` stay flat, along ``ker(I - LL*)``.  Every 50
-    iterations the displacement of each row, projected onto that kernel,
-    is tested as a recession certificate; 'diverged' rows are certified
-    ``+inf``.  Without a catalog conjugate
-    the test falls back to ``||y|| > opts.divergence_radius``.
+    float or a per-row column ``(N, 1)`` that the step, the shift and the
+    value follow row by row.  Returns (values, duals, status, iters,
+    residuals).  The value is finite unless ``g`` has a restricted domain
+    and ``L`` a singular value within the admissibility slack of 1: only
+    then can the penalty ``gamma Phi`` stay flat, along ``ker(I - LL*)``.
+    Every 50 iterations each row's displacement, projected onto that
+    kernel, is tested as a recession certificate, and 'diverged' rows are
+    certified ``+inf``; without a catalog conjugate the test is
+    ``||y|| > opts.divergence_radius``.
 
-    The gradient of the penalty ``gamma Phi`` has Lipschitz constant
-    ``gamma ||I - LL*||``, which is ``gamma (1 - s_min^2)`` when ``L`` has
-    no more rows than columns.  So the step is ``1/(gamma lam)``, with
-    ``lam`` from ``L.dual_step`` (``lam = 1`` for tall maps and for a ``g``
-    with a fixed prox parameter), and the prox runs at index
-    ``gamma lam``; the value keeps ``gamma``.  The step folds its affine
-    part into one product: with ``G = I - (I - LL*)/lam`` the ascent
-    point is ``v = m G + Lx/(gamma lam)`` and the next dual is
-    ``v - prox_{gamma lam g}(gamma lam v)/(gamma lam)``.  The residual is
-    the step length from the momentum point ``m`` per unit step, the norm
-    of the gradient mapping at ``m``; the step is nonexpansive, so a row
-    whose residual is at most ``opts.tol`` returns a dual whose own
-    gradient mapping is at most ``opts.tol`` too.
+    The gradient of ``gamma Phi`` is ``gamma ||I - LL*||``-Lipschitz, and
+    ``||I - LL*|| = 1 - s_min^2`` when ``L`` has no more rows than
+    columns.  So the step is ``1/(gamma lam)`` with ``lam`` from
+    ``L.dual_step`` (1 for tall maps and for a ``g`` with a fixed prox
+    parameter), and the prox runs at index ``gamma lam``.  With
+    ``G = I - (I - LL*)/lam`` the ascent point is ``v = m G + Lx/(gamma lam)``
+    and the next dual ``v - prox_{gamma lam g}(gamma lam v)/(gamma lam)``.
+    The residual is the step length from the momentum point ``m`` per unit
+    step; the step is nonexpansive, so a row stopped at ``opts.tol``
+    returns a dual whose own gradient mapping is at most ``opts.tol``.
 
-    The value is taken one step past the final dual ``y``: the next dual
-    ``y'`` is a subgradient of ``g`` at its prox point ``p``, so
-    ``g*(y') = <p, y'> - g(p)`` (Fenchel-Young) and the value is
-    ``<Lx - p, y'> + g(p) - gamma Phi(y')``.  The step never lowers the
-    dual objective and ``p`` lies in ``dom g``, so no term is ``+inf``;
-    ``y'`` is the returned dual.
+    When ``I - LL* = mu I`` the cocomposition is ``env_{gamma mu} g(Lx)``,
+    whose gradient is the dual maximizer, so ``_dual_start`` starts the
+    ascent there, with ``mu`` from ``||L||``.  A ``g`` with a fixed prox
+    parameter starts at ``y = 0`` (its prox exists only at ``gamma``), and
+    so does the radius fallback: a start of norm about
+    ``||Lx||/(0.01 gamma)`` could pass the radius with no certificate.
+
+    The value is taken one step past the final dual: the next dual ``y'``
+    is a subgradient of ``g`` at its prox point ``p``, so by Fenchel-Young
+    it is ``<Lx - p, y'> + g(p) - gamma Phi(y')``, with no ``+inf`` term as
+    ``p`` lies in ``dom g``; ``y'`` is the returned dual.
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
@@ -226,6 +234,7 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     sigma = None if always_finite else _domain_support(g)
     LX = L.apply(X)
     lam, gram = (1.0, L.gram) if g.has_fixed_prox_parameter() else L.dual_step
+    cold = g.has_fixed_prox_parameter() or (sigma is None and not always_finite)
     index = gamma * lam
     t, shift = 1.0 / index, LX / index
 
@@ -239,7 +248,7 @@ def _cocomposition_core(spec, X, opts, gamma=None):
 
     escaped = _outside_radius(opts) if sigma is None else certified
     y, status, iters, residual = _fista(
-        step, np.zeros((X.shape[0], L.rows)), opts,
+        step, np.zeros(LX.shape) if cold else _dual_start(L, g, LX, gamma), opts,
         escaped=None if always_finite else escaped,
         per_row=(shift, index, t, _row_values(t)),
     )

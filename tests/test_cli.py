@@ -319,6 +319,11 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
             "atom": "l1_norm", "params": {"dim": 1}, "transforms": [{"kind": "shift"}]}}}),
         ("eval", {**ONE_POINT, "spec": {**ONE_POINT["spec"], "g": {
             "atom": "l1_norm", "params": {"dim": float("inf")}}}}),
+        *(
+            ("eval", {"spec": {"atom": atom, "params": {"dim": dim}}, "points": [[1.0, 2.0]]})
+            for atom in ("l1_norm", "euclidean_norm")
+            for dim in (2.5, 0, -1, "2")
+        ),
     ],
     ids=[
         "prox-gamma", "envelope-gamma", "envelope-rho", "sweep-gammas",
@@ -330,6 +335,11 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
         "figure-preset-unknown", "spec-not-object", "spec-no-kind",
         "eval-gamma-infinite", "eval-atom-unknown", "eval-transform-unknown",
         "eval-dim-infinite",
+        *(
+            f"eval-{atom}-dim-{dim}"
+            for atom in ("l1", "euclidean")
+            for dim in ("fractional", "zero", "negative", "text")
+        ),
     ],
 )
 def test_malformed_field_exit(tmp_path, capsys, command, payload):
@@ -337,6 +347,15 @@ def test_malformed_field_exit(tmp_path, capsys, command, payload):
     assert main([command, "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_atom_dimension_is_an_integer(tmp_path, capsys):
+    # int(2.5) once built a 2-D l1 norm: this job printed 3.0 and exited 0
+    payload = {"spec": {"atom": "l1_norm", "params": {"dim": 2.5}}, "points": [[1.0, 2.0]]}
+    assert main(["eval", "--config", write_config(tmp_path, payload)]) == EXIT_CONFIG
+    assert "integer >= 1" in capsys.readouterr().err
+    payload["spec"]["params"]["dim"] = 2.0  # an integral JSON float is a dimension
+    assert main(["eval", "--config", write_config(tmp_path, payload)]) == 0
 
 
 INF, NAN = float("inf"), float("nan")

@@ -237,13 +237,13 @@ def test_cocomposition_certificate_ignores_penalized_directions():
 def test_cocomposition_tight_step_on_penalized_directions():
     # the square map of the same problem: ||I - LL*|| = 1 - 0.95^2, so the
     # step is about 10x longer and the iteration stops before the first
-    # certificate test
+    # certificate test (25 iterations from y = 0, 29 from the collapse start)
     L = DenseMap([[1.0, 0.0], [0.0, 0.95]])
     spec = CompositionSpec(L, BallIndicator(np.zeros(2), 1.0), 1.0)
     rep = eval_cocomposition(spec, [0.5, 2.0])
     a, c = 1.9 - np.sqrt(0.75), 1.0 - 0.95**2
     assert L.dual_step[0] == pytest.approx(c + 1e-9, rel=1e-12)
-    assert (rep.status, rep.iterations) == (CONVERGED, 25)
+    assert (rep.status, rep.iterations) == (CONVERGED, 29)
     assert rep.value == pytest.approx(a**2 / (2.0 * c), abs=1e-6)
 
 
@@ -922,7 +922,7 @@ def test_isometric_steps_skip_the_public_prox(monkeypatch):
     public = _public_prox_calls(monkeypatch)
     spec = CompositionSpec(TALL, L1Norm(3), 1.0)
     reports = [solve(spec, [1.0, -2.0]) for solve in (eval_cocomposition, eval_composition)]
-    assert [r.iterations for r in reports] == [11, 6]  # 11 and 15 on L's coordinates
+    assert [r.iterations for r in reports] == [12, 6]  # 12 and 15 on L's coordinates
     assert len(public) == 1
 
 
@@ -1332,9 +1332,15 @@ def test_isometric_composition_dual_is_a_dual_of_l():
     assert z @ [1.0, -2.0] - h - 5.0 / (2.0 * gamma) == pytest.approx(rep.value, abs=1e-12)
 
 
-def test_tight_cocomposition_matches_the_unit_step():
+def _cold_start(monkeypatch):
+    """Start every cocomposition dual at 0, as before the collapse start."""
+    monkeypatch.setattr(compositions, "_dual_start", lambda L, g, LX, gamma: np.zeros(LX.shape))
+
+
+def test_tight_cocomposition_matches_the_unit_step(monkeypatch):
     # a zero row under L makes LL* singular, so the padded spec (same value)
-    # steps at 1/gamma
+    # steps at 1/gamma; both start cold, so only the step differs
+    _cold_start(monkeypatch)
     rng = np.random.default_rng(52)
     iters_tight = iters_unit = 0
     statuses = []
@@ -1365,11 +1371,12 @@ def test_tight_cocomposition_matches_the_unit_step():
 def test_cocomposition_converges_only_at_a_fixed_point():
     # the residual was measured against the previous iterate: a prox that
     # clamped T(m) back onto y read 0, and the solve stopped at iteration 5
-    # with 0.6889031483052791 'converged'
+    # with 0.6889031483052791 'converged'.  From y = 0 the fixed point took
+    # 14 and 26 iterations
     L = DenseMap([[-0.4128, 0.734, 0.0659], [-0.4215, 0.2303, -0.2766]])
     spec = CompositionSpec(L, L1Norm(2).scale_val(0.7704), 1.9951)
     x, opts = [-1.4543, -0.0339, 0.1569], SolverOpts(tol=1e-13)
-    for each, iterations in ((spec, 14), (_padded(spec), 26)):  # tight, unit step
+    for each, iterations in ((spec, 11), (_padded(spec), 21)):  # tight, unit step
         rep = eval_cocomposition(each, x, opts)
         assert (rep.status, rep.iterations) == (CONVERGED, iterations)
         assert rep.value == pytest.approx(0.6889084266611689, rel=1e-14)
@@ -1400,9 +1407,11 @@ def test_converged_cocomposition_rows_are_fixed_points():
     assert rows_checked >= 2000
 
 
-def test_fixed_prox_parameter_keeps_the_unit_step():
+def test_fixed_prox_parameter_keeps_the_unit_step(monkeypatch):
     # the oracle's prox exists only at gamma, and L is wide with full row
-    # rank (a tight step would call it at gamma lam)
+    # rank (a tight step would call it at gamma lam); the padded catalog
+    # spec starts cold too, so both run the same iteration
+    _cold_start(monkeypatch)
     L = DenseMap([[0.5, 0.1, 0.0], [-0.2, 0.4, 0.3]])
     fn = L1Norm(2).translate([0.3, -0.2])
     gamma = 1.3
@@ -1442,15 +1451,15 @@ def test_coisometry_cocomposition_is_the_composed_function(rows):
 def test_far_cocomposition_of_a_ball_distance_is_finite():
     # the dual sat 3.7e-9 above 1, where the closed-form conjugate of the
     # ball distance reads +inf: the value was -inf 'converged' after 2
-    # iterations.  Over the scale, the value tends to the recession of g
-    # along Lx from below
+    # iterations (1 from the collapse start).  Over the scale, the value
+    # tends to the recession of g along Lx from below
     L = DenseMap([[0.15811072044809257, 0.9342151336170628]])
     g = BallDistance([-1.1191133547787244], 0.39558690278370245)
     spec = CompositionSpec(L, g, 0.31109419949601347)
     x = np.array([-1.1718818057741571, 0.9426450600299335])
     y0 = np.array([0.1000904131133067, -1.0935513665250671])
     rep = eval_cocomposition(spec, y0 + 1e6 * x)
-    assert (rep.status, rep.iterations) == (CONVERGED, 2)
+    assert (rep.status, rep.iterations) == (CONVERGED, 1)
     assert rep.value == pytest.approx(695345.906, abs=1e-3)
     recession = recession_cocomposition(spec, x)
     assert recession == pytest.approx(0.6953462, abs=1e-7)
@@ -1530,3 +1539,82 @@ def test_values_without_a_conjugate_take_one_solve(kernel_calls):
         rep = solve(spec, [1.0, -2.0])
         assert rep.status == CONVERGED and rep.iterations > 0
         assert kernel_calls == [1]
+
+
+# -- the collapse start ---------------------------------------------------------
+
+
+def _starts(monkeypatch):
+    """The start rows of every cocomposition or composition ``_fista`` call."""
+    starts, kernel = [], compositions._fista
+
+    def recorded(step, z, *args, **kwargs):
+        starts.append(z.copy())
+        return kernel(step, z, *args, **kwargs)
+
+    monkeypatch.setattr(compositions, "_fista", recorded)
+    return starts
+
+
+def test_cocomposition_starts_at_the_collapse_gradient(monkeypatch):
+    # I - LL* = 0.64 I: the cocomposition is env_{0.64 gamma} g(Lx), and
+    # the gradient of that envelope, the start, is the dual maximizer
+    starts = _starts(monkeypatch)
+    c, s = np.cos(0.7), np.sin(0.7)
+    L = DenseMap(0.6 * np.array([[c, -s], [s, c]]))
+    fn = L1Norm(2).translate([0.3, -0.2])
+    rep = eval_cocomposition(CompositionSpec(L, fn, 1.5), [1.0, -2.0])
+    mu, lx = 1.5 * 0.64, L.apply([1.0, -2.0])
+    np.testing.assert_allclose(starts[0][0], (lx - fn.prox(mu, lx)) / mu, rtol=1e-12)
+    assert (rep.status, rep.iterations) == (CONVERGED, 1)
+    assert rep.value == pytest.approx(envelope(fn, mu, lx), rel=1e-12)
+
+
+def test_fixed_prox_parameter_and_radius_fallback_start_cold(monkeypatch):
+    # an oracle prox that exists only at gamma cannot be called at gamma mu;
+    # with ||L|| = 1, restricted dom g and no catalog conjugate, a start of
+    # norm about ||Lx|| / (0.01 gamma) would near the divergence radius
+    # without a certificate.  The catalog ball takes the start
+    starts = _starts(monkeypatch)
+    L, x = DenseMap([[1.0, 0.0], [0.0, 0.5]]), [0.5, 4.0]
+    fn = L1Norm(2).translate([0.3, -0.2])
+    ball = BallIndicator([0.0, 0.0], 1.0)
+    specs = [
+        CompositionSpec(L, OracleFunction(2, fn, prox_fn=fn.prox, prox_gamma=1.3), 1.3),
+        CompositionSpec(L, OracleFunction(2, ball, prox_fn=ball.prox, full_domain=False), 1.0),
+        CompositionSpec(L, ball, 1.0),
+    ]
+    reports = [eval_cocomposition(spec, x) for spec in specs]
+    assert [r.status for r in reports] == [CONVERGED] * 3
+    assert [np.count_nonzero(z) for z in starts] == [0, 0, 2]
+    assert reports[1].value == pytest.approx(reports[2].value, abs=1e-8)
+
+
+def test_collapse_start_keeps_the_cold_values(monkeypatch):
+    # the figure presets over the figure grid and random specs at per-row
+    # parameters: the same statuses, values within 1e-12 relative, and fewer
+    # iterations in all
+    ax = np.linspace(-4.0, 4.0, 101)
+    grid = np.stack([m.reshape(-1) for m in np.meshgrid(ax, ax, indexing="ij")], axis=-1)
+    rng = np.random.default_rng(62)
+    cases = [
+        (CompositionSpec(*figure_preset(name), gamma), grid, None)
+        for name in ("example1", "example2")
+        for gamma in (0.5, 1.0, 2.0, 4.0, 8.0)
+    ]
+    for _ in range(200):
+        spec = _random_spec(rng)
+        X = 2.0 * rng.normal(size=(6, spec.operator.cols))
+        cases.append((spec, X, rng.uniform(0.25, 4.0, size=(6, 1))))
+    warm = [eval_cocomposition_batch(spec, X, gamma=gamma) for spec, X, gamma in cases]
+    _cold_start(monkeypatch)
+    cold = [eval_cocomposition_batch(spec, X, gamma=gamma) for spec, X, gamma in cases]
+    iters = np.zeros(2, dtype=int)
+    for (values, status, w_iters), (ref, ref_status, c_iters) in zip(warm, cold):
+        assert list(status) == list(ref_status)
+        finite = np.isfinite(ref)
+        assert np.array_equal(finite, np.isfinite(values))
+        scale = np.maximum(np.abs(ref[finite]), 1.0)
+        assert (np.abs(values[finite] - ref[finite]) <= 1e-12 * scale).all()
+        iters += w_iters.sum(), c_iters.sum()
+    assert iters[0] < 0.95 * iters[1]

@@ -111,6 +111,17 @@ def test_prox_rejects_an_infinite_gamma(fn):
             oracle(np.inf, [1.0])
 
 
+@pytest.mark.parametrize("build", [L1Norm, EuclideanNorm, lambda d: OracleFunction(d, abs)],
+                         ids=["l1", "euclidean", "oracle"])
+def test_a_dimension_is_an_integer_of_at_least_one(build):
+    # int(dim) once truncated 2.5 to 2 and took 0, -1, "2" and True
+    for dim in (2.5, 0, -1, "2", True, np.inf, np.nan, None):
+        with pytest.raises(ParameterError, match="integer >= 1"):
+            build(dim)
+    for dim in (2, 2.0, np.int64(2), np.float64(2.0)):
+        assert type(build(dim).dim) is int and build(dim).dim == 2
+
+
 @pytest.mark.parametrize("fn", catalog(), ids=lambda f: repr(f))
 def test_prox_characterization(fn):
     # the prox point beats any feasible competitor on the prox objective

@@ -3,6 +3,7 @@ import pytest
 
 from proxmix import (
     BallDistance,
+    BallSupport,
     BallIndicator,
     DenseMap,
     EuclideanNorm,
@@ -312,6 +313,32 @@ def test_comixture_cross_check_escapes_on_unscaled_blocks(monkeypatch):
     u = np.array([[2.0, 0.0]])  # ||u|| = 2, but ||y_1|| = 20 > 10
     assert escaped(u, u).tolist() == [True]
     assert escaped(u / 4.0, u).tolist() == [False]  # ||y_1|| = 5
+
+
+def test_comixture_cross_check_converges_only_at_a_fixed_point():
+    # the residual was measured from the previous iterate: the clamping
+    # ball-support prox read 0 at iteration 5, and the cross-check stopped
+    # 'converged' 2.86e-5 below the embedding's value
+    spec = MixtureSpec(
+        [
+            MixtureTerm(
+                1.0508805519048718,
+                DenseMap([[0.4014126177406561], [0.6340952663670208]]),
+                L1Norm(2).scale_val(0.5218614153394368),
+            ),
+            MixtureTerm(
+                1.4060561577666117,
+                DenseMap([[-0.5173235728038459]]),
+                BallSupport([-0.33330996748408476], 0.17360096071143016),
+            ),
+        ],
+        2.1288326339719714,
+    )
+    res = comixture_eval(spec, [0.7492930912049858])
+    assert res.embedding.status == res.direct.status == CONVERGED
+    assert res.direct.iterations == 13
+    assert res.paths_gap <= 1e-12
+    assert res.value == pytest.approx(0.641726893020638, rel=1e-12)
 
 
 def test_two_term_scalar_vs_constrained_grid():
