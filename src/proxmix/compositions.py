@@ -45,13 +45,13 @@ from .moreau import (
     DEFAULT_OPTS,
     DIVERGED,
     INVALID,
-    SolveReport,
     SolverOpts,
     _STATUS_BY_CODE,
     _fista,
     _minimize_rows,
     _outside_radius,
     _recession_certified,
+    _row_report,
     envelope,
     envelope_gradient,
     grid_min,
@@ -306,11 +306,12 @@ def _composition_core(spec, X, opts, gamma=None):
     needs the prox and the value of ``g``, not its conjugate.
     Base points outside the closed range of the adjoint are certified
     infeasible up front, by an ``lstsq`` range test, when ``g`` has full
-    domain.  For restricted ``dom g`` the displacement ``z_k - z_{k-50}``
+    domain; every other row then has a finite value and gets no escape
+    test.  For restricted ``dom g`` the displacement ``z_k - z_{k-50}``
     of each row is tested every 50 iterations as a recession certificate
     ``<d, x> > sigma_{dom g}(Ld)``, which proves ``x`` outside ``L*(dom g)``; rows
-    that pass are 'diverged' with value ``+inf``.  Where no certificate
-    exists (full domain, or no catalog conjugate) the test falls back to
+    that pass are 'diverged' with value ``+inf``.  Without a catalog
+    conjugate of ``g`` the test falls back to
     ``||z|| > opts.divergence_radius``.  ``gamma`` is as for
     ``_cocomposition_core``; a per-row column scales each row's product
     with ``L*`` after it is taken.
@@ -332,21 +333,26 @@ def _composition_core(spec, X, opts, gamma=None):
         return _fiber_composition(spec, X, gamma)
     n = X.shape[0]
 
+    def certified(z, anchor, _rows, x, *_):
+        return _recession_certified(z - anchor, x, lambda d: sigma(L.apply(d)))
+
     Q, R, XQ = L, None, X
     if g.has_full_domain():
         # certify infeasible base points through the adjoint range; this
         # lstsq workspace also keeps later batch iterations free of page
-        # faults (see CHANGES.md), so it stays where L* is onto
+        # faults (see CHANGES.md), so it stays where L* is onto.  Every
+        # other row has a finite value, so it gets no escape test
         dual_sol, *_ = np.linalg.lstsq(L.entries.T, X.T, rcond=None)
         range_gap = _norm(L.adjoint_apply(dual_sol.T) - X)
         infeasible = range_gap > _RANGE_TOL * (1.0 + _norm(X))
-        sigma = None
+        escaped = None
         if factor is not None:
             Q, R = factor
             XQ = X @ R
     else:
         infeasible = np.zeros(n, dtype=bool)
         sigma = _domain_support(g)
+        escaped = _outside_radius(opts) if sigma is None else certified
 
     nb2 = max(Q.norm_bound**2, 1e-12)
     step_size = 1.0 / (gamma * nb2)
@@ -361,10 +367,6 @@ def _composition_core(spec, X, opts, gamma=None):
         grad = x - g._prox(gamma, lift(momentum, gamma)) @ Q.entries
         return momentum + step_size * grad, _norm(grad)
 
-    def certified(z, anchor, _rows, x, *_):
-        return _recession_certified(z - anchor, x, lambda d: sigma(L.apply(d)))
-
-    escaped = _outside_radius(opts) if sigma is None else certified
     z, status, iters, residual = _fista(
         step, XQ.copy(), opts, active=~infeasible, escaped=escaped,
         per_row=(XQ, gamma, step_size),
@@ -424,12 +426,7 @@ def _batch(core, spec, X, opts, gamma=None):
 
 
 def _single(core, spec, x, opts):
-    x = as_vector(x, spec.operator.cols)
-    values, arg, status, iters, residual = core(spec, x[None, :], opts)
-    return SolveReport(
-        float(values[0]), None if arg is None else arg[0], int(iters[0]),
-        str(status[0]), float(residual[0]),
-    )
+    return _row_report(*core(spec, as_vector(x, spec.operator.cols)[None, :], opts))
 
 
 def eval_cocomposition(spec, x, opts: SolverOpts = DEFAULT_OPTS):
@@ -466,8 +463,9 @@ def eval_composition(spec, x, opts: SolverOpts = DEFAULT_OPTS):
     iterate, and 'diverged' certifies ``+inf``: the base point lies
     outside ``L*(dom g)``, shown by the adjoint range test (full-domain
     ``g``) or by a recession certificate on the dual iterates (restricted
-    domain).  The divergence radius of ``opts`` is the fallback when no
-    certificate exists (no catalog conjugate of ``g``).
+    domain).  A full-domain row that passes the range test is finite, so
+    it ends 'converged' or 'max_iter'.  The divergence radius of ``opts``
+    applies only to a restricted ``dom g`` with no catalog conjugate.
     """
     return _single(_composition_core, spec, x, opts)
 

@@ -178,40 +178,42 @@ class ConvexFunction:
     # -- transform builders (folded into one TransformedFunction) --------
     def translate(self, w):
         """``y -> f(y - w)``."""
-        t, w = _folded(self), _vector(w, self.dim, "translation vector")
-        shift = w if t.b == 1.0 else t.b * w
-        u, alpha = t.u, t.alpha
+        h, a, b, c, u, alpha, rho, done = _fold_params(self)
+        w = _vector(w, self.dim, "translation vector")
+        shift = w if b == 1.0 else b * w
         if u is not None:
             alpha -= float(_dot(u, w))
-        if t.rho:
-            alpha += 0.5 * t.rho * float(_dot(w, w))
-            u = -t.rho * w if u is None else u - t.rho * w
-        return t._then("translate", (w,), c=shift if t.c is None else t.c + shift, u=u, alpha=alpha)
+        if rho:
+            alpha += 0.5 * rho * float(_dot(w, w))
+            u = -rho * w if u is None else u - rho * w
+        c = shift if c is None else c + shift
+        return _fold(("translate", (w,)), h, a, b, c, u, alpha, rho, done)
 
     def scale_arg(self, rho):
         """``y -> f(rho y)`` with rho > 0."""
-        t, rho = _folded(self), _check_rho(rho)
-        u = None if t.u is None else t.u * rho
-        return t._then("scale_arg", (rho,), b=t.b * rho, u=u, rho=t.rho * rho * rho)
+        (h, a, b, c, u, alpha, q, done), rho = _fold_params(self), _check_rho(rho)
+        u = None if u is None else u * rho
+        return _fold(("scale_arg", (rho,)), h, a, b * rho, c, u, alpha, q * rho * rho, done)
 
     def scale_val(self, rho):
         """``y -> rho f(y)`` with rho > 0."""
-        t, rho = _folded(self), _check_rho(rho)
-        u = None if t.u is None else t.u * rho
-        return t._then("scale_val", (rho,), a=t.a * rho, u=u, alpha=t.alpha * rho, rho=t.rho * rho)
+        (h, a, b, c, u, alpha, q, done), rho = _fold_params(self), _check_rho(rho)
+        u = None if u is None else u * rho
+        return _fold(("scale_val", (rho,)), h, a * rho, b, c, u, alpha * rho, q * rho, done)
 
     def add_affine(self, u, alpha=0.0):
         """``y -> f(y) + <y, u> + alpha``."""
-        t, u, alpha = _folded(self), _vector(u, self.dim, "affine term"), float(alpha)
-        total = u if t.u is None else t.u + u
-        return t._then("add_affine", (u, alpha), u=total, alpha=t.alpha + alpha)
+        h, a, b, c, total, offset, rho, done = _fold_params(self)
+        u, alpha = _vector(u, self.dim, "affine term"), float(alpha)
+        total = u if total is None else total + u
+        return _fold(("add_affine", (u, alpha)), h, a, b, c, total, offset + alpha, rho, done)
 
     def add_quad(self, rho):
         """``y -> f(y) + rho ||y||^2 / 2`` with rho >= 0."""
         if not 0 <= rho < np.inf:
             raise ParameterError(f"quadratic weight must be finite and >= 0, got {rho}")
-        t, rho = _folded(self), float(rho)
-        return t._then("add_quad", (rho,), rho=t.rho + rho)
+        (h, a, b, c, u, alpha, q, done), rho = _fold_params(self), float(rho)
+        return _fold(("add_quad", (rho,)), h, a, b, c, u, alpha, q + rho, done)
 
     # -- helpers --------------------------------------------------------
     def _check_point(self, x):
@@ -648,21 +650,6 @@ class TransformedFunction(_Transform):
         self.a, self.b, self.c, self.u = a, b, c, u
         self.alpha, self.rho, self.transforms = alpha, rho, transforms
 
-    def _then(self, kind, args, **fields):
-        """A copy with ``fields`` replaced and ``kind(*args)`` recorded last;
-        ParameterError unless a, b > 0 and a b^2 and every changed parameter are finite."""
-        # built through __init__: attribute reads on a copy made by updating
-        # its ``vars()`` cost about twice as much, and the hooks make many
-        params = dict(a=self.a, b=self.b, c=self.c, u=self.u, alpha=self.alpha, rho=self.rho)
-        params.update(fields, transforms=self.transforms + ((kind, args),))
-        out = TransformedFunction(self.inner, **params)
-        scalars = (out.a * out.b * out.b, out.rho, out.alpha)
-        finite = all(np.count_nonzero(np.isfinite(v)) == v.size  # half the cost of .all()
-                     for v in fields.values() if isinstance(v, np.ndarray))
-        if not (out.a > 0 and out.b > 0 and all(map(math.isfinite, scalars)) and finite):
-            raise ParameterError(f"{kind} makes a folded transform parameter 0 or not finite")
-        return out
-
     def _value(self, x):
         y = x if self.b == 1.0 else self.b * x
         out = self.inner._value(y if self.c is None else y - self.c)
@@ -732,9 +719,21 @@ class TransformedFunction(_Transform):
         return f"{_TRANSFORMS[self.transforms[-1][0]][0]}(dim={self.dim})"
 
 
-def _folded(fn):
-    """``fn`` as a TransformedFunction: itself, or the identity transform of it."""
-    return fn if isinstance(fn, TransformedFunction) else TransformedFunction(fn)
+def _fold_params(fn):
+    """``(h, a, b, c, u, alpha, rho, transforms)`` of ``fn``; a plain ``fn`` is its own ``h``."""
+    if isinstance(fn, TransformedFunction):
+        return fn.inner, fn.a, fn.b, fn.c, fn.u, fn.alpha, fn.rho, fn.transforms
+    return fn, 1.0, 1.0, None, None, 0.0, 0.0, ()
+
+
+def _fold(call, h, a, b, c, u, alpha, rho, done):
+    """The TransformedFunction of these parameters, ``call = (kind, args)`` recorded last;
+    ParameterError unless a, b > 0 and a b^2, rho, alpha, ``c`` and ``u`` are finite."""
+    # math.isfinite on the entries as floats: a third of numpy's cost on a short vector
+    entries = [e for v in (c, u) if v is not None for e in v.tolist()]
+    if not (a > 0 and b > 0 and all(map(math.isfinite, (a * b * b, rho, alpha, *entries)))):
+        raise ParameterError(f"{call[0]} makes a folded transform parameter 0 or not finite")
+    return TransformedFunction(h, a, b, c, u, alpha, rho, done + (call,))
 
 
 # ---------------------------------------------------------------------------

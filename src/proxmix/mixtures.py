@@ -31,15 +31,15 @@ from .compositions import (
     eval_composition_batch,
     pushforward_infimum,
 )
-from .functions import ConvexFunction, SeparableSum, _norm
+from .functions import ConvexFunction, SeparableSum, _dot, _norm
 from .linalg import DenseMap, as_vector
 from .moreau import (
     DEFAULT_OPTS,
     SolveReport,
     SolverOpts,
     _fista,
-    _gradient_iteration,
     _minimize_rows,
+    _row_report,
     envelope,
     envelope_gradient,
     minimize_smooth,
@@ -255,43 +255,38 @@ def _norm_budget(spec):
     return sum(t.alpha * t.operator.norm_bound**2 for t in spec.terms)
 
 
-def _per_term_conjugate_prox(term, gamma, v):
-    """Prox of ``(1/gamma) g_k*`` at ``v`` through the Moreau identity."""
-    return v - (1.0 / gamma) * term.fn.prox(gamma, gamma * v)
-
-
 def _mixture_direct(spec, x, opts):
-    """Defining-sum evaluation of the mixture.
+    """Defining-sum evaluation of the mixture: ``_minimize_rows`` on the negated dual.
 
-    Maximizes ``<z, x> - sum_k alpha_k env_{1/gamma}(g_k*)(L_k z)`` by
-    accelerated gradient ascent with the certified step, then subtracts
-    the quadratic correction.
+    The dual is ``<z, x> - sum_k alpha_k env_{1/gamma}(g_k*)(L_k z)``, and the
+    value its sup minus ``||x||^2/(2 gamma)``.  At the prox points
+    ``q_k = prox_{gamma g_k}(gamma L_k z)`` Fenchel-Young holds with
+    equality, so each envelope is ``<q_k, L_k z> - g_k(q_k) - ||q_k||^2/(2 gamma)``
+    and the gradient is ``x - sum_k alpha_k L_k* q_k``: no ``g_k*``.
     """
     gamma = spec.gamma
-    step = 1.0 / max(gamma * _norm_budget(spec), 1e-12)
+
+    def prox_points(z):
+        ws = [t.operator.apply(z) for t in spec.terms]
+        return ws, [t.fn.prox(gamma, gamma * w) for t, w in zip(spec.terms, ws)]
+
+    def negated_dual(z):
+        ws, qs = prox_points(z)
+        h = sum(
+            t.alpha * (_dot(q, w) - t.fn._value(q) - _dot(q, q) / (2 * gamma))
+            for t, w, q in zip(spec.terms, ws, qs)
+        )
+        return h - _dot(z, x)
 
     def gradient(z):
-        grad = x.copy()
-        for t in spec.terms:
-            w = t.operator.apply(z)
-            p = _per_term_conjugate_prox(t, gamma, w)
-            grad -= gamma * t.alpha * t.operator.adjoint_apply(w - p)
-        return grad
+        _, qs = prox_points(z)
+        return sum(t.alpha * t.operator.adjoint_apply(q) for t, q in zip(spec.terms, qs)) - x
 
-    z, status, it, gnorm = _gradient_iteration(
-        lambda m: gradient(m[0])[None], np.zeros((1, spec.base_dim)), step, opts
+    lipschitz = max(gamma * _norm_budget(spec), 1e-12)
+    values, z, status, iters, residual = _minimize_rows(
+        negated_dual, gradient, np.zeros((1, spec.base_dim)), lipschitz, opts
     )
-    z = z[0]
-    h = 0.0
-    for t in spec.terms:
-        w = t.operator.apply(z)
-        p = _per_term_conjugate_prox(t, gamma, w)
-        h += t.alpha * (
-            float(np.asarray(t.fn.conjugate(p)))
-            + 0.5 * gamma * float(np.linalg.norm(w - p) ** 2)
-        )
-    value = float(np.dot(z, x)) - h - float(np.linalg.norm(x) ** 2) / (2 * gamma)
-    return SolveReport(value, z, int(it[0]), str(status[0]), float(gnorm[0]))
+    return _row_report(-values - _dot(x, x) / (2 * gamma), z, status, iters, residual)
 
 
 def _comixture_direct(spec, x, opts):
@@ -303,6 +298,11 @@ def _comixture_direct(spec, x, opts):
     blocks ``sqrt(alpha_k) y_k``, in which that metric is Euclidean; its
     residual is taken from the momentum point.  Every 50 iterations it
     stops as 'diverged' once an unscaled block has ``||y_k|| > opts.divergence_radius``.
+
+    The value is taken one block step past the last dual: there
+    ``y_k' = a_k - p_k/gamma`` with ``p_k = prox_{gamma g_k}(gamma a_k)``
+    is a subgradient of ``g_k`` at ``p_k``, so by Fenchel-Young
+    ``g_k*(y_k') = <p_k, y_k'> - g_k(p_k)``: no ``g_k*``.
     """
     gamma = spec.gamma
     t_step = 1.0 / gamma
@@ -313,33 +313,36 @@ def _comixture_direct(spec, x, opts):
     def blocks(u):
         return [b / r for b, r in zip(np.split(u, ends[:-1]), roots)]
 
+    def combined(vs):
+        return sum(t.alpha * t.operator.adjoint_apply(v) for t, v in zip(spec.terms, vs))
+
+    def block_step(u):
+        """The next blocks ``sqrt(alpha_k) y_k'`` and the prox points ``p_k``."""
+        vs = blocks(u)
+        m = combined(vs)
+        a = [v + t_step * (w - gamma * (v - t.operator.apply(m)))
+             for t, v, w in zip(spec.terms, vs, lx)]
+        ps = [t.fn.prox(gamma, gamma * ak) for t, ak in zip(spec.terms, a)]
+        return np.concatenate([r * (ak - t_step * p) for r, ak, p in zip(roots, a, ps)]), ps
+
     def step(momentum, _u, _rows):
-        vs = blocks(momentum[0])
-        m = sum(t.alpha * t.operator.adjoint_apply(v) for t, v in zip(spec.terms, vs))
-        u_new = np.concatenate([
-            r * _per_term_conjugate_prox(
-                t, gamma, v + t_step * (w - gamma * (v - t.operator.apply(m)))
-            )
-            for t, r, v, w in zip(spec.terms, roots, vs, lx)
-        ])[None]
+        u_new = block_step(momentum[0])[0][None]
         return u_new, _norm(u_new - momentum) / t_step
 
     def escaped(u, _anchor, _rows=None):
         radius = max(np.linalg.norm(b) for b in blocks(u[0]))
         return np.array([radius > opts.divergence_radius])
 
-    u0 = np.zeros((1, ends[-1]))
-    u, status, iters, res = _fista(step, u0, opts, escaped=escaped)
-    ys = blocks(u[0])
-    m = sum(t.alpha * t.operator.adjoint_apply(y) for t, y in zip(spec.terms, ys))
+    u, status, iters, res = _fista(step, np.zeros((1, ends[-1])), opts, escaped=escaped)
+    u, ps = block_step(u[0])
+    ys = blocks(u)
+    m = combined(ys)
     # the weighted defect sum_k alpha_k ||y_k||^2 - ||m||^2 is ||u||^2 - ||m||^2
-    defect = 0.5 * (float(np.dot(u[0], u[0])) - float(np.dot(m, m)))
-    value = sum(
-        t.alpha
-        * (float(np.dot(w, y)) - float(np.asarray(t.fn.conjugate(y))))
-        for t, y, w in zip(spec.terms, ys, lx)
+    defect = 0.5 * (_dot(u, u) - _dot(m, m))
+    values = sum(
+        t.alpha * (_dot(w - p, y) + t.fn._value(p)) for t, y, w, p in zip(spec.terms, ys, lx, ps)
     ) - gamma * defect
-    return SolveReport(float(value), None, int(iters[0]), str(status[0]), float(res[0]))
+    return _row_report([values], None, status, iters, res)
 
 
 def mixture_eval(spec, x, opts: SolverOpts = DEFAULT_OPTS):

@@ -50,9 +50,10 @@ class SolverOpts:
     ``tol`` and ``divergence_radius`` must be finite and positive and
     ``max_iter`` an integer of at least 1 (``ParameterError`` otherwise).
     ``divergence_radius`` declares divergence once an iterate's norm
-    exceeds it: in ``minimize_smooth`` and the comixture cross-check, and
-    in the composition solvers and the numeric conjugate only where no
-    recession certificate is available.
+    exceeds it: in ``minimize_smooth`` and both mixture cross-checks, and
+    elsewhere only where no certificate exists: the numeric conjugate of
+    an ``f`` without a recession oracle, and the composition solvers for a
+    restricted ``dom g`` without a catalog conjugate.
     """
 
     tol: float = 1e-8
@@ -119,8 +120,12 @@ class SolveReport:
             self.value = np.inf
 
 
-def _as_report(value, argpoint, iterations, status, residual):
-    return SolveReport(float(value), argpoint, int(iterations), status, float(residual))
+def _row_report(values, argpoints, status, iters, residuals):
+    """Row 0 of a many-row solve's five arrays as a SolveReport; ``argpoints`` may be None."""
+    return SolveReport(
+        float(values[0]), None if argpoints is None else argpoints[0], int(iters[0]),
+        str(status[0]), float(residuals[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +188,8 @@ def conjugate_numeric(fn: ConvexFunction, xstar, opts: SolverOpts = DEFAULT_OPTS
             return radius(z)
 
     z, status, iters, residual = _fista(step, np.zeros_like(s), opts, escaped=escaped)
-    value = _dot(z, s) - np.asarray(fn(z), dtype=float)
-    return _as_report(value[0], z[0], iters[0], str(status[0]), residual[0])
+    values = _dot(z, s) - np.asarray(fn(z), dtype=float)
+    return _row_report(values, z, status, iters, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -297,34 +302,27 @@ def _recession_certified(step, target, slope):
     return margin > BOUNDARY_TOL * (1.0 + _norm(target))
 
 
-def _gradient_iteration(grad_fn, X0, step, opts, per_row=()):
-    """``_fista`` on the rows ``x <- m + step * grad_fn(m, *per_row)`` from ``X0``.
+def _minimize_rows(value_fn, grad_fn, X0, lipschitz, opts, per_row=()):
+    """Accelerated gradient descent on the rows of ``X0`` with step ``1/lipschitz``.
 
-    ``step`` is a float or a per-row column; ``per_row`` holds the
-    gradient's per-row constants, gathered as in ``_fista``.  The residual
-    is ``||grad_fn(m)||``; the escape test is the divergence radius.
-    Returns ``(x, status, iters, residual)``.
+    ``_fista`` on ``x <- m - grad_fn(m, *per_row) / lipschitz``;
+    ``lipschitz`` is a float or a per-row column, and ``per_row`` holds the
+    oracles' per-row constants, gathered as in ``_fista``.  The residual is
+    ``||grad_fn(m)||``; the escape test is the divergence radius.  Returns
+    (values, x, status, iters, residuals), with ``value_fn(x, *per_row)``
+    as values and ``+inf`` on 'diverged' rows.
     """
 
     def advance(momentum, _z, _rows, step, *consts):
         grad = grad_fn(momentum, *consts)
         return momentum + step * grad, _norm(grad)
 
-    return _fista(
-        advance, X0, opts, escaped=_outside_radius(opts), per_row=(step, *per_row)
+    x, status, iters, residual = _fista(
+        advance, X0, opts, escaped=_outside_radius(opts),
+        per_row=(-1.0 / lipschitz, *per_row),
     )
-
-
-def _minimize_rows(value_fn, grad_fn, X0, lipschitz, opts, per_row=()):
-    """``minimize_smooth`` on many rows at once: (values, x, status, iters).
-
-    ``lipschitz`` is a float or a per-row column; ``value_fn(x, *per_row)``
-    and ``grad_fn(m, *per_row)`` act on rows.  'diverged' rows have value
-    ``+inf``.
-    """
-    x, status, iters, _ = _gradient_iteration(grad_fn, X0, -1.0 / lipschitz, opts, per_row)
     values = np.where(status == DIVERGED, np.inf, value_fn(x, *per_row))
-    return values, x, status, iters
+    return values, x, status, iters, residual
 
 
 def minimize_smooth(value_fn, grad_fn, x0, lipschitz, opts: SolverOpts = DEFAULT_OPTS):
@@ -335,19 +333,17 @@ def minimize_smooth(value_fn, grad_fn, x0, lipschitz, opts: SolverOpts = DEFAULT
     argpoint is the gradient step taken from there.  An iterate whose norm
     exceeds the divergence radius (tested every 50 iterations) reports
     'diverged', which callers read as a non-coercive objective.  One row
-    of ``_gradient_iteration``.
+    of ``_minimize_rows``.
     """
     if not lipschitz > 0:
         raise ParameterError("Lipschitz constant must be positive")
-    x, status, iters, residual = _gradient_iteration(
+    return _row_report(*_minimize_rows(
+        lambda x: value_fn(x[0]),
         lambda m: np.reshape(grad_fn(m[0]), (1, -1)),
         np.asarray(x0, dtype=float).reshape(1, -1),
-        -1.0 / lipschitz,
+        lipschitz,
         opts,
-    )
-    x, status = x[0], str(status[0])
-    value = np.inf if status == DIVERGED else value_fn(x)
-    return _as_report(value, x, iters[0], status, residual[0])
+    ))
 
 
 # ---------------------------------------------------------------------------

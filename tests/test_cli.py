@@ -484,6 +484,19 @@ def test_eval_job_with_diverged_rows_exits_3(tmp_path):
     assert results[1]["value"] == np.inf and results[1]["iterations"] == 0
 
 
+def test_eval_job_of_a_far_feasible_point_exits_0(tmp_path):
+    # full-domain g and a base point in the range of L*: a finite value
+    # that ends 'max_iter', not a 'diverged' row and exit 3
+    spec = pm.CompositionSpec(*figure_preset("example1"), 0.5).to_json()
+    cfg = write_config(tmp_path, {"spec": spec, "points": [[1e8, -0.7e8]],
+                                  "which": "composition", "opts": {"max_iter": 200}})
+    out = tmp_path / "o.json"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    (result,) = json.loads(out.read_text())["results"]
+    assert (result["status"], result["iterations"]) == ("max_iter", 200)
+    assert result["value"] == pytest.approx(2.627531484038384e16, rel=1e-12)
+
+
 def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
     assert _build_parser() is _build_parser()
     cfg = write_config(tmp_path, {"spec": scalar_composition_spec(), "points": [[1.0], [2.0]]})

@@ -48,6 +48,7 @@ from proxmix.moreau import (
     DEFAULT_OPTS,
     DIVERGED,
     INVALID,
+    MAX_ITER,
     SolverOpts,
     grid_prox,
 )
@@ -383,6 +384,24 @@ def test_composition_radius_fallback_without_conjugate():
     rep = eval_composition(CompositionSpec(L, ball, 1.0), [2.0], opts)
     assert (rep.status, rep.iterations) == (DIVERGED, 50)
     assert np.linalg.norm(rep.argpoint) < opts.divergence_radius
+
+
+@pytest.mark.parametrize(
+    "name, gamma", [("example1", 0.5), ("example1", 8.0), ("example2", 8.0)]
+)
+def test_far_feasible_composition_is_not_diverged(name, gamma):
+    # full-domain g: the range test leaves only finite rows, so the dual
+    # iterate passing the divergence radius certifies nothing; such a row
+    # used to stop 'diverged' with value inf at iteration 50
+    spec = CompositionSpec(*figure_preset(name), gamma)
+    x = 1e8 * np.array([1.0, -0.7])
+    loose = eval_composition(spec, x, SolverOpts(tol=1.0))
+    assert loose.status == CONVERGED and loose.iterations <= 3
+    rep = eval_composition(spec, x, SolverOpts(max_iter=200))
+    assert (rep.status, rep.iterations) == (MAX_ITER, 200)
+    assert rep.value == pytest.approx(loose.value, rel=1e-12)
+    if (name, gamma) == ("example1", 0.5):
+        assert loose.value == pytest.approx(2.627531484038384e16, rel=1e-12)
 
 
 def test_exact_composition_needs_no_conjugate_or_radius():
@@ -1229,11 +1248,12 @@ def test_envelope_batch_equals_the_per_point_loop(monkeypatch, kernel_calls):
         above, below = gamma * rng.uniform(1.2, 4.0), gamma * rng.uniform(0.2, 0.8)
         del kernel_calls[:]
         values = compositions.envelope_cocomposition_batch(spec, above, X)
-        _, _, status, iters = minimized[-1]
+        _, _, status, iters, residuals = minimized[-1]
         assert kernel_calls == [10]
-        for x, value, s, n in zip(X, values, status, iters):
+        for x, value, s, n, res in zip(X, values, status, iters, residuals):
             rep = _envelope_above_reference(spec, above, x)
             assert (s, n) == (rep.status, rep.iterations)
+            assert res == pytest.approx(rep.residual, rel=1e-9, abs=1e-15)
             assert value == pytest.approx(rep.value, rel=1e-12, abs=1e-12)
         del kernel_calls[:]
         values = compositions.envelope_cocomposition_batch(spec, below, X)

@@ -10,6 +10,7 @@ from proxmix import (
     L1Norm,
     MixtureSpec,
     MixtureTerm,
+    OracleFunction,
     comixture_argmin,
     comixture_argmin_sequence,
     comixture_envelope,
@@ -290,6 +291,25 @@ def test_cross_check_uses_the_point_at_evaluation(evaluate):
     assert res.paths_gap <= 2e-6
     assert res.value == pytest.approx(evaluate(spec, np.array([2.0])).value, abs=1e-12)
     assert abs(res.direct.value - evaluate(spec, x).value) > 1e-3
+
+
+@pytest.mark.parametrize("evaluate", [mixture_eval, comixture_eval])
+def test_cross_check_of_an_oracle_term_needs_no_conjugate(evaluate):
+    # an OracleFunction term without conjugate_fn: both cross-checks take
+    # their values at prox points, so reading them evaluates no g*
+    l1 = L1Norm(2)
+    spec = MixtureSpec(
+        [
+            MixtureTerm(
+                0.6, DenseMap([[0.8, 0.1], [-0.2, 0.5]]), OracleFunction(2, l1, prox_fn=l1.prox)
+            ),
+            MixtureTerm(0.4, DenseMap([[0.3, -0.6]]), EuclideanNorm(1).translate([0.5])),
+        ],
+        0.7,
+    )
+    res = evaluate(spec, [0.9, -1.3])
+    assert res.direct.status == CONVERGED and np.isfinite(res.direct.value)
+    assert res.paths_gap <= 1e-12
 
 
 def test_comixture_cross_check_escapes_on_unscaled_blocks(monkeypatch):

@@ -281,6 +281,28 @@ def test_minimize_smooth_linear_objective_diverges_at_a_check():
     assert np.linalg.norm(rep.argpoint) > opts.divergence_radius
 
 
+@pytest.mark.parametrize(
+    "expected, value, grad",
+    [
+        # an ill-conditioned quadratic, 139 iterations to 'converged'
+        (CONVERGED, lambda x: np.sum(0.5 * np.array([1.0, 0.01]) * x * x - x, axis=-1),
+         lambda x: np.array([1.0, 0.01]) * x - 1.0),
+        # a linear objective, 'diverged' at an escape test
+        (DIVERGED, lambda x: np.sum(np.array([1.0, -2.0]) * x, axis=-1),
+         lambda x: np.broadcast_to(np.array([1.0, -2.0]), np.shape(x))),
+    ],
+    ids=["quadratic", "linear"],
+)
+def test_minimize_smooth_is_row_0_of_the_many_row_solve(expected, value, grad):
+    opts = SolverOpts(divergence_radius=1e4)
+    X0 = np.array([[0.0, 0.0], [3.0, -1.0], [-0.5, 2.0]])
+    rep = minimize_smooth(value, grad, X0[0], 1.0, opts)
+    values, x, status, iters, residuals = moreau._minimize_rows(value, grad, X0, 1.0, opts)
+    row = (values[0], x[0].tolist(), iters[0], status[0], residuals[0])
+    assert (rep.value, rep.argpoint.tolist(), rep.iterations, rep.status, rep.residual) == row
+    assert rep.status == expected and rep.iterations > 0
+
+
 def test_fista_passes_only_iterating_rows_to_the_oracles():
     # row i is a gradient step on rate_i * z^2 / 2 (smaller rates converge
     # later); row 2 drifts and is flagged at the first escape test; rows 3
