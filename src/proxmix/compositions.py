@@ -20,8 +20,9 @@ holds with equality; no solver evaluates ``g*``.  Proximity operators,
 envelopes, recession and perspective values come out in closed form.
 
 Batch variants evaluate many base points in one iteration; rows leave
-the iteration when they stop.  The figure generator and the verification
-suites rely on them.
+the iteration when they stop, and many-row arrays stay column-major from
+the batch entry points to the kernel and back.  The figure generator and
+the verification suites rely on them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,14 @@ from .functions import (
     _row_values,
     conjugate_function,
 )
-from .linalg import DenseMap, _RANGE_TOL, as_vector, pseudo_inverse_small
+from .linalg import (
+    DenseMap,
+    _RANGE_TOL,
+    _rows_product,
+    _take_rows,
+    as_vector,
+    pseudo_inverse_small,
+)
 from .moreau import (
     DEFAULT_OPTS,
     DIVERGED,
@@ -190,6 +198,14 @@ def _dual_start(L, g, LX, gamma):
     return (LX - g._prox(index, LX)) / index
 
 
+def _product(X):
+    """The product a solve over the rows ``X`` takes: plain ``@`` for one row.
+
+    Two rows or more take ``_rows_product``, which keeps them F-ordered.
+    """
+    return _rows_product if len(X) > 1 else np.matmul
+
+
 def _cocomposition_core(spec, X, opts, gamma=None):
     """Proximal-gradient ascent on the dual of the cocomposition.
 
@@ -233,13 +249,14 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     always_finite = flat is None or flat.shape[1] == 0
     sigma = None if always_finite else _domain_support(g)
     LX = L.apply(X)
+    mul = _product(X)
     lam, gram = (1.0, L.gram) if g.has_fixed_prox_parameter() else L.dual_step
     cold = g.has_fixed_prox_parameter() or (sigma is None and not always_finite)
     index = gamma * lam
     t, shift = 1.0 / index, LX / index
 
     def step(momentum, y, _rows, shift, index, t, t_row):
-        v = momentum @ gram + shift
+        v = mul(momentum, gram) + shift
         y_new = v - t * g._prox(index, index * v)
         return y_new, _norm(y_new - momentum) / t_row
 
@@ -248,11 +265,11 @@ def _cocomposition_core(spec, X, opts, gamma=None):
 
     escaped = _outside_radius(opts) if sigma is None else certified
     y, status, iters, residual = _fista(
-        step, np.zeros(LX.shape) if cold else _dual_start(L, g, LX, gamma), opts,
+        step, np.zeros_like(LX) if cold else _dual_start(L, g, LX, gamma), opts,
         escaped=None if always_finite else escaped,
         per_row=(shift, index, t, _row_values(t)),
     )
-    v = y @ gram + shift
+    v = mul(y, gram) + shift
     p = g._prox(index, index * v)
     y = v - t * p
     values = _dot(LX - p, y) + g._value(p) - _row_values(gamma) * spec.defect(y)
@@ -274,11 +291,11 @@ def _fiber_composition(spec, X, gamma):
     iterations, and no dual iterate exists: the second entry of the
     returned (values, None, status, iters, residuals) is None.
     """
-    L = spec.operator
+    L, mul = spec.operator, _product(X)
     Q, R = L.isometric_factor
-    Y = Q.apply(X @ R)
+    Y = Q.apply(mul(X, R))
     xx = _dot(X, X)
-    off_range = _norm(Y @ L.entries - X) > _RANGE_TOL * (1.0 + np.sqrt(xx))
+    off_range = _norm(mul(Y, L.entries) - X) > _RANGE_TOL * (1.0 + np.sqrt(xx))
     values = spec.fn._value(Y) + (_dot(Y, Y) - xx) / (2.0 * _row_values(gamma))
     diverged = off_range | (values == np.inf)
     return (
@@ -336,7 +353,7 @@ def _composition_core(spec, X, opts, gamma=None):
     def certified(z, anchor, _rows, x, *_):
         return _recession_certified(z - anchor, x, lambda d: sigma(L.apply(d)))
 
-    Q, R, XQ = L, None, X
+    Q, R, XQ, mul = L, None, X, _product(X)
     if g.has_full_domain():
         # certify infeasible base points through the adjoint range; this
         # lstsq workspace also keeps later batch iterations free of page
@@ -348,7 +365,7 @@ def _composition_core(spec, X, opts, gamma=None):
         escaped = None
         if factor is not None:
             Q, R = factor
-            XQ = X @ R
+            XQ = mul(X, R)
     else:
         infeasible = np.zeros(n, dtype=bool)
         sigma = _domain_support(g)
@@ -358,17 +375,17 @@ def _composition_core(spec, X, opts, gamma=None):
     step_size = 1.0 / (gamma * nb2)
     if np.ndim(gamma):
         adjoint = Q.adjoint_entries
-        lift = lambda m, gamma: (m @ adjoint) * gamma  # noqa: E731
+        lift = lambda m, gamma: mul(m, adjoint) * gamma  # noqa: E731
     else:
         scaled_adjoint = gamma * Q.adjoint_entries
-        lift = lambda m, _gamma: m @ scaled_adjoint  # noqa: E731
+        lift = lambda m, _gamma: mul(m, scaled_adjoint)  # noqa: E731
 
     def step(momentum, z, _rows, x, gamma, step_size):
-        grad = x - g._prox(gamma, lift(momentum, gamma)) @ Q.entries
+        grad = x - mul(g._prox(gamma, lift(momentum, gamma)), Q.entries)
         return momentum + step_size * grad, _norm(grad)
 
     z, status, iters, residual = _fista(
-        step, XQ.copy(), opts, active=~infeasible, escaped=escaped,
+        step, XQ, opts, active=~infeasible, escaped=escaped,
         per_row=(XQ, gamma, step_size),
     )
     status[infeasible] = DIVERGED
@@ -379,7 +396,7 @@ def _composition_core(spec, X, opts, gamma=None):
         + (_dot(q, q) - _dot(X, X)) / (2.0 * _row_values(gamma))
     )
     values = np.where(status == DIVERGED, np.inf, vals)
-    return values, z if R is None else z @ R.T, status, iters, residual
+    return values, z if R is None else mul(z, R.T), status, iters, residual
 
 
 def _base_rows(spec, X):
@@ -402,10 +419,12 @@ def _gamma_column(gammas):
 def _batch(core, spec, X, opts, gamma=None):
     """Run ``core`` on the finite rows of ``X``: (values, status, iters).
 
-    Rows with a NaN or infinite entry never enter the iteration; they are
-    'invalid' with value nan and 0 iterations.  Raises DimensionError
-    unless ``X`` is 2-D with ``spec.operator.cols`` columns and ``gamma``,
-    when given, has one value per row.
+    The core gets those rows F-ordered (``_take_rows``), whatever the
+    layout of ``X``, and keeps them so.  Rows with a NaN or infinite entry
+    never enter the iteration; they are 'invalid' with value nan and 0
+    iterations.  Raises DimensionError unless ``X`` is 2-D with
+    ``spec.operator.cols`` columns and ``gamma``, when given, has one
+    value per row.
     """
     X = _base_rows(spec, X)
     if gamma is not None:
@@ -420,7 +439,7 @@ def _batch(core, spec, X, opts, gamma=None):
     if len(valid):
         per_row = None if gamma is None else gamma.take(valid, axis=0)
         values[valid], _, status[valid], iters[valid], _ = core(
-            spec, X.take(valid, axis=0), opts, per_row
+            spec, _take_rows(X, valid), opts, per_row
         )
     return values, status, iters
 
@@ -541,7 +560,7 @@ def envelope_cocomposition_batch(spec, rho, X, opts: SolverOpts = DEFAULT_OPTS):
     L, g, gamma = spec.operator, spec.fn, spec.gamma
     X = _base_rows(spec, X)
     valid = np.flatnonzero(np.isfinite(X).all(axis=-1))
-    X, values = X.take(valid, axis=0), np.full(len(X), np.nan)
+    X, values = _take_rows(X, valid), np.full(len(X), np.nan)
     # np.isclose(rho, gamma, rtol=1e-12) without its array set-up
     if abs(rho - gamma) <= 1e-8 + 1e-12 * gamma:
         values[valid] = envelope(g, gamma, L.apply(X))

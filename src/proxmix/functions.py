@@ -24,7 +24,6 @@ Function objects are immutable and all methods are pure.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .errors import (
     ShapeError,
     UnsupportedConjugate,
 )
-from .linalg import _psd_eigh
+from .linalg import _psd_eigh, _row_sum
 
 __all__ = [
     "ConvexFunction",
@@ -62,31 +61,10 @@ BOUNDARY_TOL = 1e-9
 _TINY = np.finfo(float).tiny
 
 
-@lru_cache(maxsize=None)
-def _ones(dim):
-    """A read-only vector of ``dim`` ones, built once per dimension."""
-    ones = np.ones(dim)
-    ones.setflags(write=False)
-    return ones
-
-
-def _row_sum(a):
-    """Sum over the last axis of a real array as one product with ones.
-
-    Equal to ``np.add.reduce(a, axis=-1)`` bit for bit for up to three
-    columns; wider rows can differ in the last bits, since the BLAS sums
-    in lanes.  On narrow rows it costs a fraction of the reduction.  The
-    ``dot`` method costs about half of what ``@`` does on one row and
-    gives the same bits on contiguous rows, which is what the callers
-    pass: fresh products.
-    """
-    return a.dot(_ones(a.shape[-1]))
-
-
 def _norm(x):
     """``np.linalg.norm(x, axis=-1)`` of a real array, through ``_row_sum``.
 
-    Bit for bit for up to three columns, within a few ulps beyond.
+    Bit for bit for up to seven columns, within a few ulps beyond.
     """
     return np.sqrt(_row_sum(x * x))
 

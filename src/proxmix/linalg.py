@@ -9,7 +9,7 @@ pure, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +51,69 @@ def as_vector(x, dim=None):
     return v
 
 
+@lru_cache(maxsize=None)
+def _ones(dim):
+    """A read-only vector of ``dim`` ones, built once per dimension."""
+    ones = np.ones(dim)
+    ones.setflags(write=False)
+    return ones
+
+
+def _row_sum(a):
+    """Sum over the last axis of a real array, left to right.
+
+    A row gives the same bits alone or inside a batch, in C or F order,
+    at every width: the solvers compare a row solved alone with the same
+    row in a many-row solve.  Rows of up to three columns, and one
+    contiguous row of up to fifteen, take one product with ones: the BLAS
+    sums those in order, at a fraction of the reduction's cost; on more
+    rows it sums four columns or more in lanes or blocks.
+    ``np.add.reduce`` sums rows of up to seven columns in order in any
+    layout, and contiguous rows of eight or more pairwise, so wider rows
+    add their columns in a loop.
+    """
+    width = a.shape[-1]
+    if width <= 3 or (a.size == width < 16 and a.strides[-1] == a.itemsize):
+        return a.dot(_ones(width))
+    if width < 8:
+        return np.add.reduce(a, axis=-1)
+    total = a[..., 0]
+    for j in range(1, width):
+        total = total + a[..., j]
+    return total
+
+
+def _rows_product(a, b):
+    """``a @ b``, F-ordered when ``a`` holds two rows or more.
+
+    The solvers keep many-row arrays column-major: with ``dim`` of 2 to 5
+    columns, an elementwise op or a per-row ``(n, 1)`` broadcast on C-ordered
+    rows runs one short inner loop per row.  The product is allocated
+    F-ordered; the BLAS computes the transposed product, at the cost and
+    with the bits of the C-ordered one.  A one-column ``b``
+    multiplies C-ordered rows instead: the BLAS sums F-ordered rows
+    against one column in an order that depends on a row's position.  A
+    1-D or one-row ``a`` is a plain ``a @ b``: its C-ordered result is
+    F-ordered too, and an F-ordered buffer of one row would take another
+    BLAS path.
+    """
+    if a.ndim != 2 or len(a) < 2:
+        return a @ b
+    if b.shape[-1] == 1:
+        return np.ascontiguousarray(a) @ b
+    return np.matmul(a, b, order="F")
+
+
+def _take_rows(a, index):
+    """The rows ``index`` of ``a`` (rows along axis 0), F-ordered for 2-D ``a``.
+
+    ``a.take(index, axis=0)`` would return C-ordered rows; taking the
+    columns of the transpose keeps column-major arrays column-major and
+    makes C-ordered ones so.
+    """
+    return a.T.take(index, axis=-1).T
+
+
 class DenseMap:
     """Dense linear operator between Euclidean spaces.
 
@@ -63,10 +126,11 @@ class DenseMap:
       which inflates it by relative 1e-9 and so certifies
       ``||Lx|| <= norm_bound`` for all unit vectors ``x`` up to the
       rounding of ``Lx`` itself;
-    * ``adjoint_entries``, the transpose of ``entries`` in C order: a
-      product with the transposed view is F-ordered and costs up to 4x
-      more on many rows (its bits are the same on two rows or more;
-      one-row products can differ in the last bit);
+    * ``adjoint_entries``, the transpose of ``entries`` in C order, the
+      right factor of ``apply``.  Many-row products go into an F-ordered
+      buffer (``_rows_product``), where the transposed view would give
+      the same bits at the same cost; a one-row product with the view can
+      differ in the last bit, so the copy keeps single-point values;
     * ``isometric_factor``: for a map of full rank, the pair ``(Q, R)``
       with ``Q`` an isometry or a unitary and ``L R = Q``, else None;
     * ``gram`` (``LL*``) and ``dual_step``, the step constants of the
@@ -95,21 +159,28 @@ class DenseMap:
         return cls(np.eye(n))
 
     def apply(self, x):
-        """Matrix-vector product ``Lx``; batched along the last axis."""
+        """Matrix-vector product ``Lx``; batched along the last axis.
+
+        Many rows ``(n, cols)`` give F-ordered rows, as ``_rows_product``.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.cols:
             raise DimensionError(
                 f"operator expects dimension {self.cols}, got {x.shape[-1]}"
             )
+        if x.ndim == 2 and len(x) > 1:
+            return _rows_product(x, self.adjoint_entries)
         return x @ self.adjoint_entries
 
     def adjoint_apply(self, y):
-        """Adjoint product ``L*y = transpose(L) y``; batched."""
+        """Adjoint product ``L*y = transpose(L) y``; batched as ``apply``."""
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.rows:
             raise DimensionError(
                 f"adjoint expects dimension {self.rows}, got {y.shape[-1]}"
             )
+        if y.ndim == 2 and len(y) > 1:
+            return _rows_product(y, self.entries)
         return y @ self.entries
 
     def gram_complement_apply(self, y):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedConjugate, UnsupportedDimension
 from .functions import BOUNDARY_TOL, ConvexFunction, _all_positive, _dot, _norm, _row_values
+from .linalg import _take_rows
 
 __all__ = [
     "SolverOpts",
@@ -219,7 +220,7 @@ def _momentum_weights(size):
 
 def _gather(per_row, index):
     """The array entries of ``per_row`` at the rows ``index``; other entries as they are."""
-    return tuple(c.take(index, axis=0) if isinstance(c, np.ndarray) else c for c in per_row)
+    return tuple(_take_rows(c, index) if isinstance(c, np.ndarray) else c for c in per_row)
 
 
 def _fista(step, z, opts, active=None, escaped=None, per_row=()):
@@ -242,14 +243,19 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
     (0 iterations, residual inf), rows left at ``opts.max_iter`` are
     'max_iter'.  Each row's residual is the one of its last step.
     Statuses are int8 codes until exit, where they become the shared
-    status objects.
+    status objects.  Rows are taken with ``_take_rows``, which keeps the
+    column-major (F) layout the many-row callers build (their products go
+    through ``_rows_product``): on rows of 2 to 5 columns numpy then runs
+    each elementwise op and each ``(k, 1)`` momentum broadcast over whole
+    columns, not one short loop per row.  Once every row has stopped the
+    loop ends without compacting the set, so a one-row solve never does.
     """
     n = len(z)
     rows = np.arange(n) if active is None else np.flatnonzero(active)
     codes = np.zeros(n, dtype=np.int8)
     iters = np.zeros(n, dtype=int)
     residual = np.full(n, np.inf)
-    z_out, z = z.copy(), z.take(rows, axis=0)
+    z_out, z = z.copy(order="K"), _take_rows(z, rows)
     if active is not None:
         per_row = _gather(per_row, rows)
     momentum = anchor = z
@@ -273,12 +279,15 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
             done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
             out = rows[done]
             codes[out] = 2 - converged[done]  # 1 converged, 2 diverged
-            z_out[out], iters[out], residual[out] = z.take(done, axis=0), it, res[done]
+            z_out[out], iters[out], residual[out] = _take_rows(z, done), it, res[done]
+            if not len(keep):
+                break  # every row is written out: no set to compact
             rows, z, momentum, age, anchor, res = (
-                a.take(keep, axis=0) for a in (rows, z, momentum, age, anchor, res)
+                _take_rows(a, keep) for a in (rows, z, momentum, age, anchor, res)
             )
             per_row = _gather(per_row, keep)
-    z_out[rows], iters[rows], residual[rows] = z, it, res
+    else:
+        z_out[rows], iters[rows], residual[rows] = z, it, res
     return z_out, _STATUS_BY_CODE.take(codes), iters, residual
 
 

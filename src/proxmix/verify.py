@@ -208,6 +208,14 @@ def _le(tag, quantity, bound, slack=0.0):
     return SuiteCase(_digest(*tag), bound, quantity, slack, bool(ok), note="le")
 
 
+def _within(tag, quantity, bound, slack):
+    """``-slack <= quantity <= bound + slack``; recorded as ``_le`` records its bound."""
+    quantity = float(quantity)
+    bound = float(bound)
+    ok = -slack <= quantity <= bound + slack
+    return SuiteCase(_digest(*tag), bound, quantity, slack, bool(ok), note="within")
+
+
 def _true(tag, flag, note=""):
     return SuiteCase(_digest(*tag), 1.0, float(bool(flag)), 0.0, bool(flag), note)
 
@@ -682,6 +690,21 @@ def suite_prop9(rng, scale):
     return cases
 
 
+def _envelope_window(spec, index, x):
+    """Grid window of the envelope of the cocomposition at ``index``, around ``x``.
+
+    The envelope's minimizer is the prox of ``index`` times the
+    cocomposition, which lies within ``index beta ||L||`` of ``x`` for a
+    ``beta``-Lipschitz ``g`` (the cocomposition is ``beta ||L||``-Lipschitz,
+    and a prox moves a point by at most its index times that constant).
+    The window is ``x +- 6``, widened to that bound plus 1 where it is
+    larger.
+    """
+    bound = index * spec.fn.lipschitz_bound() * spec.operator.norm_bound
+    half = max(6.0, bound + 1.0)
+    return np.array([x[0] - half]), np.array([x[0] + half])
+
+
 def suite_prop10(rng, scale, parts=("i", "ii")):
     """Envelope identities of the cocomposition against grid envelopes."""
     cases = []
@@ -691,9 +714,9 @@ def suite_prop10(rng, scale, parts=("i", "ii")):
         fn = _random_lipschitz_fn(rng, spec.operator.rows)
         spec = CompositionSpec(spec.operator, fn, spec.gamma)
         x = np.atleast_1d(rng.normal())
-        lo, hi = np.array([x[0] - 6]), np.array([x[0] + 6])
         steps = 2001
         if "ii" in parts:
+            lo, hi = _envelope_window(spec, spec.gamma, x)
             direct = grid_envelope(
                 lambda Z: _co_values(spec, Z), spec.gamma, x, lo, hi, steps
             )
@@ -701,6 +724,7 @@ def suite_prop10(rng, scale, parts=("i", "ii")):
             cases.append(_eq(("prop10-ii", i), direct, collapsed, 1e-4))
         if "i" in parts:
             rho = rng.uniform(0.2, 0.8) * spec.gamma
+            lo, hi = _envelope_window(spec, rho, x)
             direct = grid_envelope(
                 lambda Z: _co_values(spec, Z), rho, x, lo, hi, steps
             )
@@ -1504,14 +1528,28 @@ def suite_ex12(rng, scale):
             cases.append(
                 _le(("ex12-i-hi", i), rep.final_gap, defect / 2.0**10 + 1e-3)
             )
-        # (ii): shrinking parameter reaches the weighted sum of values
-        plain = sum(
-            t.alpha * float(np.asarray(t.fn(t.operator.apply(x))))
-            for t in spec.terms
-        )
-        tiny = comixture_eval(spec.with_gamma(2.0**-11), x, OPTS).value
-        cases.append(_eq(("ex12-ii", i), plain, tiny, 1e-3))
+        cases.append(_ex12_ii_case(i, spec, x))
     return cases
+
+
+def _ex12_ii_case(i, spec, x):
+    """Ex. 12 (ii): the comixture at ``gamma = 2**-11`` reaches the weighted sum of values.
+
+    The comixture is the cocomposition of the embedding, whose conjugate
+    lives on the ball of radius ``sqrt(sum_k alpha_k beta_k^2)``, where the
+    penalty ``gamma Phi(y)`` is at most ``gamma ||y||^2 / 2``.  So the gap
+    to the plain sum lies in ``[0, gamma sum_k alpha_k beta_k^2 / 2]``, the
+    small-gamma bound of ``limit_small_gamma`` and thm70-vib; the case
+    checks both sides with a slack of 1e-3.
+    """
+    plain = sum(
+        t.alpha * float(np.asarray(t.fn(t.operator.apply(x))))
+        for t in spec.terms
+    )
+    gamma = 2.0**-11
+    tiny = comixture_eval(spec.with_gamma(gamma), x, OPTS).value
+    bound = gamma * sum(t.alpha * t.fn.lipschitz_bound() ** 2 for t in spec.terms) / 2
+    return _within(("ex12-ii", i), plain - tiny, bound, 1e-3)
 
 
 def suite_ex13(rng, scale):

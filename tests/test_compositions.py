@@ -11,6 +11,7 @@ from proxmix import (
     argmin_cocomposition,
     argmin_gamma_sequence,
     envelope_cocomposition,
+    envelope_cocomposition_batch,
     eval_cocomposition,
     eval_cocomposition_batch,
     envelope,
@@ -979,6 +980,44 @@ def test_isometric_lift_reads_the_c_ordered_factor(gamma):
     XR = X @ R
     expected = (XR @ marked) * gamma if np.ndim(gamma) else XR @ (gamma * marked)
     assert np.array_equal(lifted[0], expected)
+
+
+def _recorded_prox_layouts(monkeypatch, *atoms):
+    """Patch each atom class's ``_prox`` to record ``(rows, F-contiguous)`` of its input."""
+    seen = []
+    for cls in atoms:
+
+        def recorded(self, gamma, x, hook=cls._prox):
+            seen.append((len(x), x.flags.f_contiguous))
+            return hook(self, gamma, x)
+
+        monkeypatch.setattr(cls, "_prox", recorded)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda spec, X: eval_cocomposition_batch(spec, X)[0],
+        lambda spec, X: eval_composition_batch(spec, X)[0],
+        lambda spec, X: eval_composition_batch(*_zero_column(spec, X))[0],
+        lambda spec, X: envelope_cocomposition_batch(spec, 2.0, X),
+    ],
+    ids=["cocomposition", "composition", "composition-in-L", "envelope-above"],
+)
+def test_many_row_solves_hand_the_atoms_f_ordered_rows(monkeypatch, kernel_calls, solve):
+    # on (n, dim) rows with dim 2..5 an elementwise op or a per-row (n, 1)
+    # broadcast costs up to 3x more in C order, and only a slowdown would
+    # show a layout that slipped back.  The input rows are C-ordered; the
+    # SeparableSum hands its atoms column blocks of its rows.  The zero
+    # column keeps the composition in L's own coordinates
+    seen = _recorded_prox_layouts(monkeypatch, L1Norm, BallDistance)
+    g = SeparableSum([(1.0, L1Norm(1), 0), (0.5, BallDistance([0.3, -0.2], 0.4), 1)])
+    X = np.random.default_rng(56).normal(size=(1000, 2))
+    assert np.isfinite(solve(CompositionSpec(TALL, g, 0.8), X)).all()
+    assert kernel_calls == [1000]
+    assert max(rows for rows, _ in seen) == 1000
+    assert all(f_ordered for _, f_ordered in seen)
 
 
 @pytest.mark.parametrize("core", [_cocomposition_core, _composition_core])

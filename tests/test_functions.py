@@ -27,10 +27,10 @@ from proxmix.functions import (
     MoreauEnvelopeFunction,
     OracleFunction,
     _norm,
-    _ones,
     _row_sum,
     conjugate_function,
 )
+from proxmix.linalg import _ones
 from proxmix.moreau import envelope, envelope_gradient, grid_prox
 
 RNG = np.random.default_rng(42)
@@ -440,25 +440,42 @@ def _row_inputs(rng, n, dim):
     return [rng.normal(size=dim), rows.copy(), np.asfortranarray(rows), wide[::2, ::2]]
 
 
+def _left_to_right(x):
+    """Row sums of ``x`` as Python adds them, one column after the other."""
+    rows = np.reshape(x, (-1, np.shape(x)[-1])).tolist()
+    return np.array([sum(r, 0.0) for r in rows]).reshape(np.shape(x)[:-1])
+
+
 @pytest.mark.parametrize("dim", range(1, 7))
 @pytest.mark.parametrize("n", [0, 1, 7, 10_201])
 def test_row_sum_and_norm_match_the_reductions(n, dim):
     rng = np.random.default_rng([n, dim])
-    eps = np.finfo(float).eps
     for x in _row_inputs(rng, n, dim):
         total, ref = _row_sum(x), np.add.reduce(x, axis=-1)
         norm, ref_norm = _norm(x), np.linalg.norm(x, axis=-1)
-        # the ``dot`` method runs the BLAS product that ``@`` runs, except on
-        # strided rows wider than three, where its own loop sums in another order
-        if x.data.contiguous or dim <= 3:
-            assert np.array_equal(total, x @ _ones(dim))
+        # every row sums left to right, which the reduction also does on
+        # rows narrower than eight, in any layout
+        assert np.array_equal(total, _left_to_right(x))
         assert np.shape(total) == np.shape(ref) == np.shape(norm) == np.shape(ref_norm)
-        # the BLAS decides the order of a wider sum: a few ulps of the
-        # absolute sum, not bit for bit
-        assert np.all(np.abs(total - ref) <= 4 * eps * np.add.reduce(np.abs(x), axis=-1))
-        assert np.all(np.abs(norm - ref_norm) <= 4 * eps * ref_norm)
-        if dim <= 2:  # one addition rounds the same in any order
-            assert np.array_equal(total, ref) and np.array_equal(norm, ref_norm)
+        assert np.array_equal(total, ref) and np.array_equal(norm, ref_norm)
+
+
+@pytest.mark.parametrize("dim", [*range(1, 7), 8, 16])
+def test_a_row_sums_alone_as_inside_any_batch(dim):
+    # a row's sum has the same bits alone (1-D, one row, one strided row)
+    # and at any position of a C-ordered, F-ordered or strided batch; the
+    # BLAS product with ones would sum C-ordered rows of four or more in lanes
+    rng = np.random.default_rng(dim)
+    rows = rng.normal(size=(301, dim)) * 10.0 ** rng.integers(-3, 4, size=(301, dim))
+    alone = _left_to_right(rows)
+    wide = np.repeat(rows, 2, axis=1)
+    for batch in (rows, np.asfortranarray(rows), wide[:, ::2]):
+        for perm in (np.arange(301), rng.permutation(301), rng.permutation(301)[:7]):
+            assert np.array_equal(_row_sum(batch[perm]), alone[perm])
+            assert np.array_equal(_row_sum(np.asfortranarray(batch[perm])), alone[perm])
+        for i in rng.permutation(301)[:40]:
+            assert _row_sum(batch[i]) == alone[i]
+            assert _row_sum(batch[i : i + 1])[0] == alone[i]
 
 
 def test_ones_are_shared_and_read_only():
