@@ -255,19 +255,21 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     index = gamma * lam
     t, shift = 1.0 / index, LX / index
 
-    def step(momentum, y, _rows, shift, index, t, t_row):
+    def step(momentum, shift, index, t, t_row, *_):
         v = mul(momentum, gram) + shift
         y_new = v - t * g._prox(index, index * v)
         return y_new, _norm(y_new - momentum) / t_row
 
-    def certified(y, anchor, rows, *_):
-        return _recession_certified(((y - anchor) @ flat) @ flat.T, LX[rows], sigma)
+    def certified(y, anchor, *consts):
+        return _recession_certified(((y - anchor) @ flat) @ flat.T, consts[-1], sigma)
 
+    # only the certificate reads Lx, so only solves that run it gather its rows
+    per_row = (shift, index, t, _row_values(t))
     escaped = _outside_radius(opts) if sigma is None else certified
     y, status, iters, residual = _fista(
         step, np.zeros_like(LX) if cold else _dual_start(L, g, LX, gamma), opts,
         escaped=None if always_finite else escaped,
-        per_row=(shift, index, t, _row_values(t)),
+        per_row=per_row if sigma is None else (*per_row, LX),
     )
     v = mul(y, gram) + shift
     p = g._prox(index, index * v)
@@ -350,7 +352,7 @@ def _composition_core(spec, X, opts, gamma=None):
         return _fiber_composition(spec, X, gamma)
     n = X.shape[0]
 
-    def certified(z, anchor, _rows, x, *_):
+    def certified(z, anchor, x, *_):
         return _recession_certified(z - anchor, x, lambda d: sigma(L.apply(d)))
 
     Q, R, XQ, mul = L, None, X, _product(X)
@@ -380,7 +382,7 @@ def _composition_core(spec, X, opts, gamma=None):
         scaled_adjoint = gamma * Q.adjoint_entries
         lift = lambda m, _gamma: mul(m, scaled_adjoint)  # noqa: E731
 
-    def step(momentum, z, _rows, x, gamma, step_size):
+    def step(momentum, x, gamma, step_size):
         grad = x - mul(g._prox(gamma, lift(momentum, gamma)), Q.entries)
         return momentum + step_size * grad, _norm(grad)
 
@@ -714,8 +716,8 @@ def limit_large_gamma(
     """Growing-parameter tail of either composition, with its limit target.
 
     ``which`` is ``"composition"`` or ``"cocomposition"``.  The tail is one
-    batch solve.  Targets are computed independently of the solvers, with
-    grid searches on ``[-10, 10]`` per free direction:
+    batch solve of a non-empty ``gammas``.  Targets are computed apart
+    from the solvers, by grid searches on ``[-10, 10]`` per free direction:
 
     * composition: the infimum of ``g`` over the affine fiber
       ``{y : L* y = x}`` (unique preimage when the adjoint is injective,
@@ -729,6 +731,8 @@ def limit_large_gamma(
     if which not in ("composition", "cocomposition"):
         raise ParameterError(f"which must be 'composition' or 'cocomposition': {which!r}")
     gammas = np.asarray(sorted(gammas), dtype=float)
+    if not len(gammas):
+        raise ParameterError("need at least one parameter")
     spec, x, X = _parameter_rows(operator, fn, x, gammas)
     solve = eval_composition_batch if which == "composition" else eval_cocomposition_batch
     vals = solve(spec, X, opts, gammas)[0]
@@ -848,40 +852,23 @@ class MinimizerSequenceReport:
     final_gap: float
 
 
-def _infima_sequence(infima_at, gammas, reference):
-    """Infima over the gammas sorted descending, from one many-row solve.
-
-    ``infima_at(column)`` minimizes once per row of a per-row parameter
-    column.  Without a reference, the infimum at ``2**-20`` is solved as
-    one more row of the same solve.
-    """
-    gammas = np.asarray(sorted(gammas, reverse=True), dtype=float)
-    column = _gamma_column(gammas if reference is not None else [*gammas, 2.0**-20])
-    infima = infima_at(column)
-    if reference is None:
-        infima, reference = infima[:-1], infima[-1]
-    return MinimizerSequenceReport(
-        gammas, infima, float(reference), float(infima[-1] - reference)
-    )
-
-
-def argmin_gamma_sequence(
-    operator, fn, gammas, opts: SolverOpts = DEFAULT_OPTS, reference=None
-):
+def argmin_gamma_sequence(operator, fn, gammas, opts: SolverOpts = DEFAULT_OPTS, reference=None):
     """Infima of the cocomposition along a shrinking parameter sequence.
 
     The infima converge to the minimum of the plain composition
     ``g(Lx)``; the reference defaults to a run at parameter ``2**-20``
     (callers should supply a grid-oracle value in low dimension).  Every
-    parameter is one row of one ``argmin_cocomposition``-style solve.
+    parameter is one row of one ``argmin_cocomposition``-style solve.  An
+    empty parameter list raises ParameterError.
     """
-    spec = CompositionSpec(operator, fn, 1.0)
-    collapse, collapse_grad = _collapse(spec)
-
-    def infima_at(gamma):
-        lip = max(operator.norm_bound**2, 1e-12) / gamma
-        X0 = np.zeros((len(gamma), operator.cols))
-        values, *_ = _minimize_rows(collapse, collapse_grad, X0, lip, opts, (gamma,))
-        return values
-
-    return _infima_sequence(infima_at, gammas, reference)
+    gammas = np.asarray(sorted(gammas, reverse=True), dtype=float)
+    if not len(gammas):
+        raise ParameterError("need at least one parameter")
+    column = _gamma_column(gammas if reference is not None else [*gammas, 2.0**-20])
+    collapse, collapse_grad = _collapse(CompositionSpec(operator, fn, 1.0))
+    lip = max(operator.norm_bound**2, 1e-12) / column
+    X0 = np.zeros((len(column), operator.cols))
+    infima = _minimize_rows(collapse, collapse_grad, X0, lip, opts, (column,))[0]
+    if reference is None:
+        infima, reference = infima[:-1], infima[-1]
+    return MinimizerSequenceReport(gammas, infima, float(reference), float(infima[-1] - reference))

@@ -10,7 +10,8 @@ time, directly from the defining per-term sums, as an independent
 cross-check of the reduction; that second solve runs when the result's
 ``direct`` or ``paths_gap`` is first read.  The batch forms
 ``mixture_eval_batch`` and ``comixture_eval_batch`` solve many points in
-one embedding solve and run no cross-check.
+one embedding solve and run no cross-check, and the comixture's
+minimizers are those of the embedding's cocomposition.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from .errors import AdmissibilityError, ParameterError, UnsupportedDimension
 from .compositions import (
     CompositionSpec,
-    _infima_sequence,
+    argmin_cocomposition,
+    argmin_gamma_sequence,
     eval_cocomposition,
     eval_cocomposition_batch,
     eval_composition,
@@ -41,8 +43,6 @@ from .moreau import (
     _minimize_rows,
     _row_report,
     envelope,
-    envelope_gradient,
-    minimize_smooth,
 )
 
 __all__ = [
@@ -175,8 +175,10 @@ class MixtureSpec:
 
 
 def proximal_average(fns, weights, gamma):
-    """Mixture with identity operators and probability weights."""
+    """Mixture with identity operators and probability weights, one per function."""
     weights = np.asarray(weights, dtype=float)
+    if len(weights) != len(fns):
+        raise ParameterError(f"{len(fns)} functions but {len(weights)} weights")
     if not np.isclose(weights.sum(), 1.0, atol=1e-12):
         raise ParameterError("proximal average weights must sum to one")
     dim = fns[0].dim
@@ -250,11 +252,6 @@ class MixtureEvalResult:
         return float(abs(self.value - self.direct.value))
 
 
-def _norm_budget(spec):
-    """``sum_k alpha_k ||L_k||^2`` with the certified norm bounds."""
-    return sum(t.alpha * t.operator.norm_bound**2 for t in spec.terms)
-
-
 def _mixture_direct(spec, x, opts):
     """Defining-sum evaluation of the mixture: ``_minimize_rows`` on the negated dual.
 
@@ -282,7 +279,7 @@ def _mixture_direct(spec, x, opts):
         _, qs = prox_points(z)
         return sum(t.alpha * t.operator.adjoint_apply(q) for t, q in zip(spec.terms, qs)) - x
 
-    lipschitz = max(gamma * _norm_budget(spec), 1e-12)
+    lipschitz = max(gamma * sum(t.alpha * t.operator.norm_bound**2 for t in spec.terms), 1e-12)
     values, z, status, iters, residual = _minimize_rows(
         negated_dual, gradient, np.zeros((1, spec.base_dim)), lipschitz, opts
     )
@@ -325,11 +322,11 @@ def _comixture_direct(spec, x, opts):
         ps = [t.fn.prox(gamma, gamma * ak) for t, ak in zip(spec.terms, a)]
         return np.concatenate([r * (ak - t_step * p) for r, ak, p in zip(roots, a, ps)]), ps
 
-    def step(momentum, _u, _rows):
+    def step(momentum):
         u_new = block_step(momentum[0])[0][None]
         return u_new, _norm(u_new - momentum) / t_step
 
-    def escaped(u, _anchor, _rows=None):
+    def escaped(u, _anchor):
         radius = max(np.linalg.norm(b) for b in blocks(u[0]))
         return np.array([radius > opts.divergence_radius])
 
@@ -405,23 +402,9 @@ def _weighted_sum(spec, x, term_value):
     return float(total) if np.ndim(total) == 0 else total
 
 
-def _envelope_sum(spec, x, gamma):
-    """``sum_k alpha_k env_gamma(g_k)(L_k x)``; ``gamma`` a float or a per-row column."""
-    return _weighted_sum(spec, x, lambda t, w: envelope(t.fn, gamma, w))
-
-
-def _envelope_sum_gradient(spec, x, gamma):
-    """Gradient of ``_envelope_sum`` in ``x``."""
-    return _weighted_sum(
-        spec,
-        x,
-        lambda t, w: t.operator.adjoint_apply(envelope_gradient(t.fn, gamma, w)),
-    )
-
-
 def comixture_envelope(spec, x):
     """Envelope of the comixture: ``sum_k alpha_k env_gamma(g_k)(L_k x)``; exact."""
-    return _envelope_sum(spec, x, spec.gamma)
+    return _weighted_sum(spec, x, lambda t, w: envelope(t.fn, spec.gamma, w))
 
 
 def comixture_recession(spec, x):
@@ -430,37 +413,27 @@ def comixture_recession(spec, x):
 
 
 def comixture_argmin(spec, opts: SolverOpts = DEFAULT_OPTS, x0=None):
-    """Minimize the comixture through its smooth envelope sum."""
-    lip = _norm_budget(spec) / spec.gamma
-    x0 = np.zeros(spec.base_dim) if x0 is None else as_vector(x0, spec.base_dim)
-    return minimize_smooth(
-        partial(comixture_envelope, spec),
-        partial(_envelope_sum_gradient, spec, gamma=spec.gamma),
-        x0,
-        max(lip, 1e-12),
-        opts,
-    )
+    """Minimize the comixture: ``argmin_cocomposition`` on the direct-sum embedding.
+
+    The comixture is the cocomposition of the embedding, so its minimizers
+    are those of the smooth collapse ``x -> env_gamma(G)(Sx)``, with ``S``
+    the stacked map and ``G`` the stacked function.  The collapse gradient
+    is ``S* grad env_gamma(G)(Sx)``, so the step is ``gamma / ||S||^2``;
+    ``||S||^2`` never exceeds ``sum_k alpha_k ||L_k||^2``.
+    """
+    return argmin_cocomposition(embed(spec).composition, opts, x0)
 
 
 def comixture_argmin_sequence(terms, gammas, opts: SolverOpts = DEFAULT_OPTS, reference=None):
     """Comixture infima along a shrinking parameter sequence.
 
-    They converge to the minimum of the averaged plain composition
-    ``sum alpha_k g_k(L_k x)``; a tiny-parameter run stands in for the
-    reference when none is supplied.  Every parameter is one row of one
-    ``comixture_argmin``-style solve.
+    ``argmin_gamma_sequence`` on the stacked map and function of the
+    direct-sum embedding of ``terms``.  The infima converge to the minimum
+    of the averaged plain composition ``sum alpha_k g_k(L_k x)``; a
+    tiny-parameter run stands in for the reference when none is supplied.
     """
-    spec = MixtureSpec(terms, 1.0)
-
-    def infima_at(gamma):
-        lip = np.maximum(_norm_budget(spec) / gamma, 1e-12)
-        X0 = np.zeros((len(gamma), spec.base_dim))
-        return _minimize_rows(
-            partial(_envelope_sum, spec), partial(_envelope_sum_gradient, spec),
-            X0, lip, opts, per_row=(gamma,),
-        )[0]
-
-    return _infima_sequence(infima_at, gammas, reference)
+    emb = embed(MixtureSpec(terms, 1.0))
+    return argmin_gamma_sequence(emb.stacked_map, emb.stacked_fn, gammas, opts, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -91,14 +91,13 @@ class SolveReport:
     """Outcome of an iterative evaluation.
 
     ``status == 'converged'`` guarantees ``residual <= tol`` of the opts
-    used.  The residual is, for the cocomposition, the step length from
-    the momentum point per unit step (the gradient mapping there, which
-    bounds that of the returned dual, one step further); for the numeric
-    conjugate, the step length from the previous iterate; for the
-    composition and ``minimize_smooth``, the gradient norm at the momentum
-    point, in the coordinates of the isometric factor for a tall ``L``
-    (an upper bound on the one in ``L``'s).  Composition values come from
-    the prox and the value of ``g`` at a prox point, never from ``g*``.
+    used.  Every residual is measured at the momentum point: for the
+    cocomposition and the numeric conjugate, the step length from it per
+    unit step (the gradient mapping there); for the composition and
+    ``minimize_smooth``, the gradient norm there, in the coordinates of the
+    isometric factor for a tall ``L`` (an upper bound on the one in
+    ``L``'s).  Composition values come from the prox and the value of
+    ``g`` at a prox point, never from ``g*``.
     A composition whose adjoint ``L*`` is injective is exact: 0
     iterations, residual 0.0 when 'converged', and ``argpoint`` None.
     ``status == 'diverged'`` forces ``value == inf``.  For the composition
@@ -170,23 +169,22 @@ def conjugate_numeric(fn: ConvexFunction, xstar, opts: SolverOpts = DEFAULT_OPTS
     """Numeric Legendre conjugate ``sup_x <x, s> - f(x)`` (SolveReport).
 
     Accelerated proximal-point ascent ``z <- prox_f(m + s)`` from ``z = 0``
-    through the exact prox of ``f``; the residual is the step length.
-    'diverged' certifies value ``+inf`` by a recession certificate, or by
-    the divergence radius where ``f`` has no recession oracle.
+    through the exact prox of ``f``; the residual is the step length from
+    the momentum point ``m``.  'diverged' certifies value ``+inf`` by a
+    recession certificate, or by the divergence radius where ``f`` has no
+    recession oracle.
     """
     s = np.asarray(xstar, dtype=float).reshape(1, -1)
 
-    def step(momentum, z, _rows):
+    def step(momentum):
         z_new = fn.prox(1.0, momentum + s)
-        return z_new, _norm(z_new - z)
+        return z_new, _norm(z_new - momentum)
 
-    radius = _outside_radius(opts)
-
-    def escaped(z, anchor, _rows):
+    def escaped(z, anchor):
         try:
             return _recession_certified(z - anchor, s, fn.recession)
         except UnsupportedConjugate:
-            return radius(z)
+            return _norm(z) > opts.divergence_radius
 
     z, status, iters, residual = _fista(step, np.zeros_like(s), opts, escaped=escaped)
     values = _dot(z, s) - np.asarray(fn(z), dtype=float)
@@ -234,14 +232,14 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
     to 0, whose weight is 0.  ``per_row`` holds the oracles' per-row
     constants: an array has one entry per row of ``z`` and is gathered
     with the working set, only when the set shrinks; any other entry (a
-    float) is passed as it is.  ``step(momentum, z, rows, *per_row)``
-    returns the next iterate and a per-row residual; a row is 'converged'
-    once its residual is ``<= opts.tol``.  Every 50 iterations
-    ``escaped(z, anchor, rows, *per_row)``, ``anchor`` being the iterate
-    50 iterations earlier, marks rows 'diverged'.  A row that stops is
-    written out and leaves the set; rows outside ``active`` never enter it
-    (0 iterations, residual inf), rows left at ``opts.max_iter`` are
-    'max_iter'.  Each row's residual is the one of its last step.
+    float) is passed as it is.  ``step(momentum, *per_row)`` returns the
+    next iterate and a per-row residual, measured at the momentum point; a
+    row is 'converged' once its residual is ``<= opts.tol``.  Every 50
+    iterations ``escaped(z, anchor, *per_row)``, ``anchor`` being the
+    iterate 50 iterations earlier, marks rows 'diverged'.  A row that
+    stops is written out and leaves the set; rows outside ``active`` never
+    enter it (0 iterations, residual inf), rows left at ``opts.max_iter``
+    are 'max_iter'.  Each row's residual is the one of its last step.
     Statuses are int8 codes until exit, where they become the shared
     status objects.  Rows are taken with ``_take_rows``, which keeps the
     column-major (F) layout the many-row callers build (their products go
@@ -265,7 +263,7 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
         if it == len(betas):
             betas = _momentum_weights(it + 1)
         it += 1
-        z_new, res = step(momentum, z, rows, *per_row)
+        z_new, res = step(momentum, *per_row)
         delta = z_new - z
         restart = _dot(momentum - z_new, delta) > 0.0
         age[restart] = 0
@@ -273,7 +271,7 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=()):
         z, age = z_new, age + 1
         stop = converged = res <= tol
         if escaped is not None and it % 50 == 0:
-            stop = converged | escaped(z, anchor, rows, *per_row)
+            stop = converged | escaped(z, anchor, *per_row)
             anchor = z
         if np.count_nonzero(stop):
             done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
@@ -322,7 +320,7 @@ def _minimize_rows(value_fn, grad_fn, X0, lipschitz, opts, per_row=()):
     as values and ``+inf`` on 'diverged' rows.
     """
 
-    def advance(momentum, _z, _rows, step, *consts):
+    def advance(momentum, step, *consts):
         grad = grad_fn(momentum, *consts)
         return momentum + step * grad, _norm(grad)
 

@@ -27,7 +27,7 @@ from proxmix import (
     subgradient_witness_cocomposition,
 )
 from proxmix.cli import figure_preset
-from proxmix import compositions
+from proxmix import compositions, moreau
 from proxmix.compositions import (
     _cocomposition_core,
     _composition_core,
@@ -675,6 +675,11 @@ def test_limit_large_gamma_rejects_unknown_which(which):
         limit_large_gamma(DenseMap.identity(1), L1Norm(1), [1.0], [1.0, 2.0], which=which)
 
 
+def test_limit_large_gamma_rejects_an_empty_parameter_list():
+    with pytest.raises(ParameterError, match="at least one parameter"):
+        limit_large_gamma(DenseMap.identity(1), L1Norm(1), [1.0], [], target=0.0)
+
+
 def test_pushforward_infimum_unique_and_search():
     op = DenseMap([[0.5]])
     val, wit = pushforward_infimum(op, L1Norm(1), np.array([0.5]))
@@ -730,6 +735,12 @@ def test_argmin_gamma_sequence_reaches_composed_min():
     assert abs(rep.final_gap) <= 1e-4
 
 
+@pytest.mark.parametrize("reference", [0.0, None])
+def test_argmin_gamma_sequence_rejects_an_empty_parameter_list(reference):
+    with pytest.raises(ParameterError, match="at least one parameter"):
+        argmin_gamma_sequence(DenseMap([[0.5]]), L1Norm(1), [], reference=reference)
+
+
 # -- ordering chain across random instances ----------------------------------------
 
 
@@ -757,7 +768,8 @@ def _unfolded_step(core, spec, X):
 
     The cocomposition steps at ``1/(gamma lam)`` with ``lam`` from
     ``L.dual_step``; the composition of a full-domain ``g`` ascends in the
-    coordinates of ``L.isometric_factor`` where there is one.
+    coordinates of ``L.isometric_factor`` where there is one.  Both take
+    the momentum rows and their row numbers in ``X``.
     """
     L, g, gamma = spec.operator, spec.fn, spec.gamma
     LX, t = L.apply(X), 1.0 / (gamma * L.dual_step[0])
@@ -767,13 +779,13 @@ def _unfolded_step(core, spec, X):
         XQ = X @ R
     step_size = 1.0 / (gamma * max(Q.norm_bound**2, 1e-12))
 
-    def cocomposition(momentum, y, rows, *_):
+    def cocomposition(momentum, rows):
         grad = LX[rows] - gamma * (momentum - L.apply(L.adjoint_apply(momentum)))
         v = momentum + t * grad
         y_new = v - t * g.prox(1.0 / t, v / t)
         return y_new, np.linalg.norm(y_new - momentum, axis=-1) / t
 
-    def composition(momentum, z, rows, *_):
+    def composition(momentum, rows):
         w = Q.apply(momentum)
         p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
         grad = XQ[rows] - gamma * Q.adjoint_apply(w - p)
@@ -856,6 +868,22 @@ def _folded_step_specs():
     ]
 
 
+def _with_row_numbers(wrap):
+    """``_fista`` with ``wrap(step)`` as the step and the row numbers as a last constant.
+
+    The row numbers are gathered with the working set like any per-row
+    constant, so the wrapped step reads them last; ``escaped`` gets the
+    constants without them.
+    """
+    kernel = moreau._fista
+
+    def run(step, z, opts, active=None, escaped=None, per_row=()):
+        test = None if escaped is None else (lambda z, anchor, *c: escaped(z, anchor, *c[:-1]))
+        return kernel(wrap(step), z, opts, active, test, (*per_row, np.arange(len(z))))
+
+    return run
+
+
 def _compare_folded_steps(monkeypatch, core, spec, X, scaled=False):
     """Run ``core`` with its own step checked against ``_unfolded_step`` at every iteration.
 
@@ -864,26 +892,27 @@ def _compare_folded_steps(monkeypatch, core, spec, X, scaled=False):
     ``lam`` (down to 1e-2), and the residual is a difference of iterates,
     so their rounding shows in it.
     """
-    kernel = compositions._fista
     reference = _unfolded_step(core, spec, X)
     checked = []
 
-    def compared(step, *args, **kwargs):
-        def both(momentum, z, rows, *per_row):
-            z_new, res = step(momentum, z, rows, *per_row)
-            z_ref, res_ref = reference(momentum, z, rows)
+    def both(step):
+        def compared(momentum, *per_row):
+            *per_row, rows = per_row
+            z_new, res = step(momentum, *per_row)
+            z_ref, res_ref = reference(momentum, rows)
             res_atol = 1e-12 * (1.0 + np.abs(momentum).max()) if scaled else 1e-12
             np.testing.assert_allclose(z_new, z_ref, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(res, res_ref, rtol=1e-12, atol=res_atol)
             checked.append(len(rows))
             return z_new, res
 
-        return kernel(both, *args, **kwargs)
+        return compared
 
-    monkeypatch.setattr(compositions, "_fista", compared)
+    monkeypatch.setattr(compositions, "_fista", _with_row_numbers(both))
     values, _, status, iters, _ = core(spec, X, DEFAULT_OPTS)
     monkeypatch.setattr(
-        compositions, "_fista", lambda _step, *a, **k: kernel(reference, *a, **k)
+        compositions, "_fista",
+        _with_row_numbers(lambda _step: lambda momentum, *c: reference(momentum, c[-1])),
     )
     ref_values, _, ref_status, ref_iters, _ = core(spec, X, DEFAULT_OPTS)
     monkeypatch.undo()

@@ -11,6 +11,8 @@ from proxmix import (
     MixtureSpec,
     MixtureTerm,
     OracleFunction,
+    argmin_cocomposition,
+    argmin_gamma_sequence,
     comixture_argmin,
     comixture_argmin_sequence,
     comixture_envelope,
@@ -166,6 +168,15 @@ def test_proximal_average_mixture_equals_comixture():
     assert mixture_eval(spec, x).value == pytest.approx(
         comixture_eval(spec, x).value, abs=1e-6
     )
+
+
+@pytest.mark.parametrize("fns, weights", [
+    ([L1Norm(1), L1Norm(1), quadratic_kernel(1)], [0.5, 0.5]),
+    ([L1Norm(1)], [0.5, 0.5]),
+])
+def test_proximal_average_needs_one_weight_per_function(fns, weights):
+    with pytest.raises(ParameterError, match="functions but"):
+        proximal_average(fns, weights, 1.0)
 
 
 def test_reduction_consistency_both_paths():
@@ -513,6 +524,44 @@ def test_comixture_argmin_sequence_reaches_average_min():
         terms, [2.0**-n for n in range(13)], reference=ref
     )
     assert abs(rep.infima[-1] - ref) <= 1e-4
+
+
+def _report_fields(rep):
+    return rep.value, rep.argpoint.tolist(), rep.iterations, rep.status, rep.residual
+
+
+def test_comixture_argmin_is_the_embedding_argmin():
+    # the comixture is the cocomposition of its embedding; a budget step
+    # sum_k alpha_k ||L_k||^2 / gamma would differ from ||S||^2 / gamma here
+    rng = np.random.default_rng(36)
+    for base in (2, 2, 3, 3):
+        spec = random_mixture(rng, base=base, p=int(rng.integers(2, 4)))
+        budget = sum(t.alpha * t.operator.norm_bound**2 for t in spec.terms)
+        assert embed(spec).stacked_map.norm_bound**2 < budget - 1e-3
+        x0 = rng.normal(size=base)
+        for start in (None, x0):
+            rep = comixture_argmin(spec, x0=start)
+            expected = argmin_cocomposition(embed(spec).composition, x0=start)
+            assert _report_fields(rep) == _report_fields(expected)
+
+
+def test_comixture_argmin_sequence_is_the_embedding_sequence():
+    rng = np.random.default_rng(37)
+    gammas = [2.0**-n for n in range(0, 9)]
+    for base, reference in ((1, 0.0), (2, None), (2, 0.5)):
+        spec = random_mixture(rng, base=base, p=3)
+        rep = comixture_argmin_sequence(spec.terms, gammas, reference=reference)
+        emb = embed(MixtureSpec(spec.terms, 1.0))
+        expected = argmin_gamma_sequence(emb.stacked_map, emb.stacked_fn, gammas, reference=reference)
+        assert rep.gammas.tolist() == expected.gammas.tolist()
+        assert rep.infima.tolist() == expected.infima.tolist()
+        assert (rep.reference, rep.final_gap) == (expected.reference, expected.final_gap)
+
+
+@pytest.mark.parametrize("reference", [0.0, None])
+def test_comixture_argmin_sequence_rejects_an_empty_parameter_list(reference):
+    with pytest.raises(ParameterError, match="at least one parameter"):
+        comixture_argmin_sequence(average_spec().terms, [], reference=reference)
 
 
 # -- pcm and sampling ---------------------------------------------------------------

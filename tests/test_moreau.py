@@ -157,6 +157,24 @@ def test_conjugate_numeric_of_envelope():
     assert rep.value == pytest.approx(expected, abs=1e-5)
 
 
+def test_conjugate_numeric_measures_its_residual_at_the_momentum_point():
+    fn = MoreauEnvelopeFunction(EuclideanNorm(2), 0.7)
+    s = np.array([0.6, -0.3])
+    steps, prox = [], fn.prox
+
+    def spy(gamma, x):
+        steps.append((x - s, prox(gamma, x)))  # the momentum point and the step from it
+        return steps[-1][1]
+
+    fn.prox = spy
+    rep = conjugate_numeric(fn, s)
+    residuals = [float(np.linalg.norm(z - m)) for m, z in steps]
+    assert rep.status == CONVERGED and rep.iterations == len(steps) > 3
+    # (m + s) - s is m up to one rounding of s
+    assert rep.residual == pytest.approx(residuals[-1], rel=0.0, abs=1e-15)
+    assert residuals[-1] <= DEFAULT_OPTS.tol < min(residuals[:-1])
+
+
 def test_conjugate_numeric_matches_closed_form_on_random_catalog():
     rng = np.random.default_rng(11)
     diverged = 0
@@ -306,22 +324,30 @@ def test_minimize_smooth_is_row_0_of_the_many_row_solve(expected, value, grad):
 def test_fista_passes_only_iterating_rows_to_the_oracles():
     # row i is a gradient step on rate_i * z^2 / 2 (smaller rates converge
     # later); row 2 drifts and is flagged at the first escape test; rows 3
-    # and 6 are masked out
+    # and 6 are masked out.  The per-row constants (the row numbers and the
+    # rate column) reach both oracles gathered to the iterating rows; the
+    # float passes as it is
     rate = np.array([0.9, 0.05, -0.1, 0.5, 1e-3, 0.3, 0.7])
     active = np.array([True, True, True, False, True, True, False])
     received = []
 
-    def step(momentum, z, rows):
-        received.append(rows.copy())
-        z_new = momentum - rate[rows, None] * momentum
-        return z_new, np.linalg.norm(z_new - z, axis=-1)
+    def gathered(rows, rates, scale):
+        assert np.array_equal(rates, rate[rows, None]) and scale == 1.0
+        return rows.copy()
 
-    def escaped(z, anchor, rows):
+    def step(momentum, rows, rates, scale):
+        received.append(gathered(rows, rates, scale))
+        z_new = momentum - scale * rates * momentum
+        return z_new, np.linalg.norm(z_new - momentum, axis=-1)
+
+    def escaped(z, anchor, *per_row):
+        gathered(*per_row)
         return np.linalg.norm(z - anchor, axis=-1) > 10.0
 
     z0 = np.ones((7, 2))
     z, status, iters, residual = _fista(
-        step, z0, SolverOpts(tol=1e-10), active=active, escaped=escaped
+        step, z0, SolverOpts(tol=1e-10), active=active, escaped=escaped,
+        per_row=(np.arange(7), rate[:, None], 1.0),
     )
     assert sum(len(r) for r in received) == iters.sum()
     assert not np.isin([3, 6], np.concatenate(received)).any()
@@ -329,7 +355,8 @@ def test_fista_passes_only_iterating_rows_to_the_oracles():
     assert list(status) == ended
     assert iters[2] == 50 and list(iters[[3, 6]]) == [0, 0]
     assert np.isinf(residual[[3, 6]]).all() and (residual[[0, 1, 4, 5]] <= 1e-10).all()
-    assert (z[[3, 6]] == 1.0).all() and np.abs(z[[0, 1, 4, 5]]).max() < 1e-8
+    # the residual is rate_i ||m||: row 4 stops once ||m|| <= 1e-10 / 1e-3
+    assert (z[[3, 6]] == 1.0).all() and np.abs(z[[0, 1, 4, 5]]).max() < 1e-7
     # early- and late-converging rows leave at different iterations
     assert iters[0] < iters[1] < iters[4] and iters[4] > 50
 
@@ -346,11 +373,11 @@ def _scaled_gradient_rows(rng, n):
     b = rng.normal(size=(n, 2))
     scale = rng.uniform(0.5, 1.0, size=(n, 1))  # the per-row column
 
-    def step(momentum, z, _rows, curv, b, scale):
+    def step(momentum, curv, b, scale):
         grad = curv * momentum - b
         return momentum - scale * grad, _norm(grad)
 
-    def escaped(z, _anchor, _rows, *_):
+    def escaped(z, _anchor, *_):
         return _norm(z) > 1e8
 
     return step, escaped, (curv, b, scale)
@@ -453,13 +480,13 @@ def test_fista_matches_a_float_t_reference_with_restarts(monkeypatch):
         grad = curv[i] * m - b[i]
         return m - grad, np.sqrt(np.sum(grad * grad))
 
-    def step(momentum, z, rows):
-        grad = curv[rows] * momentum - b[rows]
+    def step(momentum, curv, b):
+        grad = curv * momentum - b
         return momentum - grad, np.sqrt(np.add.reduce(grad * grad, axis=-1))
 
     z0 = np.zeros((3, 2))
     opts = SolverOpts(tol=1e-10, max_iter=700)
-    z, status, iters, _ = _fista(step, z0, opts)
+    z, status, iters, _ = _fista(step, z0, opts, per_row=(curv, b))
     z_ref, status_ref, iters_ref, restarts = _reference_fista(row_step, z0, 1e-10, 700)
     assert restarts[1] > 0 and restarts[2] > 0
     assert list(status) == status_ref == [CONVERGED, CONVERGED, MAX_ITER]
