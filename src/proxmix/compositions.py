@@ -7,17 +7,18 @@ a parameter ``gamma > 0`` this module evaluates the two compositions
 * cocomposition:    ``cocomp(x) = sup over y of <Lx, y> - g*(y) - gamma Phi(y)``
 
 where ``Phi(y) = (||y||^2 - ||L* y||^2) / 2`` is the quadratic defect of
-the adjoint.  Values are computed by first-order ascent with certified
-fixed steps, except the composition where ``L*`` is injective: its fiber
-is one point or empty, so the value is exact, with no iteration.  Neither
-ascent pays for the conditioning of ``L``: a composition with a tall
-``L`` of full column rank ascends on its isometric factor, and the
-cocomposition's step follows ``||I - LL*||``, both from one cached SVD
-of ``L``; the cocomposition's starts at the gradient of the envelope it
-equals when ``I - LL*`` is a multiple of ``I``.  Both values come from
-the prox and the value of ``g`` at a prox point, where Fenchel-Young
-holds with equality; no solver evaluates ``g*``.  Proximity operators,
-envelopes, recession and perspective values come out in closed form.
+the adjoint.  The composition ascends its dual with certified fixed
+steps (on the isometric factor of a tall ``L``), except where ``L*`` is
+injective: its fiber is one point or empty, so the value is exact.  For
+``||L|| < 1`` the cocomposition is a metric Moreau envelope whose
+minimizer is one prox away from the root of a map on ``R^k``, found with
+Barzilai-Borwein steps; at ``||L|| = 1``, for a ``g`` whose prox exists at
+one parameter only, and for rows that path does not stop, it ascends its
+dual with the step ``1/||I - LL*||``; both start at the solution for a
+multiple ``LL*`` of ``I``.  Every spectral quantity comes from one cached
+SVD of ``L``, every value from the prox and the value of ``g`` at a prox
+point, where Fenchel-Young holds with equality; no solver evaluates
+``g*``.  Prox, envelope, recession and perspective come in closed form.
 
 Batch variants evaluate many base points in one iteration; rows leave
 the iteration when they stop, and many-row arrays stay column-major from
@@ -27,7 +28,7 @@ the verification suites rely on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -53,8 +54,10 @@ from .moreau import (
     DEFAULT_OPTS,
     DIVERGED,
     INVALID,
+    MAX_ITER,
     SolverOpts,
     _STATUS_BY_CODE,
+    _barzilai_borwein,
     _fista,
     _minimize_rows,
     _outside_radius,
@@ -96,6 +99,7 @@ __all__ = [
 ADMISSIBILITY_TOL = 1e-9
 _SMALL_GAMMA_SLACK = 1e-6  # limit_small_gamma's slack on each gap bound
 _LARGE_GAMMA_HALFWIDTH = 10.0  # grid window of limit_large_gamma's target search
+_METRIC_BUDGET = 200  # metric-path iterations before a row falls back to dual ascent
 
 
 def admissible(operator: DenseMap):
@@ -183,11 +187,8 @@ def _flat_directions(L):
     """Orthonormal basis of ``ker(I - LL*)``, where ``Phi`` vanishes.
 
     Left singular vectors (of ``L.thin_svd``) whose singular value is
-    within the admissibility slack of 1; none when the certified norm
-    bound stays below that.
+    within the admissibility slack of 1, possibly none.
     """
-    if L.norm_bound < 1.0 - ADMISSIBILITY_TOL:
-        return np.zeros((L.rows, 0))
     u, sv, _ = L.thin_svd
     return u[:, sv >= 1.0 - ADMISSIBILITY_TOL]
 
@@ -206,50 +207,67 @@ def _product(X):
     return _rows_product if len(X) > 1 else np.matmul
 
 
-def _cocomposition_core(spec, X, opts, gamma=None):
-    """Proximal-gradient ascent on the dual of the cocomposition.
+def _metric_cocomposition(L, g, LX, gamma, opts, mul, max_iter):
+    """The cocomposition for ``||L|| < 1`` as a root in ``R^k``, by Barzilai-Borwein steps.
 
-    ``X`` has shape (N, cols); ``gamma`` (default ``spec.gamma``) is a
-    float or a per-row column ``(N, 1)`` that the step, the shift and the
-    value follow row by row.  Returns (values, duals, status, iters,
-    residuals).  The value is finite unless ``g`` has a restricted domain
-    and ``L`` a singular value within the admissibility slack of 1: only
-    then can the penalty ``gamma Phi`` stay flat, along ``ker(I - LL*)``.
-    Every 50 iterations each row's displacement, projected onto that
-    kernel, is tested as a recession certificate, and 'diverged' rows are
-    certified ``+inf``; without a catalog conjugate the test is
-    ``||y|| > opts.divergence_radius``.
+    ``min_v g(v) + ||v - Lx||_M^2 / (2 gamma)``, ``M = (I - LL*)^-1 = I +
+    W W^T``, is attained at ``v = prox_{gamma g}(Lx - W beta)``, ``beta`` the
+    root of ``F(beta) = beta + W^T(Lx - v)``, a gradient of curvature in
+    ``[1, 1/(1 - ||L||^2)]`` (Becker, Fadili & Ochs 2019): one prox per
+    step from the root for ``LL* = (1 - mu) I``, ``mu = max(1 - s_k^2, 1e-2)``,
+    to ``||F|| <= opts.tol + 4 eps ||W|| ||Lx||``, its rounding floor.  The
+    value is that of the dual ``y = (Lx - W beta - v)/gamma`` in ``dg(v)``:
+    the primal value at ``v`` minus the gap ``sum_i (s_i F_i)^2 / (2 gamma)``.
+    """
+    (W, WT), sv = L.metric_factor, L.thin_svd[1]
+    omega, index = sv[0] ** 2 / (1.0 - sv[0] ** 2), gamma * max(1.0 - sv[-1] ** 2, 1e-2)
+    floor = opts.tol + 4.0 * np.finfo(float).eps * omega**0.5 * _norm(LX)
 
-    The gradient of ``gamma Phi`` is ``gamma ||I - LL*||``-Lipschitz, and
-    ``||I - LL*|| = 1 - s_min^2`` when ``L`` has no more rows than
-    columns.  So the step is ``1/(gamma lam)`` with ``lam`` from
-    ``L.dual_step`` (1 for tall maps and for a ``g`` with a fixed prox
-    parameter), and the prox runs at index ``gamma lam``.  With
+    def step(beta, LX, gamma):
+        F = beta + mul(LX - g._prox(gamma, LX - mul(beta, WT)), W)
+        return F, _norm(F)
+
+    beta, status, iters, residual = _fista(
+        step, mul(g._prox(index, LX) - LX, W), opts, per_row=(LX, gamma),
+        rule=_barzilai_borwein(1.0 / (1.0 + 0.5 * omega), 1.0 / (1.0 + omega)), tol=floor,
+        max_iter=max_iter,
+    )
+    u = LX - mul(beta, WT)
+    v = g._prox(gamma, u)
+    r = v - LX
+    Wr = mul(r, W)
+    quadratic = _dot(r, r) + _dot(Wr, Wr) - _dot((beta - Wr) * (sv * sv), beta - Wr)
+    values = g._value(v) + quadratic / (2.0 * _row_values(gamma))
+    return values, (u - v) / gamma, status, iters, residual
+
+
+def _dual_cocomposition(spec, LX, gamma, opts, mul):
+    """Proximal-gradient ascent on the dual of the cocomposition at the rows ``LX``.
+
+    The five arrays of ``_cocomposition_core``; the value is finite unless
+    ``g`` has a restricted domain and ``L`` a singular value within the
+    admissibility slack of 1, where ``gamma Phi`` is flat along
+    ``ker(I - LL*)``: every 50 iterations each row's displacement, projected
+    onto it, is tested as a recession certificate of ``+inf`` (without a
+    catalog conjugate, ``||y|| > opts.divergence_radius``).
+
+    The step is ``1/(gamma lam)``, ``lam`` from ``L.dual_step`` (1 for a
+    ``g`` with a fixed prox parameter) bounding ``||I - LL*||``: with
     ``G = I - (I - LL*)/lam`` the ascent point is ``v = m G + Lx/(gamma lam)``
     and the next dual ``v - prox_{gamma lam g}(gamma lam v)/(gamma lam)``.
     The residual is the step length from the momentum point ``m`` per unit
-    step; the step is nonexpansive, so a row stopped at ``opts.tol``
-    returns a dual whose own gradient mapping is at most ``opts.tol``.
-
-    When ``I - LL* = mu I`` the cocomposition is ``env_{gamma mu} g(Lx)``,
-    whose gradient is the dual maximizer, so ``_dual_start`` starts the
-    ascent there, with ``mu`` from ``||L||``.  A ``g`` with a fixed prox
-    parameter starts at ``y = 0`` (its prox exists only at ``gamma``), and
-    so does the radius fallback: a start of norm about
-    ``||Lx||/(0.01 gamma)`` could pass the radius with no certificate.
-
-    The value is taken one step past the final dual: the next dual ``y'``
-    is a subgradient of ``g`` at its prox point ``p``, so by Fenchel-Young
-    it is ``<Lx - p, y'> + g(p) - gamma Phi(y')``, with no ``+inf`` term as
-    ``p`` lies in ``dom g``; ``y'`` is the returned dual.
+    step; the step is nonexpansive, so it bounds the returned dual's own.
+    The start is ``_dual_start``, the maximizer when ``I - LL* = mu I``,
+    except ``y = 0`` for a fixed prox parameter and for the radius
+    fallback (a start of norm about ``||Lx||/(0.01 gamma)`` could pass the
+    radius with no certificate).  The value is taken one step past, at the
+    next dual ``y'``, a subgradient of ``g`` at its prox point ``p`` (in
+    ``dom g``): ``<Lx - p, y'> + g(p) - gamma Phi(y')``, by Fenchel-Young.
     """
     L, g = spec.operator, spec.fn
-    gamma = spec.gamma if gamma is None else gamma
     flat = None if g.has_full_domain() else _flat_directions(L)
     always_finite = flat is None or flat.shape[1] == 0
     sigma = None if always_finite else _domain_support(g)
-    LX = L.apply(X)
-    mul = _product(X)
     lam, gram = (1.0, L.gram) if g.has_fixed_prox_parameter() else L.dual_step
     cold = g.has_fixed_prox_parameter() or (sigma is None and not always_finite)
     index = gamma * lam
@@ -277,6 +295,32 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     values = _dot(LX - p, y) + g._value(p) - _row_values(gamma) * spec.defect(y)
     values = np.where(status == DIVERGED, np.inf, values)
     return values, y, status, iters, residual
+
+
+def _cocomposition_core(spec, X, opts, gamma=None):
+    """The cocomposition at the rows of ``X``: (values, duals, status, iters, residuals).
+
+    ``gamma`` (default ``spec.gamma``) is a float or a per-row column.
+    ``_metric_cocomposition`` where ``||L|| < 1`` by the admissibility slack
+    and ``g`` has no fixed prox parameter, then ``_dual_cocomposition`` on
+    rows not stopped in ``_METRIC_BUDGET`` iterations (BB steps can cycle
+    across the kinks of a prox as ``||L||`` nears 1); else the latter only.
+    """
+    L, g = spec.operator, spec.fn
+    gamma = spec.gamma if gamma is None else gamma
+    LX, mul = L.apply(X), _product(X)
+    if g.has_fixed_prox_parameter() or not L.norm_bound < 1.0 - ADMISSIBILITY_TOL:
+        return _dual_cocomposition(spec, LX, gamma, opts, mul)
+    budget = min(opts.max_iter, _METRIC_BUDGET)
+    out = _metric_cocomposition(L, g, LX, gamma, opts, mul, budget)
+    stalled = np.flatnonzero(out[2] == MAX_ITER) if out[3].max() == budget else ()
+    if budget < opts.max_iter and len(stalled):
+        LS, rest = _take_rows(LX, stalled), replace(opts, max_iter=opts.max_iter - budget)
+        column = _take_rows(gamma, stalled) if np.ndim(gamma) else gamma
+        for part, redone in zip(out, _dual_cocomposition(spec, LS, column, rest, _product(LS))):
+            part[stalled] = redone
+        out[3][stalled] += budget
+    return out
 
 
 def _fiber_composition(spec, X, gamma):
@@ -626,8 +670,10 @@ def _parameter_rows(operator, fn, x, gammas):
     """A spec of ``(operator, fn)``, the point ``x``, and ``x`` once per parameter.
 
     The spec's own parameter is a placeholder: the batch solves take the
-    parameters row by row.
+    parameters row by row; none raises ParameterError.
     """
+    if not len(gammas):
+        raise ParameterError("need at least one parameter")
     x = as_vector(x, operator.cols)
     return CompositionSpec(operator, fn, 1.0), x, np.tile(x, (len(gammas), 1))
 
@@ -731,8 +777,6 @@ def limit_large_gamma(
     if which not in ("composition", "cocomposition"):
         raise ParameterError(f"which must be 'composition' or 'cocomposition': {which!r}")
     gammas = np.asarray(sorted(gammas), dtype=float)
-    if not len(gammas):
-        raise ParameterError("need at least one parameter")
     spec, x, X = _parameter_rows(operator, fn, x, gammas)
     solve = eval_composition_batch if which == "composition" else eval_cocomposition_batch
     vals = solve(spec, X, opts, gammas)[0]

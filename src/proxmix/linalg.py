@@ -133,8 +133,8 @@ class DenseMap:
       differ in the last bit, so the copy keeps single-point values;
     * ``isometric_factor``: for a map of full rank, the pair ``(Q, R)``
       with ``Q`` an isometry or a unitary and ``L R = Q``, else None;
-    * ``gram`` (``LL*``) and ``dual_step``, the step constants of the
-      cocomposition's dual ascent.
+    * ``gram`` (``LL*``), ``dual_step`` and ``metric_factor``, the
+      constants of the cocomposition's dual ascent and metric path.
     """
 
     def __init__(self, entries):
@@ -233,6 +233,21 @@ class DenseMap:
         r = np.ascontiguousarray(vh.T / sv)
         r.setflags(write=False)
         return DenseMap(u), r
+
+    @cached_property
+    def metric_factor(self):
+        """``(W, W^T)`` with ``(I - LL*)^-1 = I + W W^T``, or None unless ``s[0] < 1``.
+
+        ``W = U diag(s / sqrt(1 - s^2))``; both read-only and C-ordered.
+        """
+        u, sv, _ = self.thin_svd
+        if not sv[0] < 1.0:
+            return None
+        w = u * (sv / np.sqrt(1.0 - sv * sv))
+        parts = w, np.ascontiguousarray(w.T)
+        for a in parts:
+            a.setflags(write=False)
+        return parts
 
     @cached_property
     def gram(self):

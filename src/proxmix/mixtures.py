@@ -465,10 +465,12 @@ def pcm_estimate(
     direct-sum embedding by searching the adjoint fiber (up to two free
     directions, each gridded on ``[-8, 8]`` with ``oracle_steps`` points).
     The tail is one batch solve on the embedding; ``monotone`` allows rises
-    of up to 1e-6.
+    of up to 1e-6.  An empty tail raises ParameterError.
     """
     x = as_vector(x, spec.base_dim)
     gammas = np.asarray(sorted(gamma_tail), dtype=float)
+    if not len(gammas):
+        raise ParameterError("need at least one parameter")
     emb = embed(spec)
     X = np.tile(x, (len(gammas), 1))
     values = eval_composition_batch(emb.composition, X, opts, gammas)[0]

@@ -91,13 +91,15 @@ class SolveReport:
     """Outcome of an iterative evaluation.
 
     ``status == 'converged'`` guarantees ``residual <= tol`` of the opts
-    used.  Every residual is measured at the momentum point: for the
-    cocomposition and the numeric conjugate, the step length from it per
-    unit step (the gradient mapping there); for the composition and
-    ``minimize_smooth``, the gradient norm there, in the coordinates of the
-    isometric factor for a tall ``L`` (an upper bound on the one in
-    ``L``'s).  Composition values come from the prox and the value of
-    ``g`` at a prox point, never from ``g*``.
+    used, plus ``4 eps ||W|| ||Lx||`` on the cocomposition's metric path
+    (``||L|| < 1``), whose residual is ``||F(beta)||`` at its returned root
+    estimate.  Every other residual is measured at the momentum point: for
+    the cocomposition's dual ascent and the numeric conjugate, the step
+    length from it per unit step (the gradient mapping there); for the
+    composition and ``minimize_smooth``, the gradient norm there, in the
+    coordinates of the isometric factor for a tall ``L`` (an upper bound on
+    the one in ``L``'s).  Composition values come from the prox and the
+    value of ``g`` at a prox point, never from ``g*``.
     A composition whose adjoint ``L*`` is injective is exact: 0
     iterations, residual 0.0 when 'converged', and ``argpoint`` None.
     ``status == 'diverged'`` forces ``value == inf``.  For the composition
@@ -192,7 +194,7 @@ def conjugate_numeric(fn: ConvexFunction, xstar, opts: SolverOpts = DEFAULT_OPTS
 
 
 # ---------------------------------------------------------------------------
-# accelerated iteration (shared by every solver)
+# the working-set iteration (shared by every solver)
 # ---------------------------------------------------------------------------
 
 
@@ -216,76 +218,100 @@ def _momentum_weights(size):
     return _BETAS
 
 
+def _momentum(z):
+    """FISTA with per-row restart (Beck & Teboulle 2009; O'Donoghue & Candes 2015): (z, m, age)."""
+    return _momentum_update, (z, z, np.zeros(len(z), dtype=int))
+
+
+def _momentum_update(state, z_new, it):
+    z, momentum, age = state
+    delta = z_new - z
+    age[_dot(momentum - z_new, delta) > 0.0] = 0  # restart
+    betas = _BETAS if it < len(_BETAS) else _momentum_weights(it + 1)
+    return z_new, z_new + betas[age][:, None] * delta, age + 1
+
+
+def _barzilai_borwein(alpha0, alpha_min):
+    """Steps ``-alpha F`` to a root of ``F``, the step's output, a 1/alpha_min-smooth gradient.
+
+    BB1 (Barzilai & Borwein 1988): ``alpha = s's / s'y`` for the last moves
+    ``s`` of the point and ``y`` of ``F``, clipped to ``[alpha_min, 1]``, or
+    ``alpha0`` where ``s'y <= 0``.  State: (point measured last, next, F there).
+    """
+
+    def update(state, F, _it):
+        measured, point, F_prev = state
+        s, y = point - measured, F - F_prev
+        sy, ss = _dot(s, y), _dot(s, s)
+        alpha = np.divide(ss, np.maximum(sy, ss), out=np.full(len(sy), alpha0), where=sy > 0.0)
+        return point, point - np.maximum(alpha, alpha_min)[:, None] * F, F
+
+    return lambda z: (update, (z, z, np.zeros_like(z)))
+
+
 def _gather(per_row, index):
     """The array entries of ``per_row`` at the rows ``index``; other entries as they are."""
     return tuple(_take_rows(c, index) if isinstance(c, np.ndarray) else c for c in per_row)
 
 
-def _fista(step, z, opts, active=None, escaped=None, per_row=()):
-    """Accelerated iteration on the rows of ``z``: (z, status, iters, residual).
+def _fista(step, z, opts, active=None, escaped=None, per_row=(), rule=_momentum, tol=None,
+           max_iter=None):
+    """The working-set iteration on the rows of ``z``: (z, status, iters, residual).
 
-    FISTA (Beck & Teboulle 2009) with per-row gradient-scheme restart
-    (O'Donoghue & Candes 2015) on the working set ``rows`` of rows still
-    iterating.  A row's momentum weight is read from the
-    ``_momentum_weights`` table at its ``age``, the iterations since its
-    last restart; no per-row ``t`` is carried, and a restart sets the age
-    to 0, whose weight is 0.  ``per_row`` holds the oracles' per-row
+    ``rule(z)`` (``_momentum``, the default, or ``_barzilai_borwein``)
+    returns ``update`` and the per-row state: the iterate, the point
+    ``step`` reads, and the rule's own arrays.  Each iteration on the
+    working set ``rows`` of rows still iterating calls
+    ``step(point, *per_row)`` for an output and a residual per row, then
+    ``update(state, output, it)``.  ``per_row`` holds the oracles' per-row
     constants: an array has one entry per row of ``z`` and is gathered
     with the working set, only when the set shrinks; any other entry (a
-    float) is passed as it is.  ``step(momentum, *per_row)`` returns the
-    next iterate and a per-row residual, measured at the momentum point; a
-    row is 'converged' once its residual is ``<= opts.tol``.  Every 50
-    iterations ``escaped(z, anchor, *per_row)``, ``anchor`` being the
-    iterate 50 iterations earlier, marks rows 'diverged'.  A row that
-    stops is written out and leaves the set; rows outside ``active`` never
-    enter it (0 iterations, residual inf), rows left at ``opts.max_iter``
-    are 'max_iter'.  Each row's residual is the one of its last step.
-    Statuses are int8 codes until exit, where they become the shared
-    status objects.  Rows are taken with ``_take_rows``, which keeps the
-    column-major (F) layout the many-row callers build (their products go
-    through ``_rows_product``): on rows of 2 to 5 columns numpy then runs
-    each elementwise op and each ``(k, 1)`` momentum broadcast over whole
-    columns, not one short loop per row.  Once every row has stopped the
-    loop ends without compacting the set, so a one-row solve never does.
+    float) is passed as it is.  So is ``tol`` (default ``opts.tol``, and
+    ``opts.max_iter`` for ``max_iter``): a row is 'converged' once its
+    residual is ``<= tol``.  Every 50 iterations ``escaped(z, anchor,
+    *per_row)``, ``anchor`` being the iterate 50 iterations earlier, marks
+    rows 'diverged'.  A row that stops is written out and leaves the set;
+    rows outside ``active`` never enter it (0 iterations, residual inf),
+    rows left at ``max_iter`` are 'max_iter'.  Each row's residual is the
+    one of its last step.  Statuses are int8 codes until exit, where they
+    become the shared status objects.  ``_take_rows`` keeps the callers'
+    rows column-major (F), so numpy runs each elementwise op and ``(k, 1)``
+    broadcast on 2 to 5 columns over whole columns, not one short loop per
+    row.  Once every row has stopped the loop ends without compacting the
+    set, so a one-row solve never does.
     """
     n = len(z)
     rows = np.arange(n) if active is None else np.flatnonzero(active)
     codes = np.zeros(n, dtype=np.int8)
     iters = np.zeros(n, dtype=int)
     residual = np.full(n, np.inf)
-    z_out, z = z.copy(order="K"), _take_rows(z, rows)
+    tol = opts.tol if tol is None else tol
+    max_iter = opts.max_iter if max_iter is None else max_iter
+    z_out = z.copy(order="K")
+    update, state = rule(_take_rows(z, rows))
     if active is not None:
-        per_row = _gather(per_row, rows)
-    momentum = anchor = z
-    age, res = np.zeros(len(rows), dtype=int), residual[rows]
-    betas, tol, it = _BETAS, opts.tol, 0
-    while it < opts.max_iter and len(rows):
-        if it == len(betas):
-            betas = _momentum_weights(it + 1)
+        per_row, tol = _gather(per_row, rows), _gather((tol,), rows)[0]
+    anchor, res, it = state[0], residual[rows], 0
+    while it < max_iter and len(rows):
         it += 1
-        z_new, res = step(momentum, *per_row)
-        delta = z_new - z
-        restart = _dot(momentum - z_new, delta) > 0.0
-        age[restart] = 0
-        momentum = z_new + betas[age][:, None] * delta
-        z, age = z_new, age + 1
+        output, res = step(state[1], *per_row)
+        state = update(state, output, it)
         stop = converged = res <= tol
         if escaped is not None and it % 50 == 0:
-            stop = converged | escaped(z, anchor, *per_row)
-            anchor = z
+            stop = converged | escaped(state[0], anchor, *per_row)
+            anchor = state[0]
         if np.count_nonzero(stop):
             done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
             out = rows[done]
             codes[out] = 2 - converged[done]  # 1 converged, 2 diverged
-            z_out[out], iters[out], residual[out] = _take_rows(z, done), it, res[done]
+            z_out[out], iters[out], residual[out] = _take_rows(state[0], done), it, res[done]
             if not len(keep):
                 break  # every row is written out: no set to compact
-            rows, z, momentum, age, anchor, res = (
-                _take_rows(a, keep) for a in (rows, z, momentum, age, anchor, res)
-            )
-            per_row = _gather(per_row, keep)
+            rows, anchor, res = (_take_rows(a, keep) for a in (rows, anchor, res))
+            state = tuple(_take_rows(a, keep) for a in state)
+            per_row, tol = _gather(per_row, keep), _gather((tol,), keep)[0]
     else:
-        z_out[rows], iters[rows], residual[rows] = z, it, res
+        z_out[rows], iters[rows], residual[rows] = state[0], it, res
     return z_out, _STATUS_BY_CODE.take(codes), iters, residual
 
 

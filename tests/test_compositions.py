@@ -680,6 +680,18 @@ def test_limit_large_gamma_rejects_an_empty_parameter_list():
         limit_large_gamma(DenseMap.identity(1), L1Norm(1), [1.0], [], target=0.0)
 
 
+def test_gamma_sweep_rejects_an_empty_parameter_list():
+    # it used to report both columns monotone over no values
+    with pytest.raises(ParameterError, match="at least one parameter"):
+        gamma_sweep(DenseMap.identity(1), L1Norm(1), [1.0], [])
+
+
+def test_limit_small_gamma_rejects_an_empty_parameter_list():
+    # it used to report every (absent) gap within its bound
+    with pytest.raises(ParameterError, match="at least one parameter"):
+        limit_small_gamma(DenseMap.identity(1), L1Norm(1), [1.0], [])
+
+
 def test_pushforward_infimum_unique_and_search():
     op = DenseMap([[0.5]])
     val, wit = pushforward_infimum(op, L1Norm(1), np.array([0.5]))
@@ -839,6 +851,21 @@ def _exact(L):
     return L.rows <= L.cols and L.isometric_factor is not None
 
 
+def _with_norm(L, norm):
+    """``L`` rescaled to spectral norm ``norm``."""
+    return DenseMap(L.entries * (norm / L.norm_estimate))
+
+
+def _unit_norm(spec):
+    """``spec`` with ``L`` scaled to norm 1, where the cocomposition keeps dual ascent.
+
+    Below norm 1 it runs the metric path; scaling keeps the singular
+    vectors and the ratios of the singular values, so the tight step
+    still differs from the unit step.
+    """
+    return CompositionSpec(_with_norm(spec.operator, 1.0), spec.fn, spec.gamma)
+
+
 def _folded_step_specs():
     """Twelve random full-domain specs and twelve with a restricted ``dom g``.
 
@@ -877,9 +904,9 @@ def _with_row_numbers(wrap):
     """
     kernel = moreau._fista
 
-    def run(step, z, opts, active=None, escaped=None, per_row=()):
+    def run(step, z, opts, active=None, escaped=None, per_row=(), **rule):
         test = None if escaped is None else (lambda z, anchor, *c: escaped(z, anchor, *c[:-1]))
-        return kernel(wrap(step), z, opts, active, test, (*per_row, np.arange(len(z))))
+        return kernel(wrap(step), z, opts, active, test, (*per_row, np.arange(len(z))), **rule)
 
     return run
 
@@ -924,8 +951,11 @@ def _compare_folded_steps(monkeypatch, core, spec, X, scaled=False):
 
 @pytest.mark.parametrize("core", [_cocomposition_core, _composition_core])
 def test_folded_steps_match_the_unfolded_steps(monkeypatch, core):
-    # padded so that neither core changes its step or its coordinates
+    # padded so that neither core changes its step or its coordinates; the
+    # cocomposition at norm 1, where it takes dual ascent
     for spec, X in _folded_step_specs():
+        if core is _cocomposition_core:
+            spec = _unit_norm(spec)
         _compare_folded_steps(monkeypatch, core, *_direct(spec, X))
 
 
@@ -935,7 +965,8 @@ def test_tight_and_isometric_steps_match_the_unfolded_steps(monkeypatch, core):
     for spec, X in _folded_step_specs():
         L = spec.operator
         if core is _cocomposition_core:
-            changed += L.dual_step[0] < 1.0
+            spec = _unit_norm(spec)  # dual ascent, where the tight step runs
+            changed += spec.operator.dual_step[0] < 1.0
         elif _exact(L):
             continue  # exact: no step to compare
         elif spec.fn.has_full_domain() and L.isometric_factor is not None:
@@ -959,11 +990,17 @@ def _public_prox_calls(monkeypatch):
 
 def test_steps_skip_the_public_prox(monkeypatch):
     # the spec fixes gamma and the dimensions, so iterations call the hook;
-    # TALL with a zero column keeps L's own coordinates and the 1/gamma step
+    # TALL with a zero column keeps L's own coordinates and the 1/gamma step,
+    # at norm 1 for the cocomposition's dual ascent; below norm 1 the
+    # metric path calls the hook too
     public = _public_prox_calls(monkeypatch)
     spec, X = _zero_column(CompositionSpec(TALL, L1Norm(3), 1.0), np.array([[1.0, -2.0]]))
-    reports = [solve(spec, X[0]) for solve in (eval_cocomposition, eval_composition)]
-    assert min(r.iterations for r in reports) > 10
+    reports = [
+        eval_cocomposition(_unit_norm(spec), [2.0, 1.0, 0.0]),  # 1 iteration at X[0]
+        eval_composition(spec, X[0]),
+        eval_cocomposition(spec, X[0]),
+    ]
+    assert min(r.iterations for r in reports[:2]) > 10 and reports[2].iterations > 1
     assert len(public) == 1  # the composition's value, after the iteration
 
 
@@ -971,7 +1008,9 @@ def test_isometric_steps_skip_the_public_prox(monkeypatch):
     public = _public_prox_calls(monkeypatch)
     spec = CompositionSpec(TALL, L1Norm(3), 1.0)
     reports = [solve(spec, [1.0, -2.0]) for solve in (eval_cocomposition, eval_composition)]
-    assert [r.iterations for r in reports] == [12, 6]  # 12 and 15 on L's coordinates
+    # the composition: 6 on the isometric factor, 15 on L's coordinates; the
+    # cocomposition: 3 on the metric path, 12 by dual ascent
+    assert [r.iterations for r in reports] == [3, 6]
     assert len(public) == 1
 
 
@@ -1318,10 +1357,18 @@ def test_envelope_batch_equals_the_per_point_loop(monkeypatch, kernel_calls):
         values = compositions.envelope_cocomposition_batch(spec, above, X)
         _, _, status, iters, residuals = minimized[-1]
         assert kernel_calls == [10]
+        # a residual is ||grad(m)|| at a row's last momentum point m, and the
+        # gradient is lip-Lipschitz.  Products that sum in another order move
+        # an iterate by a few eps times its scale, at most 1 + ||x|| + ||z||
+        # (z the argpoint), and over n iterations such moves add up at most
+        # linearly; so the two residuals differ by about
+        # n eps lip (1 + ||x|| + ||z||) at most, and the check allows 8 times that
+        lip = L.norm_bound**2 / gamma + 1.0 / (above - gamma)
         for x, value, s, n, res in zip(X, values, status, iters, residuals):
             rep = _envelope_above_reference(spec, above, x)
             assert (s, n) == (rep.status, rep.iterations)
-            assert res == pytest.approx(rep.residual, rel=1e-9, abs=1e-15)
+            scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(rep.argpoint)
+            assert abs(res - rep.residual) <= 8 * n * np.finfo(float).eps * lip * scale
             assert value == pytest.approx(rep.value, rel=1e-12, abs=1e-12)
         del kernel_calls[:]
         values = compositions.envelope_cocomposition_batch(spec, below, X)
@@ -1427,7 +1474,10 @@ def _cold_start(monkeypatch):
 
 def test_tight_cocomposition_matches_the_unit_step(monkeypatch):
     # a zero row under L makes LL* singular, so the padded spec (same value)
-    # steps at 1/gamma; both start cold, so only the step differs
+    # steps at 1/gamma; both start cold, so only the step differs.  At norm
+    # 1, where the cocomposition takes dual ascent; there the value of a
+    # restricted dom g is +inf unless Lx stays near it along ker(I - LL*),
+    # so those points have Lx in dom g, at a prox point
     _cold_start(monkeypatch)
     rng = np.random.default_rng(52)
     iters_tight = iters_unit = 0
@@ -1439,9 +1489,12 @@ def test_tight_cocomposition_matches_the_unit_step(monkeypatch):
             fn = BallIndicator(0.3 * rng.normal(size=rows), rng.uniform(0.5, 2.0))
         else:
             fn = _random_conjugable_fn(rng, rows)
-        spec = CompositionSpec(_random_operator(rng, rows, cols), fn, 1.0)
-        assert spec.operator.dual_step[0] < 1.0
+        spec = _unit_norm(CompositionSpec(_random_operator(rng, rows, cols), fn, 1.0))
+        L = spec.operator
+        assert L.dual_step[0] < 1.0
         X = 2.0 * rng.normal(size=(4, cols))
+        if not fn.has_full_domain():
+            X = fn.prox(1.0, L.apply(X)) @ np.linalg.pinv(L.entries).T
         gamma = rng.uniform(0.25, 4.0, size=(4, 1))
         values, _, status, iters, _ = _cocomposition_core(spec, X, DEFAULT_OPTS, gamma)
         ref_values, _, ref_status, ref_iters, _ = _cocomposition_core(
@@ -1460,11 +1513,13 @@ def test_cocomposition_converges_only_at_a_fixed_point():
     # the residual was measured against the previous iterate: a prox that
     # clamped T(m) back onto y read 0, and the solve stopped at iteration 5
     # with 0.6889031483052791 'converged'.  From y = 0 the fixed point took
-    # 14 and 26 iterations
+    # 14 and 26 iterations, from the collapse start 11 (tight step) and 21
+    # (unit step); the metric path takes 20 on both maps, which share their
+    # singular values
     L = DenseMap([[-0.4128, 0.734, 0.0659], [-0.4215, 0.2303, -0.2766]])
     spec = CompositionSpec(L, L1Norm(2).scale_val(0.7704), 1.9951)
     x, opts = [-1.4543, -0.0339, 0.1569], SolverOpts(tol=1e-13)
-    for each, iterations in ((spec, 11), (_padded(spec), 21)):  # tight, unit step
+    for each, iterations in ((spec, 20), (_padded(spec), 20)):
         rep = eval_cocomposition(each, x, opts)
         assert (rep.status, rep.iterations) == (CONVERGED, iterations)
         assert rep.value == pytest.approx(0.6889084266611689, rel=1e-14)
@@ -1498,9 +1553,11 @@ def test_converged_cocomposition_rows_are_fixed_points():
 def test_fixed_prox_parameter_keeps_the_unit_step(monkeypatch):
     # the oracle's prox exists only at gamma, and L is wide with full row
     # rank (a tight step would call it at gamma lam); the padded catalog
-    # spec starts cold too, so both run the same iteration
+    # spec starts cold too, so both run the same iteration.  At norm 1,
+    # where the catalog spec takes dual ascent too
     _cold_start(monkeypatch)
-    L = DenseMap([[0.5, 0.1, 0.0], [-0.2, 0.4, 0.3]])
+    wide = DenseMap([[0.5, 0.1, 0.0], [-0.2, 0.4, 0.3]])
+    L = _unit_norm(CompositionSpec(wide, L1Norm(2), 1.0)).operator
     fn = L1Norm(2).translate([0.3, -0.2])
     gamma = 1.3
     oracle = OracleFunction(2, fn, prox_fn=fn.prox, prox_gamma=gamma)
@@ -1645,17 +1702,18 @@ def _starts(monkeypatch):
 
 
 def test_cocomposition_starts_at_the_collapse_gradient(monkeypatch):
-    # I - LL* = 0.64 I: the cocomposition is env_{0.64 gamma} g(Lx), and
-    # the gradient of that envelope, the start, is the dual maximizer
+    # dual ascent at ||L|| = 1 starts at the gradient of env_{gamma mu} g(Lx)
+    # with mu = max(1 - ||L||^2, 1e-2) = 1e-2.  Here L is a rotation, so
+    # LL* = I and the cocomposition is g(Lx)
     starts = _starts(monkeypatch)
     c, s = np.cos(0.7), np.sin(0.7)
-    L = DenseMap(0.6 * np.array([[c, -s], [s, c]]))
+    L = DenseMap(np.array([[c, -s], [s, c]]))
     fn = L1Norm(2).translate([0.3, -0.2])
     rep = eval_cocomposition(CompositionSpec(L, fn, 1.5), [1.0, -2.0])
-    mu, lx = 1.5 * 0.64, L.apply([1.0, -2.0])
+    mu, lx = 1.5 * 1e-2, L.apply([1.0, -2.0])
     np.testing.assert_allclose(starts[0][0], (lx - fn.prox(mu, lx)) / mu, rtol=1e-12)
-    assert (rep.status, rep.iterations) == (CONVERGED, 1)
-    assert rep.value == pytest.approx(envelope(fn, mu, lx), rel=1e-12)
+    assert rep.status == CONVERGED
+    assert rep.value == pytest.approx(float(fn(lx)), rel=1e-12)
 
 
 def test_fixed_prox_parameter_and_radius_fallback_start_cold(monkeypatch):
@@ -1681,17 +1739,17 @@ def test_fixed_prox_parameter_and_radius_fallback_start_cold(monkeypatch):
 def test_collapse_start_keeps_the_cold_values(monkeypatch):
     # the figure presets over the figure grid and random specs at per-row
     # parameters: the same statuses, values within 1e-12 relative, and fewer
-    # iterations in all
+    # iterations in all.  At norm 1, where the cocomposition takes dual ascent
     ax = np.linspace(-4.0, 4.0, 101)
     grid = np.stack([m.reshape(-1) for m in np.meshgrid(ax, ax, indexing="ij")], axis=-1)
     rng = np.random.default_rng(62)
     cases = [
-        (CompositionSpec(*figure_preset(name), gamma), grid, None)
+        (_unit_norm(CompositionSpec(*figure_preset(name), gamma)), grid, None)
         for name in ("example1", "example2")
         for gamma in (0.5, 1.0, 2.0, 4.0, 8.0)
     ]
     for _ in range(200):
-        spec = _random_spec(rng)
+        spec = _unit_norm(_random_spec(rng))
         X = 2.0 * rng.normal(size=(6, spec.operator.cols))
         cases.append((spec, X, rng.uniform(0.25, 4.0, size=(6, 1))))
     warm = [eval_cocomposition_batch(spec, X, gamma=gamma) for spec, X, gamma in cases]
@@ -1706,3 +1764,140 @@ def test_collapse_start_keeps_the_cold_values(monkeypatch):
         assert (np.abs(values[finite] - ref[finite]) <= 1e-12 * scale).all()
         iters += w_iters.sum(), c_iters.sum()
     assert iters[0] < 0.95 * iters[1]
+
+
+# -- the metric path: ||L|| < 1 as a root in R^k ----------------------------------
+
+
+def _dual_ascent(spec, X, gamma=None):
+    """The cocomposition at ``X`` by dual ascent, the path it takes at ``||L|| = 1``."""
+    gamma = spec.gamma if gamma is None else gamma
+    mul = compositions._product(X)
+    return compositions._dual_cocomposition(
+        spec, spec.operator.apply(X), gamma, DEFAULT_OPTS, mul
+    )
+
+
+def _assert_metric_matches_dual_ascent(spec, X, gamma=None):
+    """Values within 1e-12 relative, and the same maximizer of the strongly concave dual."""
+    values, duals, status, iters, residual = _cocomposition_core(spec, X, DEFAULT_OPTS, gamma)
+    ref_values, ref_duals, ref_status, _, _ = _dual_ascent(spec, X, gamma)
+    assert list(status) == list(ref_status) == [CONVERGED] * len(X)
+    assert iters.max() < compositions._METRIC_BUDGET  # no row fell back
+    scale = np.maximum(np.abs(ref_values), 1.0)
+    assert (np.abs(values - ref_values) <= 1e-12 * scale).all()
+    np.testing.assert_allclose(duals, ref_duals, rtol=1e-6, atol=1e-6)
+    return residual
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+@pytest.mark.parametrize("gamma", [0.5, 8.0])
+def test_metric_path_matches_dual_ascent_on_the_figure_grid(name, gamma):
+    ax = np.linspace(-4.0, 4.0, 101)
+    grid = np.stack([m.reshape(-1) for m in np.meshgrid(ax, ax, indexing="ij")], axis=-1)
+    spec = CompositionSpec(*figure_preset(name), gamma)
+    assert spec.operator.norm_bound < 1.0 - compositions.ADMISSIBILITY_TOL
+    residual = _assert_metric_matches_dual_ascent(spec, grid)
+    L = spec.operator
+    floor = 4 * np.finfo(float).eps * np.linalg.norm(L.metric_factor[0], 2)
+    assert (residual <= DEFAULT_OPTS.tol + floor * np.linalg.norm(L.apply(grid), axis=-1)).all()
+
+
+def test_metric_path_matches_dual_ascent_on_per_row_parameters():
+    rng = np.random.default_rng(63)
+    for _ in range(150):
+        spec = _random_spec(rng)
+        X = 2.0 * rng.normal(size=(6, spec.operator.cols))
+        _assert_metric_matches_dual_ascent(spec, X, rng.uniform(0.25, 4.0, size=(6, 1)))
+
+
+@pytest.mark.parametrize("norm", [0.9999, 1.0 - 1e-7])
+def test_metric_path_matches_dual_ascent_near_norm_1(norm):
+    rng = np.random.default_rng(64)
+    for _ in range(40):
+        base = _random_spec(rng)
+        spec = CompositionSpec(_with_norm(base.operator, norm), base.fn, base.gamma)
+        assert spec.operator.norm_bound < 1.0 - compositions.ADMISSIBILITY_TOL
+        X = 2.0 * rng.normal(size=(5, spec.operator.cols))
+        _assert_metric_matches_dual_ascent(spec, X, rng.uniform(0.25, 4.0, size=(5, 1)))
+
+
+def test_metric_path_stops_at_the_collapse_start(kernel_calls):
+    # a wide map with LL* = 0.36 I: M = I / 0.64, so the cocomposition is
+    # env_{0.64 gamma} g(Lx) and the start is the root
+    rng = np.random.default_rng(65)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 2)))
+    L = DenseMap(0.6 * q.T)
+    fn = L1Norm(2).translate([0.3, -0.2])
+    X = 2.0 * rng.normal(size=(20, 3))
+    values, status, iters = eval_cocomposition_batch(CompositionSpec(L, fn, 1.5), X)
+    assert kernel_calls == [20]
+    assert list(status) == [CONVERGED] * 20 and list(iters) == [1] * 20
+    expected = envelope(fn, 1.5 * 0.64, L.apply(X))
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_far_metric_row_stops_at_the_rounding_floor():
+    # at ||Lx|| = 1e8, F rounds to about eps ||W|| ||Lx|| = 1.5e-8 > tol
+    L = DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.3, -0.6]])
+    g = L1Norm(3).add_quad(0.5)
+    spec = CompositionSpec(L, g, 0.3)
+    d = np.array([0.8, -1.1])
+    x = d * (1e8 / np.linalg.norm(L.apply(d)))
+    rep = eval_cocomposition(spec, x)
+    lx = L.apply(x)
+    assert rep.status == CONVERGED and rep.iterations < 50
+    assert rep.residual > DEFAULT_OPTS.tol
+    assert envelope(g, 0.3, lx) <= rep.value <= float(g(lx))
+
+
+def test_stalled_metric_rows_fall_back_to_dual_ascent(kernel_calls):
+    # a ball distance at ||L|| = 1 - 4e-8: at gamma 524, F jumps across the
+    # kinks of the prox and the Barzilai-Borwein steps cycle (the value read
+    # 9748.6 after 100 iterations), so the row runs dual ascent after the
+    # budget, from the collapse start.  At gamma 1 the same point converges
+    L = DenseMap([
+        [0.3582571151842432, -0.11727719997313024],
+        [0.42424463555939185, -0.04132258306948208],
+        [0.41451448582942, 0.8936540010558511],
+    ])
+    g = BallDistance([-0.46330758, 0.12726841, -1.18719453], 0.5114331503783803)
+    spec = CompositionSpec(L, g, 1.0)
+    X = np.tile([-0.7371517881999182, -0.5003908010358499], (2, 1))
+    gamma = np.array([[524.51547639], [1.0]])
+    values, status, iters = eval_cocomposition_batch(spec, X, gamma=gamma)
+    assert kernel_calls == [2, 1]
+    assert list(status) == [CONVERGED] * 2
+    assert iters[0] > compositions._METRIC_BUDGET > iters[1]
+    ref_values, _, ref_status, ref_iters, _ = _dual_ascent(spec, X[:1], gamma[:1])
+    assert (ref_status[0], iters[0]) == (CONVERGED, ref_iters[0] + compositions._METRIC_BUDGET)
+    assert values[0] == ref_values[0] == pytest.approx(3.59298e-5, rel=1e-5)
+
+
+def test_metric_value_is_the_dual_value_of_its_dual():
+    # at a loose tol the duality gap shows: the value is <Lx, y> - g*(y) -
+    # gamma Phi(y) at the returned dual y, a lower bound on the cocomposition
+    # within residual^2 / (2 gamma); the primal value at v sits the gap above
+    rng = np.random.default_rng(66)
+    gaps = []
+    for _ in range(100):
+        rows, cols = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        fn = _random_conjugable_fn(rng, rows)
+        spec = CompositionSpec(_random_operator(rng, rows, cols), fn, 1.0)
+        X = 2.0 * rng.normal(size=(4, cols))
+        gamma = rng.uniform(0.25, 4.0, size=(4, 1))
+        values, duals, status, iters, residual = _cocomposition_core(
+            spec, X, SolverOpts(tol=1e-3), gamma
+        )
+        exact = _cocomposition_core(spec, X, SolverOpts(tol=1e-11), gamma)[0]
+        g = gamma[:, 0]
+        dual_value = (
+            np.sum(spec.operator.apply(X) * duals, -1) - fn.conjugate(duals)
+            - g * spec.defect(duals)
+        )
+        assert list(status) == [CONVERGED] * 4 and iters.max() < compositions._METRIC_BUDGET
+        np.testing.assert_allclose(values, dual_value, rtol=1e-9, atol=1e-9)
+        assert (values <= exact + 1e-9).all()
+        assert (exact - values <= residual**2 / (2.0 * g) + 1e-9).all()
+        gaps.extend(exact - values)
+    assert max(gaps) > 1e-7  # the loose tol leaves gaps to see

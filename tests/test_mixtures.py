@@ -567,6 +567,12 @@ def test_comixture_argmin_sequence_rejects_an_empty_parameter_list(reference):
 # -- pcm and sampling ---------------------------------------------------------------
 
 
+def test_pcm_estimate_rejects_an_empty_tail():
+    # it used to report a monotone tail of no values
+    with pytest.raises(ParameterError, match="at least one parameter"):
+        pcm_estimate(average_spec(), [0.5], [])
+
+
 def test_pcm_single_invertible_term():
     spec = MixtureSpec([MixtureTerm(1.0, DenseMap([[0.5]]), L1Norm(1))], 1.0)
     rep = pcm_estimate(spec, [0.5], [2.0**k for k in range(0, 11, 2)])
