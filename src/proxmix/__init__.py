@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedConjugate,
     UnsupportedDimension,
 )
-from .linalg import DenseMap, PseudoInverse, as_vector, pseudo_inverse_small
+from .linalg import DenseMap, as_vector
 from .functions import (
     Affine,
     BallDistance,
@@ -44,11 +44,6 @@ from .moreau import (
     conjugate_numeric,
     envelope,
     envelope_gradient,
-    grid_conjugate,
-    grid_envelope,
-    grid_min,
-    grid_points,
-    grid_prox,
     minimize_smooth,
 )
 from .compositions import (
@@ -68,9 +63,7 @@ from .compositions import (
     perspective_cocomposition,
     prox_cocomposition,
     prox_composition,
-    pushforward_infimum,
     recession_cocomposition,
-    refined_grid_min,
     subgradient_witness_cocomposition,
 )
 from .mixtures import (
@@ -91,6 +84,17 @@ from .mixtures import (
     pcm_estimate,
     proximal_average,
     sampled_expectation_prox,
+)
+from .oracles import (
+    PseudoInverse,
+    grid_conjugate,
+    grid_envelope,
+    grid_min,
+    grid_points,
+    grid_prox,
+    pseudo_inverse_small,
+    pushforward_infimum,
+    refined_grid_min,
 )
 
 __version__ = "0.1.0"

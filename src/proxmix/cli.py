@@ -50,7 +50,8 @@ from .mixtures import (
     mixture_eval_batch,
     mixture_prox,
 )
-from .moreau import _MAX_GRID_STEPS, DIVERGED, SolverOpts, envelope
+from .moreau import DIVERGED, SolverOpts, envelope
+from .oracles import _MAX_GRID_STEPS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -48,7 +48,6 @@ from .linalg import (
     _rows_product,
     _take_rows,
     as_vector,
-    pseudo_inverse_small,
 )
 from .moreau import (
     DEFAULT_OPTS,
@@ -65,9 +64,9 @@ from .moreau import (
     _row_report,
     envelope,
     envelope_gradient,
-    grid_min,
     minimize_smooth,
 )
+from .oracles import _large_gamma_target
 
 __all__ = [
     "CompositionSpec",
@@ -89,8 +88,6 @@ __all__ = [
     "SmallGammaReport",
     "limit_large_gamma",
     "LargeGammaReport",
-    "pushforward_infimum",
-    "refined_grid_min",
     "argmin_cocomposition",
     "argmin_gamma_sequence",
     "MinimizerSequenceReport",
@@ -762,17 +759,17 @@ def limit_large_gamma(
     """Growing-parameter tail of either composition, with its limit target.
 
     ``which`` is ``"composition"`` or ``"cocomposition"``.  The tail is one
-    batch solve of a non-empty ``gammas``.  Targets are computed apart
-    from the solvers, by grid searches on ``[-10, 10]`` per free direction:
+    batch solve of a non-empty ``gammas``.  Targets come from ``oracles``,
+    by grid searches on ``[-10, 10]`` per free direction:
 
     * composition: the infimum of ``g`` over the affine fiber
       ``{y : L* y = x}`` (unique preimage when the adjoint is injective,
       otherwise a constrained grid search in dimension <= 2);
-    * cocomposition with ``||L|| < 1``: the global infimum of ``g`` found
-      by proximal minimization;
+    * cocomposition with ``||L|| < 1``: the infimum of ``g`` found by
+      proximal minimization (``-inf`` when its recession certifies that);
     * cocomposition with ``||L|| = 1``: the infimum of ``g`` over
       ``Lx - V`` with ``V`` the range of the gram complement, searched on
-      a grid over the range basis coefficients.
+      a grid over the range basis coefficients (``g(Lx)`` when ``LL* = I``).
     """
     if which not in ("composition", "cocomposition"):
         raise ParameterError(f"which must be 'composition' or 'cocomposition': {which!r}")
@@ -781,84 +778,8 @@ def limit_large_gamma(
     solve = eval_composition_batch if which == "composition" else eval_cocomposition_batch
     vals = solve(spec, X, opts, gammas)[0]
     if target is None:
-        target = _large_gamma_target(operator, fn, x, which)
+        target = _large_gamma_target(operator, fn, x, which, _LARGE_GAMMA_HALFWIDTH)[0]
     return LargeGammaReport(gammas, vals, float(target), float(vals[-1] - target))
-
-
-def refined_grid_min(objective, lo, hi, steps=801):
-    """Two-stage grid minimum: localize coarsely, then refine.
-
-    Cuts the cell-quantization error of a single pass by re-gridding a
-    window of two coarse cells around the coarse winner.  Returns
-    ``(value, argmin)``.
-    """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    _, coarse_pt = grid_min(objective, lo, hi, steps)
-    # value ties at kinks can crown a neighboring cell, so refine a window
-    # wider than one coarse cell
-    h = (hi - lo) / steps
-    return grid_min(objective, coarse_pt - 2.5 * h, coarse_pt + 2.5 * h, steps)
-
-
-def pushforward_infimum(operator, fn, x, halfwidth=10.0, steps=801):
-    """Infimum of ``fn`` over the adjoint fiber ``{y : L* y = x}``.
-
-    Exact when the adjoint is injective; otherwise parametrizes the fiber
-    by a null-space basis (at most two directions) and runs a refined
-    grid search over the coefficients.  Returns ``(value, witness)`` with
-    the witness point attaining (approximately) the infimum, or
-    ``(inf, None)`` when the fiber is empty.  It finds the fiber point
-    with its own ``lstsq`` and rank test, not through
-    ``DenseMap.isometric_factor``, so that it stays an independent oracle
-    for the exact composition.
-    """
-    adj = operator.entries.T  # maps dual (rows) points to base (cols)
-    y0, *_ = np.linalg.lstsq(adj, x, rcond=None)
-    if np.linalg.norm(adj @ y0 - x) > _RANGE_TOL * (1 + np.linalg.norm(x)):
-        return np.inf, None
-    rank = np.linalg.matrix_rank(adj, tol=1e-10)
-    if rank == operator.rows:
-        return float(np.asarray(fn(y0))), y0
-    _, _, vh = np.linalg.svd(adj, full_matrices=True)
-    null = vh[rank:].T  # orthonormal basis of ker(adjoint)
-    k = null.shape[1]
-    value, t = refined_grid_min(
-        lambda T: np.asarray(fn(y0[None, :] + T @ null.T)).reshape(len(T)),
-        -halfwidth * np.ones(k),
-        halfwidth * np.ones(k),
-        steps,
-    )
-    return value, y0 + null @ t
-
-
-def _large_gamma_target(operator, fn, x, which):
-    if which == "composition":
-        return pushforward_infimum(operator, fn, x, _LARGE_GAMMA_HALFWIDTH)[0]
-    if operator.norm_bound < 1.0 - 1e-9:
-        return float(np.asarray(fn(_proximal_argmin(fn))))
-    gram_complement = np.eye(operator.rows) - operator.entries @ operator.entries.T
-    pinv = pseudo_inverse_small(gram_complement)
-    basis = pinv.range_basis
-    w = operator.apply(x)
-    if basis.shape[1] == 0:
-        return float(np.asarray(fn(w)))
-    value, _ = refined_grid_min(
-        lambda T: np.asarray(fn(w - T @ basis.T)).reshape(len(T)),
-        -_LARGE_GAMMA_HALFWIDTH * np.ones(basis.shape[1]),
-        _LARGE_GAMMA_HALFWIDTH * np.ones(basis.shape[1]),
-    )
-    return value
-
-
-def _proximal_argmin(fn, iters=300):
-    """A minimizer of a coercive catalog function by proximal-point descent."""
-    z = np.zeros(fn.dim)
-    t = 1.0
-    for _ in range(iters):
-        z = fn.prox(t, z)
-        t = min(t * 1.5, 1e10)
-    return z
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Dense finite-dimensional linear algebra.
 
-Operators, adjoints, certified spectral-norm bounds, generalized inverses
-and range projectors.  Vectors are plain 1-D ``numpy`` arrays; most
-routines also accept batches shaped ``(..., dim)`` and act along the last
-axis.  Every object is immutable after construction and every operation is
-pure, so concurrent use needs no synchronization.
+Operators, adjoints, certified spectral-norm bounds, isometric factors
+and the eigen-decomposition of PSD matrices.  Vectors are plain 1-D
+``numpy`` arrays; most routines also accept batches shaped ``(..., dim)``
+and act along the last axis.  Every object is immutable after
+construction and every operation is pure, so concurrent use needs no
+synchronization.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -18,9 +18,7 @@ from .errors import DimensionError, ShapeError
 
 __all__ = [
     "DenseMap",
-    "PseudoInverse",
     "as_vector",
-    "pseudo_inverse_small",
 ]
 
 _NORM_INFLATION = 1e-9  # norm_bound's relative margin over the SVD's sigma
@@ -306,14 +304,6 @@ class DenseMap:
         return f"DenseMap({self.rows}x{self.cols})"
 
 
-class PseudoInverse(NamedTuple):
-    """Generalized inverse of a symmetric PSD matrix plus its range data."""
-
-    map: DenseMap
-    range_basis: np.ndarray  # orthonormal columns spanning ran A
-    rank: int
-
-
 def _psd_eigh(m):
     """``(sym, eigvals, eigvecs, in_range)`` of a square matrix that is PSD.
 
@@ -332,22 +322,3 @@ def _psd_eigh(m):
     eigvals = np.maximum(eigvals, 0.0)
     return sym, eigvals, eigvecs, eigvals > _PSD_TOL * max(top, 1e-300)
 
-
-def pseudo_inverse_small(a):
-    """Moore-Penrose inverse of a small symmetric PSD matrix.
-
-    ``a`` may be a DenseMap or an array; it must be square with at most
-    32 rows, self-adjoint and monotone (PSD) within ``_PSD_TOL`` relative
-    to its largest eigenvalue.  Returns the inverse together with an
-    orthonormal basis of the range.
-    """
-    m = a.entries if isinstance(a, DenseMap) else np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError("pseudo-inverse requires a square matrix")
-    if m.shape[0] > 32:
-        raise ShapeError("pseudo_inverse_small only handles sizes up to 32")
-    _, eigvals, eigvecs, keep = _psd_eigh(m)
-    inv_vals = np.where(keep, 1.0 / np.where(keep, eigvals, 1.0), 0.0)
-    pinv = (eigvecs * inv_vals) @ eigvecs.T
-    basis = eigvecs[:, keep]
-    return PseudoInverse(DenseMap(pinv), basis, int(keep.sum()))

@@ -6,18 +6,18 @@ the individual proxes.  Everything reduces to a single composition on a
 weighted direct sum: stacking ``sqrt(alpha_k) L_k`` and rescaling the
 block functions flattens the weighted inner product into a standard one.
 A single-point evaluation result also offers the value computed a second
-time, directly from the defining per-term sums, as an independent
-cross-check of the reduction; that second solve runs when the result's
-``direct`` or ``paths_gap`` is first read.  The batch forms
-``mixture_eval_batch`` and ``comixture_eval_batch`` solve many points in
-one embedding solve and run no cross-check, and the comixture's
+time, directly from the defining per-term sums by ``oracles``, as an
+independent cross-check of the reduction; that second solve is looked up
+and run when the result's ``direct`` or ``paths_gap`` is first read.  The
+batch forms ``mixture_eval_batch`` and ``comixture_eval_batch`` solve many
+points in one embedding solve and run no cross-check, and the comixture's
 minimizers are those of the embedding's cocomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,19 +31,11 @@ from .compositions import (
     eval_cocomposition_batch,
     eval_composition,
     eval_composition_batch,
-    pushforward_infimum,
 )
-from .functions import ConvexFunction, SeparableSum, _dot, _norm
+from .functions import ConvexFunction, SeparableSum
 from .linalg import DenseMap, as_vector
-from .moreau import (
-    DEFAULT_OPTS,
-    SolveReport,
-    SolverOpts,
-    _fista,
-    _minimize_rows,
-    _row_report,
-    envelope,
-)
+from .moreau import DEFAULT_OPTS, SolveReport, SolverOpts, envelope
+from . import oracles
 
 __all__ = [
     "MixtureTerm",
@@ -252,108 +244,18 @@ class MixtureEvalResult:
         return float(abs(self.value - self.direct.value))
 
 
-def _mixture_direct(spec, x, opts):
-    """Defining-sum evaluation of the mixture: ``_minimize_rows`` on the negated dual.
-
-    The dual is ``<z, x> - sum_k alpha_k env_{1/gamma}(g_k*)(L_k z)``, and the
-    value its sup minus ``||x||^2/(2 gamma)``.  At the prox points
-    ``q_k = prox_{gamma g_k}(gamma L_k z)`` Fenchel-Young holds with
-    equality, so each envelope is ``<q_k, L_k z> - g_k(q_k) - ||q_k||^2/(2 gamma)``
-    and the gradient is ``x - sum_k alpha_k L_k* q_k``: no ``g_k*``.
-    """
-    gamma = spec.gamma
-
-    def prox_points(z):
-        ws = [t.operator.apply(z) for t in spec.terms]
-        return ws, [t.fn.prox(gamma, gamma * w) for t, w in zip(spec.terms, ws)]
-
-    def negated_dual(z):
-        ws, qs = prox_points(z)
-        h = sum(
-            t.alpha * (_dot(q, w) - t.fn._value(q) - _dot(q, q) / (2 * gamma))
-            for t, w, q in zip(spec.terms, ws, qs)
-        )
-        return h - _dot(z, x)
-
-    def gradient(z):
-        _, qs = prox_points(z)
-        return sum(t.alpha * t.operator.adjoint_apply(q) for t, q in zip(spec.terms, qs)) - x
-
-    lipschitz = max(gamma * sum(t.alpha * t.operator.norm_bound**2 for t in spec.terms), 1e-12)
-    values, z, status, iters, residual = _minimize_rows(
-        negated_dual, gradient, np.zeros((1, spec.base_dim)), lipschitz, opts
-    )
-    return _row_report(-values - _dot(x, x) / (2 * gamma), z, status, iters, residual)
-
-
-def _comixture_direct(spec, x, opts):
-    """Defining-sum evaluation of the comixture.
-
-    Proximal-gradient ascent in the weighted dual space, one block ``y_k``
-    per term; the block prox is the plain per-term conjugate prox because
-    the weighted metric absorbs the weights.  The iteration runs on the
-    blocks ``sqrt(alpha_k) y_k``, in which that metric is Euclidean; its
-    residual is taken from the momentum point.  Every 50 iterations it
-    stops as 'diverged' once an unscaled block has ``||y_k|| > opts.divergence_radius``.
-
-    The value is taken one block step past the last dual: there
-    ``y_k' = a_k - p_k/gamma`` with ``p_k = prox_{gamma g_k}(gamma a_k)``
-    is a subgradient of ``g_k`` at ``p_k``, so by Fenchel-Young
-    ``g_k*(y_k') = <p_k, y_k'> - g_k(p_k)``: no ``g_k*``.
-    """
-    gamma = spec.gamma
-    t_step = 1.0 / gamma
-    roots = [np.sqrt(t.alpha) for t in spec.terms]
-    ends = np.cumsum([t.fn.dim for t in spec.terms])
-    lx = [t.operator.apply(x) for t in spec.terms]
-
-    def blocks(u):
-        return [b / r for b, r in zip(np.split(u, ends[:-1]), roots)]
-
-    def combined(vs):
-        return sum(t.alpha * t.operator.adjoint_apply(v) for t, v in zip(spec.terms, vs))
-
-    def block_step(u):
-        """The next blocks ``sqrt(alpha_k) y_k'`` and the prox points ``p_k``."""
-        vs = blocks(u)
-        m = combined(vs)
-        a = [v + t_step * (w - gamma * (v - t.operator.apply(m)))
-             for t, v, w in zip(spec.terms, vs, lx)]
-        ps = [t.fn.prox(gamma, gamma * ak) for t, ak in zip(spec.terms, a)]
-        return np.concatenate([r * (ak - t_step * p) for r, ak, p in zip(roots, a, ps)]), ps
-
-    def step(momentum):
-        u_new = block_step(momentum[0])[0][None]
-        return u_new, _norm(u_new - momentum) / t_step
-
-    def escaped(u, _anchor):
-        radius = max(np.linalg.norm(b) for b in blocks(u[0]))
-        return np.array([radius > opts.divergence_radius])
-
-    u, status, iters, res = _fista(step, np.zeros((1, ends[-1])), opts, escaped=escaped)
-    u, ps = block_step(u[0])
-    ys = blocks(u)
-    m = combined(ys)
-    # the weighted defect sum_k alpha_k ||y_k||^2 - ||m||^2 is ||u||^2 - ||m||^2
-    defect = 0.5 * (_dot(u, u) - _dot(m, m))
-    values = sum(
-        t.alpha * (_dot(w - p, y) + t.fn._value(p)) for t, y, w, p in zip(spec.terms, ys, lx, ps)
-    ) - gamma * defect
-    return _row_report([values], None, status, iters, res)
-
-
 def mixture_eval(spec, x, opts: SolverOpts = DEFAULT_OPTS):
     """Mixture value at ``x``; the per-term cross-check runs when first read."""
-    x = as_vector(x, spec.base_dim)
+    x = as_vector(x, spec.base_dim).copy()
     emb = eval_composition(embed(spec).composition, x, opts)
-    return MixtureEvalResult(emb, emb.value, partial(_mixture_direct, spec, x.copy(), opts))
+    return MixtureEvalResult(emb, emb.value, lambda: oracles._mixture_direct(spec, x, opts))
 
 
 def comixture_eval(spec, x, opts: SolverOpts = DEFAULT_OPTS):
     """Comixture value at ``x``; the per-term cross-check runs when first read."""
-    x = as_vector(x, spec.base_dim)
+    x = as_vector(x, spec.base_dim).copy()
     emb = eval_cocomposition(embed(spec).composition, x, opts)
-    return MixtureEvalResult(emb, emb.value, partial(_comixture_direct, spec, x.copy(), opts))
+    return MixtureEvalResult(emb, emb.value, lambda: oracles._comixture_direct(spec, x, opts))
 
 
 def mixture_eval_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS):
@@ -479,7 +381,7 @@ def pcm_estimate(
     gap = None
     finite = values[np.isfinite(values)]
     try:
-        oracle, witness = pushforward_infimum(
+        oracle, witness = oracles.pushforward_infimum(
             emb.stacked_map, emb.stacked_fn, x, _PCM_HALFWIDTH, oracle_steps
         )
         gap = float(finite[-1] - oracle) if finite.size else None

@@ -1,9 +1,9 @@
-"""Moreau envelopes, a numeric conjugate oracle and brute-force grids.
+"""Solver options and reports, the shared kernel, Moreau envelopes and a numeric conjugate.
 
-The grid routines exhaustively evaluate problems in ambient dimension at
-most 2 and serve as independent ground truth in the test and verification
-suites.  The numeric conjugate maximizes the concave map
-``x -> <x, s> - f(x)`` on the shared kernel using only the exact prox of ``f``.
+Every solver runs on the working-set iteration ``_fista`` (FISTA with
+restart, or Barzilai-Borwein steps).  The numeric conjugate maximizes the
+concave map ``x -> <x, s> - f(x)`` on that kernel using only the exact
+prox of ``f``.  Brute-force ground truth lives in ``proxmix.oracles``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedConjugate, UnsupportedDimension
+from .errors import ParameterError, UnsupportedConjugate
 from .functions import BOUNDARY_TOL, ConvexFunction, _all_positive, _dot, _norm, _row_values
 from .linalg import _take_rows
 
@@ -27,11 +27,6 @@ __all__ = [
     "envelope_gradient",
     "conjugate_numeric",
     "minimize_smooth",
-    "grid_points",
-    "grid_conjugate",
-    "grid_envelope",
-    "grid_prox",
-    "grid_min",
 ]
 
 CONVERGED = "converged"
@@ -41,8 +36,6 @@ INVALID = "invalid"  # a batch row with a NaN or infinite entry; never iterated
 # the kernel's int8 status codes 0, 1, 2 name these shared objects
 _STATUS_BY_CODE = np.array([MAX_ITER, CONVERGED, DIVERGED], dtype=object)
 
-_MAX_GRID_STEPS = 2001
-
 
 @dataclass(frozen=True)
 class SolverOpts:
@@ -51,10 +44,11 @@ class SolverOpts:
     ``tol`` and ``divergence_radius`` must be finite and positive and
     ``max_iter`` an integer of at least 1 (``ParameterError`` otherwise).
     ``divergence_radius`` declares divergence once an iterate's norm
-    exceeds it: in ``minimize_smooth`` and both mixture cross-checks, and
-    elsewhere only where no certificate exists: the numeric conjugate of
-    an ``f`` without a recession oracle, and the composition solvers for a
-    restricted ``dom g`` without a catalog conjugate.
+    exceeds it: in ``minimize_smooth`` and the mixture cross-checks of
+    ``oracles``, and elsewhere only where no certificate exists: the
+    numeric conjugate of an ``f`` without a recession oracle, and the
+    composition solvers for a restricted ``dom g`` without a catalog
+    conjugate.
     """
 
     tol: float = 1e-8
@@ -377,72 +371,3 @@ def minimize_smooth(value_fn, grad_fn, x0, lipschitz, opts: SolverOpts = DEFAULT
         lipschitz,
         opts,
     ))
-
-
-# ---------------------------------------------------------------------------
-# grid oracles (dimension <= 2)
-# ---------------------------------------------------------------------------
-
-
-def grid_points(lo, hi, steps):
-    """Cell-center sample points of the box ``[lo, hi]`` per axis.
-
-    Returns an ``(N, dim)`` array in row-major order (first axis slowest),
-    so ``argmin`` tie-breaking picks the lexicographically first point.
-    """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.shape != hi.shape:
-        raise ParameterError("grid bounds must have matching shapes")
-    dim = lo.shape[0]
-    if dim > 2:
-        raise UnsupportedDimension("grid oracles only run in dimension <= 2")
-    if not 1 <= steps <= _MAX_GRID_STEPS:
-        raise ParameterError(f"grid steps must be in 1..{_MAX_GRID_STEPS}")
-    axes = [
-        lo[i] + (np.arange(steps) + 0.5) * (hi[i] - lo[i]) / steps
-        for i in range(dim)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
-
-
-def _call(fn, pts):
-    vals = fn(pts)
-    return np.asarray(vals, dtype=float).reshape(len(pts))
-
-
-def grid_conjugate(fn, xstar, lo, hi, steps):
-    """Brute-force ``sup_x <x, s> - f(x)`` over the grid."""
-    pts = grid_points(lo, hi, steps)
-    xstar = np.asarray(xstar, dtype=float)
-    vals = pts @ xstar - _call(fn, pts)
-    return float(np.max(vals))
-
-
-def grid_envelope(fn, gamma, x, lo, hi, steps):
-    """Brute-force Moreau envelope value at ``x``."""
-    if not gamma > 0:
-        raise ParameterError("envelope index must be positive")
-    pts = grid_points(lo, hi, steps)
-    x = np.asarray(x, dtype=float)
-    vals = _call(fn, pts) + np.linalg.norm(pts - x, axis=-1) ** 2 / (2 * gamma)
-    return float(np.min(vals))
-
-
-def grid_prox(fn, gamma, x, lo, hi, steps):
-    """Brute-force prox point; ties resolve to the first grid point."""
-    if not gamma > 0:
-        raise ParameterError("prox parameter must be positive")
-    pts = grid_points(lo, hi, steps)
-    x = np.asarray(x, dtype=float)
-    vals = _call(fn, pts) + np.linalg.norm(pts - x, axis=-1) ** 2 / (2 * gamma)
-    return pts[int(np.argmin(vals))]
-
-
-def grid_min(fn, lo, hi, steps):
-    """Brute-force unconstrained minimum: ``(value, argmin)``."""
-    pts = grid_points(lo, hi, steps)
-    vals = _call(fn, pts)
-    idx = int(np.argmin(vals))
-    return float(vals[idx]), pts[idx]

@@ -23,7 +23,6 @@ from .errors import RegistryError, UnsupportedConjugate
 from .compositions import (
     CompositionSpec,
     _cocomposition_core,
-    _proximal_argmin,
     argmin_cocomposition,
     argmin_gamma_sequence,
     eval_cocomposition,
@@ -35,9 +34,7 @@ from .compositions import (
     perspective_cocomposition,
     prox_cocomposition,
     prox_composition,
-    pushforward_infimum,
     recession_cocomposition,
-    refined_grid_min,
     subgradient_witness_cocomposition,
 )
 from .functions import (
@@ -53,7 +50,7 @@ from .functions import (
     conjugate_function,
     quadratic_kernel,
 )
-from .linalg import DenseMap, pseudo_inverse_small
+from .linalg import DenseMap
 from .mixtures import (
     MixtureSpec,
     MixtureTerm,
@@ -71,14 +68,15 @@ from .mixtures import (
     proximal_average,
     sampled_expectation_prox,
 )
-from .moreau import (
-    SolverOpts,
-    envelope,
-    envelope_gradient,
+from .moreau import SolverOpts, envelope, envelope_gradient
+from .oracles import (
+    _large_gamma_target,
     grid_conjugate,
     grid_envelope,
-    grid_min,
     grid_prox,
+    pseudo_inverse_small,
+    pushforward_infimum,
+    refined_grid_min,
 )
 
 __all__ = [
@@ -1103,10 +1101,8 @@ def suite_ex_comp(rng, scale):
                 Y - x, axis=-1
             ) ** 2
 
-        _, coarse = grid_min(objective, lo, hi, 401)
-        h = 2 * reach / 401
-        gval, target = grid_min(objective, coarse - 2.5 * h, coarse + 2.5 * h, 401)
-        h_fine = 5 * h / 401
+        gval, target = refined_grid_min(objective, lo, hi, 401)
+        h_fine = 5 * (2 * reach / 401) / 401
         # the formula point must dominate the exhaustive grid; the
         # 1-strong convexity of the objective then pins the distance
         fval = float(objective(formula[None, :])[0])
@@ -1206,7 +1202,7 @@ def suite_thm45(rng, scale, parts=("i", "ii", "iii", "iv", "vi", "vii")):
                 cases.append(_true(("thm45-ii", i), rep.cocomposition_monotone))
         if "iii" in parts:
             spec_big = CompositionSpec(op, fn, 2.0**10)
-            target, witness = pushforward_infimum(op, fn, x)
+            target, witness = _large_gamma_target(op, fn, x, "composition", 10.0)
             got = _comp_value(spec_big, x)
             if witness is None:
                 cases.append(_true(("thm45-iii-dom", i), np.isinf(got)))
@@ -1225,14 +1221,12 @@ def suite_thm45(rng, scale, parts=("i", "ii", "iii", "iv", "vi", "vii")):
                 _le(("thm45-iv-hi", i), small.gaps[-1], 2.0**-10 / 2 + 1e-6)
             )
         if "vi" in parts:
-            zstar = _proximal_argmin(fn)
-            target = float(np.asarray(fn(zstar)))
+            target, zstar = _large_gamma_target(op, fn, x, "cocomposition", 10.0)
             got = _co_value(CompositionSpec(op, fn, 2.0**10), x)
             nb = op.norm_estimate
             # gap bound from the strongly convex defect conjugate
-            bound = float(
-                np.linalg.norm(op.apply(x) - zstar) ** 2
-            ) / (2 * (1 - nb**2) * 2.0**10) + 1e-4
+            far = float(np.linalg.norm(op.apply(x) - zstar) ** 2)
+            bound = far / (2 * (1 - nb**2) * 2.0**10) + 1e-4
             cases.append(_le(("thm45-vi-lo", i), target - got, 1e-6))
             cases.append(_le(("thm45-vi-hi", i), got - target, bound))
     if "vii" in parts:
@@ -1240,18 +1234,7 @@ def suite_thm45(rng, scale, parts=("i", "ii", "iii", "iv", "vi", "vii")):
             proj = _projection_map(rng, 2)
             fn = EuclideanNorm(2).translate(rng.normal(size=2) * 0.4)
             x = rng.normal(size=2) * 0.5
-            w = proj.apply(x)
-            comp_basis = pseudo_inverse_small(
-                np.eye(2) - proj.entries @ proj.entries.T
-            ).range_basis
-            target, that = refined_grid_min(
-                lambda T: np.asarray(fn(w[None, :] - T @ comp_basis.T)).reshape(
-                    len(T)
-                ),
-                -6 * np.ones(comp_basis.shape[1]),
-                6 * np.ones(comp_basis.shape[1]),
-                801,
-            )
+            target, that = _large_gamma_target(proj, fn, x, "cocomposition", 6.0)
             got = _co_value(CompositionSpec(proj, fn, 2.0**10), x)
             bound = float(np.dot(that, that)) / (2 * 2.0**10) + 1e-4
             cases.append(_le(("thm45-vii-lo", i), target - got, 1e-6))

@@ -17,11 +17,13 @@ from proxmix import (
     envelope,
     eval_composition,
     gamma_sweep,
+    grid_prox,
     limit_large_gamma,
     limit_small_gamma,
     perspective_cocomposition,
     prox_cocomposition,
     prox_composition,
+    pushforward_infimum,
     quadratic_kernel,
     recession_cocomposition,
     subgradient_witness_cocomposition,
@@ -32,12 +34,12 @@ from proxmix.compositions import (
     _cocomposition_core,
     _composition_core,
     eval_composition_batch,
-    pushforward_infimum,
 )
 from proxmix.errors import AdmissibilityError, DimensionError, ParameterError
 from proxmix.functions import (
     Affine,
     BallIndicator,
+    BallSupport,
     ConvexFunction,
     MoreauEnvelopeFunction,
     OracleFunction,
@@ -51,7 +53,6 @@ from proxmix.moreau import (
     INVALID,
     MAX_ITER,
     SolverOpts,
-    grid_prox,
 )
 from proxmix.verify import (
     _isometry,
@@ -667,6 +668,35 @@ def test_limit_large_gamma_projection_family():
     # infimum over the vertical fiber through (0.5, 0) of ||y - (0,1)||
     assert rep.target == pytest.approx(0.5, abs=1e-4)
     assert abs(rep.final_gap) <= 2e-3
+
+
+def test_limit_large_gamma_identity_gram_targets_the_plain_composition():
+    # LL* = I leaves no gram-complement range to search: the target is g(Lx)
+    fn = EuclideanNorm(2).translate([0.3, -0.2])
+    rep = limit_large_gamma(DenseMap.identity(2), fn, [0.5, 1.0], [1, 4, 64])
+    assert rep.target == fn([0.5, 1.0]) == 1.2165525060596438
+    assert rep.final_gap == 0.0
+
+
+@pytest.mark.parametrize(
+    "fn, target, final_gap",
+    [
+        (Affine([1.0], 0.0), -np.inf, np.inf),
+        (BallSupport([1.5], 1.0), -np.inf, np.inf),  # support slope 1 < |c| = 1.5
+        (L1Norm(2).translate([0.3, -0.2]).add_quad(0.5), 0.03250000000000001,
+         0.0005380544354838743),
+        (BallDistance([0.4, -1.0], 0.5).add_quad(0.2), 0.03329670385731001,
+         0.002712789749314319),
+    ],
+)
+def test_limit_large_gamma_target_of_a_g_unbounded_below(fn, target, final_gap):
+    # ||L|| < 1: the target is inf g, -inf once the recession function
+    # certifies the last proximal-point step; coercive controls keep the
+    # target they had before that test existed, bit for bit
+    L = DenseMap([[0.5]]) if fn.dim == 1 else DenseMap([[0.5, 0.0], [0.1, 0.4]])
+    x = [1.0] if fn.dim == 1 else [1.0, -0.5]
+    rep = limit_large_gamma(L, fn, x, [1, 4, 64])
+    assert (rep.target, rep.final_gap) == (target, final_gap)
 
 
 @pytest.mark.parametrize("which", ["compositon", "Composition", None])

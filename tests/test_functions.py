@@ -31,7 +31,8 @@ from proxmix.functions import (
     conjugate_function,
 )
 from proxmix.linalg import _ones
-from proxmix.moreau import envelope, envelope_gradient, grid_prox
+from proxmix import grid_prox
+from proxmix.moreau import envelope, envelope_gradient
 
 RNG = np.random.default_rng(42)
 

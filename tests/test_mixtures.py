@@ -23,6 +23,8 @@ from proxmix import (
     embed,
     envelope,
     eval_cocomposition_batch,
+    grid_min,
+    grid_prox,
     mixture_eval,
     mixture_eval_batch,
     mixture_prox,
@@ -33,9 +35,9 @@ from proxmix import (
     quadratic_kernel,
     sampled_expectation_prox,
 )
-from proxmix import mixtures
+from proxmix import oracles
 from proxmix.errors import AdmissibilityError, DimensionError, ParameterError
-from proxmix.moreau import CONVERGED, DIVERGED, MAX_ITER, SolverOpts, grid_min, grid_prox
+from proxmix.moreau import CONVERGED, DIVERGED, MAX_ITER, SolverOpts
 
 
 def average_spec(gamma=1.0):
@@ -255,13 +257,13 @@ def test_batch_forms_reject_wrong_shape(batch, X):
 
 def count_calls(monkeypatch, name):
     calls = []
-    original = getattr(mixtures, name)
+    original = getattr(oracles, name)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(mixtures, name, counted)
+    monkeypatch.setattr(oracles, name, counted)
     return calls
 
 
@@ -338,8 +340,8 @@ def test_comixture_cross_check_escapes_on_unscaled_blocks(monkeypatch):
         captured["escaped"] = escaped
         return z, np.array([MAX_ITER], dtype=object), np.zeros(1, dtype=int), np.ones(1)
 
-    monkeypatch.setattr(mixtures, "_fista", no_iteration)
-    mixtures._comixture_direct(spec, np.array([1.0]), SolverOpts(divergence_radius=10.0))
+    monkeypatch.setattr(oracles, "_fista", no_iteration)
+    oracles._comixture_direct(spec, np.array([1.0]), SolverOpts(divergence_radius=10.0))
     escaped = captured["escaped"]
     u = np.array([[2.0, 0.0]])  # ||u|| = 2, but ||y_1|| = 20 > 10
     assert escaped(u, u).tolist() == [True]
