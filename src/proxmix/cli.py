@@ -403,10 +403,19 @@ def cmd_verify(config, args):
     requested = config.get("suites", "all")
     if requested == "all" or requested == ["all"]:
         ids = None
+    elif isinstance(requested, list) and requested and all(isinstance(i, str) for i in requested):
+        ids = requested
     else:
-        ids = list(requested)
-    seed = int(config.get("seed", args.seed))
+        raise ConfigError(f'suites must be "all" or a non-empty list of suite ids, got {requested!r}')
+    unknown = [i for i in ids or () if i not in verify.SUITES]
+    if unknown:
+        raise ConfigError(f"unknown suite ids: {unknown}")
+    seed = config.get("seed", args.seed)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     scale = config.get("scale", args.scale)
+    if not isinstance(scale, str) or scale not in verify.SCALES:
+        raise ConfigError(f"scale must be one of {sorted(verify.SCALES)}, got {scale!r}")
     reports = verify.run_all(seed=seed, scale=scale, ids=ids)
     for rep in reports:
         sys.stderr.write(rep.summary() + "\n")

@@ -7,9 +7,9 @@ a parameter ``gamma > 0`` this module evaluates the two compositions
 * cocomposition:    ``cocomp(x) = sup over y of <Lx, y> - g*(y) - gamma Phi(y)``
 
 where ``Phi(y) = (||y||^2 - ||L* y||^2) / 2`` is the quadratic defect of
-the adjoint.  The composition ascends its dual with certified fixed
-steps (on the isometric factor of a tall ``L``), except where ``L*`` is
-injective: its fiber is one point or empty, so the value is exact.  For
+the adjoint.  The composition ascends its dual on the range factor of
+``L`` with a fixed step, except where ``L*`` is injective: its fiber is
+one point or empty, so the value is exact.  For
 ``||L|| < 1`` the cocomposition is a metric Moreau envelope whose
 minimizer is one prox away from the root of a map on ``R^k``, found with
 Barzilai-Borwein steps; at ``||L|| = 1``, for a ``g`` whose prox exists at
@@ -97,6 +97,10 @@ ADMISSIBILITY_TOL = 1e-9
 _SMALL_GAMMA_SLACK = 1e-6  # limit_small_gamma's slack on each gap bound
 _LARGE_GAMMA_HALFWIDTH = 10.0  # grid window of limit_large_gamma's target search
 _METRIC_BUDGET = 200  # metric-path iterations before a row falls back to dual ascent
+# the exact composition's rank cutoff on the least singular value over the
+# largest: its range residual rounds to about eps cond(L) ||X||, under
+# _RANGE_TOL ||X|| while cond(L) < 1e6
+_FIBER_RCOND = 1e-6
 
 
 def admissible(operator: DenseMap):
@@ -320,12 +324,18 @@ def _cocomposition_core(spec, X, opts, gamma=None):
     return out
 
 
+def _injective_adjoint(L):
+    """True where the composition is exact: ``rows <= cols`` and ``s_min > _FIBER_RCOND s[0]``."""
+    sv = L.thin_svd[1]
+    return L.rows <= L.cols and sv[-1] > _FIBER_RCOND * sv[0]
+
+
 def _fiber_composition(spec, X, gamma):
     """The composition where ``L*`` is injective, exactly and without iterating.
 
-    With ``(Q, R)`` the isometric factor of a map with ``rows <= cols``,
-    ``Q`` is unitary, so the fiber ``{y : L* y = x}`` is the single point
-    ``y = (x R) Q*``, or it is empty; so the value is
+    With ``(Q, R)`` the range factor of a map with ``rows <= cols`` and
+    full rank, ``Q`` is unitary, so the fiber ``{y : L* y = x}`` is the
+    single point ``y = (x R) Q*``, or it is empty; so the value is
     ``g(y) + (||y||^2 - ||x||^2)/(2 gamma)``.  A row is 'diverged' with
     value ``+inf`` when ``||L* y - x|| > _RANGE_TOL (1 + ||x||)`` (``x``
     off the range of ``L*``, the iterative path's range test) or when
@@ -353,69 +363,48 @@ def _fiber_composition(spec, X, gamma):
 def _composition_core(spec, X, opts, gamma=None):
     """The composition at the rows of ``X``: (values, duals, status, iters, residuals).
 
-    Where ``L*`` is injective (``rows <= cols`` and ``L.isometric_factor``
-    is not None) the value is exact, from the one fiber point, and
-    ``duals`` is None: see ``_fiber_composition``.  Otherwise gradient
-    ascent maximizes the smooth dual ``<z, x> - h(z)``, with ``h(z)`` the
-    Moreau envelope of the conjugate of ``g`` (index ``1/gamma``)
-    evaluated at ``w = Lz``; the value of the composition is the attained
-    sup minus ``||x||^2/(2 gamma)``.  The gradient of ``h`` at ``z`` is
-    ``L* q`` with ``q = prox_{gamma g}(gamma w)``, so a step costs one
-    prox between two products.  At ``q``, Fenchel-Young holds with
-    equality, so ``h(z) = <q, w> - g(q) - ||q||^2/(2 gamma)``: the value
-    needs the prox and the value of ``g``, not its conjugate.
-    Base points outside the closed range of the adjoint are certified
-    infeasible up front, by an ``lstsq`` range test, when ``g`` has full
-    domain; every other row then has a finite value and gets no escape
-    test.  For restricted ``dom g`` the displacement ``z_k - z_{k-50}``
-    of each row is tested every 50 iterations as a recession certificate
-    ``<d, x> > sigma_{dom g}(Ld)``, which proves ``x`` outside ``L*(dom g)``; rows
-    that pass are 'diverged' with value ``+inf``.  Without a catalog
-    conjugate of ``g`` the test falls back to
-    ``||z|| > opts.divergence_radius``.  ``gamma`` is as for
-    ``_cocomposition_core``; a per-row column scales each row's product
-    with ``L*`` after it is taken.
-
-    For full-domain ``g`` and a tall ``L`` of full column rank the ascent
-    runs on the isometric factor ``Q = L R`` of ``L.isometric_factor``,
-    from ``x R``: the fiber of ``L`` over ``x`` is that of ``Q`` over
-    ``x R``, and ``Q`` has all singular values 1, so the step no longer
-    pays for the spread of those of ``L``.  The returned dual is mapped
-    back, ``z = w R^T``; the value ``<w, x R> - h(Qw) - ||x||^2/(2 gamma)``
-    is the same sup.  The residual is then the gradient norm in ``Q``
-    coordinates, an upper bound on the gradient norm of the ``L``
-    coordinates since ``||L|| <= 1``.
+    Exact where ``L*`` is injective (``_fiber_composition``; ``duals`` is
+    None).  Otherwise rows off the closed range of ``L*`` are certified
+    infeasible up front by an ``lstsq`` range test, and the rest ascend
+    the smooth dual on the range factor ``(Q, R)`` of ``L.isometric_factor``:
+    the fiber of ``L`` over ``x`` is that of ``Q`` over ``x R``, so from
+    ``x R`` gradient ascent maximizes ``<w, x R> - h(Qw)``, ``h`` being the
+    Moreau envelope of ``g*`` (index ``1/gamma``).  ``Q`` has orthonormal
+    columns, so the step ``1/gamma`` pays nothing for the spread of the
+    singular values of ``L``.  The gradient of ``h`` at ``Qw`` is
+    ``q = prox_{gamma g}(gamma Qw)`` mapped by ``Q*``, and at ``q``
+    Fenchel-Young holds with equality, so ``h(Qw) = <q, Qw> - g(q) -
+    ||q||^2/(2 gamma)``: no ``g*``.  The value is the sup minus
+    ``||x||^2/(2 gamma)``, the returned dual ``z = w R^T`` (``Lz = Qw``),
+    the residual the gradient norm at the momentum point.  For a
+    restricted ``dom g`` the displacement ``d = w_k - w_{k-50}`` of each row
+    is tested every 50 iterations as a recession certificate
+    ``<d, x R> > sigma_{dom g}(Qd)``, which proves ``x`` outside
+    ``L*(dom g)``; rows that pass are 'diverged' with value ``+inf``
+    (without a catalog conjugate of ``g``, ``||w|| > opts.divergence_radius``).
+    ``gamma`` is as for ``_cocomposition_core``; a per-row column scales
+    each row's product with ``Q*`` after it is taken.
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
-    factor = L.isometric_factor
-    if factor is not None and L.rows <= L.cols:
+    if _injective_adjoint(L):
         return _fiber_composition(spec, X, gamma)
-    n = X.shape[0]
+    # the range test runs even where L* is onto: its lstsq workspace keeps
+    # later batch iterations free of page faults (see CHANGES.md)
+    dual_sol, *_ = np.linalg.lstsq(L.entries.T, X.T, rcond=None)
+    infeasible = _norm(L.adjoint_apply(dual_sol.T) - X) > _RANGE_TOL * (1.0 + _norm(X))
+    (Q, R), mul = L.isometric_factor, _product(X)
+    XR = mul(X, R)
 
-    def certified(z, anchor, x, *_):
-        return _recession_certified(z - anchor, x, lambda d: sigma(L.apply(d)))
+    def certified(w, anchor, XR, *_):
+        return _recession_certified(w - anchor, XR, lambda d: sigma(Q.apply(d)))
 
-    Q, R, XQ, mul = L, None, X, _product(X)
-    if g.has_full_domain():
-        # certify infeasible base points through the adjoint range; this
-        # lstsq workspace also keeps later batch iterations free of page
-        # faults (see CHANGES.md), so it stays where L* is onto.  Every
-        # other row has a finite value, so it gets no escape test
-        dual_sol, *_ = np.linalg.lstsq(L.entries.T, X.T, rcond=None)
-        range_gap = _norm(L.adjoint_apply(dual_sol.T) - X)
-        infeasible = range_gap > _RANGE_TOL * (1.0 + _norm(X))
-        escaped = None
-        if factor is not None:
-            Q, R = factor
-            XQ = mul(X, R)
-    else:
-        infeasible = np.zeros(n, dtype=bool)
+    escaped = None  # a full-domain row in the range has a finite value
+    if not g.has_full_domain():
         sigma = _domain_support(g)
         escaped = _outside_radius(opts) if sigma is None else certified
 
-    nb2 = max(Q.norm_bound**2, 1e-12)
-    step_size = 1.0 / (gamma * nb2)
+    step_size = 1.0 / (gamma * Q.norm_bound**2)
     if np.ndim(gamma):
         adjoint = Q.adjoint_entries
         lift = lambda m, gamma: mul(m, adjoint) * gamma  # noqa: E731
@@ -427,19 +416,18 @@ def _composition_core(spec, X, opts, gamma=None):
         grad = x - mul(g._prox(gamma, lift(momentum, gamma)), Q.entries)
         return momentum + step_size * grad, _norm(grad)
 
-    z, status, iters, residual = _fista(
-        step, XQ, opts, active=~infeasible, escaped=escaped,
-        per_row=(XQ, gamma, step_size),
+    w, status, iters, residual = _fista(
+        step, XR, opts, active=~infeasible, escaped=escaped,
+        per_row=(XR, gamma, step_size),
     )
     status[infeasible] = DIVERGED
-    w = Q.apply(z)
-    q = g.prox(gamma, gamma * w)
+    Qw = Q.apply(w)
+    q = g.prox(gamma, gamma * Qw)
     vals = (
-        _dot(z, XQ) - _dot(q, w) + g._value(q)
+        _dot(w, XR) - _dot(q, Qw) + g._value(q)
         + (_dot(q, q) - _dot(X, X)) / (2.0 * _row_values(gamma))
     )
-    values = np.where(status == DIVERGED, np.inf, vals)
-    return values, z if R is None else mul(z, R.T), status, iters, residual
+    return np.where(status == DIVERGED, np.inf, vals), mul(w, R.T), status, iters, residual
 
 
 def _base_rows(spec, X):
@@ -523,11 +511,12 @@ def eval_composition(spec, x, opts: SolverOpts = DEFAULT_OPTS):
     ``argpoint`` None; 'diverged' then means the fiber is empty or ``g``
     is ``+inf`` at its point.  Otherwise the argpoint is the dual
     iterate, and 'diverged' certifies ``+inf``: the base point lies
-    outside ``L*(dom g)``, shown by the adjoint range test (full-domain
-    ``g``) or by a recession certificate on the dual iterates (restricted
-    domain).  A full-domain row that passes the range test is finite, so
-    it ends 'converged' or 'max_iter'.  The divergence radius of ``opts``
-    applies only to a restricted ``dom g`` with no catalog conjugate.
+    outside ``L*(dom g)``, shown by the adjoint range test (0 iterations)
+    or, for a restricted ``dom g``, by a recession certificate on the
+    dual iterates.  A full-domain row that passes the range test is
+    finite, so it ends 'converged' or 'max_iter'.  The divergence radius
+    of ``opts`` applies only to a restricted ``dom g`` with no catalog
+    conjugate.
     """
     return _single(_composition_core, spec, x, opts)
 

@@ -1,6 +1,6 @@
 """Dense finite-dimensional linear algebra.
 
-Operators, adjoints, certified spectral-norm bounds, isometric factors
+Operators, adjoints, certified spectral-norm bounds, range factors
 and the eigen-decomposition of PSD matrices.  Vectors are plain 1-D
 ``numpy`` arrays; most routines also accept batches shaped ``(..., dim)``
 and act along the last axis.  Every object is immutable after
@@ -24,10 +24,6 @@ __all__ = [
 _NORM_INFLATION = 1e-9  # norm_bound's relative margin over the SVD's sigma
 _PSD_TOL = 1e-10  # relative eigenvalue tolerance of the PSD test and the rank
 _RANGE_TOL = 1e-9  # relative residual of a point counted in the range of L*
-# isometric_factor's rank cutoff on the least singular value over the
-# largest: the exact composition's range residual rounds to about
-# eps cond(L) ||X||, under _RANGE_TOL ||X|| while cond(L) < 1e6
-_FIBER_RCOND = 1e-6
 
 
 def as_vector(x, dim=None):
@@ -129,8 +125,8 @@ class DenseMap:
       buffer (``_rows_product``), where the transposed view would give
       the same bits at the same cost; a one-row product with the view can
       differ in the last bit, so the copy keeps single-point values;
-    * ``isometric_factor``: for a map of full rank, the pair ``(Q, R)``
-      with ``Q`` an isometry or a unitary and ``L R = Q``, else None;
+    * ``isometric_factor``: the range factor ``(Q, R)``, ``Q`` with
+      orthonormal columns spanning the range of ``L`` and ``L R = Q``;
     * ``gram`` (``LL*``), ``dual_step`` and ``metric_factor``, the
       constants of the cocomposition's dual ascent and metric path.
     """
@@ -166,9 +162,7 @@ class DenseMap:
             raise DimensionError(
                 f"operator expects dimension {self.cols}, got {x.shape[-1]}"
             )
-        if x.ndim == 2 and len(x) > 1:
-            return _rows_product(x, self.adjoint_entries)
-        return x @ self.adjoint_entries
+        return _rows_product(x, self.adjoint_entries)
 
     def adjoint_apply(self, y):
         """Adjoint product ``L*y = transpose(L) y``; batched as ``apply``."""
@@ -177,9 +171,7 @@ class DenseMap:
             raise DimensionError(
                 f"adjoint expects dimension {self.rows}, got {y.shape[-1]}"
             )
-        if y.ndim == 2 and len(y) > 1:
-            return _rows_product(y, self.entries)
-        return y @ self.entries
+        return _rows_product(y, self.entries)
 
     def gram_complement_apply(self, y):
         """Return ``y - L(L*y)``, the gradient of the quadratic defect."""
@@ -217,20 +209,19 @@ class DenseMap:
 
     @cached_property
     def isometric_factor(self):
-        """``(Q, R)`` with ``Q = U`` and ``R = V S^-1`` from ``L = U S V^T``, or None.
+        """The range factor ``(Q, R) = (U_r, V_r S_r^-1)`` of ``L = U S V^T`` at its rank ``r``.
 
-        None unless the least singular value is above ``_FIBER_RCOND``
-        times the largest.  ``Q`` is a DenseMap with orthonormal columns
-        and ``L R = Q``, so ``L* y = x`` exactly when ``Q* y = x R``.  When
-        ``rows <= cols``, ``Q`` is unitary and that fiber is the point
-        ``(x R) Q*`` or empty.  ``R`` is read-only and C-ordered.
+        ``r`` counts the singular values above ``eps max(rows, cols) s[0]``,
+        the cutoff of ``lstsq(rcond=None)``.  ``Q`` is a DenseMap with
+        orthonormal columns and ``L R = Q``, so for ``x`` in the range of
+        ``L*`` the fiber ``L* y = x`` is ``Q* y = x R``.  ``R`` is read-only
+        and C-ordered.
         """
         u, sv, vh = self.thin_svd
-        if not sv[-1] > _FIBER_RCOND * sv[0]:
-            return None
-        r = np.ascontiguousarray(vh.T / sv)
-        r.setflags(write=False)
-        return DenseMap(u), r
+        r = np.count_nonzero(sv > np.finfo(float).eps * max(self.rows, self.cols) * sv[0])
+        factor = np.ascontiguousarray(vh[:r].T / sv[:r])
+        factor.setflags(write=False)
+        return DenseMap(u[:, :r]), factor
 
     @cached_property
     def metric_factor(self):

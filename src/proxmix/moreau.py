@@ -90,10 +90,9 @@ class SolveReport:
     estimate.  Every other residual is measured at the momentum point: for
     the cocomposition's dual ascent and the numeric conjugate, the step
     length from it per unit step (the gradient mapping there); for the
-    composition and ``minimize_smooth``, the gradient norm there, in the
-    coordinates of the isometric factor for a tall ``L`` (an upper bound on
-    the one in ``L``'s).  Composition values come from the prox and the
-    value of ``g`` at a prox point, never from ``g*``.
+    composition (in the coordinates of ``L``'s range factor) and
+    ``minimize_smooth``, the gradient norm there.  Composition values come
+    from the prox and the value of ``g`` at a prox point, never from ``g*``.
     A composition whose adjoint ``L*`` is injective is exact: 0
     iterations, residual 0.0 when 'converged', and ``argpoint`` None.
     ``status == 'diverged'`` forces ``value == inf``.  For the composition

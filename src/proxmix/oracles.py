@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, ShapeError, UnsupportedConjugate, UnsupportedDimension
-from .functions import _dot, _norm
+from .functions import ConvexFunction, _dot, _norm
 from .linalg import DenseMap, _RANGE_TOL, _psd_eigh
 from .moreau import _fista, _minimize_rows, _recession_certified, _row_report
 
@@ -145,8 +145,9 @@ def pushforward_infimum(operator, fn, x, halfwidth=10.0, steps=801):
     Exact when the adjoint is injective; otherwise parametrizes the fiber
     by a null-space basis (at most two directions) and runs a refined
     grid search over the coefficients.  Returns ``(value, witness)`` with
-    the witness point attaining (approximately) the infimum, or
-    ``(inf, None)`` when the fiber is empty.  It finds the fiber point
+    the witness point attaining (approximately) the infimum, ``(inf, None)``
+    when the fiber is empty, or ``(-inf, None)`` when ``_recedes`` certifies
+    that ``fn`` decreases without bound along the fiber.  It finds the fiber point
     with its own ``lstsq`` and rank test, not through
     ``DenseMap.isometric_factor``, so that it stays an independent oracle
     for the exact composition.
@@ -160,6 +161,8 @@ def pushforward_infimum(operator, fn, x, halfwidth=10.0, steps=801):
         return float(np.asarray(fn(y0))), y0
     _, _, vh = np.linalg.svd(adj, full_matrices=True)
     null = vh[rank:].T  # orthonormal basis of ker(adjoint)
+    if _recedes(fn, null.T):
+        return -np.inf, None
     k = null.shape[1]
     value, t = refined_grid_min(
         lambda T: np.asarray(fn(y0[None, :] + T @ null.T)).reshape(len(T)),
@@ -170,13 +173,32 @@ def pushforward_infimum(operator, fn, x, halfwidth=10.0, steps=801):
     return value, y0 + null @ t
 
 
+def _recedes(fn, directions):
+    """True when a catalog ``fn`` has ``fn_inf(d) < 0`` for a row ``d`` of ``directions`` or ``-d``.
+
+    Then ``fn`` tends to ``-inf`` along ``d`` from every point of its
+    domain, so its infimum over an affine set parallel to the rows is
+    ``-inf``; the test is ``_recession_certified``'s.  A plain callable,
+    or a function without a recession oracle, never recedes.
+    """
+    if not isinstance(fn, ConvexFunction):
+        return False
+    both = np.vstack([directions, -directions])
+    try:
+        return bool(_recession_certified(both, np.zeros_like(both), fn.recession).any())
+    except UnsupportedConjugate:
+        return False
+
+
 def _large_gamma_target(operator, fn, x, which, halfwidth):
     """``limit_large_gamma``'s target, on grids of half-width ``halfwidth``: (value, witness).
 
     The witness is the fiber point of the composition; for ``||L|| < 1``
-    the minimizer of ``g``, or None when the last proximal-point step
-    certifies ``inf g = -inf``; else the coefficients in an orthonormal
-    basis of the range of ``I - LL*`` (none when ``LL* = I``).
+    the minimizer of ``g``; else the coefficients in an orthonormal basis
+    of the range of ``I - LL*`` (none when ``LL* = I``).  The value is
+    ``-inf``, with witness None, where ``_recedes`` certifies it: along
+    the last proximal-point step for ``||L|| < 1``, else along the
+    searched basis.
     """
     if which == "composition":
         return pushforward_infimum(operator, fn, x, halfwidth)
@@ -184,17 +206,16 @@ def _large_gamma_target(operator, fn, x, which, halfwidth):
         z, t = np.zeros(fn.dim), 1.0
         for _ in range(300):  # proximal-point descent
             z, z_prev, t = fn.prox(t, z), z, min(t * 1.5, 1e10)
-        try:
-            if _recession_certified((z - z_prev)[None], np.zeros((1, fn.dim)), fn.recession)[0]:
-                return -np.inf, None
-        except UnsupportedConjugate:
-            pass
+        if _recedes(fn, (z - z_prev)[None]):
+            return -np.inf, None
         return float(np.asarray(fn(z))), z
     gram_complement = np.eye(operator.rows) - operator.entries @ operator.entries.T
     basis = pseudo_inverse_small(gram_complement).range_basis
     w = operator.apply(x)
     if basis.shape[1] == 0:
         return float(np.asarray(fn(w))), np.zeros(0)
+    if _recedes(fn, basis.T):
+        return -np.inf, None
     return refined_grid_min(
         lambda T: np.asarray(fn(w - T @ basis.T)).reshape(len(T)),
         -halfwidth * np.ones(basis.shape[1]),

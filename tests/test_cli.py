@@ -284,6 +284,21 @@ SCALAR_L1 = {"atom": "l1_norm", "params": {"dim": 1}}
 PLANE_MAP = {"rows": 1, "cols": 2, "entries": [[0.5, 0.0]]}
 SWEEP = {"L": {"rows": 1, "cols": 1, "entries": [[0.5]]}, "g": SCALAR_L1}
 ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
+VERIFY = {"suites": ["lemma2"], "seed": 7, "scale": "small"}
+# seed 1.7 and true once ran seed 1, "suites": [] every suite, and
+# "lemma3" was split into characters; the rest raised tracebacks
+VERIFY_MALFORMED = {
+    "verify-seed-text": {"seed": "abc"},
+    "verify-seed-list": {"seed": [1]},
+    "verify-seed-fractional": {"seed": 1.7},
+    "verify-seed-bool": {"seed": True},
+    "verify-scale-number": {"scale": 5},
+    "verify-scale-unknown": {"scale": "huge"},
+    "verify-suites-number": {"suites": 5},
+    "verify-suites-string": {"suites": "lemma3"},
+    "verify-suites-empty": {"suites": []},
+    "verify-suites-unknown": {"suites": ["lemma2", "bogus"]},
+}
 
 
 @pytest.mark.parametrize(
@@ -319,6 +334,7 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
             "atom": "l1_norm", "params": {"dim": 1}, "transforms": [{"kind": "shift"}]}}}),
         ("eval", {**ONE_POINT, "spec": {**ONE_POINT["spec"], "g": {
             "atom": "l1_norm", "params": {"dim": float("inf")}}}}),
+        *(("verify", {**VERIFY, **field}) for field in VERIFY_MALFORMED.values()),
         *(
             ("eval", {"spec": {"atom": atom, "params": {"dim": dim}}, "points": [[1.0, 2.0]]})
             for atom in ("l1_norm", "euclidean_norm")
@@ -335,6 +351,7 @@ ONE_POINT = {"spec": scalar_composition_spec(), "points": [[1.0]]}
         "figure-preset-unknown", "spec-not-object", "spec-no-kind",
         "eval-gamma-infinite", "eval-atom-unknown", "eval-transform-unknown",
         "eval-dim-infinite",
+        *VERIFY_MALFORMED,
         *(
             f"eval-{atom}-dim-{dim}"
             for atom in ("l1", "euclidean")

@@ -3,6 +3,7 @@ import pytest
 
 from proxmix import DenseMap, Quadratic, SubspaceIndicator, as_vector, pseudo_inverse_small
 from proxmix.errors import DimensionError, ShapeError
+from proxmix.compositions import _injective_adjoint
 
 
 def example1_operator():
@@ -158,9 +159,15 @@ def test_fiber_map_solves_for_the_fiber_point(entries):
     [[0.0, 0.0, 0.0], [0.0, 0.4, 0.1]],  # wide, a zero row
 ], ids=["example1", "tall-column", "wide-rank-1", "zero-row"])
 def test_fiber_map_is_none_without_an_injective_adjoint(entries):
-    # the fiber map x -> (x R) Q* needs rows <= cols and a full-rank factor
+    # the fiber map x -> (x R) Q* needs rows <= cols and a full-rank factor;
+    # without one the range factor still reparametrizes the fiber at rank r
     L = DenseMap(entries)
-    assert L.rows > L.cols or L.isometric_factor is None
+    assert not _injective_adjoint(L)
+    Q, R = L.isometric_factor
+    rank = np.linalg.matrix_rank(L.entries)
+    assert Q.entries.shape == (L.rows, rank) and R.shape == (L.cols, rank)
+    np.testing.assert_allclose(Q.entries.T @ Q.entries, np.eye(rank), atol=1e-14)
+    np.testing.assert_allclose(L.entries @ R, Q.entries, atol=1e-14)
 
 
 def test_one_thin_svd_serves_every_factor(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from proxmix import (
+    Affine,
     BallDistance,
     BallSupport,
     BallIndicator,
@@ -36,6 +37,7 @@ from proxmix import (
     sampled_expectation_prox,
 )
 from proxmix import oracles
+from proxmix.compositions import _injective_adjoint
 from proxmix.errors import AdmissibilityError, DimensionError, ParameterError
 from proxmix.moreau import CONVERGED, DIVERGED, MAX_ITER, SolverOpts
 
@@ -201,7 +203,7 @@ def test_mixture_with_an_injective_stacked_adjoint_is_exact():
     for _ in range(10):
         spec = random_mixture(rng, base=3)
         L = embed(spec).composition.operator
-        if L.rows > L.cols or L.isometric_factor is None:
+        if not _injective_adjoint(L):
             continue
         ys = rng.normal(size=(4, embed(spec).composition.operator.rows))
         for x in ys @ embed(spec).composition.operator.entries:
@@ -582,6 +584,14 @@ def test_pcm_single_invertible_term():
     assert rep.oracle == pytest.approx(1.0, abs=1e-9)
     assert rep.monotone
     assert abs(rep.final_gap) <= 1e-3
+
+
+def test_pcm_oracle_of_a_g_unbounded_below():
+    # the fiber of the stacked map is a vertical line, along which
+    # g = y2 decreases without bound: the grid reported its edge
+    spec = MixtureSpec([MixtureTerm(1.0, DenseMap([[0.6], [0.0]]), Affine([0.0, 1.0]))], 1.0)
+    rep = pcm_estimate(spec, [0.3], [1.0, 4.0, 64.0])
+    assert (rep.oracle, rep.oracle_witness, rep.final_gap) == (-np.inf, None, np.inf)
 
 
 def test_pcm_two_term_instance():
