@@ -109,13 +109,16 @@ def figure_preset(name):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(config, dict):
+        raise ConfigError("a job config must be a JSON object")
+    return config
 
 
 def _field(config, name):
@@ -410,10 +413,10 @@ def cmd_verify(config, args):
     unknown = [i for i in ids or () if i not in verify.SUITES]
     if unknown:
         raise ConfigError(f"unknown suite ids: {unknown}")
-    seed = config.get("seed", args.seed)
+    seed = config.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
-    scale = config.get("scale", args.scale)
+    scale = config.get("scale", "default")
     if not isinstance(scale, str) or scale not in verify.SCALES:
         raise ConfigError(f"scale must be one of {sorted(verify.SCALES)}, got {scale!r}")
     reports = verify.run_all(seed=seed, scale=scale, ids=ids)
@@ -456,10 +459,6 @@ def _build_parser():
         p.add_argument("--config", required=True, help="path to the JSON job config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--scale", choices=["small", "default", "large"], default="default"
-        )
     return parser
 
 

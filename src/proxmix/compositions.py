@@ -97,10 +97,6 @@ ADMISSIBILITY_TOL = 1e-9
 _SMALL_GAMMA_SLACK = 1e-6  # limit_small_gamma's slack on each gap bound
 _LARGE_GAMMA_HALFWIDTH = 10.0  # grid window of limit_large_gamma's target search
 _METRIC_BUDGET = 200  # metric-path iterations before a row falls back to dual ascent
-# the exact composition's rank cutoff on the least singular value over the
-# largest: its range residual rounds to about eps cond(L) ||X||, under
-# _RANGE_TOL ||X|| while cond(L) < 1e6
-_FIBER_RCOND = 1e-6
 
 
 def admissible(operator: DenseMap):
@@ -325,48 +321,28 @@ def _cocomposition_core(spec, X, opts, gamma=None):
 
 
 def _injective_adjoint(L):
-    """True where the composition is exact: ``rows <= cols`` and ``s_min > _FIBER_RCOND s[0]``."""
-    sv = L.thin_svd[1]
-    return L.rows <= L.cols and sv[-1] > _FIBER_RCOND * sv[0]
-
-
-def _fiber_composition(spec, X, gamma):
-    """The composition where ``L*`` is injective, exactly and without iterating.
-
-    With ``(Q, R)`` the range factor of a map with ``rows <= cols`` and
-    full rank, ``Q`` is unitary, so the fiber ``{y : L* y = x}`` is the
-    single point ``y = (x R) Q*``, or it is empty; so the value is
-    ``g(y) + (||y||^2 - ||x||^2)/(2 gamma)``.  A row is 'diverged' with
-    value ``+inf`` when ``||L* y - x|| > _RANGE_TOL (1 + ||x||)`` (``x``
-    off the range of ``L*``, the iterative path's range test) or when
-    ``g(y) = +inf``; with no other point in the fiber, both certify.
-    Every other row is 'converged' with residual 0.  All rows take 0
-    iterations, and no dual iterate exists: the second entry of the
-    returned (values, None, status, iters, residuals) is None.
-    """
-    L, mul = spec.operator, _product(X)
-    Q, R = L.isometric_factor
-    Y = Q.apply(mul(X, R))
-    xx = _dot(X, X)
-    off_range = _norm(mul(Y, L.entries) - X) > _RANGE_TOL * (1.0 + np.sqrt(xx))
-    values = spec.fn._value(Y) + (_dot(Y, Y) - xx) / (2.0 * _row_values(gamma))
-    diverged = off_range | (values == np.inf)
-    return (
-        np.where(diverged, np.inf, values),
-        None,
-        _STATUS_BY_CODE.take(1 + diverged),  # 1 converged, 2 diverged
-        np.zeros(len(X), dtype=int),
-        np.where(diverged, np.inf, 0.0),
-    )
+    """True where the composition is exact: ``L*`` is injective at the rank of the range factor."""
+    return L.isometric_factor[0].cols == L.rows
 
 
 def _composition_core(spec, X, opts, gamma=None):
     """The composition at the rows of ``X``: (values, duals, status, iters, residuals).
 
-    Exact where ``L*`` is injective (``_fiber_composition``; ``duals`` is
-    None).  Otherwise rows off the closed range of ``L*`` are certified
-    infeasible up front by an ``lstsq`` range test, and the rest ascend
-    the smooth dual on the range factor ``(Q, R)`` of ``L.isometric_factor``:
+    Rows off the range of ``L*`` are certified infeasible up front: their
+    residual ``||x - x V_r V_r^T||``, taken as ``||x - (x R) S_r V_r^T||``
+    (``L.range_rows``), exceeds ``_RANGE_TOL (1 + ||x||)``, a test that
+    rounds to about ``eps ||x||`` at any conditioning of ``L``.
+
+    Where ``L*`` is injective (``L`` of rank ``rows``) the range factor
+    ``Q`` is unitary, so the fiber ``{y : L* y = x}`` is the single point
+    ``y = (x R) Q*`` or empty, and the value ``g(y) + (||y||^2 -
+    ||x||^2)/(2 gamma)`` is exact: rows off the range or with ``g(y) =
+    +inf`` are 'diverged' (with no other point in the fiber, both
+    certify), the rest 'converged' with residual 0, all at 0 iterations,
+    and ``duals`` is None.
+
+    Otherwise the rows in the range ascend the smooth dual on the range
+    factor ``(Q, R)`` of ``L``:
     the fiber of ``L`` over ``x`` is that of ``Q`` over ``x R``, so from
     ``x R`` gradient ascent maximizes ``<w, x R> - h(Qw)``, ``h`` being the
     Moreau envelope of ``g*`` (index ``1/gamma``).  ``Q`` has orthonormal
@@ -387,14 +363,18 @@ def _composition_core(spec, X, opts, gamma=None):
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
-    if _injective_adjoint(L):
-        return _fiber_composition(spec, X, gamma)
-    # the range test runs even where L* is onto: its lstsq workspace keeps
-    # later batch iterations free of page faults (see CHANGES.md)
-    dual_sol, *_ = np.linalg.lstsq(L.entries.T, X.T, rcond=None)
-    infeasible = _norm(L.adjoint_apply(dual_sol.T) - X) > _RANGE_TOL * (1.0 + _norm(X))
     (Q, R), mul = L.isometric_factor, _product(X)
     XR = mul(X, R)
+    infeasible = _norm(X - mul(XR, L.range_rows)) > _RANGE_TOL * (1.0 + _norm(X))
+    if _injective_adjoint(L):
+        Y = Q.apply(XR)
+        values = g._value(Y) + (_dot(Y, Y) - _dot(X, X)) / (2.0 * _row_values(gamma))
+        diverged = infeasible | (values == np.inf)
+        return (
+            np.where(diverged, np.inf, values), None,
+            _STATUS_BY_CODE.take(1 + diverged),  # 1 converged, 2 diverged
+            np.zeros(len(X), dtype=int), np.where(diverged, np.inf, 0.0),
+        )
 
     def certified(w, anchor, XR, *_):
         return _recession_certified(w - anchor, XR, lambda d: sigma(Q.apply(d)))
@@ -506,14 +486,16 @@ def eval_cocomposition_batch(spec, X, opts: SolverOpts = DEFAULT_OPTS, gamma=Non
 def eval_composition(spec, x, opts: SolverOpts = DEFAULT_OPTS):
     """Value of the composition at ``x`` (SolveReport).
 
-    Where ``L*`` is injective the value is exact, from the one point of
-    the fiber ``{y : L* y = x}``: 0 iterations, residual 0.0 and
-    ``argpoint`` None; 'diverged' then means the fiber is empty or ``g``
-    is ``+inf`` at its point.  Otherwise the argpoint is the dual
+    Where ``L*`` is injective at the numerical rank of ``L`` (``L`` has
+    rank ``rows``; no cutoff on its conditioning) the value is exact, from
+    the one point of the fiber ``{y : L* y = x}``: 0 iterations, residual
+    0.0 and ``argpoint`` None; 'diverged' then means the fiber is empty or
+    ``g`` is ``+inf`` at its point.  Otherwise the argpoint is the dual
     iterate, and 'diverged' certifies ``+inf``: the base point lies
-    outside ``L*(dom g)``, shown by the adjoint range test (0 iterations)
-    or, for a restricted ``dom g``, by a recession certificate on the
-    dual iterates.  A full-domain row that passes the range test is
+    outside ``L*(dom g)``, shown by the range test both paths share (0
+    iterations: ``||x - x V_r V_r^T|| > 1e-9 (1 + ||x||)``) or, for a
+    restricted ``dom g``, by a recession certificate on the dual
+    iterates.  A full-domain row that passes the range test is
     finite, so it ends 'converged' or 'max_iter'.  The divergence radius
     of ``opts`` applies only to a restricted ``dom g`` with no catalog
     conjugate.

@@ -234,11 +234,11 @@ def _finite(value, what):
     return arr
 
 
-def _check_dim(dim):
-    """``dim`` as an int; ParameterError unless it is an integer >= 1 (``2.0`` counts)."""
+def _check_dim(dim, least=1, what="dimension"):
+    """``dim`` as an int; ParameterError unless it is an integer >= ``least`` (``2.0`` counts)."""
     real = type(dim) is int or isinstance(dim, (float, np.integer, np.floating))  # not bool
-    if not (real and 1 <= dim < np.inf and dim == int(dim)):
-        raise ParameterError(f"dimension must be an integer >= 1, got {dim!r}")
+    if not (real and least <= dim < np.inf and dim == int(dim)):
+        raise ParameterError(f"{what} must be an integer >= {least}, got {dim!r}")
     return int(dim)
 
 
@@ -544,6 +544,7 @@ class SeparableSum(ConvexFunction):
             raise ShapeError("separable sum needs at least one block")
         items = []
         offset = 0
+        blocks = [(w, fn, _check_dim(start, 0, "separable block start")) for w, fn, start in blocks]
         for weight, fn, start in sorted(blocks, key=lambda b: b[2]):
             if start != offset:
                 raise ShapeError("separable blocks must tile the space contiguously")

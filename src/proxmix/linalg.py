@@ -126,7 +126,8 @@ class DenseMap:
       the same bits at the same cost; a one-row product with the view can
       differ in the last bit, so the copy keeps single-point values;
     * ``isometric_factor``: the range factor ``(Q, R)``, ``Q`` with
-      orthonormal columns spanning the range of ``L`` and ``L R = Q``;
+      orthonormal columns spanning the range of ``L`` and ``L R = Q``, and
+      ``range_rows``, with which ``R`` projects onto the range of ``L*``;
     * ``gram`` (``LL*``), ``dual_step`` and ``metric_factor``, the
       constants of the cocomposition's dual ascent and metric path.
     """
@@ -222,6 +223,16 @@ class DenseMap:
         factor = np.ascontiguousarray(vh[:r].T / sv[:r])
         factor.setflags(write=False)
         return DenseMap(u[:, :r]), factor
+
+    @cached_property
+    def range_rows(self):
+        """``S_r V_r^T`` at the rank of ``isometric_factor``, read-only:
+        ``(x R) S_r V_r^T = x V_r V_r^T`` projects ``x`` onto the range of ``L*``."""
+        _, sv, vh = self.thin_svd
+        r = self.isometric_factor[1].shape[1]
+        rows = vh[:r] * sv[:r, None]
+        rows.setflags(write=False)
+        return rows
 
     @cached_property
     def metric_factor(self):

@@ -33,6 +33,7 @@ CONVERGED = "converged"
 DIVERGED = "diverged"
 MAX_ITER = "max_iter"
 INVALID = "invalid"  # a batch row with a NaN or infinite entry; never iterated
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float: compares with any int exactly
 # the kernel's int8 status codes 0, 1, 2 name these shared objects
 _STATUS_BY_CODE = np.array([MAX_ITER, CONVERGED, DIVERGED], dtype=object)
 
@@ -57,9 +58,10 @@ class SolverOpts:
 
     def __post_init__(self):
         for v in (self.tol, self.divergence_radius):
-            if not (isinstance(v, Real) and 0.0 < v < np.inf):
-                raise ParameterError("solver tolerances must be finite and positive")
-        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            if type(v) is bool or not (isinstance(v, Real) and 0.0 < v <= _FLOAT_MAX):
+                raise ParameterError("solver tolerances must be finite and positive numbers")
+        n = self.max_iter
+        if type(n) is bool or not (isinstance(n, Integral) and n >= 1):
             raise ParameterError("solver max_iter must be an integer >= 1")
 
     def to_json(self):
@@ -67,17 +69,19 @@ class SolverOpts:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            tol = float(obj.get("tol", cls.tol))
-            max_iter = obj.get("max_iter", cls.max_iter)
-            max_iter = int(max_iter) if float(max_iter).is_integer() else max_iter
-            radius = float(obj.get("divergence_radius", cls.divergence_radius))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"unparsable solver option: {exc}") from None
-        return cls(tol=tol, max_iter=max_iter, divergence_radius=radius)
+        """Options from JSON numbers; an integral float ``max_iter`` (``500.0``) counts."""
+        n = obj.get("max_iter", cls.max_iter)
+        n = int(n) if isinstance(n, float) and n.is_integer() else n
+        return cls(obj.get("tol", cls.tol), n, obj.get("divergence_radius", cls.divergence_radius))
 
 
 DEFAULT_OPTS = SolverOpts()
+
+# Free one untouched 4 MiB block (np.empty writes no page) so that glibc
+# raises its mmap threshold to that size and its trim threshold to twice it
+# (mallopt(3)): a 10,201-row batch iteration frees 2-6 MB, and below those
+# thresholds the heap top is trimmed and faulted back in on every iteration.
+np.empty(1 << 19)
 
 
 @dataclass
@@ -93,14 +97,15 @@ class SolveReport:
     composition (in the coordinates of ``L``'s range factor) and
     ``minimize_smooth``, the gradient norm there.  Composition values come
     from the prox and the value of ``g`` at a prox point, never from ``g*``.
-    A composition whose adjoint ``L*`` is injective is exact: 0
-    iterations, residual 0.0 when 'converged', and ``argpoint`` None.
-    ``status == 'diverged'`` forces ``value == inf``.  For the composition
-    solvers and the numeric conjugate 'diverged' means a certificate that
-    the value is ``+inf``: a recession (Farkas) certificate, or for an
-    exact composition an empty fiber or ``g = +inf`` at its one point;
-    ``opts.divergence_radius`` is only the fallback where no such
-    certificate exists.  The batch solvers mark rows with a non-finite
+    A composition whose adjoint ``L*`` is injective at the numerical rank
+    of ``L`` is exact: 0 iterations, residual 0.0 when 'converged', and
+    ``argpoint`` None.  ``status == 'diverged'`` forces ``value == inf``.
+    For the composition solvers and the numeric conjugate 'diverged'
+    means a certificate that the value is ``+inf``: a base point off the
+    range of ``L*`` (0 iterations, on either composition path), ``g =
+    +inf`` at an exact composition's one fiber point, or a recession
+    (Farkas) certificate; ``opts.divergence_radius`` is only the fallback
+    where no such certificate exists.  The batch solvers mark rows with a non-finite
     entry 'invalid' (value nan, 0 iterations).
     """
 

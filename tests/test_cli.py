@@ -234,7 +234,8 @@ def test_ragged_points_exit_and_diagnostics(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "opts",
-    [{"tol": -1}, {"tol": float("nan")}, {"max_iter": 0}, {"tol": "abc"}, [1, 2]],
+    [{"tol": -1}, {"tol": float("nan")}, {"max_iter": 0}, {"tol": "abc"}, [1, 2],
+     {"max_iter": True}, {"tol": "1e-3"}],
     ids=repr,
 )
 def test_malformed_solver_opts_exit(tmp_path, capsys, opts):
@@ -335,6 +336,8 @@ VERIFY_MALFORMED = {
         ("eval", {**ONE_POINT, "spec": {**ONE_POINT["spec"], "g": {
             "atom": "l1_norm", "params": {"dim": float("inf")}}}}),
         *(("verify", {**VERIFY, **field}) for field in VERIFY_MALFORMED.values()),
+        # a top level other than an object once raised AttributeError (exit 1)
+        *((command, [1, 2]) for command in ("eval", "verify")), ("eval", 5), ("eval", "x"),
         *(
             ("eval", {"spec": {"atom": atom, "params": {"dim": dim}}, "points": [[1.0, 2.0]]})
             for atom in ("l1_norm", "euclidean_norm")
@@ -352,6 +355,7 @@ VERIFY_MALFORMED = {
         "eval-gamma-infinite", "eval-atom-unknown", "eval-transform-unknown",
         "eval-dim-infinite",
         *VERIFY_MALFORMED,
+        "eval-config-list", "verify-config-list", "eval-config-number", "eval-config-string",
         *(
             f"eval-{atom}-dim-{dim}"
             for atom in ("l1", "euclidean")
@@ -364,6 +368,32 @@ def test_malformed_field_exit(tmp_path, capsys, command, payload):
     assert main([command, "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_separable_block_start_is_an_integer(tmp_path, capsys):
+    # "start": 1.0 once built the sum and then raised a TypeError traceback
+    blocks = [{"weight": 1.0, "fn": SCALAR_L1, "start": 0},
+              {"weight": 2.0, "fn": SCALAR_L1, "start": 1.0}]
+    payload = {"spec": {"atom": "separable_sum", "params": {"blocks": blocks}},
+               "points": [[1.0, -2.0]]}
+    out = tmp_path / "out.json"
+    assert main(["eval", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"][0]["value"] == 5.0
+    blocks[1]["start"] = 1.5
+    assert main(["eval", "--config", write_config(tmp_path, payload)]) == EXIT_CONFIG
+    assert "integer >= 0" in capsys.readouterr().err
+
+
+def test_seed_and_scale_come_from_the_config_only(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"suites": ["lemma2"]})
+    for flag in ("--seed", "--scale"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", cfg, flag, "1"])
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert (payload["seed"], payload["scale"]) == (0, "default")
 
 
 def test_atom_dimension_is_an_integer(tmp_path, capsys):

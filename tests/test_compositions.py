@@ -1,3 +1,8 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,7 +35,7 @@ from proxmix import (
     subgradient_witness_cocomposition,
 )
 from proxmix.cli import figure_preset
-from proxmix import compositions, moreau, oracles
+from proxmix import compositions, linalg, moreau, oracles
 from proxmix.compositions import (
     _cocomposition_core,
     _composition_core,
@@ -1272,25 +1277,40 @@ def test_maps_without_an_injective_adjoint_stay_iterative(kernel_calls, L):
     assert list(status) == [CONVERGED] * 3
 
 
-@pytest.mark.parametrize("ratio, exact", [(2e-6, True), (5e-7, False)])
-def test_near_cutoff_maps(kernel_calls, ratio, exact):
-    # singular values 0.8 and 0.8 ratio, on each side of the rank cutoff
-    # 1e-6: above it the fiber point still passes the range test; below it
-    # the ascent on the range factor stops within the cap (on L itself it
-    # ran all 20 iterations and missed the value)
+def _check_exact_fiber_values(spec, ys, ratio, kernel_calls):
+    """In-range rows ``ys L`` exact within ``100 eps cond(L)``; rows off it 'diverged'.
+
+    Both at 0 iterations, with no kernel call; the off-range rows are the
+    in-range ones moved by 1e-6 of their norm along the null space of ``L``.
+    Returns the in-range values and the fiber values.
+    """
+    L = spec.operator
+    X = ys @ L.entries
+    null = np.linalg.svd(L.entries)[2][-1]
+    off = X + 1e-6 * np.linalg.norm(X, axis=1, keepdims=True) * null
+    del kernel_calls[:]
+    values, status, iters = eval_composition_batch(spec, np.vstack([X, off]))
+    n = len(ys)
+    assert _injective_adjoint(L) and kernel_calls == [] and list(iters) == [0] * 2 * n
+    assert list(status) == [CONVERGED] * n + [DIVERGED] * n
+    expected = np.asarray(spec.fn(ys)) + spec.defect(ys) / spec.gamma
+    bound = 100 * np.finfo(float).eps / ratio * (1.0 + np.abs(expected))
+    assert (np.abs(values[:n] - expected) <= bound).all()
+    return values[:n], expected
+
+
+@pytest.mark.parametrize("ratio", [2e-6, 5e-7, 1e-9, 1e-12])
+def test_near_cutoff_maps(kernel_calls, ratio):
+    # singular values 0.8 and 0.8 ratio: L* is injective at the numerical
+    # rank whatever the ratio, so the fiber is one point, reached without
+    # iterating, and the range test rounds at eps ||x|| at any ratio
     rng = np.random.default_rng(44)
     L = _wide_map(rng, ratio)
-    spec = CompositionSpec(L, L1Norm(2), 1.0)
-    ys = rng.normal(size=(3, 2))
-    values, status, iters = eval_composition_batch(spec, ys @ L.entries, SolverOpts(max_iter=20))
-    assert _injective_adjoint(L) == exact
-    if exact:
-        assert kernel_calls == [] and list(iters) == [0, 0, 0]
-    else:
-        assert kernel_calls == [3] and max(iters) < 20
-    assert list(status) == [CONVERGED] * 3
-    expected = np.asarray(spec.fn(ys)) + spec.defect(ys)
-    np.testing.assert_allclose(values, expected, rtol=1e-8)
+    values, expected = _check_exact_fiber_values(
+        CompositionSpec(L, L1Norm(2), 1.0), rng.normal(size=(3, 2)), ratio, kernel_calls
+    )
+    if ratio >= 5e-7:  # eps cond(L) <= 4.5e-10: a fixed relative tolerance holds
+        np.testing.assert_allclose(values, expected, rtol=1e-8)
 
 
 def _wide_map(rng, ratio):
@@ -1300,21 +1320,15 @@ def _wide_map(rng, ratio):
     return DenseMap((u * (0.8 * np.array([1.0, ratio]))) @ v.T)
 
 
-@pytest.mark.parametrize("ratio", [5e-7, 1e-9])
-def test_ill_conditioned_maps_converge_to_the_fiber_value(ratio):
-    # past the exact path's cutoff the fiber is still the one point y of
-    # x = L* y; its value rounds to about eps cond(L) in the range factor's
-    # coordinates.  On L itself every row missed it by O(1)
+@pytest.mark.parametrize("ratio", [5e-7, 1e-9, 1e-12])
+def test_ill_conditioned_maps_converge_to_the_fiber_value(kernel_calls, ratio):
+    # the fiber is the one point y of x = L* y at any conditioning; its
+    # value rounds to about eps cond(L), with random full-domain g and gamma
     rng = np.random.default_rng(45)
     for _ in range(20):
         L = _wide_map(rng, ratio)
         spec = CompositionSpec(L, _random_fullspace_fn(rng, 2), rng.uniform(0.25, 4.0))
-        ys = rng.normal(size=(3, 2))
-        values, status, iters = eval_composition_batch(spec, ys @ L.entries)
-        expected = np.asarray(spec.fn(ys)) + spec.defect(ys) / spec.gamma
-        bound = 100 * np.finfo(float).eps / ratio * (1.0 + np.abs(expected))
-        assert list(status) == [CONVERGED] * 3 and max(iters) < 100
-        assert (np.abs(values - expected) <= bound).all()
+        _check_exact_fiber_values(spec, rng.normal(size=(3, 2)), ratio, kernel_calls)
 
 
 def test_restricted_domain_on_a_rank_deficient_map():
@@ -1562,22 +1576,67 @@ def test_isometric_composition_matches_the_direct_iteration():
     assert iters_iso < iters_direct
 
 
-def test_tall_compositions_keep_the_lstsq_range_test(monkeypatch):
-    # L* is onto on a tall map of full column rank, so the range test is
-    # vacuous there; its lstsq workspace keeps 10,201-row batch iterations
-    # free of page faults (CHANGES.md), which no benchmark metric shows
-    calls, lstsq = [], np.linalg.lstsq
+def _map_of_rank(rng, rows, cols, rank):
+    """A random ``rows x cols`` map of norm at most one and exact rank ``rank``."""
+    u, _ = np.linalg.qr(rng.normal(size=(rows, rank)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, rank)))
+    return DenseMap((u * rng.uniform(0.1, 1.0, size=rank)) @ v.T)
 
-    def counted(a, b, *args, **kwargs):
-        calls.append(np.shape(b))
-        return lstsq(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    X = np.random.default_rng(55).normal(size=(50, 2))
-    values, status, _ = eval_composition_batch(CompositionSpec(TALL, L1Norm(3), 1.0), X)
-    assert TALL.isometric_factor is not None
-    assert calls == [(2, 50)]
-    assert list(status) == [CONVERGED] * 50
+def test_range_test_classifies_rows_as_an_lstsq_residual():
+    # the reference solves L* y = x by lstsq and counts x off the range of
+    # L* when its residual passes the same tolerance; rows in the range and
+    # rows moved off it by 1e-6 relative, at ||x|| from 1 to 1e8, on exact
+    # and iterated paths alike: 'diverged' at 0 iterations is the verdict
+    rng = np.random.default_rng(55)
+    kinds = set()
+    for _ in range(200):
+        rows, cols = (int(n) for n in rng.integers(1, 5, size=2))
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        L = _map_of_rank(rng, rows, cols, rank)
+        kinds.add((np.sign(rows - cols), rank < min(rows, cols)))
+        X = rng.normal(size=(4, rows)) @ L.entries
+        X *= 10.0 ** rng.uniform(0, 8, size=(4, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+        null = np.linalg.svd(L.entries)[2][rank:]  # ker L, orthogonal to the range of L*
+        if len(null):
+            step = null.T @ rng.normal(size=(len(null), 2))
+            step /= np.linalg.norm(step, axis=0)
+            X[2:] += 1e-6 * np.linalg.norm(X[2:], axis=1, keepdims=True) * step.T
+        y, *_ = np.linalg.lstsq(L.entries.T, X.T, rcond=None)
+        residual = np.linalg.norm(L.entries.T @ y - X.T, axis=0)
+        reference = residual > linalg._RANGE_TOL * (1.0 + np.linalg.norm(X, axis=1))
+        assert list(reference) == [False, False] + [bool(len(null))] * 2
+        _, status, iters = eval_composition_batch(
+            CompositionSpec(L, L1Norm(rows), 1.0), X, SolverOpts(max_iter=1)
+        )
+        assert [s == DIVERGED for s in status] == list(reference)
+        assert list(iters[reference]) == [0] * reference.sum()
+    assert len(kinds) == 6  # wide, tall and square maps, of full rank and deficient
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_repeated_figure_batches_reuse_the_heap():
+    # a 10,201-row iteration frees 2-6 MB; unless glibc's trim threshold is
+    # above that, each iteration returns the heap top and faults it back in
+    # (about 1,000 minor faults per batch here without the import's warm-up)
+    script = "\n".join([
+        "import resource, numpy as np",
+        "from proxmix.cli import figure_preset",
+        "from proxmix.compositions import CompositionSpec, eval_cocomposition_batch",
+        "spec = CompositionSpec(*figure_preset('example2'), 2.0)",
+        "t = np.linspace(-4.0, 4.0, 101)",
+        "X = np.stack([m.ravel() for m in np.meshgrid(t, t, indexing='ij')], axis=-1)",
+        "for _ in range(2):",
+        "    eval_cocomposition_batch(spec, X)",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "eval_cocomposition_batch(spec, X)",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ])
+    src = os.path.dirname(os.path.dirname(compositions.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 100
 
 
 def test_isometric_composition_dual_is_a_dual_of_l():

@@ -123,6 +123,19 @@ def test_a_dimension_is_an_integer_of_at_least_one(build):
         assert type(build(dim).dim) is int and build(dim).dim == 2
 
 
+def test_a_separable_block_start_is_an_integer_of_at_least_zero():
+    # a start of 1.0 once passed construction and made every oracle raise
+    # TypeError on its slice
+    for start in (0.5, -1, "1", True, np.inf, np.nan, None):
+        with pytest.raises(ParameterError, match="integer >= 0"):
+            SeparableSum([(1.0, L1Norm(1), 0), (2.0, EuclideanNorm(2), start)])
+    for start in (1, 1.0, np.int64(1), np.float64(1.0)):
+        g = SeparableSum([(1.0, L1Norm(1), 0.0), (2.0, EuclideanNorm(2), start)])
+        assert [type(sl.start) for _, _, sl in g.blocks] == [int, int]
+        assert g([1.0, 3.0, 4.0]) == 11.0
+        np.testing.assert_allclose(g.prox(1.0, [2.0, 0.0, 6.0]), [1.0, 0.0, 4.0])
+
+
 @pytest.mark.parametrize("fn", catalog(), ids=lambda f: repr(f))
 def test_prox_characterization(fn):
     # the prox point beats any feasible competitor on the prox objective

@@ -255,6 +255,12 @@ def test_solver_opts_json_round_trip():
         {"max_iter": 0},
         {"max_iter": 2.5},
         {"max_iter": None},
+        # bools and numeric strings once passed: True ran 1 iteration or set tol 1.0
+        {"max_iter": True},
+        {"tol": True},
+        {"tol": "1e-3"},
+        {"max_iter": "7"},
+        {"divergence_radius": 10**400},
     ],
     ids=repr,
 )
@@ -266,7 +272,8 @@ def test_solver_opts_rejects_invalid_values(kwargs):
 @pytest.mark.parametrize(
     "obj",
     [{"tol": "abc"}, {"tol": None}, {"max_iter": "many"}, {"max_iter": float("inf")},
-     {"max_iter": 2.5}, {"divergence_radius": [1.0]}, {"tol": -1}, {"max_iter": 0}],
+     {"max_iter": 2.5}, {"divergence_radius": [1.0]}, {"tol": -1}, {"max_iter": 0},
+     {"max_iter": True}, {"tol": True}, {"tol": "1e-3"}, {"max_iter": "7"}],
     ids=repr,
 )
 def test_solver_opts_from_json_rejects_invalid_values(obj):
