@@ -32,7 +32,7 @@ from .compositions import (
     prox_cocomposition,
     prox_composition,
 )
-from .errors import ConfigError, ProxmixError
+from .errors import ConfigError, ParameterError, ProxmixError
 from .functions import (
     BallDistance,
     EuclideanNorm,
@@ -40,13 +40,13 @@ from .functions import (
     SeparableSum,
     function_from_spec,
 )
-from .linalg import DenseMap
+from .linalg import DenseMap, _json_numbers
 from .mixtures import (
     MixtureSpec,
     comixture_argmin,
-    comixture_envelope,
     comixture_eval_batch,
     comixture_prox,
+    embed,
     mixture_eval_batch,
     mixture_prox,
 )
@@ -154,18 +154,18 @@ def _parse_spec(obj):
 
 _SHAPES = {
     (0,): "a finite number",
-    (1,): "a list of finite numbers",
-    (1, 2): "finite numbers in a vector or a list of equal-length vectors",
+    (1,): "a non-empty list of finite numbers",
+    (1, 2): "finite numbers in a non-empty vector or a list of equal-length vectors",
 }
 
 
 def _numbers(value, name, ndims):
-    """``value`` as finite floats of a dimension in ``ndims`` (0: a float)."""
+    """``value`` as finite JSON numbers of a dimension in ``ndims`` (0: a float)."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(_json_numbers(value, name), dtype=float)
+    except (OverflowError, ParameterError, ValueError):
         arr = None
-    if arr is None or arr.ndim not in ndims or not np.all(np.isfinite(arr)):
+    if arr is None or arr.ndim not in ndims or arr.size == 0 or not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be {_SHAPES[ndims]}")
     return arr if arr.ndim else float(arr)
 
@@ -295,11 +295,10 @@ def cmd_envelope(config, args):
     if kind == "function":
         gamma = _numbers(_field(config, "gamma"), "gamma", (0,))
         values = envelope(spec, gamma, points)
-    elif kind == "composition":
+    else:  # a comixture is the cocomposition of the mixture's embedding
+        spec = embed(spec).composition if kind == "mixture" else spec
         rho = _numbers(config.get("rho", spec.gamma), "rho", (0,))
         values = envelope_cocomposition_batch(spec, rho, points, opts)
-    else:
-        values = comixture_envelope(spec, points)
     values = np.asarray(values, dtype=float).reshape(len(points))
     results = [
         {"point": p, "value": v} for p, v in zip(points.tolist(), values.tolist())
@@ -318,8 +317,6 @@ def cmd_sweep(config, args):
         operator, fn = DenseMap.from_json(L), function_from_spec(g)
     x = _numbers(_field(config, "x"), "x", (1,))
     gammas = _numbers(_field(config, "gammas"), "gammas", (1,)).tolist()
-    if not gammas:
-        raise ConfigError("gammas must be a non-empty list of finite numbers")
     opts = _solver_opts(config)
     rep = gamma_sweep(operator, fn, x, gammas, opts)
     payload = {
@@ -414,8 +411,8 @@ def cmd_verify(config, args):
     if unknown:
         raise ConfigError(f"unknown suite ids: {unknown}")
     seed = config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     scale = config.get("scale", "default")
     if not isinstance(scale, str) or scale not in verify.SCALES:
         raise ConfigError(f"scale must be one of {sorted(verify.SCALES)}, got {scale!r}")

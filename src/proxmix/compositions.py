@@ -8,17 +8,17 @@ a parameter ``gamma > 0`` this module evaluates the two compositions
 
 where ``Phi(y) = (||y||^2 - ||L* y||^2) / 2`` is the quadratic defect of
 the adjoint.  The composition ascends its dual on the range factor of
-``L`` with a fixed step, except where ``L*`` is injective: its fiber is
-one point or empty, so the value is exact.  For
-``||L|| < 1`` the cocomposition is a metric Moreau envelope whose
-minimizer is one prox away from the root of a map on ``R^k``, found with
-Barzilai-Borwein steps; at ``||L|| = 1``, for a ``g`` whose prox exists at
-one parameter only, and for rows that path does not stop, it ascends its
-dual with the step ``1/||I - LL*||``; both start at the solution for a
-multiple ``LL*`` of ``I``.  Every spectral quantity comes from one cached
-SVD of ``L``, every value from the prox and the value of ``g`` at a prox
-point, where Fenchel-Young holds with equality; no solver evaluates
-``g*``.  Prox, envelope, recession and perspective come in closed form.
+``L``, except where ``L*`` is injective: its fiber is one point or empty,
+so the value is exact.  For ``||L|| < 1`` the cocomposition is a metric
+Moreau envelope whose minimizer is one prox away from the root of a map on
+``R^k``, found with Barzilai-Borwein steps; at ``||L|| = 1``, for a ``g``
+whose prox exists at one parameter only, and for rows that path does not
+stop, it ascends its dual from the solution for a multiple ``LL*`` of
+``I``.  Both ascents step by one prox of ``g``, in coordinates scaled by
+its parameter.  Every spectral quantity comes from one cached SVD of
+``L``, every value from the prox and the value of ``g`` at a prox point,
+where Fenchel-Young holds with equality; no solver evaluates ``g*``.
+Prox, envelope, recession and perspective come in closed form.
 
 Batch variants evaluate many base points in one iteration; rows leave
 the iteration when they stop, and many-row arrays stay column-major from
@@ -45,6 +45,7 @@ from .functions import (
 from .linalg import (
     DenseMap,
     _RANGE_TOL,
+    _json_numbers,
     _rows_product,
     _take_rows,
     as_vector,
@@ -59,7 +60,6 @@ from .moreau import (
     _barzilai_borwein,
     _fista,
     _minimize_rows,
-    _outside_radius,
     _recession_certified,
     _row_report,
     envelope,
@@ -154,7 +154,7 @@ class CompositionSpec:
         return cls(
             DenseMap.from_json(obj["L"]),
             function_from_spec(obj["g"]),
-            float(obj["gamma"]),
+            float(_json_numbers(obj["gamma"], "gamma")),
         )
 
     def __repr__(self):
@@ -238,6 +238,11 @@ def _metric_cocomposition(L, g, LX, gamma, opts, mul, max_iter):
     return values, (u - v) / gamma, status, iters, residual
 
 
+def _past_radius(opts):
+    """Escape test: rows past the radius times their scale, the last per-row constant."""
+    return lambda z, _anchor, *consts: _norm(z) > opts.divergence_radius * _row_values(consts[-1])
+
+
 def _dual_cocomposition(spec, LX, gamma, opts, mul):
     """Proximal-gradient ascent on the dual of the cocomposition at the rows ``LX``.
 
@@ -248,18 +253,18 @@ def _dual_cocomposition(spec, LX, gamma, opts, mul):
     onto it, is tested as a recession certificate of ``+inf`` (without a
     catalog conjugate, ``||y|| > opts.divergence_radius``).
 
-    The step is ``1/(gamma lam)``, ``lam`` from ``L.dual_step`` (1 for a
-    ``g`` with a fixed prox parameter) bounding ``||I - LL*||``: with
-    ``G = I - (I - LL*)/lam`` the ascent point is ``v = m G + Lx/(gamma lam)``
-    and the next dual ``v - prox_{gamma lam g}(gamma lam v)/(gamma lam)``.
-    The residual is the step length from the momentum point ``m`` per unit
-    step; the step is nonexpansive, so it bounds the returned dual's own.
-    The start is ``_dual_start``, the maximizer when ``I - LL* = mu I``,
-    except ``y = 0`` for a fixed prox parameter and for the radius
-    fallback (a start of norm about ``||Lx||/(0.01 gamma)`` could pass the
-    radius with no certificate).  The value is taken one step past, at the
-    next dual ``y'``, a subgradient of ``g`` at its prox point ``p`` (in
-    ``dom g``): ``<Lx - p, y'> + g(p) - gamma Phi(y')``, by Fenchel-Young.
+    The step ``1/(gamma lam)``, ``lam`` from ``L.dual_step`` (1 for a ``g``
+    with a fixed prox parameter) bounding ``||I - LL*||``, is 1 on ``u =
+    gamma lam y``: with ``G = I - (I - LL*)/lam``, ``v = m G + Lx`` and the
+    next ``u = v - prox_{gamma lam g}(v)``.  The residual ``||u - m||`` is
+    the dual's step length per unit step; the step is nonexpansive, so it
+    bounds the returned dual's own.  The start is ``gamma lam`` times
+    ``_dual_start``, the maximizer when ``I - LL* = mu I``, except 0 for a
+    fixed prox parameter and for the radius fallback (a start of norm about
+    ``||Lx||/(0.01 gamma)`` could pass the radius with no certificate).  The
+    value is taken one step past, at ``y' = (v - p)/(gamma lam)``, a
+    subgradient of ``g`` at its prox point ``p`` (in ``dom g``): ``<Lx - p,
+    y'> + g(p) - gamma Phi(y')``, by Fenchel-Young.
     """
     L, g = spec.operator, spec.fn
     flat = None if g.has_full_domain() else _flat_directions(L)
@@ -268,27 +273,23 @@ def _dual_cocomposition(spec, LX, gamma, opts, mul):
     lam, gram = (1.0, L.gram) if g.has_fixed_prox_parameter() else L.dual_step
     cold = g.has_fixed_prox_parameter() or (sigma is None and not always_finite)
     index = gamma * lam
-    t, shift = 1.0 / index, LX / index
 
-    def step(momentum, shift, index, t, t_row, *_):
-        v = mul(momentum, gram) + shift
-        y_new = v - t * g._prox(index, index * v)
-        return y_new, _norm(y_new - momentum) / t_row
+    def step(momentum, LX, index):
+        v = mul(momentum, gram) + LX
+        u = v - g._prox(index, v)
+        return u, _norm(u - momentum)
 
-    def certified(y, anchor, *consts):
-        return _recession_certified(((y - anchor) @ flat) @ flat.T, consts[-1], sigma)
+    def certified(u, anchor, LX, _index):
+        return _recession_certified(((u - anchor) @ flat) @ flat.T, LX, sigma)
 
-    # only the certificate reads Lx, so only solves that run it gather its rows
-    per_row = (shift, index, t, _row_values(t))
-    escaped = _outside_radius(opts) if sigma is None else certified
-    y, status, iters, residual = _fista(
-        step, np.zeros_like(LX) if cold else _dual_start(L, g, LX, gamma), opts,
-        escaped=None if always_finite else escaped,
-        per_row=per_row if sigma is None else (*per_row, LX),
+    u, status, iters, residual = _fista(
+        step, np.zeros_like(LX) if cold else index * _dual_start(L, g, LX, gamma), opts,
+        escaped=None if always_finite else _past_radius(opts) if sigma is None else certified,
+        per_row=(LX, index),
     )
-    v = mul(y, gram) + shift
-    p = g._prox(index, index * v)
-    y = v - t * p
+    v = mul(u, gram) + LX
+    p = g._prox(index, v)
+    y = (v - p) / index
     values = _dot(LX - p, y) + g._value(p) - _row_values(gamma) * spec.defect(y)
     values = np.where(status == DIVERGED, np.inf, values)
     return values, y, status, iters, residual
@@ -342,24 +343,23 @@ def _composition_core(spec, X, opts, gamma=None):
     and ``duals`` is None.
 
     Otherwise the rows in the range ascend the smooth dual on the range
-    factor ``(Q, R)`` of ``L``:
-    the fiber of ``L`` over ``x`` is that of ``Q`` over ``x R``, so from
-    ``x R`` gradient ascent maximizes ``<w, x R> - h(Qw)``, ``h`` being the
-    Moreau envelope of ``g*`` (index ``1/gamma``).  ``Q`` has orthonormal
-    columns, so the step ``1/gamma`` pays nothing for the spread of the
-    singular values of ``L``.  The gradient of ``h`` at ``Qw`` is
-    ``q = prox_{gamma g}(gamma Qw)`` mapped by ``Q*``, and at ``q``
-    Fenchel-Young holds with equality, so ``h(Qw) = <q, Qw> - g(q) -
-    ||q||^2/(2 gamma)``: no ``g*``.  The value is the sup minus
-    ``||x||^2/(2 gamma)``, the returned dual ``z = w R^T`` (``Lz = Qw``),
-    the residual the gradient norm at the momentum point.  For a
-    restricted ``dom g`` the displacement ``d = w_k - w_{k-50}`` of each row
-    is tested every 50 iterations as a recession certificate
-    ``<d, x R> > sigma_{dom g}(Qd)``, which proves ``x`` outside
+    factor ``(Q, R)`` of ``L``: the fiber of ``L`` over ``x`` is that of
+    ``Q`` over ``x R``, so gradient ascent maximizes ``<w, x R> - h(Qw)``,
+    ``h`` being the Moreau envelope of ``g*`` (index ``1/gamma``).  ``Q``
+    has orthonormal columns, so the step ``1/gamma`` pays nothing for the
+    spread of the singular values of ``L``; it is 1 on ``w' = gamma w``,
+    from ``gamma x R``: ``grad = x R - prox_{gamma g}(m Q*) Q`` at the
+    momentum point ``m`` (the residual is ``||grad||``), then ``m + grad``.
+    The gradient of ``h`` at ``Qw`` is ``q = prox_{gamma g}(Qw')`` mapped by
+    ``Q*``, and at ``q`` Fenchel-Young holds with equality: no ``g*``.  The
+    value, the sup minus ``||x||^2/(2 gamma)``, is ``(<w', x R> - <q, Qw'> +
+    (||q||^2 - ||x||^2)/2)/gamma + g(q)``, the returned dual ``(w'/gamma)
+    R^T``.  For a restricted ``dom g`` the displacement ``d`` of each row's
+    ``w'`` over 50 iterations is tested every 50 iterations as a recession
+    certificate ``<d, x R> > sigma_{dom g}(Qd)``, which proves ``x`` outside
     ``L*(dom g)``; rows that pass are 'diverged' with value ``+inf``
     (without a catalog conjugate of ``g``, ``||w|| > opts.divergence_radius``).
-    ``gamma`` is as for ``_cocomposition_core``; a per-row column scales
-    each row's product with ``Q*`` after it is taken.
+    ``gamma`` is as for ``_cocomposition_core``.
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
@@ -376,38 +376,27 @@ def _composition_core(spec, X, opts, gamma=None):
             np.zeros(len(X), dtype=int), np.where(diverged, np.inf, 0.0),
         )
 
-    def certified(w, anchor, XR, *_):
+    def certified(w, anchor, XR, _gamma):
         return _recession_certified(w - anchor, XR, lambda d: sigma(Q.apply(d)))
 
     escaped = None  # a full-domain row in the range has a finite value
     if not g.has_full_domain():
         sigma = _domain_support(g)
-        escaped = _outside_radius(opts) if sigma is None else certified
+        escaped = _past_radius(opts) if sigma is None else certified
 
-    step_size = 1.0 / (gamma * Q.norm_bound**2)
-    if np.ndim(gamma):
-        adjoint = Q.adjoint_entries
-        lift = lambda m, gamma: mul(m, adjoint) * gamma  # noqa: E731
-    else:
-        scaled_adjoint = gamma * Q.adjoint_entries
-        lift = lambda m, _gamma: mul(m, scaled_adjoint)  # noqa: E731
-
-    def step(momentum, x, gamma, step_size):
-        grad = x - mul(g._prox(gamma, lift(momentum, gamma)), Q.entries)
-        return momentum + step_size * grad, _norm(grad)
+    def step(momentum, XR, gamma):
+        grad = XR - mul(g._prox(gamma, mul(momentum, Q.adjoint_entries)), Q.entries)
+        return momentum + grad, _norm(grad)
 
     w, status, iters, residual = _fista(
-        step, XR, opts, active=~infeasible, escaped=escaped,
-        per_row=(XR, gamma, step_size),
+        step, gamma * XR, opts, active=~infeasible, escaped=escaped, per_row=(XR, gamma),
     )
     status[infeasible] = DIVERGED
     Qw = Q.apply(w)
-    q = g.prox(gamma, gamma * Qw)
-    vals = (
-        _dot(w, XR) - _dot(q, Qw) + g._value(q)
-        + (_dot(q, q) - _dot(X, X)) / (2.0 * _row_values(gamma))
-    )
-    return np.where(status == DIVERGED, np.inf, vals), mul(w, R.T), status, iters, residual
+    q = g.prox(gamma, Qw)
+    vals = g._value(q) + (
+        _dot(w, XR) - _dot(q, Qw) + (_dot(q, q) - _dot(X, X)) / 2.0) / _row_values(gamma)
+    return np.where(status == DIVERGED, np.inf, vals), mul(w / gamma, R.T), status, iters, residual
 
 
 def _base_rows(spec, X):

@@ -33,7 +33,7 @@ from .errors import (
     ShapeError,
     UnsupportedConjugate,
 )
-from .linalg import _psd_eigh, _row_sum
+from .linalg import _json_numbers, _psd_eigh, _row_sum
 
 __all__ = [
     "ConvexFunction",
@@ -917,8 +917,9 @@ def _spec_fields(fields, values):
 
 
 def _field_args(obj, fields):
-    """Constructor arguments read from a spec object; ``alpha`` defaults to 0."""
-    return [obj.get(name, 0.0) if name == "alpha" else obj[name] for name in fields]
+    """Constructor arguments of a spec: ``_json_numbers`` but ``dim``; ``alpha`` 0 if absent."""
+    args = [obj.get(name, 0.0) if name == "alpha" else obj[name] for name in fields]
+    return [v if name == "dim" else _json_numbers(v, name) for name, v in zip(fields, args)]
 
 
 def _spec_entry(table, name, what):
@@ -965,7 +966,7 @@ def function_from_spec(obj):
     if atom == "separable_sum":
         fn = SeparableSum(
             [
-                (b["weight"], function_from_spec(b["fn"]), b["start"])
+                (_json_numbers(b["weight"], "weight"), function_from_spec(b["fn"]), b["start"])
                 for b in params["blocks"]
             ]
         )

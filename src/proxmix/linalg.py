@@ -11,10 +11,11 @@ synchronization.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, ShapeError
+from .errors import DimensionError, ParameterError, ShapeError
 
 __all__ = [
     "DenseMap",
@@ -43,6 +44,22 @@ def as_vector(x, dim=None):
     if dim is not None and v.shape[0] != dim:
         raise DimensionError(f"expected dimension {dim}, got {v.shape[0]}")
     return v
+
+
+def _json_numbers(value, what):
+    """``value`` if it holds only ints and floats (no str or bool); else ParameterError."""
+
+    def numeric(v):
+        if isinstance(v, list):  # exact types: a bool is no int here
+            kinds = set(map(type, v))
+            if kinds == {list}:  # rows: all their entries in one pass
+                return numeric(list(chain.from_iterable(v)))
+            return kinds <= {int, float} or all(map(numeric, v))
+        return type(v) is int or isinstance(v, float)
+
+    if not numeric(value):
+        raise ParameterError(f"{what}: expected a number or lists of numbers, got {value!r}")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +312,7 @@ class DenseMap:
 
     @classmethod
     def from_json(cls, obj):
-        m = cls(obj["entries"])
+        m = cls(_json_numbers(obj["entries"], "entries"))
         if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
             raise ShapeError(
                 "declared rows/cols do not match the entries array"

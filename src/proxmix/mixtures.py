@@ -33,7 +33,7 @@ from .compositions import (
     eval_composition_batch,
 )
 from .functions import ConvexFunction, SeparableSum
-from .linalg import DenseMap, as_vector
+from .linalg import DenseMap, _json_numbers, as_vector
 from .moreau import DEFAULT_OPTS, SolveReport, SolverOpts, envelope
 from . import oracles
 
@@ -156,13 +156,13 @@ class MixtureSpec:
         return cls(
             [
                 MixtureTerm(
-                    float(t["alpha"]),
+                    float(_json_numbers(t["alpha"], "alpha")),
                     DenseMap.from_json(t["L"]),
                     function_from_spec(t["g"]),
                 )
                 for t in obj["terms"]
             ],
-            float(obj["gamma"]),
+            float(_json_numbers(obj["gamma"], "gamma")),
         )
 
 

@@ -313,11 +313,6 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=(), rule=_momentum,
     return z_out, _STATUS_BY_CODE.take(codes), iters, residual
 
 
-def _outside_radius(opts):
-    """Escape test for ``_fista``: rows whose norm exceeds the divergence radius."""
-    return lambda z, *_: _norm(z) > opts.divergence_radius
-
-
 def _recession_certified(step, target, slope):
     """Rows whose displacement ``step`` certifies an infinite value.
 
@@ -349,7 +344,7 @@ def _minimize_rows(value_fn, grad_fn, X0, lipschitz, opts, per_row=()):
         return momentum + step * grad, _norm(grad)
 
     x, status, iters, residual = _fista(
-        advance, X0, opts, escaped=_outside_radius(opts),
+        advance, X0, opts, escaped=lambda z, *_: _norm(z) > opts.divergence_radius,
         per_row=(-1.0 / lipschitz, *per_row),
     )
     values = np.where(status == DIVERGED, np.inf, value_fn(x, *per_row))

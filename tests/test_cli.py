@@ -293,12 +293,52 @@ VERIFY_MALFORMED = {
     "verify-seed-list": {"seed": [1]},
     "verify-seed-fractional": {"seed": 1.7},
     "verify-seed-bool": {"seed": True},
+    "verify-seed-negative": {"seed": -1},
     "verify-scale-number": {"scale": 5},
     "verify-scale-unknown": {"scale": "huge"},
     "verify-suites-number": {"suites": 5},
     "verify-suites-string": {"suites": "lemma3"},
     "verify-suites-empty": {"suites": []},
     "verify-suites-unknown": {"suites": ["lemma2", "bogus"]},
+}
+
+BALL = {"atom": "ball_indicator", "params": {"center": [0.0, 0.0], "radius": 1.0}}
+PLANE_POINTS = {"points": [[1.0, 2.0]]}
+
+
+def _one_term_mixture(**term):
+    L = {"rows": 1, "cols": 1, "entries": [[0.5]]}
+    return {"spec": {"gamma": 1.0, "terms": [{"alpha": 0.5, "L": L, "g": SCALAR_L1, **term}]},
+            "points": [[1.0]]}
+
+
+def _with_spec(**fields):
+    return {**ONE_POINT, "spec": {**ONE_POINT["spec"], **fields}}
+
+
+# where a number is due, a float cast once read strings and bools: each of
+# these jobs printed a value and exited 0
+NOT_NUMBERS = {
+    "eval-gamma-text": ("eval", _with_spec(gamma="2")),
+    "eval-gamma-bool": ("eval", _with_spec(gamma=True)),
+    "eval-entries-text": ("eval", _with_spec(L={"rows": 1, "cols": 1, "entries": [["0.5"]]})),
+    "eval-points-bool": ("eval", {**ONE_POINT, "points": [[True]]}),
+    "eval-points-text": ("eval", {**ONE_POINT, "points": [["1"]]}),
+    "eval-weight-bool": ("eval", {**PLANE_POINTS, "spec": {"atom": "separable_sum", "params": {
+        "blocks": [{"weight": True, "fn": SCALAR_L1, "start": 0},
+                   {"weight": 1.0, "fn": SCALAR_L1, "start": 1}]}}}),
+    "eval-mixture-alpha-text": ("eval", _one_term_mixture(alpha="0.5")),
+    "eval-mixture-gamma-text": ("eval", {**_one_term_mixture(), "spec": {
+        **_one_term_mixture()["spec"], "gamma": "1"}}),
+    "eval-transform-rho-bool": ("eval", _with_spec(g={
+        **SCALAR_L1, "transforms": [{"kind": "scale_arg", "rho": True}]})),
+    "envelope-rho-bool": ("envelope", {**ONE_POINT, "rho": True}),
+    "prox-function-gamma-text": ("prox", {"spec": SCALAR_L1, "points": [[1.0]], "gamma": "0.5"}),
+    "eval-center-text": ("eval", {**PLANE_POINTS, "spec": {
+        **BALL, "params": {**BALL["params"], "center": ["0", 0]}}}),
+    "eval-radius-bool": ("eval", {**PLANE_POINTS, "spec": {
+        **BALL, "params": {**BALL["params"], "radius": True}}}),
+    "figure-steps-bool": ("figure", {"preset": "example1", "grid": {"steps": True}}),
 }
 
 
@@ -343,6 +383,8 @@ VERIFY_MALFORMED = {
             for atom in ("l1_norm", "euclidean_norm")
             for dim in (2.5, 0, -1, "2")
         ),
+        ("figure", {"preset": "example1", "gammas": []}),
+        *((command, payload) for command, payload in NOT_NUMBERS.values()),
     ],
     ids=[
         "prox-gamma", "envelope-gamma", "envelope-rho", "sweep-gammas",
@@ -361,6 +403,8 @@ VERIFY_MALFORMED = {
             for atom in ("l1", "euclidean")
             for dim in ("fractional", "zero", "negative", "text")
         ),
+        "figure-gammas-empty",
+        *NOT_NUMBERS,
     ],
 )
 def test_malformed_field_exit(tmp_path, capsys, command, payload):
@@ -599,6 +643,26 @@ def test_envelope_job_mixture_spec(tmp_path):
     assert [r["value"] for r in results] == pytest.approx(expected, rel=0, abs=1e-12)
 
 
+def test_envelope_job_mixture_spec_reads_rho(tmp_path):
+    # "rho" was ignored for mixture specs: this job printed 0.2125, the
+    # value at rho = gamma = 1
+    L = {"rows": 2, "cols": 2, "entries": [[0.5, 0.1], [-0.2, 0.4]]}
+    g = {"atom": "l1_norm", "params": {"dim": 2}}
+    spec = {"gamma": 1.0, "terms": [{"alpha": 0.5, "L": L, "g": g}]}
+    out = tmp_path / "env.json"
+    values = []
+    for rho in (1.0, 3.0):
+        cfg = write_config(tmp_path, {"spec": spec, "rho": rho, "points": [[1.0, 2.0]]})
+        assert main(["envelope", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        values.append(json.loads(out.read_text())["results"][0]["value"])
+    assert values[0] == pytest.approx(0.2125, rel=0, abs=1e-12)
+    assert values[1] == pytest.approx(0.180986, rel=0, abs=1e-6)
+    mixture = pm.MixtureSpec.from_json(spec)
+    assert values[1] == pytest.approx(
+        pm.envelope_cocomposition(pm.embed(mixture).composition, 3.0, [1.0, 2.0]), rel=0, abs=1e-12
+    )
+
+
 def test_argmin_job_mixture_spec(tmp_path):
     spec = pm.MixtureSpec.from_json(PLANE_MIXTURE)
     out = tmp_path / "argmin.json"
@@ -634,7 +698,8 @@ ENVELOPE_JOBS = {
         PLANE_COMPOSITION, {"rho": 0.3}, "envelope_cocomposition_batch",
         lambda s, x: pm.envelope_cocomposition(s, 0.3, x),
     ),
-    "mixture": (PLANE_MIXTURE, {}, "comixture_envelope", pm.comixture_envelope),
+    # a comixture is the cocomposition of the mixture's embedding
+    "mixture": (PLANE_MIXTURE, {}, "envelope_cocomposition_batch", pm.comixture_envelope),
 }
 
 

@@ -399,6 +399,36 @@ def test_composition_radius_fallback_without_conjugate():
     assert np.linalg.norm(rep.argpoint) < opts.divergence_radius
 
 
+@pytest.mark.parametrize("solve, L, x", [
+    (eval_composition, [[1.0], [0.0]], [2.0]),  # L* not injective: the iterated path
+    (eval_cocomposition, [[1.0, 0.0], [0.0, 0.5]], [2.0, 0.0]),  # ||L|| = 1: dual ascent
+], ids=["composition", "cocomposition"])
+def test_radius_fallback_bounds_the_returned_dual(solve, L, x):
+    # both ascents iterate a dual scaled by their prox parameter (gamma, and
+    # gamma lam); the radius still bounds the returned dual, so at gamma = 4
+    # a row stops at the first multiple of 50 where that dual's norm passes
+    # it.  The oracle ball has no conjugate, so no certificate; Lx lies
+    # outside the ball along a direction where the defect is flat
+    ball = BallIndicator([0.0, 0.0], 1.0)
+    oracle = OracleFunction(2, ball, prox_fn=ball.prox, full_domain=False)
+    spec, opts = CompositionSpec(DenseMap(L), oracle, 4.0), SolverOpts(divergence_radius=3e3)
+    rep = solve(spec, x, opts)
+    assert rep.status == DIVERGED and rep.iterations % 50 == 0 and rep.iterations >= 100
+    assert np.linalg.norm(rep.argpoint) > opts.divergence_radius
+    before = solve(spec, x, SolverOpts(max_iter=rep.iterations - 50, divergence_radius=3e3))
+    assert before.status == MAX_ITER
+    assert np.linalg.norm(before.argpoint) <= opts.divergence_radius
+
+
+def test_iterated_composition_takes_no_svd_of_the_range_factor():
+    # the unit step needs no norm of Q, which has orthonormal columns: its
+    # norm bound took a second SVD per map
+    L = DenseMap([[0.5, 0.1, 0.0], [-0.2, 0.4, 0.0], [0.3, 0.0, 0.0]])
+    rep = eval_composition(CompositionSpec(L, L1Norm(3), 1.0), [1.0, -2.0, 0.0])
+    assert not _injective_adjoint(L) and rep.status == CONVERGED and rep.iterations > 0
+    assert "thin_svd" not in L.isometric_factor[0].__dict__
+
+
 @pytest.mark.parametrize(
     "name, gamma", [("example1", 0.5), ("example1", 8.0), ("example2", 8.0)]
 )
@@ -841,28 +871,31 @@ def test_ordering_chain_random_instances():
 def _unfolded_step(core, spec, X):
     """The step of ``core`` as the dual gradient through two applies each.
 
-    The cocomposition steps at ``1/(gamma lam)`` with ``lam`` from
-    ``L.dual_step``; the composition ascends in the coordinates of the
-    range factor ``L.isometric_factor``.  Both take the momentum rows and
-    their row numbers in ``X``.
+    The cores iterate in coordinates scaled by their prox parameter, where
+    the step is 1; this step unscales the momentum rows, takes the dual
+    gradient step there and scales the result back.  The cocomposition
+    steps at ``t = 1/(gamma lam)`` with ``lam`` from ``L.dual_step`` on
+    ``y = t u``; the composition at ``1/gamma`` on ``w = w'/gamma`` in the
+    coordinates of the range factor ``L.isometric_factor``.  Both take the
+    momentum rows and their row numbers in ``X``.
     """
     L, g, gamma = spec.operator, spec.fn, spec.gamma
     LX, t = L.apply(X), 1.0 / (gamma * L.dual_step[0])
     Q, R = L.isometric_factor
     XQ = X @ R
-    step_size = 1.0 / (gamma * Q.norm_bound**2)
 
     def cocomposition(momentum, rows):
-        grad = LX[rows] - gamma * (momentum - L.apply(L.adjoint_apply(momentum)))
-        v = momentum + t * grad
+        y = t * momentum
+        grad = LX[rows] - gamma * (y - L.apply(L.adjoint_apply(y)))
+        v = y + t * grad
         y_new = v - t * g.prox(1.0 / t, v / t)
-        return y_new, np.linalg.norm(y_new - momentum, axis=-1) / t
+        return y_new / t, np.linalg.norm(y_new - y, axis=-1) / t
 
     def composition(momentum, rows):
-        w = Q.apply(momentum)
+        w = Q.apply(momentum / gamma)
         p = w - (1.0 / gamma) * g.prox(gamma, gamma * w)
         grad = XQ[rows] - gamma * Q.adjoint_apply(w - p)
-        return momentum + step_size * grad, np.linalg.norm(grad, axis=-1)
+        return gamma * (momentum / gamma + grad / gamma), np.linalg.norm(grad, axis=-1)
 
     return cocomposition if core is _cocomposition_core else composition
 
@@ -1104,10 +1137,11 @@ def test_isometric_steps_skip_the_public_prox(monkeypatch):
 
 @pytest.mark.parametrize("gamma", [0.7, np.array([[0.7], [1.3], [2.0]])])
 def test_composition_lift_reads_the_c_ordered_adjoint(gamma):
-    # the first step lifts the start rows X R through Q.adjoint_entries, the
-    # C-ordered transpose of the range factor (a product with the
-    # transposed view costs up to 4x more); a marked copy shows which
-    # matrix the core reads.  The zero column makes the factor rank 2 of 3
+    # the first step lifts the start rows gamma X R (the scaled dual) through
+    # Q.adjoint_entries, the C-ordered transpose of the range factor (a
+    # product with the transposed view costs up to 4x more); a marked copy
+    # shows which matrix the core reads.  The zero column makes the factor
+    # rank 2 of 3
     L, g = DenseMap([[0.5, 0.1, 0.0], [-0.2, 0.4, 0.0], [0.3, 0.0, 0.0]]), L1Norm(3)
     X = np.array([[1.0, -2.0, 0.0], [0.3, 0.5, 0.0], [-1.0, 0.2, 0.0]])
     Q, R = L.isometric_factor
@@ -1118,14 +1152,12 @@ def test_composition_lift_reads_the_c_ordered_adjoint(gamma):
     g._prox = lambda gamma, y: lifted.append(y) or L1Norm._prox(g, gamma, y)
     _composition_core(CompositionSpec(L, g, 1.0), X, SolverOpts(max_iter=1), gamma)
     assert marked.flags.c_contiguous
-    XR = X @ R
-    expected = (XR @ marked) * gamma if np.ndim(gamma) else XR @ (gamma * marked)
-    assert np.array_equal(lifted[0], expected)
+    assert np.array_equal(lifted[0], (gamma * (X @ R)) @ marked)
 
 
 @pytest.mark.parametrize("gamma", [0.7, np.array([[0.7], [1.3], [2.0]])])
 def test_isometric_lift_reads_the_c_ordered_factor(gamma):
-    # a tall map of full column rank: the start rows are X R, lifted
+    # a tall map of full column rank: the start rows are gamma X R, lifted
     # through the C-ordered transpose of the isometric factor Q
     L, g = DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.3, 0.0]]), L1Norm(3)
     X = np.array([[1.0, -2.0], [0.3, 0.5], [-1.0, 0.2]])
@@ -1136,9 +1168,7 @@ def test_isometric_lift_reads_the_c_ordered_factor(gamma):
     lifted = []
     g._prox = lambda gamma, y: lifted.append(y) or L1Norm._prox(g, gamma, y)
     _composition_core(CompositionSpec(L, g, 1.0), X, SolverOpts(max_iter=1), gamma)
-    XR = X @ R
-    expected = (XR @ marked) * gamma if np.ndim(gamma) else XR @ (gamma * marked)
-    assert np.array_equal(lifted[0], expected)
+    assert np.array_equal(lifted[0], (gamma * (X @ R)) @ marked)
 
 
 def _recorded_prox_layouts(monkeypatch, *atoms):
@@ -1889,14 +1919,16 @@ def _starts(monkeypatch):
 def test_cocomposition_starts_at_the_collapse_gradient(monkeypatch):
     # dual ascent at ||L|| = 1 starts at the gradient of env_{gamma mu} g(Lx)
     # with mu = max(1 - ||L||^2, 1e-2) = 1e-2.  Here L is a rotation, so
-    # LL* = I and the cocomposition is g(Lx)
+    # LL* = I and the cocomposition is g(Lx).  The ascent iterates the dual
+    # scaled by its prox parameter gamma lam, so the start is unscaled here
     starts = _starts(monkeypatch)
     c, s = np.cos(0.7), np.sin(0.7)
     L = DenseMap(np.array([[c, -s], [s, c]]))
     fn = L1Norm(2).translate([0.3, -0.2])
     rep = eval_cocomposition(CompositionSpec(L, fn, 1.5), [1.0, -2.0])
     mu, lx = 1.5 * 1e-2, L.apply([1.0, -2.0])
-    np.testing.assert_allclose(starts[0][0], (lx - fn.prox(mu, lx)) / mu, rtol=1e-12)
+    start = starts[0][0] / (1.5 * L.dual_step[0])
+    np.testing.assert_allclose(start, (lx - fn.prox(mu, lx)) / mu, rtol=1e-12)
     assert rep.status == CONVERGED
     assert rep.value == pytest.approx(float(fn(lx)), rel=1e-12)
 
