@@ -16,9 +16,9 @@ whose prox exists at one parameter only, and for rows that path does not
 stop, it ascends its dual from the solution for a multiple ``LL*`` of
 ``I``.  Both ascents step by one prox of ``g``, in coordinates scaled by
 its parameter.  Every spectral quantity comes from one cached SVD of
-``L``, every value from the prox and the value of ``g`` at a prox point,
-where Fenchel-Young holds with equality; no solver evaluates ``g*``.
-Prox, envelope, recession and perspective come in closed form.
+``L``; every iterated value is the dual value at the solver's last prox
+point (a lower bound, by Fenchel-Young: no ``g*``), the exact composition's
+is primal.  Prox, envelope, recession and perspective come in closed form.
 
 Batch variants evaluate many base points in one iteration; rows leave
 the iteration when they stop, and many-row arrays stay column-major from
@@ -204,7 +204,7 @@ def _product(X):
     return _rows_product if len(X) > 1 else np.matmul
 
 
-def _metric_cocomposition(L, g, LX, gamma, opts, mul, max_iter):
+def _metric_cocomposition(L, g, LX, gamma, opts, mul):
     """The cocomposition for ``||L|| < 1`` as a root in ``R^k``, by Barzilai-Borwein steps.
 
     ``min_v g(v) + ||v - Lx||_M^2 / (2 gamma)``, ``M = (I - LL*)^-1 = I +
@@ -212,13 +212,16 @@ def _metric_cocomposition(L, g, LX, gamma, opts, mul, max_iter):
     root of ``F(beta) = beta + W^T(Lx - v)``, a gradient of curvature in
     ``[1, 1/(1 - ||L||^2)]`` (Becker, Fadili & Ochs 2019): one prox per
     step from the root for ``LL* = (1 - mu) I``, ``mu = max(1 - s_k^2, 1e-2)``,
-    to ``||F|| <= opts.tol + 4 eps ||W|| ||Lx||``, its rounding floor.  The
-    value is that of the dual ``y = (Lx - W beta - v)/gamma`` in ``dg(v)``:
-    the primal value at ``v`` minus the gap ``sum_i (s_i F_i)^2 / (2 gamma)``.
+    to ``||F|| <= opts.tol + 4 eps ||W|| ||Lx||``, its rounding floor; rows
+    left after ``_METRIC_BUDGET`` steps (BB steps can cycle across the kinks
+    of a prox as ``||L||`` nears 1) finish by ``_dual_cocomposition``.  Returns
+    ``v``, its dual ``(Lx - W beta - v)/gamma`` in ``dg(v)``, status, iterations
+    (both paths') and residuals.
     """
     (W, WT), sv = L.metric_factor, L.thin_svd[1]
     omega, index = sv[0] ** 2 / (1.0 - sv[0] ** 2), gamma * max(1.0 - sv[-1] ** 2, 1e-2)
     floor = opts.tol + 4.0 * np.finfo(float).eps * omega**0.5 * _norm(LX)
+    budget = min(opts.max_iter, _METRIC_BUDGET)
 
     def step(beta, LX, gamma):
         F = beta + mul(LX - g._prox(gamma, LX - mul(beta, WT)), W)
@@ -227,15 +230,19 @@ def _metric_cocomposition(L, g, LX, gamma, opts, mul, max_iter):
     beta, status, iters, residual = _fista(
         step, mul(g._prox(index, LX) - LX, W), opts, per_row=(LX, gamma),
         rule=_barzilai_borwein(1.0 / (1.0 + 0.5 * omega), 1.0 / (1.0 + omega)), tol=floor,
-        max_iter=max_iter,
+        max_iter=budget,
     )
     u = LX - mul(beta, WT)
     v = g._prox(gamma, u)
-    r = v - LX
-    Wr = mul(r, W)
-    quadratic = _dot(r, r) + _dot(Wr, Wr) - _dot((beta - Wr) * (sv * sv), beta - Wr)
-    values = g._value(v) + quadratic / (2.0 * _row_values(gamma))
-    return values, (u - v) / gamma, status, iters, residual
+    out = v, (u - v) / gamma, status, iters, residual
+    stalled = np.flatnonzero(status == MAX_ITER) if iters.max() == budget else ()
+    if budget < opts.max_iter and len(stalled):
+        LS, rest = _take_rows(LX, stalled), replace(opts, max_iter=opts.max_iter - budget)
+        column = _take_rows(gamma, stalled) if np.ndim(gamma) else gamma
+        for part, redone in zip(out, _dual_cocomposition(L, g, LS, column, rest, _product(LS))):
+            part[stalled] = redone
+        iters[stalled] += budget
+    return out
 
 
 def _past_radius(opts):
@@ -243,15 +250,14 @@ def _past_radius(opts):
     return lambda z, _anchor, *consts: _norm(z) > opts.divergence_radius * _row_values(consts[-1])
 
 
-def _dual_cocomposition(spec, LX, gamma, opts, mul):
+def _dual_cocomposition(L, g, LX, gamma, opts, mul):
     """Proximal-gradient ascent on the dual of the cocomposition at the rows ``LX``.
 
-    The five arrays of ``_cocomposition_core``; the value is finite unless
-    ``g`` has a restricted domain and ``L`` a singular value within the
-    admissibility slack of 1, where ``gamma Phi`` is flat along
-    ``ker(I - LL*)``: every 50 iterations each row's displacement, projected
-    onto it, is tested as a recession certificate of ``+inf`` (without a
-    catalog conjugate, ``||y|| > opts.divergence_radius``).
+    The value is finite unless ``g`` has a restricted domain and ``L`` a
+    singular value within the admissibility slack of 1, where ``gamma Phi``
+    is flat along ``ker(I - LL*)``: every 50 iterations each row's
+    displacement, projected onto it, is tested as a recession certificate
+    of ``+inf`` (without a catalog conjugate, ``||y|| > opts.divergence_radius``).
 
     The step ``1/(gamma lam)``, ``lam`` from ``L.dual_step`` (1 for a ``g``
     with a fixed prox parameter) bounding ``||I - LL*||``, is 1 on ``u =
@@ -261,12 +267,9 @@ def _dual_cocomposition(spec, LX, gamma, opts, mul):
     bounds the returned dual's own.  The start is ``gamma lam`` times
     ``_dual_start``, the maximizer when ``I - LL* = mu I``, except 0 for a
     fixed prox parameter and for the radius fallback (a start of norm about
-    ``||Lx||/(0.01 gamma)`` could pass the radius with no certificate).  The
-    value is taken one step past, at ``y' = (v - p)/(gamma lam)``, a
-    subgradient of ``g`` at its prox point ``p`` (in ``dom g``): ``<Lx - p,
-    y'> + g(p) - gamma Phi(y')``, by Fenchel-Young.
+    ``||Lx||/(0.01 gamma)`` could pass the radius with no certificate).  Returns
+    as ``_metric_cocomposition``, at ``p = prox_{gamma lam g}(v)`` one step past.
     """
-    L, g = spec.operator, spec.fn
     flat = None if g.has_full_domain() else _flat_directions(L)
     always_finite = flat is None or flat.shape[1] == 0
     sigma = None if always_finite else _domain_support(g)
@@ -289,36 +292,32 @@ def _dual_cocomposition(spec, LX, gamma, opts, mul):
     )
     v = mul(u, gram) + LX
     p = g._prox(index, v)
-    y = (v - p) / index
-    values = _dot(LX - p, y) + g._value(p) - _row_values(gamma) * spec.defect(y)
-    values = np.where(status == DIVERGED, np.inf, values)
-    return values, y, status, iters, residual
+    return p, (v - p) / index, status, iters, residual
+
+
+def _dual_value(L, g, LX, p, y, gamma, status):
+    """``<Lx - p, y> + g(p) - gamma Phi_L(y)`` per row, ``+inf`` where 'diverged': for ``y``
+    in ``dg(p)``, the dual objective at ``y`` by Fenchel-Young, a lower bound."""
+    LY, half_gamma = L.adjoint_apply(y), 0.5 * _row_values(gamma)
+    values = _dot(LX - p, y) + g._value(p) - half_gamma * (_dot(y, y) - _dot(LY, LY))
+    return np.where(status == DIVERGED, np.inf, values)
 
 
 def _cocomposition_core(spec, X, opts, gamma=None):
     """The cocomposition at the rows of ``X``: (values, duals, status, iters, residuals).
 
     ``gamma`` (default ``spec.gamma``) is a float or a per-row column.
-    ``_metric_cocomposition`` where ``||L|| < 1`` by the admissibility slack
-    and ``g`` has no fixed prox parameter, then ``_dual_cocomposition`` on
-    rows not stopped in ``_METRIC_BUDGET`` iterations (BB steps can cycle
-    across the kinks of a prox as ``||L||`` nears 1); else the latter only.
+    ``_metric_cocomposition`` where ``||L|| < 1`` by the admissibility slack and
+    ``g`` has no fixed prox parameter, else ``_dual_cocomposition``; the value is
+    the ``_dual_value`` of the pair it returns.
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
-    LX, mul = L.apply(X), _product(X)
-    if g.has_fixed_prox_parameter() or not L.norm_bound < 1.0 - ADMISSIBILITY_TOL:
-        return _dual_cocomposition(spec, LX, gamma, opts, mul)
-    budget = min(opts.max_iter, _METRIC_BUDGET)
-    out = _metric_cocomposition(L, g, LX, gamma, opts, mul, budget)
-    stalled = np.flatnonzero(out[2] == MAX_ITER) if out[3].max() == budget else ()
-    if budget < opts.max_iter and len(stalled):
-        LS, rest = _take_rows(LX, stalled), replace(opts, max_iter=opts.max_iter - budget)
-        column = _take_rows(gamma, stalled) if np.ndim(gamma) else gamma
-        for part, redone in zip(out, _dual_cocomposition(spec, LS, column, rest, _product(LS))):
-            part[stalled] = redone
-        out[3][stalled] += budget
-    return out
+    LX = L.apply(X)
+    metric = not g.has_fixed_prox_parameter() and L.norm_bound < 1.0 - ADMISSIBILITY_TOL
+    solve = _metric_cocomposition if metric else _dual_cocomposition
+    p, y, status, iters, residual = solve(L, g, LX, gamma, opts, _product(X))
+    return _dual_value(L, g, LX, p, y, gamma, status), y, status, iters, residual
 
 
 def _injective_adjoint(L):
@@ -342,33 +341,31 @@ def _composition_core(spec, X, opts, gamma=None):
     certify), the rest 'converged' with residual 0, all at 0 iterations,
     and ``duals`` is None.
 
-    Otherwise the rows in the range ascend the smooth dual on the range
-    factor ``(Q, R)`` of ``L``: the fiber of ``L`` over ``x`` is that of
-    ``Q`` over ``x R``, so gradient ascent maximizes ``<w, x R> - h(Qw)``,
-    ``h`` being the Moreau envelope of ``g*`` (index ``1/gamma``).  ``Q``
-    has orthonormal columns, so the step ``1/gamma`` pays nothing for the
-    spread of the singular values of ``L``; it is 1 on ``w' = gamma w``,
-    from ``gamma x R``: ``grad = x R - prox_{gamma g}(m Q*) Q`` at the
-    momentum point ``m`` (the residual is ``||grad||``), then ``m + grad``.
-    The gradient of ``h`` at ``Qw`` is ``q = prox_{gamma g}(Qw')`` mapped by
-    ``Q*``, and at ``q`` Fenchel-Young holds with equality: no ``g*``.  The
-    value, the sup minus ``||x||^2/(2 gamma)``, is ``(<w', x R> - <q, Qw'> +
-    (||q||^2 - ||x||^2)/2)/gamma + g(q)``, the returned dual ``(w'/gamma)
-    R^T``.  For a restricted ``dom g`` the displacement ``d`` of each row's
-    ``w'`` over 50 iterations is tested every 50 iterations as a recession
-    certificate ``<d, x R> > sigma_{dom g}(Qd)``, which proves ``x`` outside
-    ``L*(dom g)``; rows that pass are 'diverged' with value ``+inf``
-    (without a catalog conjugate of ``g``, ``||w|| > opts.divergence_radius``).
-    ``gamma`` is as for ``_cocomposition_core``.
+    Otherwise the rows in the range ascend the smooth dual ``<w, x R> - h(Qw)``,
+    ``h`` the Moreau envelope of ``g*`` (index ``1/gamma``), on the range factor
+    ``(Q, R)``: the fiber of ``L`` over ``x`` is that of ``Q`` over ``x R``, and
+    ``Q``'s orthonormal columns make the step ``1/gamma`` whatever the singular
+    values of ``L``.  On ``w' = gamma w``, from ``gamma x R``, the step is 1:
+    ``grad = x R - prox_{gamma g}(m Q*) Q`` at the momentum point ``m`` (the
+    residual is ``||grad||``), then ``m + grad``; the returned dual is ``(w'/gamma)
+    R^T``.  The composition is the cocomposition of ``Q`` at ``x R`` plus
+    ``(||x R||^2 - ||x||^2)/(2 gamma)``, so the value is the ``_dual_value`` on
+    ``Q`` at ``q = prox_{gamma g}(Qw')`` and ``y = (Qw' - q)/gamma``, plus that
+    term.  For a restricted ``dom g`` the displacement ``d`` of each row's ``w'``
+    over 50 iterations is tested every 50 iterations as a recession certificate
+    ``<d, x R> > sigma_{dom g}(Qd)``, proving ``x`` outside ``L*(dom g)``; rows
+    that pass are 'diverged' (without a catalog conjugate of ``g``, ``||w|| >
+    opts.divergence_radius``).  ``gamma`` is as for ``_cocomposition_core``.
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
     (Q, R), mul = L.isometric_factor, _product(X)
     XR = mul(X, R)
-    infeasible = _norm(X - mul(XR, L.range_rows)) > _RANGE_TOL * (1.0 + _norm(X))
+    XX = _dot(X, X)
+    infeasible = _norm(X - mul(XR, L.range_rows)) > _RANGE_TOL * (1.0 + np.sqrt(XX))
     if _injective_adjoint(L):
         Y = Q.apply(XR)
-        values = g._value(Y) + (_dot(Y, Y) - _dot(X, X)) / (2.0 * _row_values(gamma))
+        values = g._value(Y) + (_dot(Y, Y) - XX) / (2.0 * _row_values(gamma))
         diverged = infeasible | (values == np.inf)
         return (
             np.where(diverged, np.inf, values), None,
@@ -393,10 +390,10 @@ def _composition_core(spec, X, opts, gamma=None):
     )
     status[infeasible] = DIVERGED
     Qw = Q.apply(w)
-    q = g.prox(gamma, Qw)
-    vals = g._value(q) + (
-        _dot(w, XR) - _dot(q, Qw) + (_dot(q, q) - _dot(X, X)) / 2.0) / _row_values(gamma)
-    return np.where(status == DIVERGED, np.inf, vals), mul(w / gamma, R.T), status, iters, residual
+    q = g._prox(gamma, Qw)
+    values = _dual_value(Q, g, Q.apply(XR), q, (Qw - q) / gamma, gamma, status)
+    values += (_dot(XR, XR) - XX) / (2.0 * _row_values(gamma))
+    return values, mul(w / gamma, R.T), status, iters, residual
 
 
 def _base_rows(spec, X):

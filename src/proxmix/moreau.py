@@ -95,11 +95,13 @@ class SolveReport:
     the cocomposition's dual ascent and the numeric conjugate, the step
     length from it per unit step (the gradient mapping there); for the
     composition (in the coordinates of ``L``'s range factor) and
-    ``minimize_smooth``, the gradient norm there.  Composition values come
-    from the prox and the value of ``g`` at a prox point, never from ``g*``.
-    A composition whose adjoint ``L*`` is injective at the numerical rank
-    of ``L`` is exact: 0 iterations, residual 0.0 when 'converged', and
-    ``argpoint`` None.  ``status == 'diverged'`` forces ``value == inf``.
+    ``minimize_smooth``, the gradient norm there.  Every iterated
+    composition value is the Fenchel-Young dual value at the solver's last
+    prox point ``p`` and its dual ``y`` in ``dg(p)``, never from ``g*``: a
+    lower bound on the true value.  A composition whose adjoint ``L*`` is
+    injective at the numerical rank of ``L`` is exact, its value primal: 0
+    iterations, residual 0.0 when 'converged', and ``argpoint`` None.
+    ``status == 'diverged'`` forces ``value == inf``.
     For the composition solvers and the numeric conjugate 'diverged'
     means a certificate that the value is ``+inf``: a base point off the
     range of ``L*`` (0 iterations, on either composition path), ``g =

@@ -1787,17 +1787,9 @@ SUITES = {
     "remark80": suite_remark80,
 }
 
-#: suites executed by ``run_all`` (granular parts excluded to avoid reruns)
-TOP_LEVEL_SUITES = [
-    "lemma2", "lemma3", "lemma8", "lemma10",
-    "prop1", "prop4", "prop5", "prop6", "prop7", "prop9", "prop10",
-    "cor-argmin", "cor11", "prop13", "prop16", "prop17", "prop18",
-    "cor19", "prop20", "prop25", "prop30",
-    "ex-comp", "ex-proj", "ex-yama",
-    "thm45", "cor46", "prop55",
-    "prop60", "thm65", "thm70", "ex12", "ex13",
-    "prop75", "prop79", "prop80", "remark80",
-]
+#: suites executed by ``run_all``, in registry order: every id but the
+#: parts ``<suite>-<part>`` of a registered suite, which would rerun it
+TOP_LEVEL_SUITES = [sid for sid in SUITES if sid.rpartition("-")[0] not in SUITES]
 
 #: every in-scope item mapped to at least one registered suite
 IN_SCOPE_MANIFEST = {

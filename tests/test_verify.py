@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,16 @@ def test_registry_covers_every_in_scope_item():
 def test_top_level_suites_registered():
     for sid in verify.TOP_LEVEL_SUITES:
         assert sid in verify.SUITES
+
+
+def test_top_level_suites_are_the_committed_run_order():
+    # run_all's ids, in order, are those of the committed case counts; every
+    # other registered id is a part of one of them
+    path = Path(__file__).resolve().parents[1] / ".github" / "registry_cases.json"
+    committed = json.loads(path.read_text())
+    assert all(list(counts) == verify.TOP_LEVEL_SUITES for counts in committed.values())
+    for sid in set(verify.SUITES) - set(verify.TOP_LEVEL_SUITES):
+        assert sid.rpartition("-")[0] in verify.TOP_LEVEL_SUITES
 
 
 def test_unknown_suite_id():
