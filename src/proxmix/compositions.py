@@ -52,10 +52,10 @@ from .linalg import (
 )
 from .moreau import (
     DEFAULT_OPTS,
-    DIVERGED,
-    INVALID,
-    MAX_ITER,
     SolverOpts,
+    _DIVERGED_CODE,
+    _INVALID_CODE,
+    _MAX_ITER_CODE,
     _STATUS_BY_CODE,
     _barzilai_borwein,
     _fista,
@@ -97,6 +97,7 @@ ADMISSIBILITY_TOL = 1e-9
 _SMALL_GAMMA_SLACK = 1e-6  # limit_small_gamma's slack on each gap bound
 _LARGE_GAMMA_HALFWIDTH = 10.0  # grid window of limit_large_gamma's target search
 _METRIC_BUDGET = 200  # metric-path iterations before a row falls back to dual ascent
+_EPS = float(np.finfo(float).eps)
 
 
 def admissible(operator: DenseMap):
@@ -215,12 +216,12 @@ def _metric_cocomposition(L, g, LX, gamma, opts, mul):
     to ``||F|| <= opts.tol + 4 eps ||W|| ||Lx||``, its rounding floor; rows
     left after ``_METRIC_BUDGET`` steps (BB steps can cycle across the kinks
     of a prox as ``||L||`` nears 1) finish by ``_dual_cocomposition``.  Returns
-    ``v``, its dual ``(Lx - W beta - v)/gamma`` in ``dg(v)``, status, iterations
-    (both paths') and residuals.
+    ``v``, its dual ``(Lx - W beta - v)/gamma`` in ``dg(v)``, status codes,
+    iterations (both paths') and residuals.
     """
     (W, WT), sv = L.metric_factor, L.thin_svd[1]
     omega, index = sv[0] ** 2 / (1.0 - sv[0] ** 2), gamma * max(1.0 - sv[-1] ** 2, 1e-2)
-    floor = opts.tol + 4.0 * np.finfo(float).eps * omega**0.5 * _norm(LX)
+    floor = opts.tol + 4.0 * _EPS * omega**0.5 * _norm(LX)
     budget = min(opts.max_iter, _METRIC_BUDGET)
 
     def step(beta, LX, gamma):
@@ -235,7 +236,7 @@ def _metric_cocomposition(L, g, LX, gamma, opts, mul):
     u = LX - mul(beta, WT)
     v = g._prox(gamma, u)
     out = v, (u - v) / gamma, status, iters, residual
-    stalled = np.flatnonzero(status == MAX_ITER) if iters.max() == budget else ()
+    stalled = np.flatnonzero(status == _MAX_ITER_CODE) if iters.max() == budget else ()
     if budget < opts.max_iter and len(stalled):
         LS, rest = _take_rows(LX, stalled), replace(opts, max_iter=opts.max_iter - budget)
         column = _take_rows(gamma, stalled) if np.ndim(gamma) else gamma
@@ -300,11 +301,12 @@ def _dual_value(L, g, LX, p, y, gamma, status):
     in ``dg(p)``, the dual objective at ``y`` by Fenchel-Young, a lower bound."""
     LY, half_gamma = L.adjoint_apply(y), 0.5 * _row_values(gamma)
     values = _dot(LX - p, y) + g._value(p) - half_gamma * (_dot(y, y) - _dot(LY, LY))
-    return np.where(status == DIVERGED, np.inf, values)
+    values[status == _DIVERGED_CODE] = np.inf
+    return values
 
 
 def _cocomposition_core(spec, X, opts, gamma=None):
-    """The cocomposition at the rows of ``X``: (values, duals, status, iters, residuals).
+    """The cocomposition at the rows of ``X``: (values, duals, codes, iters, residuals).
 
     ``gamma`` (default ``spec.gamma``) is a float or a per-row column.
     ``_metric_cocomposition`` where ``||L|| < 1`` by the admissibility slack and
@@ -326,7 +328,7 @@ def _injective_adjoint(L):
 
 
 def _composition_core(spec, X, opts, gamma=None):
-    """The composition at the rows of ``X``: (values, duals, status, iters, residuals).
+    """The composition at the rows of ``X``: (values, duals, codes, iters, residuals).
 
     Rows off the range of ``L*`` are certified infeasible up front: their
     residual ``||x - x V_r V_r^T||``, taken as ``||x - (x R) S_r V_r^T||``
@@ -352,7 +354,7 @@ def _composition_core(spec, X, opts, gamma=None):
     ``(||x R||^2 - ||x||^2)/(2 gamma)``, so the value is the ``_dual_value`` on
     ``Q`` at ``q = prox_{gamma g}(Qw')`` and ``y = (Qw' - q)/gamma``, plus that
     term.  For a restricted ``dom g`` the displacement ``d`` of each row's ``w'``
-    over 50 iterations is tested every 50 iterations as a recession certificate
+    over 25 iterations is tested every 50 iterations as a recession certificate
     ``<d, x R> > sigma_{dom g}(Qd)``, proving ``x`` outside ``L*(dom g)``; rows
     that pass are 'diverged' (without a catalog conjugate of ``g``, ``||w|| >
     opts.divergence_radius``).  ``gamma`` is as for ``_cocomposition_core``.
@@ -369,7 +371,7 @@ def _composition_core(spec, X, opts, gamma=None):
         diverged = infeasible | (values == np.inf)
         return (
             np.where(diverged, np.inf, values), None,
-            _STATUS_BY_CODE.take(1 + diverged),  # 1 converged, 2 diverged
+            np.add(1, diverged, dtype=np.int8),  # 1 converged, 2 diverged
             np.zeros(len(X), dtype=int), np.where(diverged, np.inf, 0.0),
         )
 
@@ -388,7 +390,7 @@ def _composition_core(spec, X, opts, gamma=None):
     w, status, iters, residual = _fista(
         step, gamma * XR, opts, active=~infeasible, escaped=escaped, per_row=(XR, gamma),
     )
-    status[infeasible] = DIVERGED
+    status[infeasible] = _DIVERGED_CODE
     Qw = Q.apply(w)
     q = g._prox(gamma, Qw)
     values = _dual_value(Q, g, Q.apply(XR), q, (Qw - q) / gamma, gamma, status)
@@ -417,8 +419,9 @@ def _batch(core, spec, X, opts, gamma=None):
     """Run ``core`` on the finite rows of ``X``: (values, status, iters).
 
     The core gets those rows F-ordered (``_take_rows``), whatever the
-    layout of ``X``, and keeps them so.  Rows with a NaN or infinite entry
-    never enter the iteration; they are 'invalid' with value nan and 0
+    layout of ``X``, and keeps them so; its int8 status codes become the
+    shared status objects here.  Rows with a NaN or infinite entry never
+    enter the iteration; they are 'invalid' with value nan and 0
     iterations.  Raises DimensionError unless ``X`` is 2-D with
     ``spec.operator.cols`` columns and ``gamma``, when given, has one
     value per row.
@@ -430,15 +433,14 @@ def _batch(core, spec, X, opts, gamma=None):
             raise DimensionError(f"expected {len(X)} parameters, got {len(gamma)}")
     valid = np.flatnonzero(np.isfinite(X).all(axis=-1))
     values = np.full(len(X), np.nan)
-    status = np.empty(len(X), dtype=object)
-    status.fill(INVALID)  # the shared object; np.full would copy the str per row
+    codes = np.full(len(X), _INVALID_CODE, dtype=np.int8)
     iters = np.zeros(len(X), dtype=int)
     if len(valid):
         per_row = None if gamma is None else gamma.take(valid, axis=0)
-        values[valid], _, status[valid], iters[valid], _ = core(
+        values[valid], _, codes[valid], iters[valid], _ = core(
             spec, _take_rows(X, valid), opts, per_row
         )
-    return values, status, iters
+    return values, _STATUS_BY_CODE.take(codes), iters
 
 
 def _single(core, spec, x, opts):

@@ -39,7 +39,7 @@ def as_vector(x, dim=None):
         v = v.reshape(1)
     if v.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and v.shape[0] != dim:
         raise DimensionError(f"expected dimension {dim}, got {v.shape[0]}")

@@ -34,8 +34,9 @@ DIVERGED = "diverged"
 MAX_ITER = "max_iter"
 INVALID = "invalid"  # a batch row with a NaN or infinite entry; never iterated
 _FLOAT_MAX = float(np.finfo(float).max)  # a Python float: compares with any int exactly
-# the kernel's int8 status codes 0, 1, 2 name these shared objects
-_STATUS_BY_CODE = np.array([MAX_ITER, CONVERGED, DIVERGED], dtype=object)
+# the int8 status codes of the kernel and the cores, and the shared objects they name
+_MAX_ITER_CODE, _CONVERGED_CODE, _DIVERGED_CODE, _INVALID_CODE = range(4)
+_STATUS_BY_CODE = np.array([MAX_ITER, CONVERGED, DIVERGED, INVALID], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,11 @@ class SolveReport:
             self.value = np.inf
 
 
-def _row_report(values, argpoints, status, iters, residuals):
-    """Row 0 of a many-row solve's five arrays as a SolveReport; ``argpoints`` may be None."""
+def _row_report(values, argpoints, codes, iters, residuals):
+    """Row 0 of a solve's five arrays (int8 codes) as a SolveReport; ``argpoints`` may be None."""
     return SolveReport(
         float(values[0]), None if argpoints is None else argpoints[0], int(iters[0]),
-        str(status[0]), float(residuals[0]),
+        _STATUS_BY_CODE[codes[0]], float(residuals[0]),
     )
 
 
@@ -188,9 +189,9 @@ def conjugate_numeric(fn: ConvexFunction, xstar, opts: SolverOpts = DEFAULT_OPTS
         except UnsupportedConjugate:
             return _norm(z) > opts.divergence_radius
 
-    z, status, iters, residual = _fista(step, np.zeros_like(s), opts, escaped=escaped)
+    z, codes, iters, residual = _fista(step, np.zeros_like(s), opts, escaped=escaped)
     values = _dot(z, s) - np.asarray(fn(z), dtype=float)
-    return _row_report(values, z, status, iters, residual)
+    return _row_report(values, z, codes, iters, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def _momentum_weights(size):
 
 def _momentum(z):
     """FISTA with per-row restart (Beck & Teboulle 2009; O'Donoghue & Candes 2015): (z, m, age)."""
-    return _momentum_update, (z, z, np.zeros(len(z), dtype=int))
+    return _momentum_update, (z, z, np.zeros(len(z), dtype=int)), False
 
 
 def _momentum_update(state, z_new, it):
@@ -246,7 +247,7 @@ def _barzilai_borwein(alpha0, alpha_min):
         alpha = np.divide(ss, np.maximum(sy, ss), out=np.full(len(sy), alpha0), where=sy > 0.0)
         return point, point - np.maximum(alpha, alpha_min)[:, None] * F, F
 
-    return lambda z: (update, (z, z, np.zeros_like(z)))
+    return lambda z: (update, (z, z, np.zeros_like(z)), True)
 
 
 def _gather(per_row, index):
@@ -256,63 +257,69 @@ def _gather(per_row, index):
 
 def _fista(step, z, opts, active=None, escaped=None, per_row=(), rule=_momentum, tol=None,
            max_iter=None):
-    """The working-set iteration on the rows of ``z``: (z, status, iters, residual).
+    """The working-set iteration on the rows of ``z``: (z, codes, iters, residual).
 
     ``rule(z)`` (``_momentum``, the default, or ``_barzilai_borwein``)
-    returns ``update`` and the per-row state: the iterate, the point
-    ``step`` reads, and the rule's own arrays.  Each iteration on the
-    working set ``rows`` of rows still iterating calls
-    ``step(point, *per_row)`` for an output and a residual per row, then
-    ``update(state, output, it)``.  ``per_row`` holds the oracles' per-row
-    constants: an array has one entry per row of ``z`` and is gathered
-    with the working set, only when the set shrinks; any other entry (a
-    float) is passed as it is.  So is ``tol`` (default ``opts.tol``, and
-    ``opts.max_iter`` for ``max_iter``): a row is 'converged' once its
-    residual is ``<= tol``.  Every 50 iterations ``escaped(z, anchor,
-    *per_row)``, ``anchor`` being the iterate 50 iterations earlier, marks
-    rows 'diverged'.  A row that stops is written out and leaves the set;
-    rows outside ``active`` never enter it (0 iterations, residual inf),
-    rows left at ``max_iter`` are 'max_iter'.  Each row's residual is the
-    one of its last step.  Statuses are int8 codes until exit, where they
-    become the shared status objects.  ``_take_rows`` keeps the callers'
-    rows column-major (F), so numpy runs each elementwise op and ``(k, 1)``
+    returns ``update``, the per-row state (the iterate, the point ``step``
+    reads, and the rule's own arrays) and whether a stopping row writes out
+    that point (BB) or the step's output (momentum).  Each iteration on the
+    working set ``rows`` of rows still iterating calls ``step(point,
+    *per_row)`` for an output and a residual per row, tests the stop, and
+    calls ``update(state, output, it)`` on the rows that go on only: a solve
+    stopping at iteration ``k`` updates ``k - 1`` times.  ``per_row`` holds
+    the oracles' per-row constants: an array has one entry per row of ``z``
+    and is gathered with the working set, only when the set shrinks; any
+    other entry (a float) is passed as it is.  So is ``tol`` (default
+    ``opts.tol``, and ``opts.max_iter`` for ``max_iter``): a row is
+    'converged' once its residual is ``<= tol``.  Every 50 iterations
+    ``escaped(z, anchor, *per_row)``, ``anchor`` being the iterate 25
+    iterations earlier, marks rows 'diverged'.  A row that stops is written
+    out and leaves the set; rows outside ``active`` never enter it (0
+    iterations, residual inf), rows left at ``max_iter`` are 'max_iter'.
+    Each row's residual is the one of its last step.  Statuses are int8
+    codes (``_STATUS_BY_CODE``).  ``_take_rows`` keeps the callers' rows
+    column-major (F), so numpy runs each elementwise op and ``(k, 1)``
     broadcast on 2 to 5 columns over whole columns, not one short loop per
-    row.  Once every row has stopped the loop ends without compacting the
-    set, so a one-row solve never does.
+    row.  Once every row has stopped the set is written out in one step,
+    without compacting it, so a one-row solve never does.
     """
     n = len(z)
-    rows = np.arange(n) if active is None else np.flatnonzero(active)
+    rows = np.arange(n) if active is None else active.nonzero()[0]
     codes = np.zeros(n, dtype=np.int8)
     iters = np.zeros(n, dtype=int)
     residual = np.full(n, np.inf)
     tol = opts.tol if tol is None else tol
     max_iter = opts.max_iter if max_iter is None else max_iter
     z_out = z.copy(order="K")
-    update, state = rule(_take_rows(z, rows))
-    if active is not None:
+    whole = len(rows) == n  # every row iterates: nothing to gather
+    update, state, measured = rule(z if whole and z.flags.f_contiguous else _take_rows(z, rows))
+    if not whole:
         per_row, tol = _gather(per_row, rows), _gather((tol,), rows)[0]
     anchor, res, it = state[0], residual[rows], 0
     while it < max_iter and len(rows):
         it += 1
         output, res = step(state[1], *per_row)
-        state = update(state, output, it)
+        z = state[1] if measured else output  # the iterate this step gives
         stop = converged = res <= tol
-        if escaped is not None and it % 50 == 0:
-            stop = converged | escaped(state[0], anchor, *per_row)
-            anchor = state[0]
-        if np.count_nonzero(stop):
-            done, keep = np.flatnonzero(stop), np.flatnonzero(~stop)
-            out = rows[done]
+        if escaped is not None and it % 25 == 0:
+            if it % 50 == 0:
+                stop = converged | escaped(z, anchor, *per_row)
+            anchor = z
+        done = stop.nonzero()[0]
+        if len(done):
+            if len(done) == len(rows):  # every row stops: no set to compact
+                codes[rows], z_out[rows], iters[rows], residual[rows] = 2 - converged, z, it, res
+                break
+            keep, out = (~stop).nonzero()[0], rows[done]
             codes[out] = 2 - converged[done]  # 1 converged, 2 diverged
-            z_out[out], iters[out], residual[out] = _take_rows(state[0], done), it, res[done]
-            if not len(keep):
-                break  # every row is written out: no set to compact
-            rows, anchor, res = (_take_rows(a, keep) for a in (rows, anchor, res))
+            z_out[out], iters[out], residual[out] = _take_rows(z, done), it, res[done]
+            rows, anchor, res, output = (_take_rows(a, keep) for a in (rows, anchor, res, output))
             state = tuple(_take_rows(a, keep) for a in state)
             per_row, tol = _gather(per_row, keep), _gather((tol,), keep)[0]
+        state = update(state, output, it)
     else:
         z_out[rows], iters[rows], residual[rows] = state[0], it, res
-    return z_out, _STATUS_BY_CODE.take(codes), iters, residual
+    return z_out, codes, iters, residual
 
 
 def _recession_certified(step, target, slope):
@@ -337,7 +344,7 @@ def _minimize_rows(value_fn, grad_fn, X0, lipschitz, opts, per_row=()):
     ``lipschitz`` is a float or a per-row column, and ``per_row`` holds the
     oracles' per-row constants, gathered as in ``_fista``.  The residual is
     ``||grad_fn(m)||``; the escape test is the divergence radius.  Returns
-    (values, x, status, iters, residuals), with ``value_fn(x, *per_row)``
+    (values, x, codes, iters, residuals), with ``value_fn(x, *per_row)``
     as values and ``+inf`` on 'diverged' rows.
     """
 
@@ -345,12 +352,12 @@ def _minimize_rows(value_fn, grad_fn, X0, lipschitz, opts, per_row=()):
         grad = grad_fn(momentum, *consts)
         return momentum + step * grad, _norm(grad)
 
-    x, status, iters, residual = _fista(
+    x, codes, iters, residual = _fista(
         advance, X0, opts, escaped=lambda z, *_: _norm(z) > opts.divergence_radius,
         per_row=(-1.0 / lipschitz, *per_row),
     )
-    values = np.where(status == DIVERGED, np.inf, value_fn(x, *per_row))
-    return values, x, status, iters, residual
+    values = np.where(codes == _DIVERGED_CODE, np.inf, value_fn(x, *per_row))
+    return values, x, codes, iters, residual
 
 
 def minimize_smooth(value_fn, grad_fn, x0, lipschitz, opts: SolverOpts = DEFAULT_OPTS):

@@ -39,7 +39,7 @@ from proxmix import (
 from proxmix import oracles
 from proxmix.compositions import _injective_adjoint
 from proxmix.errors import AdmissibilityError, DimensionError, ParameterError
-from proxmix.moreau import CONVERGED, DIVERGED, MAX_ITER, SolverOpts
+from proxmix.moreau import CONVERGED, DIVERGED, SolverOpts
 
 
 def average_spec(gamma=1.0):
@@ -340,7 +340,7 @@ def test_comixture_cross_check_escapes_on_unscaled_blocks(monkeypatch):
 
     def no_iteration(step, z, opts, escaped=None):
         captured["escaped"] = escaped
-        return z, np.array([MAX_ITER], dtype=object), np.zeros(1, dtype=int), np.ones(1)
+        return z, np.zeros(1, dtype=np.int8), np.zeros(1, dtype=int), np.ones(1)  # 'max_iter'
 
     monkeypatch.setattr(oracles, "_fista", no_iteration)
     oracles._comixture_direct(spec, np.array([1.0]), SolverOpts(divergence_radius=10.0))

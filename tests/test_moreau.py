@@ -28,7 +28,18 @@ from proxmix.errors import ParameterError, UnsupportedDimension
 from proxmix import moreau
 from proxmix.functions import conjugate_function
 from proxmix.functions import _norm
-from proxmix.moreau import CONVERGED, DEFAULT_OPTS, DIVERGED, INVALID, MAX_ITER, _fista
+from proxmix.moreau import (
+    CONVERGED,
+    DEFAULT_OPTS,
+    DIVERGED,
+    INVALID,
+    MAX_ITER,
+    _CONVERGED_CODE,
+    _DIVERGED_CODE,
+    _MAX_ITER_CODE,
+    _STATUS_BY_CODE,
+    _fista,
+)
 from proxmix.verify import _random_conjugable_fn
 
 
@@ -323,7 +334,7 @@ def test_minimize_smooth_is_row_0_of_the_many_row_solve(expected, value, grad):
     X0 = np.array([[0.0, 0.0], [3.0, -1.0], [-0.5, 2.0]])
     rep = minimize_smooth(value, grad, X0[0], 1.0, opts)
     values, x, status, iters, residuals = moreau._minimize_rows(value, grad, X0, 1.0, opts)
-    row = (values[0], x[0].tolist(), iters[0], status[0], residuals[0])
+    row = (values[0], x[0].tolist(), iters[0], _STATUS_BY_CODE[status[0]], residuals[0])
     assert (rep.value, rep.argpoint.tolist(), rep.iterations, rep.status, rep.residual) == row
     assert rep.status == expected and rep.iterations > 0
 
@@ -358,8 +369,8 @@ def test_fista_passes_only_iterating_rows_to_the_oracles():
     )
     assert sum(len(r) for r in received) == iters.sum()
     assert not np.isin([3, 6], np.concatenate(received)).any()
-    ended = [CONVERGED, CONVERGED, DIVERGED, MAX_ITER, CONVERGED, CONVERGED, MAX_ITER]
-    assert list(status) == ended
+    converged, diverged, left = _CONVERGED_CODE, _DIVERGED_CODE, _MAX_ITER_CODE
+    assert list(status) == [converged, converged, diverged, left, converged, converged, left]
     assert iters[2] == 50 and list(iters[[3, 6]]) == [0, 0]
     assert np.isinf(residual[[3, 6]]).all() and (residual[[0, 1, 4, 5]] <= 1e-10).all()
     # the residual is rate_i ||m||: row 4 stops once ||m|| <= 1e-10 / 1e-3
@@ -400,11 +411,11 @@ def test_many_row_fista_equals_one_row_solves():
     z, status, iters, residual = _fista(
         step, z0, opts, active=active, escaped=escaped, per_row=per_row
     )
-    assert {CONVERGED, DIVERGED, MAX_ITER} <= set(status)
-    assert len(set(iters[status == CONVERGED])) > 50  # rows leave at many iterations
+    assert {_CONVERGED_CODE, _DIVERGED_CODE, _MAX_ITER_CODE} <= set(status)
+    assert len(set(iters[status == _CONVERGED_CODE])) > 50  # rows leave at many iterations
     for i in range(n):
         if not active[i]:
-            assert (status[i], iters[i], residual[i]) == (MAX_ITER, 0, np.inf)
+            assert (status[i], iters[i], residual[i]) == (_MAX_ITER_CODE, 0, np.inf)
             assert np.array_equal(z[i], z0[i])
             continue
         one = _fista(
@@ -416,15 +427,17 @@ def test_many_row_fista_equals_one_row_solves():
 
 
 def test_statuses_are_the_shared_module_constants():
+    # the kernel returns int8 codes, which name the shared objects
     rng = np.random.default_rng(10)
     step, escaped, per_row = _scaled_gradient_rows(rng, 40)
     shared = (CONVERGED, DIVERGED, MAX_ITER, INVALID)
-    _, status, _, _ = _fista(
+    _, codes, _, _ = _fista(
         step, np.zeros((40, 2)), SolverOpts(max_iter=300), escaped=escaped,
         per_row=per_row,
     )
-    assert {CONVERGED, DIVERGED, MAX_ITER} <= set(status)
-    assert all(any(s is c for c in shared) for s in status)
+    assert codes.dtype == np.int8 and set(codes) == {0, 1, 2}
+    assert all(any(s is c for c in shared) for s in _STATUS_BY_CODE.take(codes))
+    assert list(_STATUS_BY_CODE) == [MAX_ITER, CONVERGED, DIVERGED, INVALID]
     # a feasible, an infeasible (off the range of L*) and a NaN row
     spec = CompositionSpec(DenseMap([[0.6, 0.0]]), L1Norm(1), 1.0)
     X = np.array([[1.0, 0.0], [1.0, 1.0], [np.nan, 0.0]])
@@ -496,9 +509,84 @@ def test_fista_matches_a_float_t_reference_with_restarts(monkeypatch):
     z, status, iters, _ = _fista(step, z0, opts, per_row=(curv, b))
     z_ref, status_ref, iters_ref, restarts = _reference_fista(row_step, z0, 1e-10, 700)
     assert restarts[1] > 0 and restarts[2] > 0
-    assert list(status) == status_ref == [CONVERGED, CONVERGED, MAX_ITER]
+    assert list(_STATUS_BY_CODE.take(status)) == status_ref == [CONVERGED, CONVERGED, MAX_ITER]
     assert list(iters) == iters_ref
     assert np.array_equal(z, z_ref)
+
+
+def _counted(rule, updates):
+    """``rule`` with the row count of every call of its update appended to ``updates``."""
+
+    def counted_rule(z):
+        update, state, measured = rule(z)
+
+        def counted(state, output, it):
+            updates.append(len(output))
+            return update(state, output, it)
+
+        return counted, state, measured
+
+    return counted_rule
+
+
+def _halving_step(momentum, b):
+    """A gradient step on ``||z - b||^2 / 4``, halving the distance to ``b``."""
+    grad = 0.5 * (momentum - b)
+    return momentum - grad, _norm(grad)
+
+
+def _root_step(beta, b):
+    """``F(beta) = beta - b``, whose root is ``b``, and ``||F||``."""
+    F = beta - b
+    return F, _norm(F)
+
+
+@pytest.mark.parametrize(
+    "rule, step",
+    [(moreau._momentum, _halving_step), (moreau._barzilai_borwein(1.0, 0.5), _root_step)],
+    ids=["momentum", "barzilai-borwein"],
+)
+def test_a_solve_stopping_at_iteration_k_updates_k_minus_1_times(rule, step):
+    # the stop is tested on the step's iterate before the update, so the
+    # update of a row's last iteration is never made
+    b = np.array([[1.0, -2.0]])
+    for z0, stopped_at in ((np.zeros((1, 2)), None), (b.copy(), 1)):
+        updates = []
+        z, codes, iters, residual = _fista(
+            step, z0, SolverOpts(tol=1e-10), per_row=(b,), rule=_counted(rule, updates)
+        )
+        assert codes.dtype == np.int8 and codes.tolist() == [_CONVERGED_CODE]
+        assert len(updates) == iters[0] - 1 and residual[0] <= 1e-10
+        if stopped_at is None:
+            assert iters[0] > 1
+        else:  # a one-iteration solve never updates
+            assert iters[0] == stopped_at and updates == []
+        # momentum writes out the step's output, BB the point it measured,
+        # not F there (0 at the root)
+        np.testing.assert_allclose(z, b, rtol=0, atol=1e-9)
+
+
+def test_rows_stopping_together_are_written_out_in_one_step(monkeypatch):
+    # the rows are the same problem up to signs and order, so they stop at
+    # the same iteration: no row is taken from the set, at set-up or after
+    taken = []
+    take_rows = moreau._take_rows
+
+    def counted(a, index):
+        taken.append(len(index))
+        return take_rows(a, index)
+
+    monkeypatch.setattr(moreau, "_take_rows", counted)
+    b = np.array([[1.0, -2.0], [-2.0, 1.0], [2.0, 1.0]])
+    z, codes, iters, _ = _fista(_halving_step, np.zeros((3, 2), order="F"), DEFAULT_OPTS,
+                                per_row=(b,))
+    assert taken == [] and len(set(iters)) == 1 and iters[0] > 1
+    assert codes.tolist() == [_CONVERGED_CODE] * 3
+    np.testing.assert_allclose(z, b, rtol=0, atol=1e-7)
+    # a row that stops alone is taken from the set
+    z0 = np.array([[1.0, -2.0], [0.0, 0.0], [0.0, 0.0]], order="F")
+    _, _, iters, _ = _fista(_halving_step, z0, DEFAULT_OPTS, per_row=(b,))
+    assert iters[0] == 1 < iters[1] and taken
 
 
 def test_found_line_solves_keep_their_iteration_counts():
