@@ -11,14 +11,16 @@ the adjoint.  The composition ascends its dual on the range factor of
 ``L``, except where ``L*`` is injective: its fiber is one point or empty,
 so the value is exact.  For ``||L|| < 1`` the cocomposition is a metric
 Moreau envelope whose minimizer is one prox away from the root of a map on
-``R^k``, found with Barzilai-Borwein steps; at ``||L|| = 1``, for a ``g``
-whose prox exists at one parameter only, and for rows that path does not
-stop, it ascends its dual from the solution for a multiple ``LL*`` of
-``I``.  Both ascents step by one prox of ``g``, in coordinates scaled by
-its parameter.  Every spectral quantity comes from one cached SVD of
-``L``; every iterated value is the dual value at the solver's last prox
-point (a lower bound, by Fenchel-Young: no ``g*``), the exact composition's
-is primal.  Prox, envelope, recession and perspective come in closed form.
+``R^k``, found with semismooth Newton steps through the closed-form prox
+Jacobians of the catalog; at ``||L|| = 1``, and for a ``g`` without such a
+Jacobian (an ``OracleFunction`` or a subclass without the hook in its tree,
+which covers a prox that exists at one parameter only), it ascends its
+dual from the solution for a multiple ``LL*`` of ``I``.  Both ascents
+step by one prox of ``g``, in coordinates scaled by its parameter.  Every spectral quantity comes from
+one cached SVD of ``L``; every iterated value is the dual value at the
+solver's last prox point (a lower bound, by Fenchel-Young: no ``g*``), the
+exact composition's is primal.  Prox, envelope, recession and perspective
+come in closed form.
 
 Batch variants evaluate many base points in one iteration; rows leave
 the iteration when they stop, and many-row arrays stay column-major from
@@ -28,7 +30,7 @@ the verification suites rely on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,11 +57,10 @@ from .moreau import (
     SolverOpts,
     _DIVERGED_CODE,
     _INVALID_CODE,
-    _MAX_ITER_CODE,
     _STATUS_BY_CODE,
-    _barzilai_borwein,
     _fista,
     _minimize_rows,
+    _newton,
     _recession_certified,
     _row_report,
     envelope,
@@ -96,7 +97,6 @@ __all__ = [
 ADMISSIBILITY_TOL = 1e-9
 _SMALL_GAMMA_SLACK = 1e-6  # limit_small_gamma's slack on each gap bound
 _LARGE_GAMMA_HALFWIDTH = 10.0  # grid window of limit_large_gamma's target search
-_METRIC_BUDGET = 200  # metric-path iterations before a row falls back to dual ascent
 _EPS = float(np.finfo(float).eps)
 
 
@@ -206,44 +206,36 @@ def _product(X):
 
 
 def _metric_cocomposition(L, g, LX, gamma, opts, mul):
-    """The cocomposition for ``||L|| < 1`` as a root in ``R^k``, by Barzilai-Borwein steps.
+    """The cocomposition for ``||L|| < 1`` as a root in ``R^k``, by semismooth Newton steps.
 
     ``min_v g(v) + ||v - Lx||_M^2 / (2 gamma)``, ``M = (I - LL*)^-1 = I +
     W W^T``, is attained at ``v = prox_{gamma g}(Lx - W beta)``, ``beta`` the
-    root of ``F(beta) = beta + W^T(Lx - v)``, a gradient of curvature in
-    ``[1, 1/(1 - ||L||^2)]`` (Becker, Fadili & Ochs 2019): one prox per
-    step from the root for ``LL* = (1 - mu) I``, ``mu = max(1 - s_k^2, 1e-2)``,
-    to ``||F|| <= opts.tol + 4 eps ||W|| ||Lx||``, its rounding floor; rows
-    left after ``_METRIC_BUDGET`` steps (BB steps can cycle across the kinks
-    of a prox as ``||L||`` nears 1) finish by ``_dual_cocomposition``.  Returns
-    ``v``, its dual ``(Lx - W beta - v)/gamma`` in ``dg(v)``, status codes,
-    iterations (both paths') and residuals.
+    root of ``F(beta) = beta + W^T(Lx - v)``, the gradient of a strongly
+    convex function (Becker, Fadili & Ochs 2019) whose generalized Hessians
+    ``I + W^T J W``, ``J`` from ``g._prox_jacobian``, have eigenvalues in
+    ``[1, 1/(1 - ||L||^2)]``: one prox per step from the root for ``LL* =
+    (1 - mu) I``, ``mu = max(1 - s_k^2, 1e-2)``, to ``||F|| <= opts.tol + 4
+    eps ||W|| ||Lx||``, its rounding floor.  Returns ``v``, its dual ``(Lx -
+    W beta - v)/gamma`` in ``dg(v)``, status codes, iterations and residuals.
     """
     (W, WT), sv = L.metric_factor, L.thin_svd[1]
     omega, index = sv[0] ** 2 / (1.0 - sv[0] ** 2), gamma * max(1.0 - sv[-1] ** 2, 1e-2)
     floor = opts.tol + 4.0 * _EPS * omega**0.5 * _norm(LX)
-    budget = min(opts.max_iter, _METRIC_BUDGET)
 
     def step(beta, LX, gamma):
         F = beta + mul(LX - g._prox(gamma, LX - mul(beta, WT)), W)
         return F, _norm(F)
 
+    def jacobian(beta, LX, gamma):
+        return np.identity(len(WT))[:, :, None] + g._prox_jacobian(gamma, LX - mul(beta, WT), W)
+
     beta, status, iters, residual = _fista(
         step, mul(g._prox(index, LX) - LX, W), opts, per_row=(LX, gamma),
-        rule=_barzilai_borwein(1.0 / (1.0 + 0.5 * omega), 1.0 / (1.0 + omega)), tol=floor,
-        max_iter=budget,
+        rule=_newton(jacobian), tol=floor,
     )
     u = LX - mul(beta, WT)
     v = g._prox(gamma, u)
-    out = v, (u - v) / gamma, status, iters, residual
-    stalled = np.flatnonzero(status == _MAX_ITER_CODE) if iters.max() == budget else ()
-    if budget < opts.max_iter and len(stalled):
-        LS, rest = _take_rows(LX, stalled), replace(opts, max_iter=opts.max_iter - budget)
-        column = _take_rows(gamma, stalled) if np.ndim(gamma) else gamma
-        for part, redone in zip(out, _dual_cocomposition(L, g, LS, column, rest, _product(LS))):
-            part[stalled] = redone
-        iters[stalled] += budget
-    return out
+    return v, (u - v) / gamma, status, iters, residual
 
 
 def _past_radius(opts):
@@ -310,13 +302,14 @@ def _cocomposition_core(spec, X, opts, gamma=None):
 
     ``gamma`` (default ``spec.gamma``) is a float or a per-row column.
     ``_metric_cocomposition`` where ``||L|| < 1`` by the admissibility slack and
-    ``g`` has no fixed prox parameter, else ``_dual_cocomposition``; the value is
-    the ``_dual_value`` of the pair it returns.
+    ``g.has_prox_jacobian()`` (so ``g`` has no fixed prox parameter either),
+    else ``_dual_cocomposition``; the value is the ``_dual_value`` of the
+    pair it returns.
     """
     L, g = spec.operator, spec.fn
     gamma = spec.gamma if gamma is None else gamma
     LX = L.apply(X)
-    metric = not g.has_fixed_prox_parameter() and L.norm_bound < 1.0 - ADMISSIBILITY_TOL
+    metric = g.has_prox_jacobian() and L.norm_bound < 1.0 - ADMISSIBILITY_TOL
     solve = _metric_cocomposition if metric else _dual_cocomposition
     p, y, status, iters, residual = solve(L, g, LX, gamma, opts, _product(X))
     return _dual_value(L, g, LX, p, y, gamma, status), y, status, iters, residual

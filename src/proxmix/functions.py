@@ -84,6 +84,41 @@ def _dot(a, b):
     return _row_sum(a * b)
 
 
+def _constant_congruence(C, x):
+    """The ``k x k`` matrix ``C`` once per row of ``x``: a read-only view ``(k, k, n)``."""
+    return np.broadcast_to(C[:, :, None], C.shape + x.shape[:1])
+
+
+def _diagonal_congruence(diag, W):
+    """``W^T diag(d) W`` for each row ``d`` of ``diag`` ``(n, m)``, by one product: ``(k, k, n)``.
+
+    Row ``i`` of ``W`` contributes ``d_i w_i w_i^T``, so the sum is the
+    ``k^2 x m`` table of those outer products times ``diag``.
+    """
+    m, k = W.shape
+    outer = (W[:, :, None] * W[:, None, :]).reshape(m, k * k)
+    return (outer.T @ diag.T).reshape(k, k, len(diag))
+
+
+def _rank_one_congruence(a, b, e, W):
+    """``W^T (a I + b e e^T) W`` for unit rows ``e`` ``(n, m)`` and per-row ``a``, ``b``:
+    ``(k, k, n)``, each entry an ``n``-vector."""
+    eW = W.T @ e.T  # (k, n), C-ordered for the F-ordered rows of the solvers
+    return (W.T @ W)[:, :, None] * a + (eW[:, None, :] * eW) * b
+
+
+def _shrink_jacobian(v, thresh, W):
+    """The congruence of the Jacobian of ``v -> v (1 - thresh / max(||v||, thresh))``.
+
+    ``(1 - thresh/||v||) I + (thresh/||v||) e e^T``, ``e = v/||v||``, where
+    ``||v|| > thresh``, else 0; with the prox's own divisor floors a zero
+    ``thresh`` gives ``I``.
+    """
+    nv, thresh = _norm(v), _row_values(thresh)
+    s = thresh / np.maximum(nv, thresh + _TINY)
+    return _rank_one_congruence(1.0 - s, s * (nv > thresh), v / np.maximum(nv, _TINY)[:, None], W)
+
+
 def _scalarize(values):
     """0-d arrays become Python floats, batches stay arrays."""
     arr = np.asarray(values, dtype=float)
@@ -102,6 +137,14 @@ class ConvexFunction:
     hook calls the hooks of the functions it is built from directly, so a
     transform stack is validated at its root only.  Subclasses also
     implement ``lipschitz_bound`` and ``has_full_domain``.
+
+    ``_prox_jacobian(gamma, x, W)`` returns, for rows ``x`` ``(n, dim)``,
+    the congruences ``W^T J W`` by a ``(dim, k)`` matrix ``W`` of a
+    generalized Jacobian ``J`` of ``prox_{gamma f}`` at each row (symmetric,
+    ``0 <= J <= I``, a one-sided derivative at a kink), as ``(k, k, n)``:
+    each matrix entry is a vector over the rows, and no ``(n, dim, dim)``
+    array is built.  Every catalog function but ``OracleFunction`` has the
+    hook; ``has_prox_jacobian`` says whether a whole tree does.
     """
 
     dim = None  # type: int
@@ -139,6 +182,14 @@ class ConvexFunction:
         it was given, not at one of its own.
         """
         return False
+
+    def has_prox_jacobian(self):
+        """True when every function in the tree has ``_prox_jacobian``.
+
+        Not so with an ``OracleFunction`` (its prox is a black box) or a
+        subclass without the hook anywhere in the tree.
+        """
+        return hasattr(self, "_prox_jacobian")
 
     # -- derived operations -------------------------------------------
     def prox_conjugate(self, gamma, x):
@@ -272,6 +323,10 @@ class L1Norm(ConvexFunction):
         # x minus its clamp to [-gamma, gamma]; np.clip costs more on one row
         return x - np.minimum(np.maximum(x, -gamma), gamma)
 
+    def _prox_jacobian(self, gamma, x, W):
+        # diagonal: 1 where the soft threshold passes x_i on, 0 where it clamps
+        return _diagonal_congruence(np.abs(x) > gamma, W)
+
     def _conjugate(self, s):
         slack = BOUNDARY_TOL * (1.0 + _norm(s))
         inside = np.max(np.abs(s), axis=-1) <= 1.0 + slack
@@ -301,6 +356,9 @@ class EuclideanNorm(ConvexFunction):
         # out where a wrapper's rescaled gamma underflows to 0, and adds
         # nothing to a gamma above 1e-292.
         return x * (1.0 - gamma / np.maximum(_norm(x)[..., None], gamma + _TINY))
+
+    def _prox_jacobian(self, gamma, x, W):
+        return _shrink_jacobian(x, gamma, W)
 
     def _conjugate(self, s):
         inside = _norm(s) <= 1.0 + BOUNDARY_TOL * (1.0 + _norm(s))
@@ -338,6 +396,11 @@ class Quadratic(ConvexFunction):
         coef = x @ self._eigvecs
         coef = coef / (1.0 + gamma * self._eigvals)
         return coef @ self._eigvecs_t
+
+    def _prox_jacobian(self, gamma, x, W):
+        # V diag(1 / (1 + gamma lambda)) V^T, the same for every x
+        shrink = np.broadcast_to(1.0 / (1.0 + gamma * self._eigvals), x.shape)
+        return _diagonal_congruence(shrink, self._eigvecs_t @ W)
 
     def _conjugate(self, s):
         coef = s @ self._eigvecs
@@ -381,6 +444,9 @@ class Affine(ConvexFunction):
     def _prox(self, gamma, x):
         return x - gamma * self.u
 
+    def _prox_jacobian(self, gamma, x, W):
+        return _constant_congruence(W.T @ W, x)
+
     def _conjugate(self, s):
         hit = _norm(s - self.u) <= BOUNDARY_TOL * (1.0 + _norm(self.u) + _norm(s))
         return np.where(hit, -self.alpha, np.inf)
@@ -423,6 +489,14 @@ class BallIndicator(_Ball):
         nd = _norm(d)[..., None]
         return self.center + self.radius / np.maximum(nd, self.radius) * d
 
+    def _prox_jacobian(self, gamma, x, W):
+        # I inside the ball, (r/||d||)(I - e e^T) outside; 0 at radius 0
+        d = x - self.center
+        nd = _norm(d)
+        s = self.radius / np.maximum(nd, self.radius + _TINY)
+        e = d / np.maximum(nd, _TINY)[:, None]
+        return _rank_one_congruence(s, -s * (nd > self.radius), e, W)
+
     def _conjugate(self, s):
         return _dot(s, self.center) + self.radius * _norm(s)
 
@@ -462,6 +536,10 @@ class SubspaceIndicator(ConvexFunction):
     def _prox(self, gamma, x):
         return self._project(x)
 
+    def _prox_jacobian(self, gamma, x, W):
+        BW = self._basis_t @ W
+        return _constant_congruence(BW.T @ BW, x)
+
     def _conjugate(self, s):
         tangential = _norm(self._project(s))
         return np.where(tangential <= BOUNDARY_TOL * (1 + _norm(s)), 0.0, np.inf)
@@ -484,6 +562,16 @@ class BallDistance(_Ball):
         nd = _norm(d)[..., None]
         move = np.minimum(np.maximum(nd - self.radius, 0.0), gamma)
         return x - move / np.maximum(nd, _TINY) * d
+
+    def _prox_jacobian(self, gamma, x, W):
+        # with f = move/||d||: (1 - f) I, plus e e^T times (f - 1) where the
+        # prox projects onto the ball (||d|| - r < gamma), f where it moves gamma
+        d, gamma = x - self.center, _row_values(gamma)
+        nd = _norm(d)
+        floored = np.maximum(nd, _TINY)
+        f = np.minimum(np.maximum(nd - self.radius, 0.0), gamma) / floored
+        b = (f - (nd - self.radius < gamma)) * (nd > self.radius)
+        return _rank_one_congruence(1.0 - f, b, d / floored[:, None], W)
 
     def _conjugate(self, s):
         # Distance = norm infimal-convolved with the indicator, so the
@@ -517,6 +605,9 @@ class BallSupport(_Ball):
         thresh = gamma * self.radius
         ns = _norm(shifted)[..., None]
         return shifted * (1.0 - thresh / np.maximum(ns, thresh + _TINY))
+
+    def _prox_jacobian(self, gamma, x, W):
+        return _shrink_jacobian(x - gamma * self.center, gamma * self.radius, W)
 
     def _conjugate(self, s):
         inside = _norm(s - self.center) <= self.radius + BOUNDARY_TOL * (
@@ -567,6 +658,13 @@ class SeparableSum(ConvexFunction):
             out[..., sl] = fn._prox(gamma * w, x[..., sl])
         return out
 
+    def _prox_jacobian(self, gamma, x, W):
+        # J is block diagonal, so W^T J W sums the blocks' congruences
+        total = 0.0
+        for w, fn, sl in self.blocks:
+            total = total + fn._prox_jacobian(gamma * w, x[..., sl], W[sl])
+        return total
+
     def _conjugate(self, s):
         total = 0.0
         for w, fn, sl in self.blocks:
@@ -594,6 +692,9 @@ class SeparableSum(ConvexFunction):
     def has_fixed_prox_parameter(self):
         return any(fn.has_fixed_prox_parameter() for _, fn, _ in self.blocks)
 
+    def has_prox_jacobian(self):
+        return all(fn.has_prox_jacobian() for _, fn, _ in self.blocks)
+
 
 # ---------------------------------------------------------------------------
 # the transform fold
@@ -612,6 +713,9 @@ class _Transform(ConvexFunction):
 
     def has_fixed_prox_parameter(self):
         return self.inner.has_fixed_prox_parameter()
+
+    def has_prox_jacobian(self):
+        return self.inner.has_prox_jacobian()
 
 
 class TransformedFunction(_Transform):
@@ -659,6 +763,17 @@ class TransformedFunction(_Transform):
         if self.c is not None:
             p = self.c + p
         return p if self.b == 1.0 else p / self.b
+
+    def _prox_jacobian(self, gamma, x, W):
+        # the chain rule, J_h / (1 + gamma rho), at the parameter and point
+        # where _prox calls the inner prox (neutral steps are exact)
+        shrink = 1.0 + gamma * self.rho
+        gamma = gamma / shrink
+        y = self.b * (x / shrink if self.u is None else x / shrink - gamma * self.u)
+        if self.c is not None:
+            y = y - self.c
+        jac = self.inner._prox_jacobian(gamma * (self.a * self.b**2), y, W)
+        return jac / _row_values(shrink) if self.rho else jac
 
     def _conjugate(self, s):
         if self.rho:
@@ -739,6 +854,13 @@ class MoreauEnvelopeFunction(_Transform):
     def _prox(self, gamma, x):
         p = self.inner._prox(gamma + self.index, x)
         return x + gamma / (gamma + self.index) * (p - x)
+
+    def _prox_jacobian(self, gamma, x, W):
+        # (r I + gamma J_h) / (gamma + r), J_h at index gamma + r
+        total = gamma + self.index
+        inner = self.inner._prox_jacobian(total, x, W)
+        gamma, total = _row_values(gamma), _row_values(total)
+        return ((self.index * (W.T @ W))[:, :, None] + gamma * inner) / total
 
     def _conjugate(self, s):
         return self.inner._conjugate(s) + 0.5 * self.index * _norm(s) ** 2

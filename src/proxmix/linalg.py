@@ -125,6 +125,50 @@ def _take_rows(a, index):
     return a.T.take(index, axis=-1).T
 
 
+def _ldl_solve(H, b):
+    """``x`` with ``H x = b`` by ``L D L^T``, ``H`` symmetric positive definite, ``k x k``.
+
+    ``H[i][j]`` and the ``k`` entries of ``b`` are numbers or vectors of
+    the same length, each system solved entrywise; only the lower triangle
+    of ``H`` is read and no square root is taken.  Returns ``x`` as a list.
+    """
+    k = len(b)
+    low, diag = [[None] * k for _ in range(k)], [None] * k
+    for j in range(k):
+        col = [H[i][j] for i in range(k)]  # column j of L D, from the diagonal down
+        for p in range(j):
+            scaled = low[j][p] * diag[p]
+            for i in range(j, k):
+                col[i] = col[i] - low[i][p] * scaled
+        diag[j] = col[j]
+        for i in range(j + 1, k):
+            low[i][j] = col[i] / diag[j]
+    y = list(b)  # forward: L y = b, then y / D
+    for i in range(k):
+        for p in range(i):
+            y[i] = y[i] - low[i][p] * y[p]
+    x = [yi / di for yi, di in zip(y, diag)]
+    for i in reversed(range(k)):  # back: L^T x = y / D
+        for p in range(i + 1, k):
+            x[i] = x[i] - low[p][i] * x[p]
+    return x
+
+
+def _solve_spd_rows(H, b):
+    """``x`` with ``H_i x_i = b_i`` for each row ``b_i`` of ``b`` ``(n, k)``, F-ordered.
+
+    ``H`` is ``(k, k, n)``: symmetric positive definite matrices, each
+    entry a vector over the rows.  ``_ldl_solve`` unrolled over the ``k``
+    columns makes every step one elementwise op on ``n`` entries: for the
+    small ``k`` of the solvers (up to 5) a fraction of ``np.linalg.solve``'s
+    per-system set-up.  One row takes the same steps on Python floats,
+    bit for bit, without numpy's cost per op.
+    """
+    if len(b) == 1:
+        return np.array([_ldl_solve(H[:, :, 0].tolist(), b[0].tolist())])
+    return np.stack(_ldl_solve(H, b.T)).T
+
+
 class DenseMap:
     """Dense linear operator between Euclidean spaces.
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -412,10 +413,11 @@ def sampled_expectation_prox(draw: Callable, seed, n_samples, gamma, x):
     estimate averages ``prox_{gamma f_i}(x)`` over ``n_samples`` draws
     from a generator seeded with the mandatory ``seed``.  For a finite
     family with explicit weights, ``mixture_prox`` on identity operators
-    is the exact counterpart.
+    is the exact counterpart.  ``n_samples`` must be an integer of at least
+    2 (a bool is not), else ParameterError.
     """
-    if n_samples < 2:
-        raise ParameterError("need at least two samples for an error estimate")
+    if type(n_samples) is bool or not (isinstance(n_samples, Integral) and n_samples >= 2):
+        raise ParameterError("need an integer of at least two samples for an error estimate")
     if not gamma > 0:
         raise ParameterError("gamma must be positive")
     rng = np.random.default_rng(seed)

@@ -1,7 +1,7 @@
 """Solver options and reports, the shared kernel, Moreau envelopes and a numeric conjugate.
 
 Every solver runs on the working-set iteration ``_fista`` (FISTA with
-restart, or Barzilai-Borwein steps).  The numeric conjugate maximizes the
+restart, or semismooth Newton steps).  The numeric conjugate maximizes the
 concave map ``x -> <x, s> - f(x)`` on that kernel using only the exact
 prox of ``f``.  Brute-force ground truth lives in ``proxmix.oracles``.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedConjugate
 from .functions import BOUNDARY_TOL, ConvexFunction, _all_positive, _dot, _norm, _row_values
-from .linalg import _take_rows
+from .linalg import _solve_spd_rows, _take_rows
 
 __all__ = [
     "SolverOpts",
@@ -224,7 +224,7 @@ def _momentum(z):
     return _momentum_update, (z, z, np.zeros(len(z), dtype=int)), False
 
 
-def _momentum_update(state, z_new, it):
+def _momentum_update(state, z_new, _res, it, *_per_row):
     z, momentum, age = state
     delta = z_new - z
     age[_dot(momentum - z_new, delta) > 0.0] = 0  # restart
@@ -232,22 +232,57 @@ def _momentum_update(state, z_new, it):
     return z_new, z_new + betas[age][:, None] * delta, age + 1
 
 
-def _barzilai_borwein(alpha0, alpha_min):
-    """Steps ``-alpha F`` to a root of ``F``, the step's output, a 1/alpha_min-smooth gradient.
+_ARMIJO = 1e-4  # the Newton rule's sufficient decrease of ||F||, per unit step
+_MIN_STEP = 0.5**20  # the Newton rule's step length below which it steps along -F
 
-    BB1 (Barzilai & Borwein 1988): ``alpha = s's / s'y`` for the last moves
-    ``s`` of the point and ``y`` of ``F``, clipped to ``[alpha_min, 1]``, or
-    ``alpha0`` where ``s'y <= 0``.  State: (point measured last, next, F there).
+
+def _newton(jacobian):
+    """Semismooth Newton steps to a root of ``F``, the step's output (Qi & Sun 1993).
+
+    ``jacobian(point, *per_row)`` returns an element ``H`` of the
+    generalized Jacobian of ``F`` at each row's point, symmetric positive
+    definite, as ``(k, k, n)`` (see ``_solve_spd_rows``).  A measured point
+    whose ``||F||`` (the step's residual) is at most ``(1 - 1e-4 t)`` times
+    that of the last accepted one (``t`` its step length) is accepted, and
+    the next point is ``point - d``, ``H d = F``; every start is.
+    Otherwise the step halves: ``base - (t/2) d`` from the last accepted
+    ``base``.  Each trial point is one iteration; ``H`` is taken only in an
+    iteration where some row accepts.  At a kink of ``F``, ``H`` may come
+    from the side the step leaves, and then no halving of ``d`` may
+    decrease ``||F||`` enough; so a Newton step halved 20 times turns to
+    ``d = F(base) = H d``, ``H`` taken at ``base`` again, at ``t = 1`` and
+    halves on.  For ``F`` the gradient of a strongly convex function, whose
+    generalized Jacobians are ``>= I``, that step decreases ``||F||`` by
+    about ``t ||F||`` once short enough.
+    State: (point measured last, next, base, ``||F(base)||``, ``d``,
+    ``t``, whether ``d`` is a Newton step).
     """
 
-    def update(state, F, _it):
-        measured, point, F_prev = state
-        s, y = point - measured, F - F_prev
-        sy, ss = _dot(s, y), _dot(s, s)
-        alpha = np.divide(ss, np.maximum(sy, ss), out=np.full(len(sy), alpha0), where=sy > 0.0)
-        return point, point - np.maximum(alpha, alpha_min)[:, None] * F, F
+    def update(state, F, norm, _it, *per_row):
+        _, point, base, norm_base, d, t, newton = state
+        accept = norm <= (1.0 - _ARMIJO * t) * norm_base
+        if accept.all():  # as on most batch iterations: nothing to merge
+            d = _solve_spd_rows(jacobian(point, *per_row), F)
+            return point, point - d, point, norm, d, np.ones_like(t), accept
+        t = np.where(accept, 1.0, 0.5 * t)
+        if accept.any():  # a rejected row keeps its step
+            keep = accept[:, None]
+            solved = _solve_spd_rows(jacobian(point, *per_row), F)
+            base, d = np.where(keep, point, base), np.where(keep, solved, d)
+            norm_base, newton = np.where(accept, norm, norm_base), newton | accept
+        stalled = newton & (t < _MIN_STEP)
+        if stalled.any():  # F(base) = H d, H as taken at base
+            gradient = np.einsum("ijn,nj->ni", jacobian(base, *per_row), d)
+            d, t = np.where(stalled[:, None], gradient, d), np.where(stalled, 1.0, t)
+            newton = newton & ~stalled
+        return point, base - t[:, None] * d, base, norm_base, d, t, newton
 
-    return lambda z: (update, (z, z, np.zeros_like(z)), True)
+    def start(z):
+        # t = 0 and ||F(base)|| = inf: every row accepts its start
+        n = len(z)
+        return update, (z, z, z, np.full(n, np.inf), z, np.zeros(n), np.zeros(n, dtype=bool)), True
+
+    return start
 
 
 def _gather(per_row, index):
@@ -255,23 +290,22 @@ def _gather(per_row, index):
     return tuple(_take_rows(c, index) if isinstance(c, np.ndarray) else c for c in per_row)
 
 
-def _fista(step, z, opts, active=None, escaped=None, per_row=(), rule=_momentum, tol=None,
-           max_iter=None):
+def _fista(step, z, opts, active=None, escaped=None, per_row=(), rule=_momentum, tol=None):
     """The working-set iteration on the rows of ``z``: (z, codes, iters, residual).
 
-    ``rule(z)`` (``_momentum``, the default, or ``_barzilai_borwein``)
+    ``rule(z)`` (``_momentum``, the default, or ``_newton(jacobian)``)
     returns ``update``, the per-row state (the iterate, the point ``step``
     reads, and the rule's own arrays) and whether a stopping row writes out
-    that point (BB) or the step's output (momentum).  Each iteration on the
-    working set ``rows`` of rows still iterating calls ``step(point,
+    that point (Newton) or the step's output (momentum).  Each iteration on
+    the working set ``rows`` of rows still iterating calls ``step(point,
     *per_row)`` for an output and a residual per row, tests the stop, and
-    calls ``update(state, output, it)`` on the rows that go on only: a solve
-    stopping at iteration ``k`` updates ``k - 1`` times.  ``per_row`` holds
-    the oracles' per-row constants: an array has one entry per row of ``z``
-    and is gathered with the working set, only when the set shrinks; any
-    other entry (a float) is passed as it is.  So is ``tol`` (default
-    ``opts.tol``, and ``opts.max_iter`` for ``max_iter``): a row is
-    'converged' once its residual is ``<= tol``.  Every 50 iterations
+    calls ``update(state, output, residual, it, *per_row)`` on the rows
+    that go on only: a solve stopping at iteration ``k`` updates ``k - 1``
+    times.  ``per_row`` holds the oracles' per-row constants: an array has
+    one entry per row of ``z`` and is gathered with the working set, only
+    when the set shrinks; any other entry (a float) is passed as it is.  So
+    is ``tol`` (default ``opts.tol``): a row is 'converged' once its
+    residual is ``<= tol``.  Every 50 iterations
     ``escaped(z, anchor, *per_row)``, ``anchor`` being the iterate 25
     iterations earlier, marks rows 'diverged'.  A row that stops is written
     out and leaves the set; rows outside ``active`` never enter it (0
@@ -289,14 +323,13 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=(), rule=_momentum,
     iters = np.zeros(n, dtype=int)
     residual = np.full(n, np.inf)
     tol = opts.tol if tol is None else tol
-    max_iter = opts.max_iter if max_iter is None else max_iter
     z_out = z.copy(order="K")
     whole = len(rows) == n  # every row iterates: nothing to gather
     update, state, measured = rule(z if whole and z.flags.f_contiguous else _take_rows(z, rows))
     if not whole:
         per_row, tol = _gather(per_row, rows), _gather((tol,), rows)[0]
     anchor, res, it = state[0], residual[rows], 0
-    while it < max_iter and len(rows):
+    while it < opts.max_iter and len(rows):
         it += 1
         output, res = step(state[1], *per_row)
         z = state[1] if measured else output  # the iterate this step gives
@@ -316,7 +349,7 @@ def _fista(step, z, opts, active=None, escaped=None, per_row=(), rule=_momentum,
             rows, anchor, res, output = (_take_rows(a, keep) for a in (rows, anchor, res, output))
             state = tuple(_take_rows(a, keep) for a in state)
             per_row, tol = _gather(per_row, keep), _gather((tol,), keep)[0]
-        state = update(state, output, it)
+        state = update(state, output, res, it, *per_row)
     else:
         z_out[rows], iters[rows], residual[rows] = state[0], it, res
     return z_out, codes, iters, residual

@@ -709,3 +709,98 @@ def test_soft_threshold_is_prox(entries, gamma):
         z = p + delta
         trial = np.abs(z).sum() + np.linalg.norm(x - z) ** 2 / (2 * gamma)
         assert base <= trial + 1e-9
+
+
+# -- closed-form prox Jacobians ----------------------------------------------------
+
+
+def _jacobian_functions(dim=3):
+    """Every catalog hook: the atoms, a sum, a full transform stack and an envelope."""
+    return catalog(dim) + [
+        BallIndicator(np.zeros(dim), 0.0),
+        BallDistance(np.linspace(-0.5, 0.5, dim), 0.7),
+        L1Norm(dim).translate(np.linspace(-1.0, 1.0, dim)).scale_arg(1.5).scale_val(0.7)
+        .add_affine(0.2 * np.ones(dim), 0.1).add_quad(0.9),
+        MoreauEnvelopeFunction(BallDistance(np.zeros(dim), 0.5), 0.6),
+        MoreauEnvelopeFunction(L1Norm(dim).add_quad(0.3), 1.7),
+    ]
+
+
+def _one_sided_jacobians(fn, gamma, X):
+    """Forward, backward and central differences of ``fn._prox`` at the rows ``X``,
+    each ``(n, dim, dim)``, with the relative step ``1e-6 max(1, |x_i|)``."""
+    n, dim = X.shape
+    fwd, bwd = np.empty((n, dim, dim)), np.empty((n, dim, dim))
+    p = fn._prox(gamma, X)
+    for i in range(dim):
+        h = np.zeros((n, dim))
+        h[:, i] = 1e-6 * np.maximum(1.0, np.abs(X[:, i]))
+        fwd[:, :, i] = (fn._prox(gamma, X + h) - p) / h[:, i:i + 1]
+        bwd[:, :, i] = (p - fn._prox(gamma, X - h)) / h[:, i:i + 1]
+    return fwd, bwd, 0.5 * (fwd + bwd)
+
+
+@pytest.mark.parametrize("fn", _jacobian_functions(), ids=repr)
+def test_prox_jacobians_match_central_differences(fn):
+    # away from kinks, where the one-sided differences agree, the hook's
+    # congruence W^T J W equals that of the central difference
+    rng = np.random.default_rng(70)
+    X = 2.0 * rng.normal(size=(200, fn.dim))
+    checked = 0
+    for gamma in (0.3, 1.0, 3.0, rng.uniform(0.25, 4.0, size=(200, 1))):
+        fwd, bwd, central = _one_sided_jacobians(fn, gamma, X)
+        smooth = np.abs(fwd - bwd).max(axis=(1, 2)) <= 1e-4
+        for k in (1, 2, fn.dim):
+            W = rng.normal(size=(fn.dim, k))
+            got = fn._prox_jacobian(gamma, X, W)
+            assert got.shape == (k, k, len(X))
+            expected = np.einsum("ia,nij,jb->abn", W, central, W)
+            np.testing.assert_allclose(
+                got[:, :, smooth], expected[:, :, smooth], rtol=1e-6, atol=1e-6
+            )
+        checked += np.count_nonzero(smooth)
+    assert checked >= 0.6 * 4 * len(X)  # most points are away from kinks
+
+
+def _kink_points(fn, gamma):
+    """Rows at the kinks of ``fn``'s prox at parameter ``gamma`` (3 columns)."""
+    u = np.array([0.6, -0.8, 0.0])
+    if isinstance(fn, L1Norm):
+        return np.array([[gamma, -gamma, 0.0], [0.0, 0.0, 0.0], [gamma, 1.0, -2.0]])
+    if isinstance(fn, EuclideanNorm):
+        return np.array([gamma * u, 0.0 * u])
+    if isinstance(fn, BallSupport):
+        shift = gamma * fn.center
+        return np.array([shift + gamma * fn.radius * u, shift])
+    if isinstance(fn, BallIndicator):
+        return np.array([fn.center + fn.radius * u, fn.center])
+    if isinstance(fn, BallDistance):
+        c, r = fn.center, fn.radius
+        return np.array([c + r * u, c + (r + gamma) * u, c])
+    raise AssertionError(fn)
+
+
+@pytest.mark.parametrize("fn", [
+    L1Norm(3), EuclideanNorm(3), BallSupport([0.3, 0.3, 0.3], 0.8), BallSupport(np.zeros(3), 0.0),
+    BallIndicator(np.zeros(3), 2.0), BallIndicator([1.0, 0.0, 0.0], 0.0),
+    BallDistance([0.1, -0.2, 0.3], 0.7), BallDistance(np.zeros(3), 0.0),
+], ids=repr)
+@pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
+def test_prox_jacobians_at_kinks_are_symmetric_and_between_0_and_I(fn, gamma):
+    # with W = I the congruence is J itself: an element of the generalized
+    # Jacobian, symmetric with eigenvalues in [0, 1]
+    X = _kink_points(fn, gamma)
+    J = fn._prox_jacobian(gamma, X, np.eye(3)).transpose(2, 0, 1)
+    assert np.isfinite(J).all()
+    np.testing.assert_array_equal(J, J.transpose(0, 2, 1))
+    eig = np.linalg.eigvalsh(J)
+    assert (eig >= -1e-12).all() and (eig <= 1.0 + 1e-12).all()
+
+
+def test_prox_jacobians_are_seen_through_transforms_and_sums():
+    oracle = OracleFunction(1, value_fn=lambda x: np.abs(x).sum(axis=-1), prox_fn=lambda g, x: x)
+    wrapped = MoreauEnvelopeFunction(oracle.scale_arg(2.0).translate([1.0]).add_quad(0.5), 1.0)
+    assert not oracle.has_prox_jacobian() and not wrapped.has_prox_jacobian()
+    assert not SeparableSum([(1.0, L1Norm(1), 0), (2.0, wrapped, 1)]).has_prox_jacobian()
+    assert all(fn.has_prox_jacobian() for fn in _jacobian_functions())
+

@@ -637,6 +637,15 @@ def test_sampled_expectation_needs_two_samples():
         sampled_expectation_prox(lambda rng: L1Norm(1), 0, 1, 1.0, np.zeros(1))
 
 
+@pytest.mark.parametrize("n_samples", [2.5, 2.0, True, "3", None, np.float64(4.0)])
+def test_sampled_expectation_needs_an_integer_sample_count(n_samples):
+    # 2.5 ended in a TypeError from np.empty; a bool or a float is no count
+    with pytest.raises(ParameterError):
+        sampled_expectation_prox(lambda rng: L1Norm(1), 0, n_samples, 1.0, np.zeros(1))
+    est = sampled_expectation_prox(lambda rng: L1Norm(1), 0, np.int64(3), 1.0, np.ones(1))
+    assert est.n_samples == 3 and type(est.n_samples) is int
+
+
 # -- parameter lists as one solve ---------------------------------------------------
 
 

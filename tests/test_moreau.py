@@ -520,9 +520,9 @@ def _counted(rule, updates):
     def counted_rule(z):
         update, state, measured = rule(z)
 
-        def counted(state, output, it):
+        def counted(state, output, residual, it, *per_row):
             updates.append(len(output))
-            return update(state, output, it)
+            return update(state, output, residual, it, *per_row)
 
         return counted, state, measured
 
@@ -541,10 +541,16 @@ def _root_step(beta, b):
     return F, _norm(F)
 
 
+def _identity_jacobian(beta, _b):
+    """The Jacobian ``I`` of ``_root_step``, once per row: ``(k, k, n)``."""
+    k = beta.shape[1]
+    return np.broadcast_to(np.identity(k)[:, :, None], (k, k, len(beta)))
+
+
 @pytest.mark.parametrize(
     "rule, step",
-    [(moreau._momentum, _halving_step), (moreau._barzilai_borwein(1.0, 0.5), _root_step)],
-    ids=["momentum", "barzilai-borwein"],
+    [(moreau._momentum, _halving_step), (moreau._newton(_identity_jacobian), _root_step)],
+    ids=["momentum", "newton"],
 )
 def test_a_solve_stopping_at_iteration_k_updates_k_minus_1_times(rule, step):
     # the stop is tested on the step's iterate before the update, so the
@@ -561,9 +567,40 @@ def test_a_solve_stopping_at_iteration_k_updates_k_minus_1_times(rule, step):
             assert iters[0] > 1
         else:  # a one-iteration solve never updates
             assert iters[0] == stopped_at and updates == []
-        # momentum writes out the step's output, BB the point it measured,
-        # not F there (0 at the root)
+        # momentum writes out the step's output, Newton the point it
+        # measured, not F there (0 at the root)
         np.testing.assert_allclose(z, b, rtol=0, atol=1e-9)
+
+
+def _kinked_step(beta, omega):
+    """``F(beta) = beta + 1 + omega max(beta, 0)``, root -1, and ``||F||``.
+
+    ``F`` is the gradient of a strongly convex function with a kink at 0.
+    """
+    F = beta + 1.0 + omega * np.maximum(beta, 0.0)
+    return F, _norm(F)
+
+
+def _kinked_jacobian(beta, omega):
+    """``1 + omega`` where ``beta >= 0``, else 1: ``(1, 1, n)``."""
+    return (1.0 + omega * (beta >= 0.0)).T[None]
+
+
+def test_newton_steps_leave_a_kink_whose_jacobian_is_from_the_far_side():
+    # at the kink 0 the Jacobian 1 + omega is the slope of the side a step
+    # toward the root leaves: the Newton step 1/(1 + omega) and each of its
+    # halvings t cut ||F|| by t/(1 + omega), short of 1e-4 t for omega > 1e4.
+    # After 20 halvings the rule steps along -F(0) = -1, onto the root
+    omega = np.array([[1e6], [1e3]])
+    z, codes, iters, residual = _fista(
+        _kinked_step, np.zeros((2, 1)), SolverOpts(max_iter=100), per_row=(omega,),
+        rule=moreau._newton(_kinked_jacobian),
+    )
+    assert codes.tolist() == [_CONVERGED_CODE] * 2
+    # start, 20 halvings, the step along -F, the stop; at omega 1e3 the
+    # Newton step is accepted and the next lands on the root
+    assert iters.tolist() == [23, 3]
+    np.testing.assert_allclose(z, -1.0, rtol=0, atol=1e-12)
 
 
 def test_rows_stopping_together_are_written_out_in_one_step(monkeypatch):
@@ -594,10 +631,11 @@ def test_found_line_solves_keep_their_iteration_counts():
     # age-indexed momentum table and the folded steps.  The zero row kept
     # the 2x2 cocomposition's 1/gamma step; it took 16 iterations while
     # the residual was measured from the previous iterate, 15 from the
-    # momentum point, 12 from the collapse start, and 3 on the metric path
+    # momentum point, 12 from the collapse start, 3 on the metric path with
+    # Barzilai-Borwein steps and 2 with Newton steps
     L = DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.0, 0.0]])
     spec = CompositionSpec(L, L1Norm(3), 1.0)
-    assert eval_cocomposition(spec, [1.0, -2.0]).iterations == 3
+    assert eval_cocomposition(spec, [1.0, -2.0]).iterations == 2
     a, c = np.array([1.0, 0.01]), np.ones(2)
     rep = minimize_smooth(
         lambda x: 0.5 * x @ (a * x) - c @ x, lambda x: a * x - c, np.zeros(2), 1.0
@@ -608,5 +646,6 @@ def test_found_line_solves_keep_their_iteration_counts():
 def test_found_line_cocomposition_at_the_tight_step():
     # the 2x2 case itself: ||I - LL*|| = 1 - s_min^2 set the dual step; 10
     # iterations from y = 0, 9 from the collapse start, 3 on the metric path
+    # with Barzilai-Borwein steps, 2 with Newton steps
     spec = CompositionSpec(DenseMap([[0.5, 0.1], [-0.2, 0.4]]), L1Norm(2), 1.0)
-    assert eval_cocomposition(spec, [1.0, -2.0]).iterations == 3
+    assert eval_cocomposition(spec, [1.0, -2.0]).iterations == 2
