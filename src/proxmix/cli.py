@@ -202,35 +202,47 @@ def _check_command(config, expected):
 # ---------------------------------------------------------------------------
 
 
+def _write(text, out):
+    try:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def _write_json(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out is None:
-        sys.stdout.write(text + "\n")
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+    """One line with sorted keys: no ``indent``, so the C encoder runs."""
+    _write(json.dumps(payload, sort_keys=True) + "\n", out)
 
 
-def _write_csv(header, rows, out):
-    """Locale-independent decimal literals with 17 significant digits."""
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(fmt % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
+def _write_csv(header, rows, out, axes=None):
+    """Locale-independent decimal literals with 17 significant digits.
+
+    One format call writes the whole table.  ``axes``, when given, are the
+    two axes of a grid, each formatted once: their literals lead the rows
+    (the remaining columns) in ``meshgrid(..., indexing="ij")`` order.
+    """
+    rows = np.asarray(rows, dtype=float)
+    row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    if axes is None:
+        template = row * len(rows)
     else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+        x1, x2 = (["%.17g," % v for v in axis.tolist()] for axis in axes)
+        # block i is "a b_j <row>" for each j, with no string built per row
+        template = "".join([a + (row + a).join(x2) + row for a in x1])
+    _write(",".join(header) + "\n" + template % tuple(rows.ravel().tolist()), out)
 
 
 def _emit(payload, header_rows, args):
-    if args.format == "csv":
-        if header_rows is None:
-            raise ConfigError("this command has no CSV form; use --format json")
-        _write_csv(header_rows[0], header_rows[1], args.out)
-    else:
+    if args.format == "json":
         _write_json(payload, args.out)
+    elif header_rows is None:
+        raise ConfigError("this command has no CSV form; use --format json")
+    else:
+        _write_csv(*header_rows, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +394,19 @@ def cmd_figure(config, args):
     axes = [np.linspace(lo[i], hi[i], int(steps)) for i in range(2)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    composed = np.asarray(fn(operator.apply(points)))
-    columns = [points[:, 0], points[:, 1], composed]
+    columns = [np.asarray(fn(operator.apply(points)))]
     header = ["x1", "x2", "g_of_Lx"]
     for gamma in gammas:
         spec = CompositionSpec(operator, fn, gamma)
         vals, _, _ = eval_cocomposition_batch(spec, points, opts)
         columns.append(vals)
         header.append(f"cocomposition_gamma_{gamma:g}")
-    rows = np.stack(columns, axis=-1)
-    payload = None
-    if args.format != "csv":
-        payload = {"command": "figure", "header": header, "rows": rows.tolist()}
-    _emit(payload, (header, rows), args)
+    values = np.stack(columns, axis=-1)
+    if args.format == "csv":
+        _write_csv(header, values, args.out, axes)
+    else:
+        rows = np.column_stack([points, values]).tolist()
+        _write_json({"command": "figure", "header": header, "rows": rows}, args.out)
     return EXIT_OK
 
 
@@ -426,7 +438,7 @@ def cmd_verify(config, args):
         "all_pass": all(r.all_pass for r in reports),
         "suites": [r.to_json() for r in reports],
     }
-    _write_json(payload, args.out)
+    _emit(payload, None, args)
     return EXIT_OK if payload["all_pass"] else EXIT_SUITE_FAILED
 
 
@@ -450,12 +462,10 @@ def _build_parser():
             "comparison figures, and run verification suites."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the JSON job config")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="json")
+    parser.add_argument("subcommand", choices=list(_COMMANDS))
+    parser.add_argument("--config", required=True, help="path to the JSON job config")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument("--format", choices=["csv", "json"], default="json")
     return parser
 
 

@@ -731,3 +731,176 @@ def test_envelope_job_is_one_batch_call(tmp_path, monkeypatch, kind):
     lines = csv_out.read_text().splitlines()
     assert lines[0] == "x1,x2,value"
     assert [float(l.split(",")[2]) for l in lines[1:]] == [r["value"] for r in results]
+
+
+# ---------------------------------------------------------------------------
+# output format: the CSV bytes of the per-row writer, one JSON line
+# ---------------------------------------------------------------------------
+
+
+def reference_csv(header, rows):
+    """The per-row rendering: one ``%.17g`` format call per row."""
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)]
+    lines.extend(fmt % tuple(row) for row in np.asarray(rows, dtype=float).tolist())
+    return "\n".join(lines) + "\n"
+
+
+CSV_TABLES = {
+    "special": [[-0.0, np.inf, -np.inf], [np.nan, 5e-324, 1e300], [3.0, -7.0, 2.0**53]],
+    "one-row": [[1.0 / 3.0, -0.0, 1e300]],
+    "empty": np.empty((0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(CSV_TABLES))
+def test_csv_writer_matches_the_per_row_rendering(tmp_path, name):
+    rows = np.asarray(CSV_TABLES[name], dtype=float)
+    header = ["a", "b", "c"]
+    out = tmp_path / "t.csv"
+    _write_csv(header, rows, str(out))
+    assert out.read_bytes() == reference_csv(header, rows).encode()
+    # the same bytes when the first two columns are a grid's two axes
+    axes = [rows[:, 0], rows[:, 1][::-1]]
+    mesh = [m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")]
+    values = np.tile(rows[:, 2:], (len(rows), 1))
+    _write_csv(header, values, str(out), axes)
+    assert out.read_bytes() == reference_csv(header, np.column_stack([*mesh, values])).encode()
+
+
+@pytest.mark.parametrize("gammas", [[0.5], [0.5, 4.0]], ids=["one-gamma", "two-gammas"])
+@pytest.mark.parametrize("steps", [1, 2, 21])
+def test_figure_csv_matches_the_per_row_rendering(tmp_path, steps, gammas):
+    grid = {"lo": [-1.3, 0.2], "hi": [2.9, 3.7], "steps": steps}
+    cfg = write_config(tmp_path, {"preset": "example1", "gammas": gammas, "grid": grid})
+    out_json, out_csv = tmp_path / "fig.json", tmp_path / "fig.csv"
+    assert main(["figure", "--config", cfg, "--out", str(out_json)]) == EXIT_OK
+    assert main(["figure", "--config", cfg, "--out", str(out_csv), "--format", "csv"]) == EXIT_OK
+    payload = json.loads(out_json.read_text())
+    assert len(payload["rows"]) == steps**2
+    assert out_csv.read_bytes() == reference_csv(payload["header"], payload["rows"]).encode()
+
+
+def without_elapsed(payload):
+    # verification reports carry wall times, which differ between runs
+    for suite in payload.get("suites", ()):
+        suite.pop("elapsed")
+    return payload
+
+
+JSON_JOBS = {
+    # command -> (config, exit code); the eval job's first row diverges
+    "eval": ({"spec": {"L": {"rows": 1, "cols": 1, "entries": [[0.5]]},
+                       "g": {"atom": "ball_indicator", "params": {"center": [5.0], "radius": 1.0}},
+                       "gamma": 1.0},
+              "points": [[1.0], [2.5]], "which": "composition"}, EXIT_DIVERGED),
+    "prox": ({"spec": PLANE_COMPOSITION, "points": [[1.0, 2.0], [-0.5, 0.3]]}, EXIT_OK),
+    "envelope": ({"spec": PLANE_COMPOSITION, "rho": 0.3, "points": [[1.0, 2.0]]}, EXIT_OK),
+    "sweep": ({**SWEEP, "x": [1.0], "gammas": [0.25, 1.0, 4.0]}, EXIT_OK),
+    "argmin": ({"spec": PLANE_MIXTURE}, EXIT_OK),
+    "figure": ({"preset": "example2", "gammas": [0.5, 2.0], "grid": {"steps": 3}}, EXIT_OK),
+    "verify": ({"suites": ["lemma2", "lemma3"], "seed": 7, "scale": "small"}, EXIT_OK),
+}
+
+
+@pytest.mark.parametrize("command", list(JSON_JOBS))
+def test_json_output_is_one_line_with_the_indented_payload(tmp_path, monkeypatch, command):
+    from proxmix import cli
+
+    config, code = JSON_JOBS[command]
+    cfg = write_config(tmp_path, config)
+    out, indented = tmp_path / "one.json", tmp_path / "indented.json"
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+
+    def write_indented(payload, path):
+        with open(path, "w") as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    monkeypatch.setattr(cli, "_write_json", write_indented)
+    assert main([command, "--config", cfg, "--out", str(indented)]) == code
+    assert without_elapsed(payload) == without_elapsed(json.loads(indented.read_text()))
+    if command == "eval":
+        assert "Infinity" in text and payload["results"][0]["value"] == np.inf
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target, fmt):
+    cfg = write_config(tmp_path, {"spec": scalar_composition_spec(), "points": [[1.0], [2.0]]})
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "out.txt"
+    assert main(["prox", "--config", cfg, "--out", str(out), "--format", fmt]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:") and err.count("\n") == 1
+
+
+def test_verify_refuses_csv(tmp_path, capsys):
+    cfg = write_config(tmp_path, VERIFY)
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--format", "csv"]) == EXIT_CONFIG
+    assert not out.exists()
+    assert "no CSV form" in capsys.readouterr().err.splitlines()[-1]
+
+
+# The job configs of the CI "Console script" step, byte for byte, with the
+# exit code that step expects of each
+L1_COMPOSITION = ('{"L": {"rows": 1, "cols": 1, "entries": [[0.5]]}, '
+                  '"g": {"atom": "l1_norm", "params": {"dim": 1}}, "gamma": 1.0}')
+CONSOLE_SCRIPT_JOBS = {
+    "eval": ("eval", '{"spec": %s, "points": [[1.0], [2.0]]}' % L1_COMPOSITION, [], 0),
+    "figure-csv": ("figure", '{"preset": "example1", "grid": {"steps": 11}}',
+                   ["--format", "csv", "--out", "grid.csv"], 0),
+    "figure-json": ("figure", '{"preset": "example1", "grid": {"steps": 11}}',
+                    ["--out", "grid.json"], 0),
+    "sweep": ("sweep", '{"L": {"rows": 1, "cols": 1, "entries": [[0.5]]}, "g": {"atom": '
+              '"l1_norm", "params": {"dim": 1}}, "x": [1.0], "gammas": [0.25, 1.0, 4.0]}', [], 0),
+    "envelope": ("envelope", '{"spec": %s, "rho": 2.5, "points": [[1.0], [-2.0], [3.0]]}'
+                 % L1_COMPOSITION, ["--format", "csv"], 0),
+    "argmin": ("argmin", '{"spec": {"L": {"rows": 1, "cols": 1, "entries": [[0.5]]}, "g": '
+               '{"atom": "l1_norm", "params": {"dim": 1}, "transforms": [{"kind": "translate", '
+               '"w": [1.0]}]}, "gamma": 1.0}}', [], 0),
+    "argmin-mixture": ("argmin", '{"spec": {"gamma": 1.0, "terms": [{"alpha": 0.4, "L": '
+                       '{"rows": 1, "cols": 2, "entries": [[0.8, 0.0]]}, "g": {"atom": '
+                       '"l1_norm", "params": {"dim": 1}, "transforms": [{"kind": "translate", '
+                       '"w": [1.0]}]}}, {"alpha": 0.5, "L": {"rows": 2, "cols": 2, "entries": '
+                       '[[1.0, 0.0], [0.0, 1.0]]}, "g": {"atom": "euclidean_norm", "params": '
+                       '{"dim": 2}, "transforms": [{"kind": "translate", "w": [-1.0, 0.5]}]}}]}}',
+                       [], 0),
+    "prox": ("prox", '{"spec": %s, "points": [[4.0], [-1.0]], "which": "composition"}'
+             % L1_COMPOSITION, [], 0),
+    "inf-gamma": ("eval", '{"spec": {"L": {"rows": 1, "cols": 1, "entries": [[0.5]]}, "g": '
+                  '{"atom": "l1_norm", "params": {"dim": 1}}, "gamma": 1e999}, "points": [[1.0]]}',
+                  [], 2),
+    "inf-rho": ("eval", '{"spec": {"L": {"rows": 1, "cols": 1, "entries": [[0.5]]}, "g": '
+                '{"atom": "l1_norm", "params": {"dim": 1}, "transforms": [{"kind": "add_quad", '
+                '"rho": 1e999}]}, "gamma": 1.0}, "points": [[1.0]]}', [], 2),
+    "text-gamma": ("eval", '{"spec": {"L": {"rows": 1, "cols": 1, "entries": [[0.5]]}, "g": '
+                   '{"atom": "l1_norm", "params": {"dim": 1}}, "gamma": "2"}, "points": [[1.0]]}',
+                   [], 2),
+    "negative-seed": ("verify", '{"suites": ["lemma2"], "seed": -1}', [], 2),
+}
+
+
+@pytest.mark.parametrize("job", list(CONSOLE_SCRIPT_JOBS))
+def test_console_script_jobs_exit_as_ci_expects(tmp_path, monkeypatch, capsys, job):
+    command, text, extra, code = CONSOLE_SCRIPT_JOBS[job]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "job.json").write_text(text + "\n")
+    assert main([command, "--config", "job.json", *extra]) == code
+
+
+def test_console_script_figure_csv_parses_to_the_json_rows(tmp_path, monkeypatch):
+    # the check the CI step runs on its two figure outputs
+    monkeypatch.chdir(tmp_path)
+    for job in ("figure-csv", "figure-json"):
+        command, text, extra, _ = CONSOLE_SCRIPT_JOBS[job]
+        (tmp_path / "job.json").write_text(text + "\n")
+        assert main([command, "--config", "job.json", *extra]) == EXIT_OK
+    payload = json.loads((tmp_path / "grid.json").read_text())
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    assert lines[0].split(",") == payload["header"]
+    assert [[float(c) for c in line.split(",")] for line in lines[1:]] == payload["rows"]
+    assert len(payload["rows"]) == 121
