@@ -44,7 +44,6 @@ from .moreau import (
     conjugate_numeric,
     envelope,
     envelope_gradient,
-    minimize_smooth,
 )
 from .compositions import (
     CompositionSpec,

@@ -65,7 +65,6 @@ from .moreau import (
     _row_report,
     envelope,
     envelope_gradient,
-    minimize_smooth,
 )
 from .oracles import _large_gamma_target
 
@@ -514,13 +513,11 @@ def prox_cocomposition(spec, x):
     return x - L.adjoint_apply(w - g.prox(gamma, w))
 
 
-def _collapse(spec):
+def _collapse(L, g):
     """Value and gradient of the smooth collapse ``z -> env_gamma(g)(Lz)``.
 
-    Both act on rows ``z`` (or one point) and take ``gamma``, a float or a
-    per-row column.
+    Both act on rows ``z`` and take ``gamma``, a float or a per-row column.
     """
-    L, g = spec.operator, spec.fn
     return (
         lambda z, gamma: envelope(g, gamma, L.apply(z)),
         lambda z, gamma: L.adjoint_apply(envelope_gradient(g, gamma, L.apply(z))),
@@ -565,7 +562,7 @@ def envelope_cocomposition_batch(spec, rho, X, opts: SolverOpts = DEFAULT_OPTS):
     else:
         lam = rho - gamma
         lip = L.norm_bound**2 / gamma + 1.0 / lam
-        collapse, collapse_grad = _collapse(spec)
+        collapse, collapse_grad = _collapse(L, g)
         values[valid] = _minimize_rows(
             lambda z, x: collapse(z, gamma) + _norm(z - x) ** 2 / (2 * lam),
             lambda z, x: collapse_grad(z, gamma) + (z - x) / lam,
@@ -645,8 +642,6 @@ def gamma_sweep(operator, fn, x, gammas, opts: SolverOpts = DEFAULT_OPTS, slack=
     slack.
     """
     gammas = np.asarray(sorted(gammas), dtype=float)
-    if np.any(gammas <= 0):
-        raise ParameterError("all sweep parameters must be positive")
     spec, _, X = _parameter_rows(operator, fn, x, gammas)
     comp = eval_composition_batch(spec, X, opts, gammas)[0]
     cocomp = eval_cocomposition_batch(spec, X, opts, gammas)[0]
@@ -739,26 +734,32 @@ def limit_large_gamma(
 # ---------------------------------------------------------------------------
 
 
+def _argmin_rows(L, g, X0, gamma, opts):
+    """The smooth collapse of ``(L, g)`` minimized from the rows ``X0`` (``_minimize_rows``).
+
+    Accelerated gradient descent at the certified step ``gamma / max(||L||^2,
+    1e-12)``, ``gamma`` a float or a per-row column; a row past the
+    divergence radius at an escape test is 'diverged' (value ``+inf``).
+    """
+    collapse, collapse_grad = _collapse(L, g)
+    lip = max(L.norm_bound**2, 1e-12) / gamma
+    return _minimize_rows(collapse, collapse_grad, X0, lip, opts, (gamma,))
+
+
 def argmin_cocomposition(spec, opts: SolverOpts = DEFAULT_OPTS, x0=None):
-    """Minimize the cocomposition.
+    """Minimize the cocomposition (SolveReport).
 
     Its minimizers coincide with those of the smooth collapse
     ``x -> envelope(g, gamma, Lx)``, whose infimum also equals the
-    infimum of the cocomposition; that smooth function is minimized by
-    accelerated gradient descent with the certified step.  A 'diverged'
-    report signals a non-coercive objective.
+    infimum of the cocomposition: one row of ``_argmin_rows`` from ``x0``
+    (default 0).  'converged' means the collapse gradient norm at the
+    momentum point is ``<= opts.tol`` (the residual); the argpoint is the
+    gradient step taken from there.  A 'diverged' report signals a
+    non-coercive objective.
     """
-    L, gamma = spec.operator, spec.gamma
+    L = spec.operator
     x0 = np.zeros(L.cols) if x0 is None else as_vector(x0, L.cols)
-    lip = max(L.norm_bound**2, 1e-12) / gamma
-    collapse, collapse_grad = _collapse(spec)
-    return minimize_smooth(
-        lambda z: float(collapse(z, gamma)),
-        lambda z: collapse_grad(z, gamma),
-        x0,
-        lip,
-        opts,
-    )
+    return _row_report(*_argmin_rows(L, spec.fn, x0[None, :], spec.gamma, opts))
 
 
 @dataclass
@@ -775,17 +776,17 @@ def argmin_gamma_sequence(operator, fn, gammas, opts: SolverOpts = DEFAULT_OPTS,
     The infima converge to the minimum of the plain composition
     ``g(Lx)``; the reference defaults to a run at parameter ``2**-20``
     (callers should supply a grid-oracle value in low dimension).  Every
-    parameter is one row of one ``argmin_cocomposition``-style solve.  An
-    empty parameter list raises ParameterError.
+    parameter is one row, from 0, of one ``_argmin_rows`` solve, the rows
+    of ``argmin_cocomposition``.  An empty parameter list raises
+    ParameterError.
     """
     gammas = np.asarray(sorted(gammas, reverse=True), dtype=float)
     if not len(gammas):
         raise ParameterError("need at least one parameter")
     column = _gamma_column(gammas if reference is not None else [*gammas, 2.0**-20])
-    collapse, collapse_grad = _collapse(CompositionSpec(operator, fn, 1.0))
-    lip = max(operator.norm_bound**2, 1e-12) / column
+    CompositionSpec(operator, fn, 1.0)  # the admissibility check of every entry point
     X0 = np.zeros((len(column), operator.cols))
-    infima = _minimize_rows(collapse, collapse_grad, X0, lip, opts, (column,))[0]
+    infima = _argmin_rows(operator, fn, X0, column, opts)[0]
     if reference is None:
         infima, reference = infima[:-1], infima[-1]
     return MinimizerSequenceReport(gammas, infima, float(reference), float(infima[-1] - reference))

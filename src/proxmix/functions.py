@@ -881,26 +881,14 @@ class OracleFunction(ConvexFunction):
     Used to feed numerically realized functions (for instance an already
     composed function whose prox is exact only at one parameter) back into
     the solvers.  ``prox_fn(gamma, x)`` may be restricted to a single
-    parameter value via ``prox_gamma``.
+    parameter value via ``prox_gamma``.  Its conjugate and recession raise
+    UnsupportedConjugate, and it has no Lipschitz bound.
     """
 
-    def __init__(
-        self,
-        dim,
-        value_fn,
-        prox_fn=None,
-        conjugate_fn=None,
-        recession_fn=None,
-        lipschitz=None,
-        prox_gamma=None,
-        full_domain=True,
-    ):
+    def __init__(self, dim, value_fn, prox_fn=None, prox_gamma=None, full_domain=True):
         self.dim = _check_dim(dim)
         self._value_fn = value_fn
         self._prox_fn = prox_fn
-        self._conjugate_fn = conjugate_fn
-        self._recession_fn = recession_fn
-        self._lipschitz = lipschitz
         self._prox_gamma = prox_gamma
         self._full_domain = bool(full_domain)
 
@@ -920,17 +908,10 @@ class OracleFunction(ConvexFunction):
         return self._prox_fn(gamma, x)
 
     def _conjugate(self, s):
-        if self._conjugate_fn is None:
-            raise UnsupportedConjugate("oracle function has no closed conjugate")
-        return np.asarray(self._conjugate_fn(s), dtype=float)
+        raise UnsupportedConjugate("oracle function has no closed conjugate")
 
     def _recession(self, x):
-        if self._recession_fn is None:
-            raise UnsupportedConjugate("oracle function has no recession oracle")
-        return np.asarray(self._recession_fn(x), dtype=float)
-
-    def lipschitz_bound(self):
-        return self._lipschitz
+        raise UnsupportedConjugate("oracle function has no recession oracle")
 
     def has_full_domain(self):
         return self._full_domain

@@ -26,7 +26,6 @@ __all__ = [
     "envelope",
     "envelope_gradient",
     "conjugate_numeric",
-    "minimize_smooth",
 ]
 
 CONVERGED = "converged"
@@ -46,9 +45,9 @@ class SolverOpts:
     ``tol`` and ``divergence_radius`` must be finite and positive and
     ``max_iter`` an integer of at least 1 (``ParameterError`` otherwise).
     ``divergence_radius`` declares divergence once an iterate's norm
-    exceeds it: in ``minimize_smooth`` and the mixture cross-checks of
-    ``oracles``, and elsewhere only where no certificate exists: the
-    numeric conjugate of an ``f`` without a recession oracle, and the
+    exceeds it: in ``_minimize_rows`` (the argmins) and the mixture
+    cross-checks of ``oracles``, and elsewhere only where no certificate
+    exists: the numeric conjugate of an ``OracleFunction``, and the
     composition solvers for a restricted ``dom g`` without a catalog
     conjugate.
     """
@@ -95,8 +94,8 @@ class SolveReport:
     estimate.  Every other residual is measured at the momentum point: for
     the cocomposition's dual ascent and the numeric conjugate, the step
     length from it per unit step (the gradient mapping there); for the
-    composition (in the coordinates of ``L``'s range factor) and
-    ``minimize_smooth``, the gradient norm there.  Every iterated
+    composition (in the coordinates of ``L``'s range factor) and the
+    argmins (``_minimize_rows``), the gradient norm there.  Every iterated
     composition value is the Fenchel-Young dual value at the solver's last
     prox point ``p`` and its dual ``y`` in ``dg(p)``, never from ``g*``: a
     lower bound on the true value.  A composition whose adjoint ``L*`` is
@@ -174,8 +173,8 @@ def conjugate_numeric(fn: ConvexFunction, xstar, opts: SolverOpts = DEFAULT_OPTS
     Accelerated proximal-point ascent ``z <- prox_f(m + s)`` from ``z = 0``
     through the exact prox of ``f``; the residual is the step length from
     the momentum point ``m``.  'diverged' certifies value ``+inf`` by a
-    recession certificate, or by the divergence radius where ``f`` has no
-    recession oracle.
+    recession certificate, or by the divergence radius where the recession
+    of ``f`` raises ``UnsupportedConjugate`` (an ``OracleFunction``).
     """
     s = np.asarray(xstar, dtype=float).reshape(1, -1)
 
@@ -392,23 +391,3 @@ def _minimize_rows(value_fn, grad_fn, X0, lipschitz, opts, per_row=()):
     values = np.where(codes == _DIVERGED_CODE, np.inf, value_fn(x, *per_row))
     return values, x, codes, iters, residual
 
-
-def minimize_smooth(value_fn, grad_fn, x0, lipschitz, opts: SolverOpts = DEFAULT_OPTS):
-    """Accelerated gradient descent with fixed step ``1/lipschitz``.
-
-    Uses gradient-scheme restart.  'converged' means the gradient norm at
-    the momentum point is ``<= opts.tol`` (the report's residual); the
-    argpoint is the gradient step taken from there.  An iterate whose norm
-    exceeds the divergence radius (tested every 50 iterations) reports
-    'diverged', which callers read as a non-coercive objective.  One row
-    of ``_minimize_rows``.
-    """
-    if not lipschitz > 0:
-        raise ParameterError("Lipschitz constant must be positive")
-    return _row_report(*_minimize_rows(
-        lambda x: value_fn(x[0]),
-        lambda m: np.reshape(grad_fn(m[0]), (1, -1)),
-        np.asarray(x0, dtype=float).reshape(1, -1),
-        lipschitz,
-        opts,
-    ))

@@ -779,16 +779,12 @@ def suite_cor11(rng, scale):
         x = rng.normal(size=dim_mid)
 
         # cocomposition route: wrap the inner cocomposition as an oracle
-        dual_inner = CompositionSpec(L, conjugate_function(g), 1.0 / gamma)
         wrapped = OracleFunction(
             dim_mid,
             value_fn=lambda Z: _co_values(inner, np.atleast_2d(Z)).reshape(
                 np.shape(Z)[:-1]
             ),
             prox_fn=lambda t, Z: prox_cocomposition(inner, Z),
-            conjugate_fn=lambda Y: _comp_values(dual_inner, np.atleast_2d(Y)).reshape(
-                np.shape(Y)[:-1]
-            ),
             prox_gamma=gamma,
         )
         left = eval_cocomposition(CompositionSpec(S, wrapped, gamma), x, OPTS).value
@@ -1583,7 +1579,6 @@ def suite_prop75(rng, scale):
             fn = _random_conjugable_fn(rng, 1)
             base_terms.append(MixtureTerm(float(a), op, fn))
             inner = CompositionSpec(op, fn, gamma)
-            dual = CompositionSpec(op, conjugate_function(fn), 1.0 / gamma)
             wrapped.append(
                 MixtureTerm(
                     float(a),
@@ -1594,9 +1589,6 @@ def suite_prop75(rng, scale):
                             s, np.atleast_2d(Z)
                         ).reshape(np.shape(Z)[:-1]),
                         prox_fn=lambda t, Z, s=inner: prox_cocomposition(s, Z),
-                        conjugate_fn=lambda Y, d=dual: _comp_values(
-                            d, np.atleast_2d(Y)
-                        ).reshape(np.shape(Y)[:-1]),
                         prox_gamma=gamma,
                     ),
                 )
@@ -1839,20 +1831,16 @@ def suite_ids():
 
 
 def run_suite(suite_id, seed=0, scale="default"):
-    """Execute one suite deterministically and return its report."""
+    """Execute one suite deterministically at ``SCALES[scale]`` and return its report."""
     if suite_id not in SUITES:
         raise RegistryError(f"unknown suite id: {suite_id!r}")
-    if isinstance(scale, str):
-        if scale not in SCALES:
-            raise RegistryError(f"unknown scale name: {scale!r}")
-        scale_name, scale_obj = scale, SCALES[scale]
-    else:
-        scale_name, scale_obj = "custom", scale
+    if not isinstance(scale, str) or scale not in SCALES:
+        raise RegistryError(f"unknown scale name: {scale!r}")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    cases = SUITES[suite_id](rng, scale_obj)
+    cases = SUITES[suite_id](rng, SCALES[scale])
     elapsed = time.perf_counter() - start
-    return SuiteReport(suite_id, int(seed), scale_name, cases, elapsed)
+    return SuiteReport(suite_id, int(seed), scale, cases, elapsed)
 
 
 def run_all(seed=0, scale="default", ids=None):

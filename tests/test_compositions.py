@@ -852,6 +852,52 @@ def test_argmin_gamma_sequence_rejects_an_empty_parameter_list(reference):
         argmin_gamma_sequence(DenseMap([[0.5]]), L1Norm(1), [], reference=reference)
 
 
+def test_argmin_gamma_sequence_rejects_an_inadmissible_operator():
+    with pytest.raises(AdmissibilityError):
+        argmin_gamma_sequence(DenseMap([[2.0]]), L1Norm(1), [1.0])
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (CompositionSpec(TALL, L1Norm(3).translate([1.0, -1.0, 0.5]), 1.0), CONVERGED),
+        (CompositionSpec(DenseMap([[0.5]]), L1Norm(1).add_affine([2.0]), 1.0), DIVERGED),
+    ],
+    ids=["converged", "diverged"],
+)
+def test_argmin_is_its_row_of_the_gamma_sequence_solve(monkeypatch, spec, expected):
+    # one collapse minimizer: argmin_cocomposition is, bit for bit, the row
+    # at its parameter of the many-row solve argmin_gamma_sequence runs
+    opts = SolverOpts(divergence_radius=1e4)
+    solves, argmin_rows = [], compositions._argmin_rows
+    monkeypatch.setattr(
+        compositions, "_argmin_rows", lambda *a: solves.append(argmin_rows(*a)) or solves[-1]
+    )
+    seq = argmin_gamma_sequence(spec.operator, spec.fn, [4.0, spec.gamma, 0.25], opts)
+    rep = argmin_cocomposition(spec, opts)
+    values, x, codes, iters, residuals = solves[0]
+    row = (values[1], x[1].tolist(), iters[1], _STATUS_BY_CODE[codes[1]], residuals[1])
+    assert (rep.value, rep.argpoint.tolist(), rep.iterations, rep.status, rep.residual) == row
+    assert rep.status == expected and rep.iterations > 0 and seq.infima[1] == rep.value
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan], ids=repr)
+def test_parameter_lists_share_one_error(bad):
+    from proxmix import MixtureTerm, pcm_estimate
+
+    L, fn, gammas = DenseMap([[0.5]]), L1Norm(1), [0.5, bad, 2.0]
+    mixture = MixtureSpec([MixtureTerm(1.0, L, fn)], 1.0)
+    for solve in (
+        lambda: gamma_sweep(L, fn, [1.0], gammas),
+        lambda: limit_small_gamma(L, fn, [1.0], gammas),
+        lambda: limit_large_gamma(L, fn, [1.0], gammas, target=0.0),
+        lambda: argmin_gamma_sequence(L, fn, gammas),
+        lambda: pcm_estimate(mixture, [1.0], gammas),
+    ):
+        with pytest.raises(ParameterError, match="all parameters must be finite and positive"):
+            solve()
+
+
 # -- ordering chain across random instances ----------------------------------------
 
 
@@ -1499,18 +1545,19 @@ def test_argmin_gamma_sequence_is_one_solve(kernel_calls):
 
 
 def _envelope_above_reference(spec, rho, x):
-    """The per-point ``rho > gamma`` envelope: ``minimize_smooth`` on one row."""
-    from proxmix import envelope, envelope_gradient, minimize_smooth
+    """The per-point ``rho > gamma`` envelope: a one-row ``_minimize_rows``."""
+    from proxmix import envelope, envelope_gradient
 
     L, g, gamma = spec.operator, spec.fn, spec.gamma
     lam = rho - gamma
-    return minimize_smooth(
-        lambda z: float(envelope(g, gamma, L.apply(z))) + float(np.linalg.norm(z - x) ** 2)
+    return moreau._row_report(*moreau._minimize_rows(
+        lambda z: envelope(g, gamma, L.apply(z)) + np.linalg.norm(z - x, axis=-1) ** 2
         / (2 * lam),
         lambda z: L.adjoint_apply(envelope_gradient(g, gamma, L.apply(z))) + (z - x) / lam,
-        x.copy(),
+        x[None, :],
         L.norm_bound**2 / gamma + 1.0 / lam,
-    )
+        DEFAULT_OPTS,
+    ))
 
 
 def test_envelope_batch_equals_the_per_point_loop(monkeypatch, kernel_calls):
@@ -1921,6 +1968,17 @@ def test_single_solves_keep_their_call_counts():
     assert _package_calls(lambda: eval_cocomposition(readme, [1.0])) <= 36
     assert _package_calls(lambda: eval_cocomposition(tall, x)) <= 54
     assert _package_calls(lambda: eval_composition(tall, x)) <= 65
+
+
+def test_argmins_keep_their_call_counts():
+    # 71 and 225 calls while the argmin wrapped the collapse into point
+    # callables for a one-row public minimizer (2 and 9 iterations)
+    one = CompositionSpec(DenseMap([[0.5]]), L1Norm(1).translate([1.0]), 1.0)
+    L = DenseMap([[0.5, 0.1], [-0.2, 0.4], [0.1, 0.3]])
+    tall = CompositionSpec(L, L1Norm(3).translate([1.0, -1.0, 0.5]), 1.0)
+    assert [argmin_cocomposition(s).iterations for s in (one, tall)] == [2, 9]
+    assert _package_calls(lambda: argmin_cocomposition(one)) <= 65
+    assert _package_calls(lambda: argmin_cocomposition(tall)) <= 205
 
 
 def test_values_without_a_conjugate_take_one_solve(kernel_calls):

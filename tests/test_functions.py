@@ -331,6 +331,14 @@ def test_oracle_function_prox_gamma_restriction():
         fn.prox(1.0, np.array([2.0]))
 
 
+def test_oracle_function_has_no_conjugate_recession_or_lipschitz_bound():
+    fn = OracleFunction(2, value_fn=lambda x: np.abs(x).sum(axis=-1), prox_fn=lambda g, x: x)
+    for oracle in (fn.conjugate, fn.recession):
+        with pytest.raises(UnsupportedConjugate):
+            oracle(np.array([1.0, -2.0]))
+    assert fn.lipschitz_bound() is None
+
+
 def test_oracle_function_prox_gamma_column():
     fn = OracleFunction(
         1,

@@ -310,7 +310,7 @@ def test_cross_check_uses_the_point_at_evaluation(evaluate):
 
 @pytest.mark.parametrize("evaluate", [mixture_eval, comixture_eval])
 def test_cross_check_of_an_oracle_term_needs_no_conjugate(evaluate):
-    # an OracleFunction term without conjugate_fn: both cross-checks take
+    # an OracleFunction term, which has no conjugate: both cross-checks take
     # their values at prox points, so reading them evaluates no g*
     l1 = L1Norm(2)
     spec = MixtureSpec(

@@ -20,7 +20,6 @@ from proxmix import (
     grid_envelope,
     grid_min,
     grid_prox,
-    minimize_smooth,
     quadratic_kernel,
 )
 from proxmix import BallDistance, OracleFunction
@@ -292,13 +291,18 @@ def test_solver_opts_from_json_rejects_invalid_values(obj):
         SolverOpts.from_json(obj)
 
 
-def test_minimize_smooth_converges_to_quadratic_minimizer():
+def _minimize_one(value, grad, lipschitz, opts=DEFAULT_OPTS):
+    """A one-row ``_minimize_rows`` from the origin of the plane, as a SolveReport."""
+    X0 = np.zeros((1, 2))
+    return moreau._row_report(*moreau._minimize_rows(value, grad, X0, lipschitz, opts))
+
+
+def test_minimize_rows_converges_to_quadratic_minimizer():
     a = np.array([[3.0, 1.0], [1.0, 2.0]])
     b = np.array([1.0, -1.0])
-    rep = minimize_smooth(
-        lambda x: 0.5 * x @ a @ x - b @ x,
-        lambda x: a @ x - b,
-        np.zeros(2),
+    rep = _minimize_one(
+        lambda X: 0.5 * np.sum((X @ a) * X, axis=-1) - X @ b,
+        lambda X: X @ a - b,
         float(np.linalg.eigvalsh(a).max()),
     )
     xstar = np.linalg.solve(a, b)
@@ -308,35 +312,13 @@ def test_minimize_smooth_converges_to_quadratic_minimizer():
     assert rep.value == pytest.approx(-0.5 * b @ xstar, abs=1e-12)
 
 
-def test_minimize_smooth_linear_objective_diverges_at_a_check():
+def test_minimize_rows_linear_objective_diverges_at_a_check():
     c = np.array([1.0, -2.0])
     opts = SolverOpts(divergence_radius=1e4)
-    rep = minimize_smooth(lambda x: c @ x, lambda x: c, np.zeros(2), 1.0, opts)
+    rep = _minimize_one(lambda X: X @ c, lambda X: np.broadcast_to(c, np.shape(X)), 1.0, opts)
     assert rep.status == DIVERGED and rep.value == np.inf
     assert rep.iterations > 0 and rep.iterations % 50 == 0
     assert np.linalg.norm(rep.argpoint) > opts.divergence_radius
-
-
-@pytest.mark.parametrize(
-    "expected, value, grad",
-    [
-        # an ill-conditioned quadratic, 139 iterations to 'converged'
-        (CONVERGED, lambda x: np.sum(0.5 * np.array([1.0, 0.01]) * x * x - x, axis=-1),
-         lambda x: np.array([1.0, 0.01]) * x - 1.0),
-        # a linear objective, 'diverged' at an escape test
-        (DIVERGED, lambda x: np.sum(np.array([1.0, -2.0]) * x, axis=-1),
-         lambda x: np.broadcast_to(np.array([1.0, -2.0]), np.shape(x))),
-    ],
-    ids=["quadratic", "linear"],
-)
-def test_minimize_smooth_is_row_0_of_the_many_row_solve(expected, value, grad):
-    opts = SolverOpts(divergence_radius=1e4)
-    X0 = np.array([[0.0, 0.0], [3.0, -1.0], [-0.5, 2.0]])
-    rep = minimize_smooth(value, grad, X0[0], 1.0, opts)
-    values, x, status, iters, residuals = moreau._minimize_rows(value, grad, X0, 1.0, opts)
-    row = (values[0], x[0].tolist(), iters[0], _STATUS_BY_CODE[status[0]], residuals[0])
-    assert (rep.value, rep.argpoint.tolist(), rep.iterations, rep.status, rep.residual) == row
-    assert rep.status == expected and rep.iterations > 0
 
 
 def test_fista_passes_only_iterating_rows_to_the_oracles():
@@ -637,8 +619,8 @@ def test_found_line_solves_keep_their_iteration_counts():
     spec = CompositionSpec(L, L1Norm(3), 1.0)
     assert eval_cocomposition(spec, [1.0, -2.0]).iterations == 2
     a, c = np.array([1.0, 0.01]), np.ones(2)
-    rep = minimize_smooth(
-        lambda x: 0.5 * x @ (a * x) - c @ x, lambda x: a * x - c, np.zeros(2), 1.0
+    rep = _minimize_one(
+        lambda X: np.sum(0.5 * a * X * X - c * X, axis=-1), lambda X: a * X - c, 1.0
     )
     assert rep.status == CONVERGED and rep.iterations == 139
 

@@ -37,8 +37,10 @@ def test_unknown_suite_id():
 
 
 def test_unknown_scale():
-    with pytest.raises(RegistryError):
-        verify.run_suite("lemma2", scale="gigantic")
+    # a scale is a key of SCALES: a Scale object and an unhashable list are not
+    for scale in ("gigantic", verify.SCALES["small"], ["small"]):
+        with pytest.raises(RegistryError, match="unknown scale name"):
+            verify.run_suite("lemma2", scale=scale)
 
 
 def test_determinism_identical_digests():
